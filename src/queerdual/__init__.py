@@ -3,7 +3,7 @@
 Layers:
 
 - ``scalars``: the field Q(q) of rational functions, q-combinatorics,
-  specialization, probabilistic identity testing;
+  specialization, the prime field GF(2^61 - 1) and its identity-test bound;
 - ``superlinalg``: parity-tagged bases, Koszul-sign tensor calculus, exact
   kernels, spans and graded commutants;
 - ``uq_queer``: the quantum queer superalgebra through its S-matrix
@@ -17,7 +17,9 @@ Layers:
 - ``cli``: the command-line entry point.
 """
 
-from .scalars import ONE, QINV, RatFunc, XI, ZERO, Q, PoleAtPoint, probably_equal, q_number, specialize
+from .scalars import (
+    ONE, QINV, RatFunc, XI, ZERO, Q, ModP, PoleAtPoint, identity_bound, probably_equal, q_number, specialize,
+)
 from .superlinalg import SOp, SuperSpace, graded_commutant, graded_tensor, joint_kernel, span_dim, tensor_space
 from .uq_queer import (
     AlgebraSpec,

@@ -124,7 +124,9 @@ def suite_sergeev(cfg) -> VerifyReport:
     from .duality import sergeev_verify
 
     centralizer = (2 * cfg.n) ** cfg.m <= 16
-    return sergeev_verify(cfg.n, cfg.m, mode=cfg.mode, centralizer=centralizer)
+    return sergeev_verify(
+        cfg.n, cfg.m, mode=cfg.mode, centralizer=centralizer, trials=cfg.trials, seed=cfg.seed
+    )
 
 
 def suite_howe(cfg) -> VerifyReport:

@@ -22,7 +22,7 @@ through that image, so the test is sound and complete degree by degree.
 from __future__ import annotations
 
 from .report import VerifyReport
-from .scalars import ONE, RatFunc, ZERO
+from .scalars import ONE, Q, RatFunc, ZERO
 from .superlinalg import (
     Echelon,
     SOp,
@@ -624,8 +624,7 @@ def zero_weight_iso(n: int, m: int) -> VerifyReport:
     hc_res = hc_check(zw)
     report.add("zw_hc_qinv", hc_res.ok)
     report.derive("zw_clifford_square", hc_res.derived_values.get("clifford_square"))
-    q_side = hc_check(HCAction(HCSpec(m, PARAM_Q), zw.space, zw.t_ops, zw.c_ops))
-    report.derive("zw_hc_q_param_passes", q_side.ok)
+    report.derive("zw_hc_q_param_passes", hc_check(zw, Q).ok)
 
     def zw_as_word(op, par):
         entries = {}

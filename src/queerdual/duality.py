@@ -20,11 +20,12 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .report import VerifyReport
-from .scalars import ONE, QINV, RatFunc, Q, ZERO
+from .scalars import ONE, QINV, RatFunc, Q, ZERO, identity_bound
 from .superlinalg import (
     Echelon,
     SOp,
     SuperSpace,
+    _sylvester_rows,
     flatten_vector,
     graded_commutant,
     operator_algebra_span,
@@ -33,6 +34,9 @@ from .superlinalg import (
 from .uq_queer import (
     PARAM_Q,
     QueerRep,
+    _block_kernel,
+    _prob_trials,
+    _span_closure,
     chevalley_ops,
     classical_limit,
     generate_submodule,
@@ -42,7 +46,7 @@ from .uq_queer import (
     vector_rep,
     weight_spaces,
 )
-from .hecke_clifford import HCAction, HCSpec, braid_operator, hc_check, hc_tensor_action, zero_weight_hc
+from .hecke_clifford import HCAction, braid_operator, hc_check, hc_tensor_action, zero_weight_hc
 
 
 def enumerate_strict_partitions(size: int, max_len: int) -> list[tuple]:
@@ -253,15 +257,21 @@ def isotypic_census(n: int, m: int, rep: QueerRep | None = None):
 # Sergeev-Olshanski duality
 # ---------------------------------------------------------------------------
 
-def sergeev_verify(n: int, m: int, mode: str = "exact", centralizer: bool = True) -> VerifyReport:
+def sergeev_verify(
+    n: int, m: int, mode: str = "exact", centralizer: bool = True, trials: int = 5, seed: int = 0
+) -> VerifyReport:
     """Mutual-centralizer check on V^{(x)m}: supercommutation, span of the
     Hecke-Clifford words against the graded commutant of the queer image (both
     inclusions), the bicommutant sanity check, and census consistency.
 
-    Probabilistic mode speeds up the supercommutation stage by specializing all
-    operators at seed-chosen rational points; the span and commutant dimensions
-    are always computed exactly.  ``centralizer=False`` skips the commutant
-    solves (they scale with dim^4 and are reserved for the small configurations).
+    Probabilistic mode runs the supercommutation stage in GF(p), p = 2^61 - 1,
+    the way ``check_defining_relations`` does: per trial, every Chevalley and
+    Hecke-Clifford entry is mapped to GF(p) at a seeded uniform point, and the
+    report records the trial points, the degree bound and false_match_bound
+    (falling back to exact arithmetic when the bound is not sound).  The span
+    and commutant dimensions are always computed exactly.  ``centralizer=False``
+    skips the commutant solves (they scale with dim^4 and are reserved for the
+    small configurations).
     """
     report = VerifyReport("sergeev", {"n": n, "m": m, "mode": mode, "centralizer": centralizer})
     rep = tensor_rep(vector_rep(n, PARAM_Q), m)
@@ -271,24 +281,23 @@ def sergeev_verify(n: int, m: int, mode: str = "exact", centralizer: bool = True
     queer_gens = list(rep.gen.values())
     hc_gens = hc.generators()
 
+    runs = [("", list(ch.values()), hc_gens)]
     if mode in ("prob", "probabilistic"):
-        import random as _random
-        from fractions import Fraction
-
-        rng = _random.Random(0)
-        c = Fraction(rng.randint(2, 10**4), rng.randint(1, 100))
-        pairs = [(x.specialize(c), h.specialize(c)) for x in ch.values() for h in hc_gens]
-    else:
-        pairs = [(x, h) for x in ch.values() for h in hc_gens]
-    ok = True
-    witness = None
-    for x, h in pairs:
-        d = supercommutator(x, h)
-        if not d.is_zero():
-            ok = False
-            witness = repr(next(iter(d.entries))[1])
-            break
-    report.add("supercommutation", ok, witness=witness)
+        values = {v for op in (*ch.values(), *hc_gens) for v in op.entries.values()}
+        # each supercommutator entry: at most 2 * dim products of two entries
+        bound = identity_bound(values, factors=2, terms=2 * rep.space.dim)
+        draws = _prob_trials(report, values, bound, trials, seed)
+        if draws is not None:
+            runs = [
+                (f"@q={c}:", [x.map(image.__getitem__) for x in ch.values()],
+                 [h.map(image.__getitem__) for h in hc_gens])
+                for c, image in draws
+            ]
+    for tag, xs, hs in runs:
+        diffs = (supercommutator(x, h) for x in xs for h in hs)
+        bad = next((d for d in diffs if not d.is_zero()), None)
+        witness = None if bad is None else repr(next(iter(bad.entries))[1])
+        report.add(f"{tag}supercommutation", bad is None, witness=witness)
 
     if centralizer:
         hc_ech, hc_basis = operator_algebra_span(hc_gens)
@@ -547,22 +556,8 @@ def fixture_module():
     pairs = [(r, c) for r in nl for c in fl if target_rep.space.parity[r] == fix.space.parity[c]]
     vindex = {rc: i for i, rc in enumerate(pairs)}
     rows = []
-    for name in solve_on:
-        A, B = target_ch[name], ch[name]  # want Theta B = A Theta
-        by_rc: dict = {}
-        for (k, c), v in B.entries.items():
-            for r in nl:
-                i = vindex.get((r, k))
-                if i is not None:
-                    row = by_rc.setdefault((r, c), {})
-                    row[i] = row.get(i, ZERO) + v
-        for (r, k), v in A.entries.items():
-            for c in fl:
-                i = vindex.get((k, c))
-                if i is not None:
-                    row = by_rc.setdefault((r, c), {})
-                    row[i] = row.get(i, ZERO) - v
-        rows.extend({i: v for i, v in row.items() if not v.is_zero()} for row in by_rc.values())
+    for name in solve_on:  # Theta B = A Theta
+        rows.extend(_sylvester_rows(target_ch[name], ch[name], nl, fl, vindex))
     from .superlinalg import kernel_basis
 
     sols = kernel_basis(rows, len(pairs))
@@ -628,8 +623,7 @@ def fixture_module():
     zw_res = hc_check(zw)
     report.add("zero_weight_hc_qinv", zw_res.ok)
     report.derive("zw_clifford_square", zw_res.derived_values.get("clifford_square"))
-    q_side = hc_check(HCAction(HCSpec(zw.spec.m, PARAM_Q), zw.space, zw.t_ops, zw.c_ops))
-    report.derive("zw_hc_q_param_passes", q_side.ok)
+    report.derive("zw_hc_q_param_passes", hc_check(zw, Q).ok)
     return fix, report.finish()
 
 
@@ -648,71 +642,45 @@ def classical_crosscheck(n: int, m: int) -> VerifyReport:
     rep = tensor_rep(vector_rep(n, PARAM_Q), m)
     cl = classical_limit(rep)
     hc = hc_tensor_action(n, m, PARAM_Q)
+    hc1 = HCAction(
+        hc.spec, hc.space, [op.specialize(1) for op in hc.t_ops], [op.specialize(1) for op in hc.c_ops]
+    )
     W = rep.space
 
     swaps_ok = True
     for a in range(1, m):
-        T1 = hc.t(a).specialize(1)
         entries = {}
         for w in W.labels:
             i, j = w[a - 1], w[a]
             swapped = w[: a - 1] + (j, i) + w[a + 1 :]
             s = -1 if (index_parity(i) and index_parity(j)) else 1
             entries[(swapped, w)] = RatFunc(s)
-        if T1 != SOp(W, W, 0, entries, validate=False):
+        if hc1.t(a) != SOp(W, W, 0, entries, validate=False):
             swaps_ok = False
     report.add("braid_specializes_to_signed_swap", swaps_ok)
 
-    ident = SOp.identity(W)
-    hc1_ok = all(
-        ((hc.t(a).specialize(1) - ident) @ (hc.t(a).specialize(1) + ident)).is_zero()
-        for a in range(1, m)
-    )
-    report.add("hc1_degenerates", hc1_ok)
+    # the HC families at q = 1: hc1 degenerates to (T-1)(T+1) = 0, the rest hold verbatim
+    families = hc_check(hc1, ONE)
+    report.add("hc1_degenerates", all(c.status == "pass" for c in families.checks if c.name == "hc1"))
 
-    cliff_ok = all(hc.c(b).specialize(1) == hc.c(b) for b in range(1, m + 1))
+    cliff_ok = all(hc1.c(b) == hc.c(b) for b in range(1, m + 1))
     report.add("clifford_constant", cliff_ok)
 
-    hc_spec = [op.specialize(1) for op in hc.generators()]
     comm_ok = all(
-        supercommutator(x, h).is_zero() for x in cl.values() for h in hc_spec
+        supercommutator(x, h).is_zero() for x in cl.values() for h in hc1.generators()
     )
     report.add("classical_supercommutation", comm_ok)
 
-    # specialized relation suites: FRT relations at q = 1 ...
-    from .uq_queer import _relation_sides, generator_pairs
+    # the FRT relations at q = 1
+    from .uq_queer import _quadratic_witness, generator_pairs
 
     G1 = {key: op.specialize(1) for key, op in rep.gen.items()}
-    rel_ok = True
-    prod_cache: dict = {}
-    for (i, j) in generator_pairs(n):
-        for (k, l) in generator_pairs(n):
-            lhs, rhs = _relation_sides(G1, i, j, k, l, ONE, RatFunc(0), prod_cache)
-            if not (lhs - rhs).is_zero():
-                rel_ok = False
-    report.add("classical_defining_relations", rel_ok)
-    # ... and the braid/Clifford families (hc1 degenerates, the rest verbatim)
-    t_spec = [op.specialize(1) for op in hc.t_ops]
-    c_spec = [op.specialize(1) for op in hc.c_ops]
-    fam_ok = True
-    for a in range(m - 1):
-        for b in range(m - 1):
-            if abs(a - b) > 1:
-                fam_ok = fam_ok and (t_spec[a] @ t_spec[b] - t_spec[b] @ t_spec[a]).is_zero()
-        if a + 1 < m - 1:
-            fam_ok = fam_ok and (
-                t_spec[a] @ t_spec[a + 1] @ t_spec[a] - t_spec[a + 1] @ t_spec[a] @ t_spec[a + 1]
-            ).is_zero()
-    for b in range(m):
-        fam_ok = fam_ok and (c_spec[b] @ c_spec[b] + ident).is_zero()
-        for b2 in range(b + 1, m):
-            fam_ok = fam_ok and (c_spec[b] @ c_spec[b2] + c_spec[b2] @ c_spec[b]).is_zero()
-    for a in range(m - 1):
-        fam_ok = fam_ok and (t_spec[a] @ c_spec[a] - c_spec[a + 1] @ t_spec[a]).is_zero()
-        for b in range(m):
-            if b not in (a, a + 1):
-                fam_ok = fam_ok and (t_spec[a] @ c_spec[b] - c_spec[b] @ t_spec[a]).is_zero()
-    report.add("classical_hc_relations", fam_ok)
+    report.add("classical_defining_relations", _quadratic_witness(G1, generator_pairs(n), ONE, ZERO) is None)
+    report.add(
+        "classical_hc_relations",
+        families.derived_values["clifford_square"] == -1
+        and all(c.status == "pass" for c in families.checks if c.name != "hc1"),
+    )
 
     # content eigenvalues of h_i = (k_i - 1)/(q - 1) at q = 1
     content_ok = True
@@ -726,37 +694,15 @@ def classical_crosscheck(n: int, m: int) -> VerifyReport:
 
     census, _ = isotypic_census(n, m)
     cls_ok = True
+    raising = [cl[("e", i)] for i in range(1, n)] + [cl[("ebar", i)] for i in range(1, n)]
+    lowering = [cl[k] for k in cl if k[0] in ("e", "f", "ebar", "fbar", "kbar")]
     for mu, entry in census.entries.items():
         block = [w for w in W.labels if tuple(sum(1 for x in w if abs(x) == i) for i in range(1, n + 1)) == mu]
-        raising = [cl[("e", i)] for i in range(1, n)] + [cl[("ebar", i)] for i in range(1, n)]
-        if raising:
-            subspace = SuperSpace(block, {lab: W.parity[lab] for lab in block})
-            restricted = []
-            for op in raising:
-                keep = {(r, c): v for (r, c), v in op.entries.items() if c in subspace.pos}
-                restricted.append(SOp(subspace, W, op.par, keep, validate=False))
-            from .superlinalg import joint_kernel
-
-            hw = joint_kernel(restricted)
-        else:
-            hw = [{lab: ONE} for lab in block]
+        hw = _block_kernel(raising, W, block)
         if len(hw) != entry.hwv_dim:
             cls_ok = False
             continue
-        seed = _pick_seed(hw, W)
-        lowering = [cl[k] for k in cl if k[0] in ("e", "f", "ebar", "fbar", "kbar")]
-        ech = Echelon()
-        frontier = [seed]
-        ech.insert(flatten_vector(W, seed))
-        while frontier:
-            new = []
-            for g in lowering:
-                for v in frontier:
-                    img = g.apply(v)
-                    if img and ech.insert(flatten_vector(W, img)):
-                        new.append(img)
-            frontier = new
-        if ech.dim != entry.submodule_dim:
+        if _span_closure(W, lowering, [_pick_seed(hw, W)]).dim != entry.submodule_dim:
             cls_ok = False
     report.add("classical_census_matches", cls_ok)
     return report.finish()
@@ -773,9 +719,3 @@ def load_expectations() -> dict:
         return {}
     return json.loads(text)
 
-
-def compare_expectations(report: VerifyReport, expected: dict, keys: list[str]) -> None:
-    for key in keys:
-        if key in expected:
-            got = report.derived_values.get(key)
-            report.add(f"regression[{key}]", got == expected[key], value={"got": got, "frozen": expected[key]})

@@ -191,10 +191,15 @@ def zero_weight_hc(rep) -> HCAction:
     return HCAction(HCSpec(m, opposite_param(rep.param)), sub, t_ops, c_ops)
 
 
-def hc_check(action: HCAction) -> VerifyReport:
-    """Verify relation families hc1..hc7 exactly; failures carry a witness word."""
+def hc_check(action: HCAction, qq=None) -> VerifyReport:
+    """Verify relation families hc1..hc7 exactly; failures carry a witness word.
+
+    ``qq`` is the value of q' in hc1, by default q or q^{-1} per the parameter
+    flag; the classical cross-check passes 1 for an action specialized at q = 1.
+    """
     m = action.spec.m
-    qq = param_q(action.spec.param)
+    if qq is None:
+        qq = param_q(action.spec.param)
     report = VerifyReport(
         "hc", {"m": m, "param": action.spec.param, "dim": action.space.dim}
     )

@@ -5,6 +5,10 @@ integer-coefficient polynomials in q; arithmetic is exact, equality is structura
 on the canonical form, and specialization at a rational point (q = 1 for the
 classical limit) returns an exact ``Fraction``.
 
+The probabilistic checks work in the prime field GF(p), p = 2^61 - 1 (``ModP``):
+``RatFunc.mod_p`` maps a value to GF(p) at a point q = c, and ``identity_bound``
+gives the Schwartz-Zippel bound on a false match from the values' degrees.
+
 Polynomials are dense int tuples, index = power of q, trailing zeros stripped;
 ``()`` is the zero polynomial.
 """
@@ -15,6 +19,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class PoleAtPoint(Exception):
@@ -45,10 +50,6 @@ def _pneg(a):
     return tuple(-x for x in a)
 
 
-def _psub(a, b):
-    return _padd(a, _pneg(b))
-
-
 def _pmul(a, b):
     if not a or not b:
         return ()
@@ -59,12 +60,6 @@ def _pmul(a, b):
                 if y:
                     c[i + j] += x * y
     return _ptrim(c)
-
-
-def _pscale(a, s: int):
-    if s == 0:
-        return ()
-    return tuple(x * s for x in a)
 
 
 def _pcontent(a) -> int:
@@ -160,6 +155,17 @@ def _peval(a, c: Fraction) -> Fraction:
     return v
 
 
+def _peval_mod(a, c: int) -> int:
+    v = 0
+    for x in reversed(a):
+        v = (v * c + x) % P
+    return v
+
+
+def _pnorm1(a) -> int:
+    return sum(abs(x) for x in a)
+
+
 def _psqrt(a):
     """Exact square root of an integer polynomial, or None."""
     if not a:
@@ -224,12 +230,6 @@ class RatFunc:
     @staticmethod
     def from_fraction(x: Fraction) -> "RatFunc":
         return RatFunc((x.numerator,) if x.numerator else (), (x.denominator,), _reduced=True)
-
-    @staticmethod
-    def q_power(k: int) -> "RatFunc":
-        if k >= 0:
-            return RatFunc(_pshift((1,), k), (1,), _reduced=True)
-        return RatFunc((1,), _pshift((1,), -k), _reduced=True)
 
     # -- predicates ---------------------------------------------------------
 
@@ -366,6 +366,17 @@ class RatFunc:
         if d == 0:
             raise PoleAtPoint(f"denominator vanishes at q = {c}")
         return _peval(self.num, c) / d
+
+    def mod_p(self, c: int) -> "ModP":
+        """Image in GF(p) at q = c: num(c) / den(c) mod p.
+
+        Raises PoleAtPoint when p divides den(c).  On the values without a pole
+        at c this is a ring homomorphism to GF(p) (see ``identity_bound``).
+        """
+        d = _peval_mod(self.den, c)
+        if not d:
+            raise PoleAtPoint(f"denominator vanishes mod p at q = {c}")
+        return ModP(_peval_mod(self.num, c) * pow(d, -1, P))
 
     def sqrt(self):
         """An exact square root in Q(q) if one exists, else None."""
@@ -512,30 +523,172 @@ def specialize(f: RatFunc, c) -> Fraction:
     return f.specialize(c)
 
 
-def probable_match_bound(f: RatFunc, g: RatFunc, trials: int, pool: int = 10**6) -> Fraction:
-    """Upper bound on P[all trials agree] for f != g, from degree bounds.
+# ---------------------------------------------------------------------------
+# the prime field GF(p) and the probabilistic identity test
+# ---------------------------------------------------------------------------
 
-    A nonzero difference has at most deg(num) + deg(den) roots among the
-    sampled pool of distinct rationals.
+P = (1 << 61) - 1
+
+
+def _mod_p_value(x) -> int:
+    if isinstance(x, ModP):
+        return x.v
+    if isinstance(x, int):
+        return x
+    raise TypeError(f"cannot mix a GF(p) element with {type(x).__name__}")
+
+
+class ModP:
+    """An element of the prime field GF(p), p = 2^61 - 1.
+
+    It has the scalar interface SOp relies on, so operator code runs unchanged
+    over GF(p).  Integers coerce; a RatFunc or any other type raises TypeError:
+    a value of Q(q) enters GF(p) only through ``RatFunc.mod_p``, at a point.
     """
-    diff = f - g
-    roots = max(len(diff.num) - 1, 0) + max(len(diff.den) - 1, 0)
-    per = Fraction(min(roots, pool), pool)
-    return per**trials
+
+    __slots__ = ("v",)
+
+    def __init__(self, v: int):
+        self.v = v % P
+
+    def is_zero(self) -> bool:
+        return not self.v
+
+    def __bool__(self) -> bool:
+        return bool(self.v)
+
+    def degree_size(self) -> int:
+        return 0
+
+    def __add__(self, other):
+        return ModP(self.v + _mod_p_value(other))
+
+    def __sub__(self, other):
+        return ModP(self.v - _mod_p_value(other))
+
+    def __mul__(self, other):
+        return ModP(self.v * _mod_p_value(other))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return ModP(-self.v)
+
+    def inverse(self) -> "ModP":
+        if not self.v:
+            raise ZeroDivisionError("inverse of zero")
+        return ModP(pow(self.v, -1, P))
+
+    def __pow__(self, k: int):
+        return ModP(pow((self.inverse() if k < 0 else self).v, abs(k), P))
+
+    def __eq__(self, other):
+        if isinstance(other, (ModP, int, RatFunc)):  # a RatFunc raises TypeError
+            return self.v == _mod_p_value(other) % P
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __repr__(self):
+        return f"ModP({self.v})"
+
+
+class IdentityBound(NamedTuple):
+    """The bounds D, E and H of a GF(p) identity test; see ``identity_bound``."""
+
+    degree: int
+    excluded: int
+    height: int
+
+    @property
+    def sound(self) -> bool:
+        return self.height < P
+
+    def false_match(self, trials: int) -> Fraction:
+        return Fraction(self.degree, P - self.excluded) ** trials
+
+
+def identity_bound(values, scalars=(ONE,), factors: int = 1, terms: int = 1) -> IdentityBound:
+    """Schwartz-Zippel bound for testing f = 0 in GF(p) at a random point.
+
+    f is a sum of at most ``terms`` terms, each a constant +-1 or
+    +-s * g_1 * ... * g_k with s in ``scalars`` (Laurent polynomials), every
+    g_i in ``values`` and k = ``factors``.
+
+    Proof.  Write each nonzero value g = a / (q^t B) with a, B in Z[q] and
+    B(0) != 0.  Let M be the product of the distinct B != 1, m = deg M and
+    K = prod ||B||_1 (1-norms).  Then g M = a q^-t (M/B) is a Laurent
+    polynomial with exponents in [lo(g), hi(g)] = [val(a) - t,
+    deg(a) - t + m - deg B] and 1-norm at most ||a||_1 K.  So F = f M^k is a
+    Laurent polynomial with exponents in [LO, HI], where
+
+        LO = min(0, min_s lo(s) + k min_g lo(g)),
+        HI = max(k m, max_s hi(s) + k max_g hi(g)),
+
+    and P_f = q^-LO F is in Z[q], of degree at most D = HI - LO and 1-norm at
+    most H = terms * max ||s||_1 * (max ||a||_1 * K)^k.
+
+    The checkers draw c uniformly from [2, p), redrawing while some value has
+    a pole mod p there.  ``RatFunc.mod_p`` at c is a ring homomorphism on the
+    rational functions whose reduced denominator does not vanish mod p at c,
+    so the GF(p) computation yields f(c) = c^LO P_f(c) / M(c)^k, which is 0
+    iff p divides P_f(c).  If H < p (``sound``), no coefficient of P_f or of
+    a B is a nonzero multiple of p.  So for f != 0, P_f mod p is a nonzero
+    polynomial of degree at most D and has at most D roots, and at most m
+    points are poles.  The sample set misses at most E = m + 2 points of
+    GF(p) (0, 1 and the poles), so one trial passes with probability at most
+    D / (p - E), and t independent trials with probability at most
+    (D / (p - E))^t (``false_match``).  If H >= p the bound does not hold and
+    the caller checks exactly.
+    """
+    values = [g for g in values if g.num]
+    dens = {g.den[_ptrailing(g.den):] for g in values} - {(1,)}
+    m = sum(len(b) - 1 for b in dens)
+    lo_g = hi_g = 0
+    if values:
+        spans = [(_ptrailing(g.num) - _ptrailing(g.den), len(g.num) + m - len(g.den)) for g in values]
+        lo_g, hi_g = min(lo for lo, _ in spans), max(hi for _, hi in spans)
+    for s in scalars:
+        if s.den[-1] != 1 or any(s.den[:-1]):
+            raise ValueError(f"scalar {s} is not a Laurent polynomial")
+    t_s = [len(s.den) - 1 for s in scalars]
+    lo = min(0, min(_ptrailing(s.num) - t for s, t in zip(scalars, t_s)) + factors * lo_g)
+    hi = max(factors * m, max(len(s.num) - 1 - t for s, t in zip(scalars, t_s)) + factors * hi_g)
+    a_norm = max((_pnorm1(g.num) for g in values), default=1)
+    s_norm = max(1, *(_pnorm1(s.num) for s in scalars))
+    height = terms * s_norm * (a_norm * math.prod(_pnorm1(b) for b in dens)) ** factors
+    return IdentityBound(hi - lo, m + 2, height)
+
+
+def sample_mod_p(rng: random.Random, values) -> tuple[int, dict]:
+    """Draw c uniformly from [2, p), redrawing while some value has a pole at c;
+    return c and the image of each value in GF(p) at q = c.
+
+    Terminates when ``identity_bound(values).sound``: then at most E points are poles.
+    """
+    while True:
+        c = rng.randrange(2, P)
+        try:
+            return c, {v: v.mod_p(c) for v in values}
+        except PoleAtPoint:
+            continue
 
 
 def probably_equal(f: RatFunc, g: RatFunc, trials: int = 5, seed: int = 0) -> bool:
-    """Seed-deterministic identity test at random rational points (poles resampled)."""
+    """Seed-deterministic identity test in GF(p) at random points.
+
+    For f != g it answers True with probability at most
+    ``identity_bound((f, g), terms=2).false_match(trials)``; when that bound is
+    not sound it compares exactly.
+    """
     if trials < 1:
         raise ValueError("trials >= 1 required")
+    if not identity_bound((f, g), terms=2).sound:
+        return f == g
     rng = random.Random(seed)
-    done = 0
-    while done < trials:
-        c = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 1000))
-        try:
-            if f.specialize(c) != g.specialize(c):
-                return False
-        except PoleAtPoint:
-            continue
-        done += 1
+    for _ in range(trials):
+        _, image = sample_mod_p(rng, (f, g))
+        if image[f] != image[g]:
+            return False
     return True

@@ -121,8 +121,8 @@ class SOp:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def identity(V: SuperSpace) -> "SOp":
-        return SOp(V, V, 0, {(lab, lab): ONE for lab in V.labels}, validate=False)
+    def identity(V: SuperSpace, one=ONE) -> "SOp":
+        return SOp(V, V, 0, {(lab, lab): one for lab in V.labels}, validate=False)
 
     @staticmethod
     def zero(dom: SuperSpace, cod: SuperSpace | None = None, par: int = 0) -> "SOp":
@@ -246,20 +246,19 @@ class SOp:
                 out[(r, c)] = v
         return SOp(sub, sub, self.par, out, validate=False)
 
+    def map(self, fn) -> "SOp":
+        """Entrywise image under a scalar map; entries mapped to zero are dropped."""
+        return SOp(self.dom, self.cod, self.par, {k: fn(v) for k, v in self.entries.items()}, validate=False)
+
     def subs_qinv(self) -> "SOp":
-        return SOp(
-            self.dom, self.cod, self.par,
-            {k: v.subs_qinv() for k, v in self.entries.items()}, validate=False,
-        )
+        return self.map(RatFunc.subs_qinv)
 
     def specialize(self, c) -> "SOp":
         """Entrywise specialization at q = c, embedded back as constant scalars."""
         from fractions import Fraction
 
-        out = {}
-        for k, v in self.entries.items():
-            out[k] = RatFunc.from_fraction(v.specialize(Fraction(c)))
-        return SOp(self.dom, self.cod, self.par, out, validate=False)
+        c = Fraction(c)
+        return self.map(lambda v: RatFunc.from_fraction(v.specialize(c)))
 
 
 def graded_tensor(A: SOp, B: SOp) -> SOp:
@@ -291,6 +290,17 @@ def supercommutator(A: SOp, B: SOp) -> SOp:
 # exact elimination
 # ---------------------------------------------------------------------------
 
+def _sub_multiple(vec: dict, c, row: dict) -> None:
+    """vec -= c * row in place, dropping the entries that cancel."""
+    for k, v in row.items():
+        s = vec.get(k)
+        w = -c * v if s is None else s - c * v
+        if w.is_zero():
+            vec.pop(k, None)
+        else:
+            vec[k] = w
+
+
 class Echelon:
     """Incremental reduced echelon basis of sparse vectors over integer keys.
 
@@ -315,13 +325,7 @@ class Echelon:
             c = vec.get(pivot)
             if c is None or c.is_zero():
                 continue
-            for k, v in row.items():
-                s = vec.get(k)
-                w = -c * v if s is None else s - c * v
-                if w.is_zero():
-                    vec.pop(k, None)
-                else:
-                    vec[k] = w
+            _sub_multiple(vec, c, row)
             if combo is not None:
                 for j, v in self.combos[idx].items():
                     combo[j] = combo.get(j, ZERO) - c * v
@@ -350,13 +354,7 @@ class Echelon:
             c = r.get(pivot)
             if c is None:
                 continue
-            for k, v in row.items():
-                s = r.get(k)
-                w = -c * v if s is None else s - c * v
-                if w.is_zero():
-                    r.pop(k, None)
-                else:
-                    r[k] = w
+            _sub_multiple(r, c, row)
             if self.track:
                 cc = self.combos[i]
                 for j, v in combo.items():
@@ -395,14 +393,7 @@ def rref(rows: list[dict]) -> list[tuple[int, dict]]:
         inv = pivot_row[col].inverse()
         pivot_row = {k: inv * v for k, v in pivot_row.items()}
         for r in cands:
-            c = r[col]
-            for k, v in pivot_row.items():
-                s = r.get(k)
-                w = -c * v if s is None else s - c * v
-                if w.is_zero():
-                    r.pop(k, None)
-                else:
-                    r[k] = w
+            _sub_multiple(r, r[col], pivot_row)
             if r:
                 buckets.setdefault(min(r), []).append(r)
         done.append((col, pivot_row))
@@ -415,13 +406,7 @@ def rref(rows: list[dict]) -> list[tuple[int, dict]]:
             c = r.get(col)
             if c is None:
                 continue
-            for k, v in row.items():
-                s = r.get(k)
-                w = -c * v if s is None else s - c * v
-                if w.is_zero():
-                    r.pop(k, None)
-                else:
-                    r[k] = w
+            _sub_multiple(r, c, row)
     return done
 
 
@@ -501,6 +486,26 @@ def span_dim(elems: Sequence, track: bool = False):
     return ech.dim, ech, kept
 
 
+def _sylvester_rows(A: SOp, B: SOp, row_labels, col_labels, vindex: dict, sign: int = 1) -> list[dict]:
+    """Constraint rows of X B = sign * A X in the unknown entries X[r, c], numbered by vindex."""
+    by_rc: dict = {}
+    # (X B)[r,c] = sum_k X[r,k] B[k,c]
+    for (k, c), v in B.entries.items():
+        for r in row_labels:
+            i = vindex.get((r, k))
+            if i is not None:
+                row = by_rc.setdefault((r, c), {})
+                row[i] = row.get(i, ZERO) + v
+    # -sign (A X)[r,c] = -sign sum_k A[r,k] X[k,c]
+    for (r, k), v in A.entries.items():
+        for c in col_labels:
+            i = vindex.get((k, c))
+            if i is not None:
+                row = by_rc.setdefault((r, c), {})
+                row[i] = row.get(i, ZERO) + (v if sign < 0 else -v)
+    return [{i: v for i, v in row.items() if not v.is_zero()} for row in by_rc.values()]
+
+
 def graded_commutant(ops: list[SOp]) -> list[SOp]:
     """Basis of all X with X a = (-1)^{|X||a|} a X for every a in ops, split by parity."""
     if not ops:
@@ -517,26 +522,7 @@ def graded_commutant(ops: list[SOp]) -> list[SOp]:
         vindex = {rc: i for i, rc in enumerate(pairs)}
         rows = []
         for a in ops:
-            sign = -1 if (p and a.par) else 1
-            by_rc: dict = {}
-            # (X a)[r,c] = sum_k X[r,k] a[k,c]
-            for (k, c), v in a.entries.items():
-                for r in labels:
-                    i = vindex.get((r, k))
-                    if i is not None:
-                        row = by_rc.setdefault((r, c), {})
-                        row[i] = row.get(i, ZERO) + v
-            # -(+-1) (a X)[r,c] = -(+-1) sum_k a[r,k] X[k,c]
-            for (r, k), v in a.entries.items():
-                for c in labels:
-                    i = vindex.get((k, c))
-                    if i is not None:
-                        row = by_rc.setdefault((r, c), {})
-                        row[i] = row.get(i, ZERO) + (v if sign < 0 else -v)
-            rows.extend(
-                {i: v for i, v in row.items() if not v.is_zero()}
-                for row in by_rc.values()
-            )
+            rows.extend(_sylvester_rows(a, a, labels, labels, vindex, -1 if (p and a.par) else 1))
         for flat in kernel_basis(rows, len(pairs)):
             entries = {pairs[i]: v for i, v in flat.items()}
             out.append(SOp(space, space, p, entries, validate=False))

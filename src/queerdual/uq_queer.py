@@ -18,10 +18,11 @@ has every structure constant substituted q -> q^{-1}.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .report import VerifyReport
-from .scalars import ONE, QINV, RatFunc, Q
+from .scalars import ONE, QINV, Q, IdentityBound, ModP, RatFunc, identity_bound, sample_mod_p
 from .superlinalg import (
     Echelon,
     SOp,
@@ -33,6 +34,7 @@ from .superlinalg import (
     joint_kernel,
     rref,
     tensor_space,
+    unflatten_vector,
 )
 
 PARAM_Q = "q"
@@ -261,53 +263,82 @@ def _relation_sides(G, i, j, k, l, qq, xi, prod):
     return lhs, rhs
 
 
+def _quadratic_witness(G, pairs, qq, xi):
+    """The first quadratic relation instance that fails on the operators G, or None."""
+    prod_cache: dict = {}
+    for (i, j) in pairs:
+        for (k, l) in pairs:
+            lhs, rhs = _relation_sides(G, i, j, k, l, qq, xi, prod_cache)
+            diff = lhs - rhs
+            if not diff.is_zero():
+                return {"instance": (i, j, k, l), "basis_vector": repr(next(iter(diff.entries))[1])}
+    return None
+
+
+def _prob_trials(report: VerifyReport, values, bound: IdentityBound, trials: int, seed: int):
+    """Record a GF(p) identity test's bound and draw its trial points.
+
+    Returns one (c, image of each value at q = c) per trial, or None when the
+    bound is not sound; the caller then checks exactly, as the report records.
+    """
+    if trials < 1:
+        raise ValueError("trials >= 1 required")
+    report.derive("degree_bound", bound.degree)
+    report.derive("excluded_points", bound.excluded)
+    if not bound.sound:
+        report.derive("prob_fallback", f"exact: height bound {bound.height} >= p")
+        report.derive("false_match_bound", "0")
+        return None
+    rng = random.Random(seed)
+    draws = [sample_mod_p(rng, values) for _ in range(trials)]
+    report.derive("trial_points", [str(c) for c, _ in draws])
+    report.derive("false_match_bound", str(bound.false_match(trials)))
+    return draws
+
+
 def check_defining_relations(
     rep: QueerRep, mode: str = "exact", trials: int = 5, seed: int = 0
 ) -> VerifyReport:
     """Verify every unit relation and every expanded quadratic relation instance.
 
-    In probabilistic mode the generator matrices are specialized at seed-chosen
-    random rational points before checking, once per trial.
+    Exact mode works in Q(q).  Probabilistic mode runs the same checks in the
+    prime field GF(p), p = 2^61 - 1, once per trial: it draws c uniformly
+    from [2, p) with the seeded RNG (redrawing at poles), maps every generator
+    entry and q, xi to GF(p) at q = c, and compares against an identity built
+    there.  A relation that fails in Q(q) passes all trials with probability
+    at most false_match_bound = (D / (p - E))^trials, where D (degree_bound)
+    bounds the numerator degree of any lhs - rhs and E (excluded_points)
+    counts the points the sample leaves out; both come from the measured
+    degrees of the entries (``scalars.identity_bound`` has the proof).  When
+    the entries' heights would let p divide every coefficient of a nonzero
+    difference, the check runs exactly and the report says so.
     """
     n = rep.spec.n
     report = VerifyReport(
         "relations",
         {"n": n, "param": rep.param, "dim": rep.space.dim, "mode": mode},
     )
-    if mode == "exact":
-        gen_sets = [(None, rep.gen)]
-    elif mode in ("prob", "probabilistic"):
-        import random as _random
-        from fractions import Fraction
-
-        rng = _random.Random(seed)
-        gen_sets = []
-        for t in range(trials):
-            c = Fraction(rng.randint(2, 10**4), rng.randint(1, 100))
-            gen_sets.append((c, {k: v.specialize(c) for k, v in rep.gen.items()}))
-        report.derive("trial_points", [str(c) for c, _ in gen_sets])
-        # false-match bound per entry identity: a nonzero difference has total
-        # degree at most 2*(max generator entry degree) + 3 (two factors plus
-        # the xi-scaled corrections), and the sample pool holds ~10^6 points
-        max_deg = max(
-            (v.degree_size() for op in rep.gen.values() for v in op.entries.values()),
-            default=0,
-        )
-        bound = Fraction(min(2 * max_deg + 3, 10**6), 10**6) ** trials
-        report.derive("false_match_bound", str(bound))
-    else:
+    qq, xi = param_q(rep.param), param_xi(rep.param)
+    draws = None
+    if mode in ("prob", "probabilistic"):
+        values = {v for op in rep.gen.values() for v in op.entries.values()} | {qq, xi}
+        # each lhs - rhs entry: at most 6 * dim products of two entries, times q^{+-1}, 1 or xi
+        bound = identity_bound(values, (qq, qq.inverse(), ONE, xi), factors=2, terms=6 * rep.space.dim)
+        draws = _prob_trials(report, values, bound, trials, seed)
+    elif mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
+    if draws is None:
+        runs = [("", rep.gen, qq, xi, SOp.identity(rep.space))]
+    else:
+        runs = [
+            (f"@q={c}:", {key: op.map(image.__getitem__) for key, op in rep.gen.items()},
+             image[qq], image[xi], SOp.identity(rep.space, ModP(1)))
+            for c, image in draws
+        ]
 
     idx = index_range(n)
     pairs = generator_pairs(n)
-    for point, G in gen_sets:
-        tag = "" if point is None else f"@q={point}:"
-        if point is None:
-            qq, xi = param_q(rep.param), param_xi(rep.param)
-        else:
-            qq = RatFunc.from_fraction(param_q(rep.param).specialize(point))
-            xi = RatFunc.from_fraction(param_xi(rep.param).specialize(point))
-        ident = SOp.identity(rep.space)
+    for tag, G, qq, xi, ident in runs:
         unit_ok, unit_wit = True, None
         for i in idx:
             for left, right in (((i, i), (-i, -i)), ((-i, -i), (i, i))):
@@ -320,22 +351,8 @@ def check_defining_relations(
             if not unit_ok:
                 break
         report.add(f"{tag}unit_relations", unit_ok, witness=unit_wit)
-        quad_ok, quad_wit = True, None
-        prod_cache: dict = {}
-        for (i, j) in pairs:
-            for (k, l) in pairs:
-                lhs, rhs = _relation_sides(G, i, j, k, l, qq, xi, prod_cache)
-                diff = lhs - rhs
-                if not diff.is_zero():
-                    quad_ok = False
-                    quad_wit = {
-                        "instance": (i, j, k, l),
-                        "basis_vector": repr(next(iter(diff.entries))[1]),
-                    }
-                    break
-            if not quad_ok:
-                break
-        report.add(f"{tag}quadratic_relations", quad_ok, witness=quad_wit)
+        quad_wit = _quadratic_witness(G, pairs, qq, xi)
+        report.add(f"{tag}quadratic_relations", quad_wit is None, witness=quad_wit)
     report.derive("n_quadratic_instances", len(pairs) ** 2)
     return report.finish()
 
@@ -486,44 +503,50 @@ def raising_operators(rep: QueerRep) -> list[SOp]:
     return [ch[("e", i)] for i in range(1, n)] + [ch[("ebar", i)] for i in range(1, n)]
 
 
-def highest_weight_vectors(rep: QueerRep, weight: tuple) -> list[dict]:
-    """Joint kernel of the raising operators e_i, ebar_i inside one weight block."""
-    blocks = weight_spaces(rep)
-    block = blocks.get(tuple(weight))
-    if block is None:
-        return []
-    sub = SuperSpace(block, {lab: rep.space.parity[lab] for lab in block})
-    ops = raising_operators(rep)
+def _block_kernel(ops: list[SOp], space: SuperSpace, block: list) -> list[dict]:
+    """Joint kernel of the operators on the span of a block of basis vectors."""
     if not ops:
         return [{lab: ONE} for lab in block]
+    sub = SuperSpace(block, {lab: space.parity[lab] for lab in block})
     restricted = []
     for op in ops:
         keep = {(r, c): v for (r, c), v in op.entries.items() if c in sub.pos}
-        restricted.append(SOp(sub, rep.space, op.par, keep, validate=False))
+        restricted.append(SOp(sub, space, op.par, keep, validate=False))
     return joint_kernel(restricted)
 
 
-def generate_submodule(rep: QueerRep, seeds: list[dict]) -> list[dict]:
-    """Closure of the seed span under all generator actions, iterated to stabilization."""
-    space = rep.space
+def highest_weight_vectors(rep: QueerRep, weight: tuple) -> list[dict]:
+    """Joint kernel of the raising operators e_i, ebar_i inside one weight block."""
+    block = weight_spaces(rep).get(tuple(weight))
+    if block is None:
+        return []
+    return _block_kernel(raising_operators(rep), rep.space, block)
+
+
+def _span_closure(space: SuperSpace, ops: list[SOp], seeds: list[dict]) -> Echelon:
+    """Echelon basis of the smallest subspace that contains the seeds and is
+    invariant under the operators, built by iterating to stabilization."""
     ech = Echelon()
     frontier = []
     for v in seeds:
         flat = flatten_vector(space, v)
         if flat and ech.insert(flat):
             frontier.append(v)
-    gens = list(rep.gen.values())
     while frontier:
         new = []
-        for g in gens:
+        for g in ops:
             for v in frontier:
                 w = g.apply(v)
                 if w and ech.insert(flatten_vector(space, w)):
                     new.append(w)
         frontier = new
-    from .superlinalg import unflatten_vector
+    return ech
 
-    return [unflatten_vector(space, dict(row)) for _, row in ech.rows]
+
+def generate_submodule(rep: QueerRep, seeds: list[dict]) -> list[dict]:
+    """Closure of the seed span under all generator actions, iterated to stabilization."""
+    ech = _span_closure(rep.space, list(rep.gen.values()), seeds)
+    return [unflatten_vector(rep.space, dict(row)) for _, row in ech.rows]
 
 
 def omega_map(n: int) -> SOp:

@@ -97,6 +97,47 @@ def test_sergeev_probabilistic_mode():
     assert report.derived_values["hc_image_dim"] == 8
 
 
+def _perturbed_hc(monkeypatch):
+    # T_1 plus one diagonal matrix unit: no longer supercommutes with kbar
+    import queerdual.duality as duality
+    from queerdual.hecke_clifford import HCAction, hc_tensor_action
+    from queerdual.superlinalg import SOp
+
+    def perturbed(n, m, param):
+        hc = hc_tensor_action(n, m, param)
+        w = hc.space.labels[0]
+        t_ops = [hc.t_ops[0] + SOp.unit(hc.space, hc.space, w, w, Q)] + hc.t_ops[1:]
+        return HCAction(hc.spec, hc.space, t_ops, hc.c_ops)
+
+    monkeypatch.setattr(duality, "hc_tensor_action", perturbed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sergeev_prob_rejects_planted_defect(monkeypatch, seed):
+    _perturbed_hc(monkeypatch)
+    assert not sergeev_verify(1, 2, centralizer=False).ok
+    report = sergeev_verify(1, 2, mode="prob", centralizer=False, trials=1, seed=seed)
+    point = report.derived_values["trial_points"][0]
+    assert [c.name for c in report.failures()] == [f"@q={point}:supercommutation"]
+
+
+def test_sergeev_prob_records_seed_and_bound(tmp_path):
+    import json
+
+    from queerdual.cli import main
+
+    a = sergeev_verify(1, 2, mode="prob", trials=2, seed=1)
+    b = sergeev_verify(1, 2, mode="prob", trials=2, seed=2)
+    assert a.ok and b.ok
+    assert a.derived_values["trial_points"] != b.derived_values["trial_points"]
+    assert 0 < Fraction(a.derived_values["false_match_bound"]) < Fraction(1, 10**24)
+    path = tmp_path / "sergeev.json"
+    assert main(["sergeev", "--n", "1", "--m", "2", "--mode", "prob", "--trials", "2",
+                 "--seed", "2", "--report", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    assert payload["derived_values"]["trial_points"] == b.derived_values["trial_points"]
+
+
 def test_commutant_dims_against_rank_oracle():
     # graded commutant dimension at (2,2) re-derived by dense Fraction
     # elimination of the specialized constraint system

@@ -105,3 +105,13 @@ def test_classical_specialization():
     assert len(T1.entries) == 16
     ident = SOp.identity(T1.dom)
     assert ((T1 - ident) @ (T1 + ident)).is_zero()
+
+
+def test_hc_check_at_a_given_q():
+    hc = hc_tensor_action(2, 3)
+    t1, c1 = [op.specialize(1) for op in hc.t_ops], [op.specialize(1) for op in hc.c_ops]
+    hc1 = HCAction(hc.spec, hc.space, t1, c1)
+    assert hc_check(hc1, ONE).ok
+    # with the default q' = q, hc1 fails on the q = 1 action and every other family still holds
+    report = hc_check(hc1)
+    assert {c.name for c in report.failures()} == {"hc1"}

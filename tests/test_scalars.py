@@ -1,17 +1,21 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from queerdual.scalars import (
     ONE,
+    P,
     QINV,
     RatFunc,
     XI,
     ZERO,
+    ModP,
     Q,
     PoleAtPoint,
-    probable_match_bound,
+    identity_bound,
     probably_equal,
     q_number,
     specialize,
@@ -65,7 +69,95 @@ def test_probably_equal():
         a = probably_equal(Q**3 - Q, Q * (Q - 1) * (Q + 1), trials=3, seed=seed)
         b = probably_equal(Q**3 - Q, Q * (Q - 1) * (Q + 1), trials=3, seed=seed)
         assert a is b is True
-    assert probable_match_bound(Q, QINV, 5) < Fraction(1, 10**20)
+    assert identity_bound((Q, QINV), terms=2).false_match(5) < Fraction(1, 10**20)
+
+
+def test_identity_bound():
+    # Q - QINV = (q^2 - 1)/q: degree 2 after clearing q; 0 and 1 are never drawn
+    assert identity_bound((Q, QINV), terms=2) == (2, 2, 2)
+    # a genuinely rational value: the two roots of q^2 - 1 count as excluded points
+    b = identity_bound((1 / (Q**2 - 1), Q), terms=2)
+    assert (b.degree, b.excluded, b.sound) == (3, 4, True)
+    assert b.false_match(1) == Fraction(3, P - 4)
+    # products of two factors times q^{+-1}
+    b = identity_bound((Q, 2 * QINV), (Q, QINV), factors=2, terms=3)
+    assert (b.degree, b.height) == (6, 3 * 1 * 2**2)
+
+
+def test_probably_equal_height_fallback():
+    # p q vanishes mod p at every point; the height guard forces the exact comparison
+    big = RatFunc((0, P))
+    assert not identity_bound((big, ZERO), terms=2).sound
+    assert not probably_equal(big, ZERO, trials=5, seed=0)
+    assert probably_equal(big, big + ZERO)
+
+
+_polys = st.lists(st.integers(-30, 30), min_size=1, max_size=5).map(tuple)
+
+
+@st.composite
+def _ratfunc_at(draw, c):
+    num, den = draw(_polys), draw(_polys)
+    if draw(st.booleans()):
+        # plant the factor (q - c) in the denominator; it may cancel against the numerator
+        den = tuple(a - c * b for a, b in zip((0,) + den, den + (0,)))
+    if not any(den):
+        den = (1,)
+    return RatFunc(num, den)
+
+
+@st.composite
+def _pair_at_point(draw):
+    c = draw(st.one_of(st.integers(2, 50), st.integers(2, P - 1)))
+    return draw(_ratfunc_at(c)), draw(_ratfunc_at(c)), c
+
+
+def _image(f, c):
+    try:
+        return f.mod_p(c)
+    except PoleAtPoint:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_at_point())
+def test_mod_p_is_a_ring_homomorphism(sample):
+    a, b, c = sample
+    ia, ib = _image(a, c), _image(b, c)
+    for f, img in ((a, ia), (b, ib)):
+        # a pole exactly when the reduced denominator vanishes mod p
+        den_at_c = sum(x * pow(c, k, P) for k, x in enumerate(f.den)) % P
+        assert (img is None) == (den_at_c == 0)
+    if ia is None or ib is None:
+        return
+    assert (a * b).mod_p(c) == ia * ib
+    assert (a + b).mod_p(c) == ia + ib
+    assert (a - b).mod_p(c) == ia - ib
+    assert (-a).mod_p(c) == -ia
+    if not a.is_zero():
+        if ia.is_zero():
+            with pytest.raises(PoleAtPoint):
+                a.inverse().mod_p(c)
+        else:
+            assert a.inverse().mod_p(c) == ia.inverse()
+            assert (a**-2).mod_p(c) == ia**-2
+
+
+def test_mod_p_never_mixes_with_ratfunc():
+    x = (Q + 2).mod_p(5)
+    assert x == ModP(7) and x * 2 == 14 and x - 8 == ModP(-1) and x**3 == 343 and 2 + x == 9
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.eq, operator.ne):
+        with pytest.raises(TypeError):
+            op(x, Q)
+        with pytest.raises(TypeError):
+            op(Q, x)
+    with pytest.raises(TypeError):
+        x + Fraction(1, 2)
+    with pytest.raises(TypeError):
+        Fraction(1, 2) * x
+    assert x * x.inverse() == 1 and x**-1 == x.inverse() and ModP(P).is_zero()
+    with pytest.raises(ZeroDivisionError):
+        ModP(0).inverse()
 
 
 def test_serialization_round_trip():

@@ -142,6 +142,74 @@ def test_relations_probabilistic_deterministic():
     assert r1.derived_values["trial_points"] == r2.derived_values["trial_points"]
 
 
+def _defective(n, m, key, factor):
+    rep = tensor_rep(vector_rep(n), m)
+    bad = dict(rep.gen)
+    bad[key] = bad[key].scale(factor)
+    return QueerRep(rep.spec, rep.space, bad)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_relations_prob_rejects_planted_defect(seed):
+    bad = _defective(2, 2, (1, 2), Q)
+    assert not check_defining_relations(bad).ok
+    report = check_defining_relations(bad, mode="prob", trials=1, seed=seed)
+    assert [c.name for c in report.failures()] == [
+        f"@q={report.derived_values['trial_points'][0]}:quadratic_relations"
+    ]
+
+
+def test_relations_prob_bound_recorded():
+    report = check_defining_relations(tensor_rep(vector_rep(2), 3), mode="prob", trials=2, seed=4)
+    assert report.ok and "prob_fallback" not in report.derived_values
+    bound = Fraction(report.derived_values["false_match_bound"])
+    assert 0 < bound < Fraction(1, 10**24)
+    assert len(report.derived_values["trial_points"]) == 2
+
+
+@pytest.mark.parametrize("factor", [Q, (Q + 2).inverse()])
+def test_relations_prob_degree_bound_covers_exact_differences(factor):
+    from queerdual.uq_queer import _relation_sides, param_q, param_xi
+
+    bad = _defective(2, 2, (1, 2), factor)
+    degree = check_defining_relations(bad, mode="prob", trials=1).derived_values["degree_bound"]
+    qq, xi = param_q(bad.param), param_xi(bad.param)
+    ident = SOp.identity(bad.space)
+    diffs = [bad.gen[(i, i)] @ bad.gen[(-i, -i)] - ident for i in index_range(2)]
+    for (i, j) in generator_pairs(2):
+        for (k, l) in generator_pairs(2):
+            lhs, rhs = _relation_sides(bad.gen, i, j, k, l, qq, xi, {})
+            diffs.append(lhs - rhs)
+    true_degrees = [len(v.num) - 1 for d in diffs for v in d.entries.values()]
+    assert true_degrees and max(true_degrees) <= degree
+
+
+def test_relations_prob_height_fallback():
+    # 1 + p is 1 in GF(p): only the exact check can see this defect
+    from queerdual.scalars import P
+
+    bad = _defective(1, 1, (1, 1), RatFunc(1 + P))
+    report = check_defining_relations(bad, mode="prob", trials=3, seed=0)
+    assert report.derived_values["prob_fallback"].startswith("exact")
+    assert report.derived_values["false_match_bound"] == "0"
+    assert [c.name for c in report.failures()] == ["unit_relations", "quadratic_relations"]
+
+
+def test_relations_prob_does_no_ratfunc_products(monkeypatch):
+    rep = tensor_rep(vector_rep(2), 3)
+    calls = []
+    mul = RatFunc.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(RatFunc, "__mul__", counting)
+    monkeypatch.setattr(RatFunc, "__rmul__", counting)
+    assert check_defining_relations(rep, mode="prob", trials=1, seed=0).ok
+    assert calls == []
+
+
 def test_comultiplication_sign_collapse():
     # the comultiplication sign (-1)^{(|i|+|k|)(|k|+|j|)} is +1 for every
     # admissible i <= k <= j: verified structurally over ranks 1..4

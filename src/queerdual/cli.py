@@ -3,30 +3,28 @@
 Exit status is nonzero iff any check fails.  Reports are emitted as JSON with
 the schema {suite, params, checks: [{name, status, witness?, value?}],
 derived_values, elapsed_ms}; the --all battery wraps the individual reports.
-Runs are deterministic for a fixed configuration (elapsed_ms aside), and the
-operator cache only affects timing, never outcomes.
+Runs are deterministic for a fixed configuration (elapsed_ms aside).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .report import VerifyReport
-from .uq_queer import (
-    PARAM_Q,
-    PARAM_QINV,
-    AlgebraSpec,
-    QueerRep,
-    check_defining_relations,
-    tensor_rep,
-    vector_rep,
+from .coord_alg import qca_report, zero_weight_iso
+from .duality import (
+    classical_crosscheck,
+    fixture_module,
+    howe_verify,
+    isotypic_census,
+    load_expectations,
+    sergeev_verify,
 )
-from .superlinalg import sop_from_cache, sop_to_cache
+from .hecke_clifford import hc_check, hc_tensor_action
+from .report import VerifyReport
+from .uq_queer import PARAM_Q, PARAM_QINV, check_defining_relations, tensor_rep, vector_rep
 
-CACHE_FORMAT_VERSION = 1
 DEFAULT_BOUNDS = {"n": 4, "m": 5, "degree": 4}
 
 
@@ -38,32 +36,6 @@ class UnsupportedScale(Exception):
     pass
 
 
-def cached_tensor_rep(n: int, param: str, m: int, cache_dir: str | None) -> QueerRep:
-    """Tensor-power representation, optionally persisted in the sparse format."""
-    if cache_dir is None:
-        return tensor_rep(vector_rep(n, param), m)
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"rep_v{CACHE_FORMAT_VERSION}_n{n}_{param}_m{m}.json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            blob = json.load(fh)
-        gen = {}
-        for key, entry in blob["gens"].items():
-            i, j = map(int, key.split(","))
-            gen[(i, j)] = sop_from_cache(entry)
-        space = next(iter(gen.values())).dom
-        return QueerRep(AlgebraSpec(n, param), space, gen)
-    rep = tensor_rep(vector_rep(n, param), m)
-    blob = {
-        "format_version": CACHE_FORMAT_VERSION,
-        "key": {"n": n, "param": param, "m": m},
-        "gens": {f"{i},{j}": sop_to_cache(op) for (i, j), op in rep.gen.items()},
-    }
-    with open(path, "w") as fh:
-        json.dump(blob, fh, sort_keys=True, separators=(",", ":"))
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -71,11 +43,10 @@ def cached_tensor_rep(n: int, param: str, m: int, cache_dir: str | None) -> Quee
 def suite_relations(cfg) -> VerifyReport:
     report = VerifyReport("relations", {"n": cfg.n, "m": cfg.m, "param": cfg.param, "mode": cfg.mode})
     base = vector_rep(cfg.n, cfg.param)
-    rep = base
     for power in range(1, cfg.m + 1):
-        if power > 1:
-            rep = cached_tensor_rep(cfg.n, cfg.param, power, cfg.cache)
-        local = check_defining_relations(rep, mode=cfg.mode, trials=cfg.trials, seed=cfg.seed)
+        local = check_defining_relations(
+            tensor_rep(base, power), mode=cfg.mode, trials=cfg.trials, seed=cfg.seed
+        )
         report.extend(local, prefix=f"m={power}:")
     report.derive(
         "e_scalar_note",
@@ -84,45 +55,15 @@ def suite_relations(cfg) -> VerifyReport:
     return report.finish()
 
 
-def cached_hc_action(n: int, m: int, param: str, cache_dir: str | None):
-    from .hecke_clifford import HCAction, HCSpec, hc_tensor_action
-
-    if cache_dir is None:
-        return hc_tensor_action(n, m, param)
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"hc_v{CACHE_FORMAT_VERSION}_n{n}_m{m}_{param}_tensor.json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            blob = json.load(fh)
-        t_ops = [sop_from_cache(e) for e in blob["t"]]
-        c_ops = [sop_from_cache(e) for e in blob["c"]]
-        space = c_ops[0].dom
-        return HCAction(HCSpec(m, param), space, t_ops, c_ops)
-    action = hc_tensor_action(n, m, param)
-    blob = {
-        "format_version": CACHE_FORMAT_VERSION,
-        "key": {"n": n, "m": m, "param": param, "construction": "tensor"},
-        "t": [sop_to_cache(op) for op in action.t_ops],
-        "c": [sop_to_cache(op) for op in action.c_ops],
-    }
-    with open(path, "w") as fh:
-        json.dump(blob, fh, sort_keys=True, separators=(",", ":"))
-    return action
-
-
 def suite_hc(cfg) -> VerifyReport:
-    from .hecke_clifford import hc_check
-
     report = VerifyReport("hc", {"n": cfg.n, "m": cfg.m, "param": cfg.param})
     for power in range(2, cfg.m + 1):
-        local = hc_check(cached_hc_action(cfg.n, power, cfg.param, cfg.cache))
+        local = hc_check(hc_tensor_action(cfg.n, power, cfg.param))
         report.extend(local, prefix=f"m={power}:")
     return report.finish()
 
 
 def suite_sergeev(cfg) -> VerifyReport:
-    from .duality import sergeev_verify
-
     centralizer = (2 * cfg.n) ** cfg.m <= 16
     return sergeev_verify(
         cfg.n, cfg.m, mode=cfg.mode, centralizer=centralizer, trials=cfg.trials, seed=cfg.seed
@@ -130,14 +71,10 @@ def suite_sergeev(cfg) -> VerifyReport:
 
 
 def suite_howe(cfg) -> VerifyReport:
-    from .duality import howe_verify
-
     return howe_verify(cfg.n, cfg.m, cfg.degree)
 
 
 def suite_coord(cfg) -> VerifyReport:
-    from .coord_alg import qca_report, zero_weight_iso
-
     report = VerifyReport("coord", {"n": cfg.n, "m": cfg.m})
     report.extend(qca_report(cfg.n), prefix="relations:")
     report.extend(zero_weight_iso(cfg.n, cfg.m), prefix="zw:")
@@ -145,21 +82,15 @@ def suite_coord(cfg) -> VerifyReport:
 
 
 def suite_fixture(cfg) -> VerifyReport:
-    from .duality import fixture_module
-
     _, report = fixture_module()
     return report
 
 
 def suite_classical(cfg) -> VerifyReport:
-    from .duality import classical_crosscheck
-
     return classical_crosscheck(cfg.n, cfg.m)
 
 
 def suite_census(cfg) -> VerifyReport:
-    from .duality import isotypic_census
-
     _, report = isotypic_census(cfg.n, cfg.m)
     return report
 
@@ -196,37 +127,35 @@ BATTERY = [
 ]
 
 
+# The derived values frozen in expected_values.json, per suite, in the file's
+# layout: entry = _FROZEN[suite](report.derived_values).
+_SERGEEV_FROZEN = (
+    "hc_image_dim", "queer_commutant_dim", "queer_image_dim", "hc_commutant_dim", "block_copies",
+)
+_COORD_FROZEN = ("relations:image_dim_l1", "relations:image_dim_l2")
+_FROZEN = {
+    "sergeev": lambda d: {k: d[k] for k in _SERGEEV_FROZEN if k in d},
+    "howe": lambda d: {"graded_dims": {str(l): v["dim"] for l, v in d.get("dims_by_degree", {}).items()}},
+    "census": lambda d: d.get("census", {}).get("blocks"),
+    "coord": lambda d: {k: d[k] for k in _COORD_FROZEN if k in d},
+}
+
+
+def _config_key(report: VerifyReport) -> str:
+    return f"{report.params.get('n')},{report.params.get('m')}"
+
+
+def frozen_values(report: VerifyReport):
+    """The report's entry in the expectations file, or None if its suite freezes nothing."""
+    extract = _FROZEN.get(report.suite)
+    return None if extract is None else extract(report.derived_values)
+
+
 def collect_expectations(reports: list[VerifyReport]) -> dict:
     out: dict = {"_generated_by": "queerdual --all --write-expectations", "_format": 1}
     for rep in reports:
-        key = f"{rep.params.get('n')},{rep.params.get('m')}"
-        if rep.suite == "sergeev":
-            vals = {
-                k: rep.derived_values[k]
-                for k in (
-                    "hc_image_dim",
-                    "queer_commutant_dim",
-                    "queer_image_dim",
-                    "hc_commutant_dim",
-                    "block_copies",
-                )
-                if k in rep.derived_values
-            }
-            out.setdefault("sergeev", {})[key] = vals
-        elif rep.suite == "howe":
-            dims = {
-                str(l): v["dim"] for l, v in rep.derived_values.get("dims_by_degree", {}).items()
-            }
-            out.setdefault("howe", {})[key] = {"graded_dims": dims}
-        elif rep.suite == "census":
-            out.setdefault("census", {})[key] = rep.derived_values.get("census", {}).get("blocks")
-        elif rep.suite == "coord":
-            vals = {
-                k: rep.derived_values[k]
-                for k in ("relations:image_dim_l1", "relations:image_dim_l2")
-                if k in rep.derived_values
-            }
-            out.setdefault("coord", {})[key] = vals
+        if rep.suite in _FROZEN:
+            out.setdefault(rep.suite, {})[_config_key(rep)] = frozen_values(rep)
     return out
 
 
@@ -244,42 +173,27 @@ def run_battery(cfg, expected: dict | None = None):
 
 
 def _apply_regressions(report: VerifyReport, expected: dict) -> None:
-    from .report import Check
-
-    key = f"{report.params.get('n')},{report.params.get('m')}"
-    if report.suite == "sergeev":
-        table = expected.get("sergeev", {}).get(key, {})
-        for name, frozen in table.items():
-            got = report.derived_values.get(name)
-            report.checks.append(
-                Check(f"regression[{name}]", "pass" if got == frozen else "fail", None,
-                      {"got": got, "frozen": frozen})
-            )
+    """Append one regression[...] check per frozen value of this configuration."""
+    if report.suite not in _FROZEN:
+        return
+    frozen = expected.get(report.suite, {}).get(_config_key(report))
+    if frozen is None:
+        return
+    got = frozen_values(report)
+    if report.suite == "census":
+        rows = [("census_blocks", got, frozen)]
     elif report.suite == "howe":
-        dims = expected.get("howe", {}).get(key, {}).get("graded_dims", {})
-        got = {str(l): v["dim"] for l, v in report.derived_values.get("dims_by_degree", {}).items()}
-        for l, frozen in dims.items():
-            if l in got:
-                report.checks.append(
-                    Check(f"regression[graded_dim l={l}]", "pass" if got[l] == frozen else "fail",
-                          None, {"got": got[l], "frozen": frozen})
-                )
-    elif report.suite == "census":
-        frozen = expected.get("census", {}).get(key)
-        got = report.derived_values.get("census", {}).get("blocks")
-        if frozen is not None:
-            report.checks.append(
-                Check("regression[census_blocks]", "pass" if got == frozen else "fail", None,
-                      {"got": got, "frozen": frozen})
-            )
-    elif report.suite == "coord":
-        table = expected.get("coord", {}).get(key, {})
-        for name, frozen in table.items():
-            got = report.derived_values.get(name)
-            report.checks.append(
-                Check(f"regression[{name}]", "pass" if got == frozen else "fail", None,
-                      {"got": got, "frozen": frozen})
-            )
+        # a lower --degree computes fewer graded pieces than were frozen
+        dims = got["graded_dims"]
+        rows = [
+            (f"graded_dim l={l}", dims[l], f)
+            for l, f in frozen.get("graded_dims", {}).items()
+            if l in dims
+        ]
+    else:
+        rows = [(name, got.get(name), f) for name, f in frozen.items()]
+    for name, g, f in rows:
+        report.add(f"regression[{name}]", g == f, value={"got": g, "frozen": f})
 
 
 def validate(cfg) -> None:
@@ -291,6 +205,8 @@ def validate(cfg) -> None:
         raise InvalidConfig(f"unknown param {cfg.param!r}")
     if cfg.mode == "prob" and cfg.trials < 1:
         raise InvalidConfig("probabilistic mode requires trials >= 1")
+    if cfg.write_expectations and not cfg.all:
+        raise InvalidConfig("--write-expectations requires --all")
     if cfg.n > DEFAULT_BOUNDS["n"] or cfg.m > DEFAULT_BOUNDS["m"] or cfg.degree > DEFAULT_BOUNDS["degree"]:
         raise UnsupportedScale(
             f"supported bounds: n <= {DEFAULT_BOUNDS['n']}, m <= {DEFAULT_BOUNDS['m']}, "
@@ -312,7 +228,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trials", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--report", metavar="PATH", help="write the JSON report here")
-    parser.add_argument("--cache", metavar="DIR", help="operator cache directory")
     parser.add_argument("--all", action="store_true", help="run the full desk-scale battery")
     parser.add_argument(
         "--write-expectations", metavar="PATH",
@@ -325,8 +240,6 @@ def main(argv: list[str] | None = None) -> int:
         if not cfg.all and not cfg.suite:
             parser.error("a suite name or --all is required")
         if cfg.all:
-            from .duality import load_expectations
-
             expected = None if cfg.write_expectations else load_expectations()
             reports = run_battery(cfg, expected)
             ok = all(r.ok for r in reports)
@@ -338,8 +251,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"wrote expectations to {cfg.write_expectations}", file=sys.stderr)
         else:
             report = SUITES[cfg.suite](cfg)
-            from .duality import load_expectations
-
             expected = load_expectations()
             if expected:
                 _apply_regressions(report, expected)

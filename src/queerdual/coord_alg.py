@@ -21,6 +21,8 @@ through that image, so the test is sound and complete degree by degree.
 
 from __future__ import annotations
 
+import functools
+
 from .report import VerifyReport
 from .scalars import ONE, Q, RatFunc, ZERO
 from .superlinalg import (
@@ -268,24 +270,17 @@ def functional_equal(f: CoordFunctional, g: CoordFunctional, basis: ImageBasis) 
 # translation actions
 # ---------------------------------------------------------------------------
 
-_rep_cache: dict = {}
-
-
-def _cached(kind: str, rank: int, l: int) -> QueerRep:
-    key = (kind, rank, l)
-    rep = _rep_cache.get(key)
-    if rep is None:
-        base = tensor_rep(vector_rep(rank, PARAM_Q), l)
-        if kind == "col":
-            rep = base
-        elif kind == "row_dual":
-            rep = dual_rep(base)
-        elif kind == "row_twist":
-            rep = sigma_twist(base)
-        else:
-            raise ValueError(kind)
-        _rep_cache[key] = rep
-    return rep
+@functools.cache
+def _translation_rep(kind: str, rank: int, l: int) -> QueerRep:
+    """The degree-l translation module; memoized, cleared by ``_translation_rep.cache_clear()``."""
+    base = tensor_rep(vector_rep(rank, PARAM_Q), l)
+    if kind == "col":
+        return base
+    if kind == "row_dual":
+        return dual_rep(base)
+    if kind == "row_twist":
+        return sigma_twist(base)
+    raise ValueError(kind)
 
 
 def act(label: str, x: GenWord, f: CoordFunctional, n: int, m: int) -> CoordFunctional:
@@ -306,7 +301,7 @@ def act(label: str, x: GenWord, f: CoordFunctional, n: int, m: int) -> CoordFunc
     out = CoordFunctional(l)
     xp = word_parity(x)
     if label == "phi":
-        M = word_operator(_cached("col", m, l), x)
+        M = word_operator(_translation_rep("col", m, l), x)
         for (rows, cols), v in f.terms.items():
             k1 = kappa_sign(rows, cols)
             pa = sum(index_parity(a) for a in rows) & 1
@@ -320,7 +315,7 @@ def act(label: str, x: GenWord, f: CoordFunctional, n: int, m: int) -> CoordFunc
                 out = out + CoordFunctional.monomial(rows, bc, c)
         return out
     if label in ("psi", "psit"):
-        rep = _cached("row_dual" if label == "psi" else "row_twist", n, l)
+        rep = _translation_rep("row_dual" if label == "psi" else "row_twist", n, l)
         W = word_operator(rep, x)
         for (rows, cols), v in f.terms.items():
             k1 = kappa_sign(rows, cols)

@@ -25,21 +25,28 @@ from .superlinalg import (
     Echelon,
     SOp,
     SuperSpace,
+    _op_key,
     _sylvester_rows,
     flatten_vector,
     graded_commutant,
+    index_parity,
+    kernel_basis,
     operator_algebra_span,
+    rref,
     supercommutator,
 )
 from .uq_queer import (
     PARAM_Q,
+    AlgebraSpec,
     QueerRep,
     _block_kernel,
     _prob_trials,
+    _quadratic_witness,
     _span_closure,
     chevalley_ops,
     classical_limit,
     generate_submodule,
+    generator_pairs,
     highest_weight_vectors,
     is_dominant_weight,
     tensor_rep,
@@ -282,7 +289,7 @@ def sergeev_verify(
     hc_gens = hc.generators()
 
     runs = [("", list(ch.values()), hc_gens)]
-    if mode in ("prob", "probabilistic"):
+    if mode == "prob":
         values = {v for op in (*ch.values(), *hc_gens) for v in op.entries.values()}
         # each supercommutator entry: at most 2 * dim products of two entries
         bound = identity_bound(values, factors=2, terms=2 * rep.space.dim)
@@ -305,8 +312,6 @@ def sergeev_verify(
         report.derive("hc_image_dim", hc_ech.dim)
         report.derive("queer_commutant_dim", len(comm))
         report.add("hc_image_dim_equals_commutant", hc_ech.dim == len(comm))
-        from .superlinalg import _op_key
-
         inside = all(hc_ech.contains(_op_key(X)) for X in comm)
         report.add("commutant_inside_hc_span", inside)
         cross = all(supercommutator(X, g).is_zero() for X in hc_basis for g in queer_gens)
@@ -449,8 +454,6 @@ class FixtureModule:
 
     @property
     def spec(self):
-        from .uq_queer import AlgebraSpec
-
         return AlgebraSpec(self.rank, self.param)
 
 
@@ -558,8 +561,6 @@ def fixture_module():
     rows = []
     for name in solve_on:  # Theta B = A Theta
         rows.extend(_sylvester_rows(target_ch[name], ch[name], nl, fl, vindex))
-    from .superlinalg import kernel_basis
-
     sols = kernel_basis(rows, len(pairs))
     report.derive("intertwiner_space_dim", len(sols))
 
@@ -577,8 +578,6 @@ def fixture_module():
             row[len(sols)] = -(target_col.get(r, ZERO))
             if row:
                 nrm_rows.append(row)
-        from .superlinalg import rref
-
         reduced = rref(nrm_rows)
         coeffs = {col: row.get(len(sols), ZERO) for col, row in reduced if col < len(sols)}
         if all(col < len(sols) for col, _ in reduced):
@@ -599,9 +598,7 @@ def fixture_module():
             row = {fix.space.pos[c]: theta.entry(r, c) for c in fl if not theta.entry(r, c).is_zero()}
             if row:
                 mat_rows.append(row)
-        from .superlinalg import rref as _rref
-
-        inv_ok = len(_rref(mat_rows)) == 8
+        inv_ok = len(rref(mat_rows)) == 8
     report.add("intertwiner_found", found)
     report.add("intertwiner_invertible", inv_ok)
     if found:
@@ -636,8 +633,6 @@ def classical_crosscheck(n: int, m: int) -> VerifyReport:
     the braid operators become signed graded swaps, the quadratic relation
     degenerates to (T-1)(T+1) = 0, supercommutation still vanishes exactly, the
     census dimensions are unchanged, and (k_i - 1)/(q - 1) acts by the content."""
-    from .superlinalg import index_parity
-
     report = VerifyReport("classical", {"n": n, "m": m})
     rep = tensor_rep(vector_rep(n, PARAM_Q), m)
     cl = classical_limit(rep)
@@ -672,8 +667,6 @@ def classical_crosscheck(n: int, m: int) -> VerifyReport:
     report.add("classical_supercommutation", comm_ok)
 
     # the FRT relations at q = 1
-    from .uq_queer import _quadratic_witness, generator_pairs
-
     G1 = {key: op.specialize(1) for key, op in rep.gen.items()}
     report.add("classical_defining_relations", _quadratic_witness(G1, generator_pairs(n), ONE, ZERO) is None)
     report.add(

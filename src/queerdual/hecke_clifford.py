@@ -203,7 +203,7 @@ def hc_check(action: HCAction, qq=None) -> VerifyReport:
     report = VerifyReport(
         "hc", {"m": m, "param": action.spec.param, "dim": action.space.dim}
     )
-    ident = SOp.identity(action.space)
+    ident = SOp.identity(action.space, qq ** 0)  # over the field of qq: Q(q), or GF(p) at a point
 
     def check(name: str, diff: SOp, ctx):
         if diff.is_zero():

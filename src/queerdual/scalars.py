@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import random
-import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -399,15 +398,8 @@ class RatFunc:
         return self.to_string()
 
     def to_string(self) -> str:
-        """Serialize as "(<numerator>)/(<denominator>)", descending powers of q."""
+        """Text form "(<numerator>)/(<denominator>)", descending powers of q."""
         return f"({_pformat(self.num)})/({_pformat(self.den)})"
-
-    @staticmethod
-    def from_string(s: str) -> "RatFunc":
-        m = re.fullmatch(r"\((.*)\)/\((.*)\)", s.strip())
-        if not m:
-            raise ValueError(f"not a serialized rational function: {s!r}")
-        return RatFunc(_pparse(m.group(1)), _pparse(m.group(2)))
 
 
 def _coerce(x):
@@ -457,39 +449,6 @@ def _pformat(p) -> str:
         else:
             parts.append(f" + {body}" if c > 0 else f" - {body}")
     return "".join(parts)
-
-
-_TERM = re.compile(r"^\s*(?P<coef>\d+)?\s*(?:\*\s*)?(?P<var>q(?:\^(?P<pow>\d+))?)?\s*$")
-
-
-def _pparse(s: str):
-    s = s.strip()
-    if s == "0":
-        return ()
-    chunks = re.split(r"(?=[+-])", s.replace(" ", ""))
-    coeffs: dict[int, int] = {}
-    for chunk in chunks:
-        if not chunk:
-            continue
-        sign = 1
-        if chunk[0] == "+":
-            chunk = chunk[1:]
-        elif chunk[0] == "-":
-            sign = -1
-            chunk = chunk[1:]
-        m = _TERM.match(chunk)
-        if not m or (m.group("coef") is None and m.group("var") is None):
-            raise ValueError(f"bad polynomial term: {chunk!r}")
-        c = int(m.group("coef") or 1)
-        if m.group("var") is None:
-            k = 0
-        else:
-            k = int(m.group("pow") or 1)
-        coeffs[k] = coeffs.get(k, 0) + sign * c
-    out = [0] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return _ptrim(out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ then label order, so every result is deterministic for a fixed basis order.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Sequence
 
 from .scalars import ONE, ZERO, RatFunc
@@ -28,10 +27,6 @@ def index_parity(i: int) -> int:
 def index_range(n: int) -> list[int]:
     """The index set {-n..-1, 1..n} in its total order."""
     return list(range(-n, 0)) + list(range(1, n + 1))
-
-
-def word_parity(word) -> int:
-    return sum(index_parity(i) for i in word) & 1
 
 
 class SuperSpace:
@@ -161,9 +156,7 @@ class SOp:
         return SOp(self.dom, self.cod, self.par, {k: -v for k, v in self.entries.items()}, validate=False)
 
     def scale(self, s) -> "SOp":
-        if isinstance(s, int):
-            s = RatFunc(s)
-        if s.is_zero():
+        if s == 0:
             return SOp.zero(self.dom, self.cod, self.par)
         return SOp(self.dom, self.cod, self.par, {k: s * v for k, v in self.entries.items()}, validate=False)
 
@@ -555,44 +548,3 @@ def operator_algebra_span(gens: list[SOp], include_identity: bool = True):
                     new_frontier.append(cand)
         frontier = new_frontier
     return ech, basis
-
-
-# ---------------------------------------------------------------------------
-# sparse operator cache format
-# ---------------------------------------------------------------------------
-
-def _label_json(lab):
-    return list(lab) if isinstance(lab, tuple) else lab
-
-
-def _label_from_json(lab):
-    return tuple(lab) if isinstance(lab, list) else lab
-
-
-def sop_to_cache(op: SOp) -> dict:
-    entries = sorted(
-        ((_label_json(r), _label_json(c), v.to_string()) for (r, c), v in op.entries.items()),
-        key=lambda t: (json.dumps(t[0]), json.dumps(t[1])),
-    )
-    return {
-        "domain": [_label_json(lab) for lab in op.dom.labels],
-        "codomain": [_label_json(lab) for lab in op.cod.labels],
-        "parity": op.par,
-        "entries": [list(e) for e in entries],
-    }
-
-
-def sop_from_cache(d: dict) -> SOp:
-    dom_labels = [_label_from_json(lab) for lab in d["domain"]]
-    cod_labels = [_label_from_json(lab) for lab in d["codomain"]]
-    dom = SuperSpace(dom_labels, {lab: word_parity(lab) for lab in dom_labels})
-    cod = SuperSpace(cod_labels, {lab: word_parity(lab) for lab in cod_labels})
-    entries = {
-        (_label_from_json(r), _label_from_json(c)): RatFunc.from_string(s)
-        for r, c, s in d["entries"]
-    }
-    return SOp(dom, cod, d["parity"], entries)
-
-
-def cache_bytes(op: SOp) -> bytes:
-    return json.dumps(sop_to_cache(op), separators=(",", ":"), sort_keys=True).encode()

@@ -22,7 +22,9 @@ import random
 from dataclasses import dataclass
 
 from .report import VerifyReport
-from .scalars import ONE, QINV, Q, IdentityBound, ModP, RatFunc, identity_bound, sample_mod_p
+from .scalars import (
+    ONE, QINV, Q, IdentityBound, ModP, PoleAtPoint, RatFunc, identity_bound, sample_mod_p,
+)
 from .superlinalg import (
     Echelon,
     SOp,
@@ -320,7 +322,7 @@ def check_defining_relations(
     )
     qq, xi = param_q(rep.param), param_xi(rep.param)
     draws = None
-    if mode in ("prob", "probabilistic"):
+    if mode == "prob":
         values = {v for op in rep.gen.values() for v in op.entries.values()} | {qq, xi}
         # each lhs - rhs entry: at most 6 * dim products of two entries, times q^{+-1}, 1 or xi
         bound = identity_bound(values, (qq, qq.inverse(), ONE, xi), factors=2, terms=6 * rep.space.dim)
@@ -561,8 +563,6 @@ def omega_map(n: int) -> SOp:
 def classical_limit(rep: QueerRep) -> dict:
     """Specialization at q = 1 of the Chevalley family, with k_i replaced by
     h_i = (k_i - 1)/(q - 1); raises PoleAtPoint naming the offending generator."""
-    from .scalars import PoleAtPoint
-
     ch = rep.chevalley()
     n = rep.spec.n
     out = {}

@@ -1,8 +1,11 @@
+import argparse
 import json
 
 import pytest
 
+from queerdual import cli
 from queerdual.cli import main
+from queerdual.duality import load_expectations
 
 
 def run(args, tmp_path, name="report.json"):
@@ -58,20 +61,35 @@ def test_unsupported_scale():
     assert main(["howe", "--degree", "7"]) == 2
 
 
-def test_cache_round_trip(tmp_path):
-    cache = tmp_path / "cache"
-    code1, p1 = run(["relations", "--n", "1", "--m", "2", "--cache", str(cache)], tmp_path, "a.json")
-    assert code1 == 0 and list(cache.iterdir())
-    code2, p2 = run(["relations", "--n", "1", "--m", "2", "--cache", str(cache)], tmp_path, "b.json")
-    p1.pop("elapsed_ms")
-    p2.pop("elapsed_ms")
-    assert p1 == p2
-    # cache deletion changes nothing but timing
-    for f in cache.iterdir():
-        f.unlink()
-    code3, p3 = run(["relations", "--n", "1", "--m", "2"], tmp_path, "c.json")
-    p3.pop("elapsed_ms")
-    assert p3 == p1
+def test_write_expectations_requires_all(tmp_path, capsys):
+    out = tmp_path / "X"
+    assert main(["relations", "--n", "1", "--m", "1", "--write-expectations", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("option", ["cache"])
+def test_removed_option_exits_2(option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["relations", f"--{option}", "d"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{option} d" in capsys.readouterr().err
+
+
+def test_frozen_values_match_expectations_file():
+    expected = load_expectations()
+    cfg = argparse.Namespace(n=1, m=1, degree=2, mode="exact", param="q", trials=5, seed=0)
+    configs = [("sergeev", {}), ("census", {"m": 3}), ("howe", {})]
+    for suite, overrides in configs:
+        report = cli.SUITES[suite](argparse.Namespace(**{**vars(cfg), **overrides}))
+        key = f"{report.params['n']},{report.params['m']}"
+        assert cli.collect_expectations([report])[suite] == {key: expected[suite][key]}
+        before = len(report.checks)
+        cli._apply_regressions(report, expected)
+        added = report.checks[before:]
+        assert added and all(c.name.startswith("regression[") for c in added)
+        assert all(c.status == "pass" for c in added), [c.to_dict() for c in added]
 
 
 def test_probabilistic_mode(tmp_path):

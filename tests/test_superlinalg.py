@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from queerdual.scalars import ONE, RatFunc, Q, ZERO
+from queerdual.scalars import ONE, ModP, RatFunc, Q, ZERO
 from queerdual.superlinalg import (
     Echelon,
     SOp,
     SuperSpace,
-    cache_bytes,
     graded_commutant,
     graded_tensor,
     index_parity,
@@ -17,8 +16,6 @@ from queerdual.superlinalg import (
     kernel_basis,
     operator_algebra_span,
     rref,
-    sop_from_cache,
-    sop_to_cache,
     span_dim,
     supercommutator,
     tensor_space,
@@ -203,8 +200,11 @@ def test_restrict_invariance():
         op.restrict([(1,)])  # leaks to (2,)
 
 
-def test_cache_round_trip_and_determinism():
-    kbar1 = SOp(V1, V1, 1, {((-1,), (1,)): ONE, ((1,), (-1,)): ONE})
-    blob = sop_to_cache(kbar1)
-    assert sop_from_cache(blob) == kbar1
-    assert cache_bytes(kbar1) == cache_bytes(sop_from_cache(blob))
+def test_scale_keeps_ints_as_ints():
+    # an int scalar must not be promoted to a RatFunc: GF(p) operators scale too
+    assert SOp.identity(V2, ModP(1)).scale(-1) == SOp.identity(V2, ModP(-1))
+    assert SOp.identity(V2, ModP(1)).scale(0).is_zero()
+    op = SOp(V2, V2, 0, {((1,), (1,)): Q, ((2,), (1,)): ONE})
+    minus3 = RatFunc(-3)
+    assert op.scale(-3) == op.scale(minus3) == SOp(V2, V2, 0, {((1,), (1,)): Q * minus3, ((2,), (1,)): minus3})
+    assert op.scale(0) == op.scale(ZERO) and op.scale(0).is_zero()

@@ -1,6 +1,7 @@
 """Command-line entry point: one subcommand per verification suite.
 
-Exit status is nonzero iff any check fails.  Reports are emitted as JSON with
+Exit status is 1 when any check fails and 2 for an invalid configuration or an
+output path that cannot be written.  Reports are emitted as JSON with
 the schema {suite, params, checks: [{name, status, witness?, value?}],
 derived_values, elapsed_ms}; the --all battery wraps the individual reports.
 Runs are deterministic for a fixed configuration (elapsed_ms aside).
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .coord_alg import qca_report, zero_weight_iso
@@ -207,6 +209,9 @@ def validate(cfg) -> None:
         raise InvalidConfig("probabilistic mode requires trials >= 1")
     if cfg.write_expectations and not cfg.all:
         raise InvalidConfig("--write-expectations requires --all")
+    for path in (cfg.report, cfg.write_expectations):
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise InvalidConfig(f"the directory of output path {path!r} does not exist")
     if cfg.n > DEFAULT_BOUNDS["n"] or cfg.m > DEFAULT_BOUNDS["m"] or cfg.degree > DEFAULT_BOUNDS["degree"]:
         raise UnsupportedScale(
             f"supported bounds: n <= {DEFAULT_BOUNDS['n']}, m <= {DEFAULT_BOUNDS['m']}, "
@@ -235,6 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     cfg = parser.parse_args(argv)
 
+    expectations = None
     try:
         validate(cfg)
         if not cfg.all and not cfg.suite:
@@ -245,10 +251,7 @@ def main(argv: list[str] | None = None) -> int:
             ok = all(r.ok for r in reports)
             payload = {"ok": ok, "suites": [r.to_dict() for r in reports]}
             if cfg.write_expectations:
-                blob = collect_expectations(reports)
-                with open(cfg.write_expectations, "w") as fh:
-                    json.dump(blob, fh, indent=2, sort_keys=True)
-                print(f"wrote expectations to {cfg.write_expectations}", file=sys.stderr)
+                expectations = collect_expectations(reports)
         else:
             report = SUITES[cfg.suite](cfg)
             expected = load_expectations()
@@ -261,10 +264,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     text = json.dumps(payload, indent=2, default=str)
-    if cfg.report:
-        with open(cfg.report, "w") as fh:
-            fh.write(text + "\n")
-    else:
+    try:
+        if expectations is not None:
+            with open(cfg.write_expectations, "w") as fh:
+                json.dump(expectations, fh, indent=2, sort_keys=True)
+            print(f"wrote expectations to {cfg.write_expectations}", file=sys.stderr)
+        if cfg.report:
+            with open(cfg.report, "w") as fh:
+                fh.write(text + "\n")
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    if not cfg.report:
         print(text)
     for line in _summary_lines(payload):
         print(line, file=sys.stderr)

@@ -3,7 +3,10 @@
 Every structure constant in the engine lives here.  A value is a reduced pair of
 integer-coefficient polynomials in q; arithmetic is exact, equality is structural
 on the canonical form, and specialization at a rational point (q = 1 for the
-classical limit) returns an exact ``Fraction``.
+classical limit) returns an exact ``Fraction``.  When both denominators are single
+terms c*q^t (Laurent values, as almost every structure constant is), products,
+sums and reductions skip the polynomial gcd: only a power of q and an integer
+content can cancel against such a denominator.
 
 The probabilistic checks work in the prime field GF(p), p = 2^61 - 1 (``ModP``):
 ``RatFunc.mod_p`` maps a value to GF(p) at a point q = c, and ``identity_bound``
@@ -82,6 +85,13 @@ def _ptrailing(a) -> int:
         if x:
             return i
     return 0
+
+
+def _pmonomial(a):
+    """(t, c) when a = c*q^t is a single term, else None."""
+    if a.count(0) == len(a) - 1:
+        return len(a) - 1, a[-1]
+    return None
 
 
 def _pshift(a, k: int):
@@ -255,6 +265,12 @@ class RatFunc:
             return other
         if not other.num:
             return self
+        m1, m2 = _pmonomial(self.den), _pmonomial(other.den)
+        if m1 and m2:
+            # over lcm(c1, c2) q^max(t1, t2)
+            t, c = max(m1[0], m2[0]), math.lcm(m1[1], m2[1])
+            num = _padd(_lift(self.num, m1, t, c), _lift(other.num, m2, t, c))
+            return RatFunc(*_reduce_monomial(num, t, c), _reduced=True)
         if self.den == other.den:
             return RatFunc(_padd(self.num, other.num), self.den)
         return RatFunc(
@@ -285,6 +301,10 @@ class RatFunc:
             return NotImplemented
         if not self.num or not other.num:
             return ZERO
+        m1, m2 = _pmonomial(self.den), _pmonomial(other.den)
+        if m1 and m2:
+            num = _pmul(self.num, other.num)
+            return RatFunc(*_reduce_monomial(num, m1[0] + m2[0], m1[1] * m2[1]), _reduced=True)
         # cross-cancel before multiplying to keep intermediates small
         g1 = _pgcd(self.num, other.den)
         g2 = _pgcd(other.num, self.den)
@@ -418,6 +438,9 @@ def _reduce(num, den):
         raise ZeroDivisionError("zero denominator")
     if not num:
         return (), (1,)
+    mono = _pmonomial(den)
+    if mono:
+        return _reduce_monomial(num, *mono)
     g = _pgcd(num, den)
     if g != (1,):
         num, den = _pdivexact(num, g), _pdivexact(den, g)
@@ -429,6 +452,30 @@ def _reduce(num, den):
         num = tuple(x // g for x in num)
         den = tuple(x // g for x in den)
     return num, den
+
+
+def _reduce_monomial(num, t: int, c: int):
+    """Canonical form of num / (c q^t) with no polynomial gcd: the only common
+    factors a single-term denominator can share are a power of q and an integer."""
+    if not num:
+        return (), (1,)
+    s = min(_ptrailing(num), t) if t else 0
+    if s:
+        num, t = num[s:], t - s
+    if c < 0:
+        num, c = _pneg(num), -c
+    g = math.gcd(c, *num) if c != 1 else 1
+    if g > 1:
+        num, c = tuple(x // g for x in num), c // g
+    return num, _pshift((c,), t)
+
+
+def _lift(num, mono, t: int, c: int):
+    """The numerator of num / (c0 q^t0) over c q^t, a multiple of c0 q^t0 (mono = (t0, c0))."""
+    t0, c0 = mono
+    if c != c0:
+        num = tuple(x * (c // c0) for x in num)
+    return _pshift(num, t - t0)
 
 
 def _pformat(p) -> str:
@@ -608,10 +655,12 @@ def identity_bound(values, scalars=(ONE,), factors: int = 1, terms: int = 1) -> 
     if values:
         spans = [(_ptrailing(g.num) - _ptrailing(g.den), len(g.num) + m - len(g.den)) for g in values]
         lo_g, hi_g = min(lo for lo, _ in spans), max(hi for _, hi in spans)
+    t_s = []
     for s in scalars:
-        if s.den[-1] != 1 or any(s.den[:-1]):
+        mono = _pmonomial(s.den)
+        if mono is None or mono[1] != 1:
             raise ValueError(f"scalar {s} is not a Laurent polynomial")
-    t_s = [len(s.den) - 1 for s in scalars]
+        t_s.append(mono[0])
     lo = min(0, min(_ptrailing(s.num) - t for s, t in zip(scalars, t_s)) + factors * lo_g)
     hi = max(factors * m, max(len(s.num) - 1 - t for s, t in zip(scalars, t_s)) + factors * hi_g)
     a_norm = max((_pnorm1(g.num) for g in values), default=1)

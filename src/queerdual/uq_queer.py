@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .report import VerifyReport
 from .scalars import (
-    ONE, QINV, Q, IdentityBound, ModP, PoleAtPoint, RatFunc, identity_bound, sample_mod_p,
+    ONE, QINV, Q, IdentityBound, ModP, PoleAtPoint, RatFunc, _pmonomial, identity_bound, sample_mod_p,
 )
 from .superlinalg import (
     Echelon,
@@ -462,11 +462,10 @@ def sigma_twist(rep: QueerRep) -> QueerRep:
 # ---------------------------------------------------------------------------
 
 def _monomial_exponent(v: RatFunc) -> int | None:
-    if v.num.count(0) != len(v.num) - 1 or v.num[-1] != 1:
-        return None
-    if v.den.count(0) != len(v.den) - 1 or v.den[-1] != 1:
-        return None
-    return (len(v.num) - 1) - (len(v.den) - 1)
+    a, b = _pmonomial(v.num), _pmonomial(v.den)
+    if a and b and a[1] == b[1] == 1:
+        return a[0] - b[0]
+    return None
 
 
 def weight_spaces(rep: QueerRep) -> dict:

@@ -61,6 +61,16 @@ def test_unsupported_scale():
     assert main(["howe", "--degree", "7"]) == 2
 
 
+def test_unwritable_output_path_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    assert main(["relations", "--n", "1", "--m", "1", "--report", str(missing)]) == 2
+    assert not missing.parent.exists()
+    # a directory passes the up-front check and fails at the final write
+    assert main(["relations", "--n", "1", "--m", "1", "--report", str(tmp_path)]) == 2
+    for line in capsys.readouterr().err.strip().splitlines():
+        assert line.startswith("error: ")
+
+
 def test_write_expectations_requires_all(tmp_path, capsys):
     out = tmp_path / "X"
     assert main(["relations", "--n", "1", "--m", "1", "--write-expectations", str(out)]) == 2

@@ -1,10 +1,12 @@
 import operator
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from queerdual import scalars
 from queerdual.scalars import (
     P,
     QINV,
@@ -14,6 +16,9 @@ from queerdual.scalars import (
     ModP,
     Q,
     PoleAtPoint,
+    _padd,
+    _pmonomial,
+    _pmul,
     identity_bound,
     probably_equal,
     q_number,
@@ -213,3 +218,95 @@ def test_pow():
     assert XI**3 == XI * XI * XI
     assert XI**-2 == 1 / (XI * XI)
     assert Q**-5 == QINV**5
+
+
+# -- the Laurent fast path: values whose reduced denominator is c q^t ---------
+
+_monomial_dens = st.builds(
+    lambda t, c: (0,) * t + (c,), st.integers(0, 4), st.sampled_from([1, 1, 2, 3, 4, 6, -2])
+)
+
+
+@st.composite
+def _laurent(draw):
+    num = draw(_polys)
+    if draw(st.booleans()):
+        num = (0,) * draw(st.integers(1, 3)) + num  # a factor q^k in the numerator
+    return RatFunc(num, draw(_monomial_dens))
+
+
+@st.composite
+def _laurent_pair(draw):
+    a = draw(_laurent())
+    kind = draw(st.sampled_from(["independent", "cancel", "partial"]))
+    if kind == "independent":
+        return a, draw(_laurent())
+    # -a, or -a plus a small term, handed over unreduced so its content and its
+    # powers of q have to be found again
+    k, s = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    num = (0,) * s + tuple(-k * x for x in a.num)
+    if kind == "partial":
+        num = _padd(num, draw(_polys))
+    return a, RatFunc(num, (0,) * s + tuple(k * x for x in a.den))
+
+
+def _general_path(num, den):
+    """(num, den) reduced by the polynomial-gcd path, with the fast path switched off."""
+    with mock.patch.object(scalars, "_pmonomial", lambda a: None):
+        f = RatFunc(num, den)
+    return f.num, f.den
+
+
+_LAURENT_EXAMPLES = [
+    (RatFunc(1, (0, 2)), RatFunc((0, 2), (1,))),  # 1/(2q) * 2q = 1
+    (RatFunc(1, (0, 2)), RatFunc(-1, (0, 2))),  # cancels to zero
+    (RatFunc(1, (0, 2)), RatFunc(1, (0, 0, 3))),  # 1/(2q) + 1/(3q^2)
+    (RatFunc((0, 0, 3), (2,)), RatFunc(1, (0, 0, 0, 6))),  # trailing zeros meet q^3
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_laurent_pair())
+@example(_LAURENT_EXAMPLES[0])
+@example(_LAURENT_EXAMPLES[1])
+@example(_LAURENT_EXAMPLES[2])
+@example(_LAURENT_EXAMPLES[3])
+def test_laurent_fast_path_matches_general_path(pair):
+    a, b = pair
+    assert _pmonomial(a.den) and _pmonomial(b.den)
+    prod, total = a * b, a + b
+    assert (prod.num, prod.den) == _general_path(_pmul(a.num, b.num), _pmul(a.den, b.den))
+    unreduced_sum = _padd(_pmul(a.num, b.den), _pmul(b.num, a.den))
+    assert (total.num, total.den) == _general_path(unreduced_sum, _pmul(a.den, b.den))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_laurent_pair())
+@example(_LAURENT_EXAMPLES[2])
+@example(_LAURENT_EXAMPLES[3])
+def test_laurent_fast_path_against_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def poly(p):
+        return sum(c * q**i for i, c in enumerate(p))
+
+    def value(f):
+        return poly(f.num) / poly(f.den)
+
+    a, b = pair
+    for got, want in ((a * b, value(a) * value(b)), (a + b, value(a) + value(b))):
+        assert sympy.cancel(value(got) - want) == 0
+        # reduced: no common polynomial factor and no common integer content
+        assert sympy.gcd(poly(got.num), poly(got.den)) == 1 and got.den[-1] > 0
+
+
+def test_laurent_examples():
+    half_q = RatFunc(1, (0, 2))
+    assert (half_q * (2 * Q)).is_one()
+    assert (half_q - half_q).is_zero() and (half_q - half_q).den == (1,)
+    assert half_q + RatFunc(1, (0, 0, 3)) == RatFunc((2, 3), (0, 0, 6))
+    assert (half_q * Q**3).num == (0, 0, 1) and (half_q * Q**3).den == (2,)
+    # RatFunc(num, c q^k) and subs_qinv normalize the same way
+    assert RatFunc((0, 4, 6), (0, 0, -2)) == RatFunc((-2, -3), (0, 1))
+    assert RatFunc((0, 2), (4,)).subs_qinv() == RatFunc(1, (0, 2))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from queerdual import scalars
 from queerdual.scalars import ONE, QINV, RatFunc, XI, Q, ZERO, PoleAtPoint
 from queerdual.superlinalg import (
     SOp,
@@ -207,6 +208,21 @@ def test_relations_prob_does_no_ratfunc_products(monkeypatch):
     monkeypatch.setattr(RatFunc, "__mul__", counting)
     monkeypatch.setattr(RatFunc, "__rmul__", counting)
     assert check_defining_relations(rep, mode="prob", trials=1, seed=0).ok
+    assert calls == []
+
+
+def test_relations_exact_does_no_polynomial_gcds(monkeypatch):
+    # every structure constant here is a Laurent polynomial in q, so the scalars
+    # stay on the gcd-free path
+    calls = []
+    pgcd = scalars._pgcd
+
+    def counting(a, b):
+        calls.append(1)
+        return pgcd(a, b)
+
+    monkeypatch.setattr(scalars, "_pgcd", counting)
+    assert check_defining_relations(tensor_rep(vector_rep(2), 3)).ok
     assert calls == []
 
 

@@ -6,15 +6,19 @@ sparse matrices.  Tensor products follow the Koszul sign rule
 
     (A (x) B)(u (x) w) = (-1)^{|B||u|} A(u) (x) B(w).
 
-All eliminations are exact; pivot rows are chosen by minimal polynomial degree
-then label order, so every result is deterministic for a fixed basis order.
+All results are exact; pivot rows are chosen by minimal polynomial degree then
+label order, so every result is deterministic for a fixed basis order.  GF(p) only
+chooses rows: ``kernel_basis`` maps its system to GF(p) at one point, eliminates
+exactly over a row basis picked there, and checks every dropped row exactly
+against the kernel it found, falling back to all rows when one does not vanish.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Iterable, Sequence
 
-from .scalars import ONE, ZERO, RatFunc
+from .scalars import ONE, ZERO, RatFunc, sample_mod_p
 
 
 def index_parity(i: int) -> int:
@@ -320,8 +324,7 @@ class Echelon:
                 continue
             _sub_multiple(vec, c, row)
             if combo is not None:
-                for j, v in self.combos[idx].items():
-                    combo[j] = combo.get(j, ZERO) - c * v
+                _sub_multiple(combo, c, self.combos[idx])
         return {k: v for k, v in vec.items() if not v.is_zero()}, combo
 
     def reduce(self, vec: dict):
@@ -332,7 +335,9 @@ class Echelon:
 
     def insert(self, vec: dict) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
-        combo: dict | None = {self.n_inserted: ONE} if self.track else None
+        combo: dict | None = None
+        if self.track:  # the one of the data's field
+            combo = {self.n_inserted: next(iter(vec.values())) ** 0} if vec else {}
         self.n_inserted += 1
         res, combo = self._reduce(vec, combo)
         if not res:
@@ -349,13 +354,7 @@ class Echelon:
                 continue
             _sub_multiple(r, c, row)
             if self.track:
-                cc = self.combos[i]
-                for j, v in combo.items():
-                    w = cc.get(j, ZERO) - c * v
-                    if w.is_zero():
-                        cc.pop(j, None)
-                    else:
-                        cc[j] = w
+                _sub_multiple(self.combos[i], c, combo)
         at = 0
         while at < len(self.rows) and self.rows[at][0] < pivot:
             at += 1
@@ -403,20 +402,73 @@ def rref(rows: list[dict]) -> list[tuple[int, dict]]:
     return done
 
 
-def kernel_basis(rows: list[dict], ncols: int) -> list[dict]:
-    """Exact basis of the null space of the sparse constraint rows (columns 0..ncols-1)."""
+def _exact_kernel(rows: list[dict], ncols: int) -> list[dict]:
+    one = next(iter(rows[0].values())) ** 0 if rows else ONE  # the one of the data's field
     reduced = rref(rows)
     pivots = {col for col, _ in reduced}
     basis = []
     for free in range(ncols):
         if free in pivots:
             continue
-        vec = {free: ONE}
+        vec = {free: one}
         for col, row in reduced:
             c = row.get(free)
             if c is not None and not c.is_zero():
                 vec[col] = -c
         basis.append(vec)
+    return basis
+
+
+def _independent_rows(rows: list[dict]) -> tuple[list[dict], list[dict]]:
+    """Split rows into (kept, dropped): kept are the rows that enlarge the span of
+    the earlier ones in GF(p) at one point q = c.
+
+    Rows independent in GF(p) are independent over Q(q), so the kept rows have
+    full rank; a dropped row need not lie in their span over Q(q) (c may be a
+    root of a minor), which the caller checks exactly.
+    """
+    values = {v for r in rows for v in r.values()}
+    if not all(isinstance(v, RatFunc) for v in values):
+        return rows, []
+    _, image = sample_mod_p(random.Random(0), values)
+    ech = Echelon()
+    kept, dropped = [], []
+    for r in rows:
+        (kept if ech.insert({k: image[v] for k, v in r.items()}) else dropped).append(r)
+    return kept, dropped
+
+
+def _annihilates(rows: list[dict], basis: list[dict]) -> bool:
+    """Exactly: does every row have zero dot product with every basis vector?"""
+    by_col: dict = {}
+    for b, vec in enumerate(basis):
+        for k, v in vec.items():
+            by_col.setdefault(k, []).append((b, v))
+    for r in rows:
+        dots: dict = {}
+        for k, v in r.items():
+            for b, w in by_col.get(k, ()):
+                s = dots.get(b)
+                dots[b] = v * w if s is None else s + v * w
+        if any(not d.is_zero() for d in dots.values()):
+            return False
+    return True
+
+
+def kernel_basis(rows: list[dict], ncols: int) -> list[dict]:
+    """Exact basis of the null space of the sparse constraint rows (columns 0..ncols-1).
+
+    The basis is read off the reduced row echelon form, which the row space
+    determines, so it does not depend on which spanning rows are eliminated.
+    Elimination runs on a row basis picked in GF(p) (``_independent_rows``); the
+    kernel is then verified exactly on the dropped rows, and recomputed from all
+    rows if one of them does not vanish on it.
+    """
+    rows = [r for r in ({k: v for k, v in r.items() if not v.is_zero()} for r in rows) if r]
+    kept, dropped = _independent_rows(rows)
+    basis = _exact_kernel(kept, ncols)
+    if dropped and not _annihilates(dropped, basis):
+        basis = _exact_kernel(rows, ncols)
     return basis
 
 
@@ -509,12 +561,21 @@ def graded_commutant(ops: list[SOp]) -> list[SOp]:
             raise ValueError("operators must be endomorphisms of one space")
     labels = space.labels
     par = space.parity
+    # X commutes with an even diagonal d, so X[r, c] (d_c - d_r) = 0: only the
+    # unknowns whose labels no such d tells apart are numbered, and d adds no rows
+    diagonal, others = [], []
+    for a in ops:
+        (diagonal if not a.par and all(r == c for r, c in a.entries) else others).append(a)
+    weight = {lab: tuple(d.entries.get((lab, lab)) for d in diagonal) for lab in labels}
     out: list[SOp] = []
     for p in (0, 1):
-        pairs = [(r, c) for r in labels for c in labels if (par[r] + par[c]) & 1 == p]
+        pairs = [
+            (r, c) for r in labels for c in labels
+            if (par[r] + par[c]) & 1 == p and weight[r] == weight[c]
+        ]
         vindex = {rc: i for i, rc in enumerate(pairs)}
         rows = []
-        for a in ops:
+        for a in others:
             rows.extend(_sylvester_rows(a, a, labels, labels, vindex, -1 if (p and a.par) else 1))
         for flat in kernel_basis(rows, len(pairs)):
             entries = {pairs[i]: v for i, v in flat.items()}

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from queerdual import superlinalg
+from queerdual.duality import SubmoduleRep
 from queerdual.scalars import ONE, ModP, RatFunc, Q, ZERO
 from queerdual.superlinalg import (
     Echelon,
+    _sylvester_rows,
     SOp,
     SuperSpace,
     graded_commutant,
@@ -20,6 +23,7 @@ from queerdual.superlinalg import (
     supercommutator,
     tensor_space,
 )
+from queerdual.uq_queer import generate_submodule, highest_weight_vectors, tensor_rep, vector_rep
 
 from oracles import flatten_ops_rows, frac_rank, specialize_op_rows, vectors_rows
 
@@ -208,3 +212,138 @@ def test_scale_keeps_ints_as_ints():
     minus3 = RatFunc(-3)
     assert op.scale(-3) == op.scale(minus3) == SOp(V2, V2, 0, {((1,), (1,)): Q * minus3, ((2,), (1,)): minus3})
     assert op.scale(0) == op.scale(ZERO) and op.scale(0).is_zero()
+
+
+# -- kernel_basis: GF(p) row selection, exact result ----------------------------
+
+
+def exact_kernel(rows, ncols):
+    """The kernel read off the rref of all rows: kernel_basis without row selection."""
+    reduced = rref(rows)
+    pivots = {col for col, _ in reduced}
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            vec = {free: ONE}
+            for col, row in reduced:
+                if free in row:
+                    vec[col] = -row[free]
+            basis.append(vec)
+    return basis
+
+
+def rand_rational(rng):
+    # a genuinely rational value: the denominator has two terms
+    return RatFunc((rng.randint(-3, 3), rng.randint(-2, 2)), (rng.randint(1, 3), rng.choice((-1, 1))))
+
+
+def redundant_system(rng, ncols, rank, nrows):
+    """nrows sparse rows spanning at most `rank` dimensions, with rational entries."""
+    basis = [{c: rand_rational(rng) for c in rng.sample(range(ncols), 3)} for _ in range(rank)]
+    rows = [dict(b) for b in basis]
+    while len(rows) < nrows:
+        row: dict = {}
+        for b in rng.sample(basis, min(2, rank)):
+            coef = rand_rational(rng)
+            for c, v in b.items():
+                row[c] = row.get(c, ZERO) + coef * v
+        rows.insert(rng.randrange(len(rows) + 1), row)
+    return rows
+
+
+def counting_rref(monkeypatch):
+    calls = []
+    real = superlinalg.rref
+
+    def counting(rows):
+        out = real(rows)
+        calls.append((len(rows), len(out)))
+        return out
+
+    monkeypatch.setattr(superlinalg, "rref", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kernel_basis_equals_exact_kernel_on_redundant_rows(seed, monkeypatch):
+    rng = random.Random(seed)
+    ncols = rng.randint(4, 8)
+    rows = redundant_system(rng, ncols, rng.randint(1, ncols - 1), rng.randint(2 * ncols, 3 * ncols))
+    expected = exact_kernel([dict(r) for r in rows], ncols)
+    calls = counting_rref(monkeypatch)
+    assert kernel_basis(rows, ncols) == expected
+    (received, rank), = calls  # one elimination, on a row basis only
+    assert received == rank == ncols - len(expected) < len(rows)
+
+
+def test_kernel_basis_falls_back_when_the_point_merges_rows(monkeypatch):
+    # at q = 5 the two rows coincide mod p, though they are independent over Q(q)
+    f = RatFunc((-20, 0, 1), (-4, 1))  # (q^2 - 20) / (q - 4), which is 5 at q = 5
+    rows = [{0: ONE, 1: Q}, {0: ONE, 1: f}]
+    monkeypatch.setattr(superlinalg, "sample_mod_p", lambda rng, values: (5, {v: v.mod_p(5) for v in values}))
+    calls = counting_rref(monkeypatch)
+    assert kernel_basis([dict(r) for r in rows], 3) == exact_kernel(rows, 3) == [{2: ONE}]
+    assert calls == [(1, 1), (2, 2)]  # the kept row alone, then the fallback on all rows
+
+
+def test_echelon_and_kernel_over_gf_p():
+    ech = Echelon(track=True)
+    assert ech.insert({0: ModP(1)}) and ech.insert({0: ModP(3), 1: ModP(2)})
+    res, combo = ech.reduce({0: ModP(5), 1: ModP(4)})
+    assert not res and {j: -c for j, c in combo.items()} == {0: ModP(-1), 1: ModP(2)}
+    assert kernel_basis([{0: ModP(1), 1: ModP(2)}], 2) == [{1: ModP(1), 0: ModP(-2)}]
+    assert all(isinstance(v, ModP) for vec in kernel_basis([{1: ModP(3)}], 3) for v in vec.values())
+
+
+def reference_commutant(ops):
+    """graded_commutant without weight blocks or row selection: every unknown, every row."""
+    space = ops[0].dom
+    labels, par = space.labels, space.parity
+    out = []
+    for p in (0, 1):
+        pairs = [(r, c) for r in labels for c in labels if (par[r] + par[c]) & 1 == p]
+        vindex = {rc: i for i, rc in enumerate(pairs)}
+        rows = []
+        for a in ops:
+            rows.extend(_sylvester_rows(a, a, labels, labels, vindex, -1 if (p and a.par) else 1))
+        out.extend(SOp(space, space, p, {pairs[i]: v for i, v in flat.items()}) for flat in exact_kernel(rows, len(pairs)))
+    return out
+
+
+def test_weight_block_commutant_matches_the_full_system():
+    rng = random.Random(4)
+    W = tensor_space(V1, 2)
+    # diagonal generators that tell some labels apart and leave others tied
+    d1 = SOp(W, W, 0, {(lab, lab): Q if lab[0] > 0 else ONE for lab in W.labels})
+    d2 = SOp(W, W, 0, {((1, 1), (1, 1)): Q, ((-1, -1), (-1, -1)): Q})
+    for ops in ([d1], [d1, rand_op(rng, W, 1)], [d1, d2, rand_op(rng, W, 0)], [rand_op(rng, W, 0)]):
+        assert graded_commutant(ops) == reference_commutant(ops)
+
+
+def census_top_block():
+    """The generators on the dim-12 submodule of V^{(x)3}, rank 2, at weight (3, 0)."""
+    rep = tensor_rep(vector_rep(2), 3)
+    seed = next(v for v in highest_weight_vectors(rep, (3, 0)) if all(rep.space.parity[x] == 0 for x in v))
+    sub = SubmoduleRep(rep, generate_submodule(rep, [seed]))
+    assert sub.space.dim == 12
+    return list(sub.as_queer_rep().gen.values())
+
+
+def test_exact_elimination_sees_only_a_row_basis(monkeypatch):
+    # work guard: the redundant rows of a commutant system never reach exact rref
+    ops = census_top_block()
+    space = ops[0].dom
+    labels, par = space.labels, space.parity
+    calls = counting_rref(monkeypatch)
+    for p in (0, 1):
+        pairs = [(r, c) for r in labels for c in labels if (par[r] + par[c]) & 1 == p]
+        vindex = {rc: i for i, rc in enumerate(pairs)}
+        rows = [r for a in ops for r in _sylvester_rows(a, a, labels, labels, vindex, -1 if (p and a.par) else 1) if r]
+        assert (len(rows), len(pairs)) == (625, 72)
+        assert len(kernel_basis(rows, len(pairs))) == 1
+    assert calls == [(71, 71), (71, 71)]
+    # graded_commutant numbers only the weight-block unknowns, and eliminates a row basis of those
+    calls.clear()
+    comm = graded_commutant(ops)
+    assert sorted(X.par for X in comm) == [0, 1]  # type Q: one even and one odd endomorphism
+    assert len(calls) == 2 and all(received == rank for received, rank in calls)

@@ -34,6 +34,7 @@ from .superlinalg import (
     operator_algebra_span,
     rref,
     supercommutator,
+    supercommutes,
 )
 from .uq_queer import (
     PARAM_Q,
@@ -301,9 +302,8 @@ def sergeev_verify(
                 for c, image in draws
             ]
     for tag, xs, hs in runs:
-        diffs = (supercommutator(x, h) for x in xs for h in hs)
-        bad = next((d for d in diffs if not d.is_zero()), None)
-        witness = None if bad is None else repr(next(iter(bad.entries))[1])
+        bad = next(((x, h) for x in xs for h in hs if not supercommutes(x, h)), None)
+        witness = None if bad is None else repr(next(iter(supercommutator(*bad).entries))[1])
         report.add(f"{tag}supercommutation", bad is None, witness=witness)
 
     if centralizer:
@@ -314,7 +314,7 @@ def sergeev_verify(
         report.add("hc_image_dim_equals_commutant", hc_ech.dim == len(comm))
         inside = all(hc_ech.contains(_op_key(X)) for X in comm)
         report.add("commutant_inside_hc_span", inside)
-        cross = all(supercommutator(X, g).is_zero() for X in hc_basis for g in queer_gens)
+        cross = all(supercommutes(X, g) for X in hc_basis for g in queer_gens)
         report.add("hc_span_supercommutes", cross)
 
         queer_ech, _ = operator_algebra_span(queer_gens)
@@ -661,9 +661,7 @@ def classical_crosscheck(n: int, m: int) -> VerifyReport:
     cliff_ok = all(hc1.c(b) == hc.c(b) for b in range(1, m + 1))
     report.add("clifford_constant", cliff_ok)
 
-    comm_ok = all(
-        supercommutator(x, h).is_zero() for x in cl.values() for h in hc1.generators()
-    )
+    comm_ok = all(supercommutes(x, h) for x in cl.values() for h in hc1.generators())
     report.add("classical_supercommutation", comm_ok)
 
     # the FRT relations at q = 1

@@ -194,6 +194,9 @@ def zero_weight_hc(rep) -> HCAction:
 def hc_check(action: HCAction, qq=None) -> VerifyReport:
     """Verify relation families hc1..hc7 exactly; failures carry a witness word.
 
+    Each relation compares its two sides entry by entry (hc1 against zero); the
+    difference is built only for the witness of a failing instance.
+
     ``qq`` is the value of q' in hc1, by default q or q^{-1} per the parameter
     flag; the classical cross-check passes 1 for an action specialized at q = 1.
     """
@@ -205,24 +208,25 @@ def hc_check(action: HCAction, qq=None) -> VerifyReport:
     )
     ident = SOp.identity(action.space, qq ** 0)  # over the field of qq: Q(q), or GF(p) at a point
 
-    def check(name: str, diff: SOp, ctx):
-        if diff.is_zero():
+    def check(name: str, lhs: SOp, rhs: SOp, ctx):
+        if lhs == rhs:
             report.add(name, True)
         else:
+            diff = lhs - rhs
             wit = {"instance": ctx, "basis_vector": repr(next(iter(diff.entries))[1])}
             report.add(name, False, witness=wit)
 
     for a in range(1, m):
         T = action.t(a)
-        lhs = (T - ident.scale(qq)) @ (T + ident.scale(qq.inverse()))
-        check("hc1", lhs, {"a": a})
+        lhs = (T + ident.scale(-qq)) @ (T + ident.scale(qq.inverse()))
+        check("hc1", lhs, SOp.zero(action.space), {"a": a})
     for a in range(1, m - 1):
         lhs = action.t(a) @ action.t(a + 1) @ action.t(a)
         rhs = action.t(a + 1) @ action.t(a) @ action.t(a + 1)
-        check("hc2", lhs - rhs, {"a": a})
+        check("hc2", lhs, rhs, {"a": a})
     for a in range(1, m):
         for b in range(a + 2, m):
-            check("hc3", action.t(a) @ action.t(b) - action.t(b) @ action.t(a), {"a": a, "b": b})
+            check("hc3", action.t(a) @ action.t(b), action.t(b) @ action.t(a), {"a": a, "b": b})
     # the Clifford square: one uniform sign across all generators
     eps = None
     sq = action.c(1) @ action.c(1)
@@ -232,22 +236,18 @@ def hc_check(action: HCAction, qq=None) -> VerifyReport:
         eps = -1
     report.derive("clifford_square", eps)
     if eps is None:
-        check("hc4", sq - ident, {"b": 1})
+        check("hc4", sq, ident, {"b": 1})
     else:
         for b in range(1, m + 1):
-            check("hc4", action.c(b) @ action.c(b) - ident.scale(eps), {"b": b, "eps": eps})
+            check("hc4", action.c(b) @ action.c(b), ident.scale(eps), {"b": b, "eps": eps})
     for a in range(1, m + 1):
         for b in range(a + 1, m + 1):
-            check(
-                "hc5",
-                action.c(a) @ action.c(b) + action.c(b) @ action.c(a),
-                {"a": a, "b": b},
-            )
+            check("hc5", action.c(a) @ action.c(b), -(action.c(b) @ action.c(a)), {"a": a, "b": b})
     for a in range(1, m):
-        check("hc6", action.t(a) @ action.c(a) - action.c(a + 1) @ action.t(a), {"a": a})
+        check("hc6", action.t(a) @ action.c(a), action.c(a + 1) @ action.t(a), {"a": a})
     for a in range(1, m):
         for b in range(1, m + 1):
             if b in (a, a + 1):
                 continue
-            check("hc7", action.t(a) @ action.c(b) - action.c(b) @ action.t(a), {"a": a, "b": b})
+            check("hc7", action.t(a) @ action.c(b), action.c(b) @ action.t(a), {"a": a, "b": b})
     return report.finish()

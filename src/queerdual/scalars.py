@@ -6,7 +6,8 @@ on the canonical form, and specialization at a rational point (q = 1 for the
 classical limit) returns an exact ``Fraction``.  When both denominators are single
 terms c*q^t (Laurent values, as almost every structure constant is), products,
 sums and reductions skip the polynomial gcd: only a power of q and an integer
-content can cancel against such a denominator.
+content can cancel against such a denominator.  A product with a factor of
+exactly +-1 costs nothing: it returns the other factor, or its negation.
 
 The probabilistic checks work in the prime field GF(p), p = 2^61 - 1 (``ModP``):
 ``RatFunc.mod_p`` maps a value to GF(p) at a point q = c, and ``identity_bound``
@@ -301,6 +302,10 @@ class RatFunc:
             return NotImplemented
         if not self.num or not other.num:
             return ZERO
+        if self.den == (1,) and self.num in _UNITS:
+            return other if self.num[0] == 1 else -other
+        if other.den == (1,) and other.num in _UNITS:
+            return self if other.num[0] == 1 else -self
         m1, m2 = _pmonomial(self.den), _pmonomial(other.den)
         if m1 and m2:
             num = _pmul(self.num, other.num)
@@ -420,6 +425,9 @@ class RatFunc:
     def to_string(self) -> str:
         """Text form "(<numerator>)/(<denominator>)", descending powers of q."""
         return f"({_pformat(self.num)})/({_pformat(self.den)})"
+
+
+_UNITS = ((1,), (-1,))  # the numerators of +-1 over the denominator (1,)
 
 
 def _coerce(x):

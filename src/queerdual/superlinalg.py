@@ -162,6 +162,10 @@ class SOp:
     def scale(self, s) -> "SOp":
         if s == 0:
             return SOp.zero(self.dom, self.cod, self.par)
+        if s == 1:  # SOps are never mutated, so sharing self is safe
+            return self
+        if s == -1:
+            return -self
         return SOp(self.dom, self.cod, self.par, {k: s * v for k, v in self.entries.items()}, validate=False)
 
     def __rmul__(self, s):
@@ -283,6 +287,12 @@ def supercommutator(A: SOp, B: SOp) -> SOp:
     return ab - ba
 
 
+def supercommutes(A: SOp, B: SOp) -> bool:
+    """Whether A B = (-1)^{|A||B|} B A, compared side by side (no sum is built)."""
+    ba = B @ A
+    return A @ B == (-ba if A.par and B.par else ba)
+
+
 # ---------------------------------------------------------------------------
 # exact elimination
 # ---------------------------------------------------------------------------
@@ -311,20 +321,25 @@ class Echelon:
         self.track = track
         self.combos: list[dict] = []
         self.n_inserted = 0
+        # pivot -> (row, combo): the dicts in rows/combos, which back-substitution updates in place
+        self._by_pivot: dict[int, tuple[dict, dict | None]] = {}
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def _reduce(self, vec: dict, combo: dict | None):
+        # rows are fully reduced: subtracting one leaves vec unchanged at every other
+        # pivot, so only the pivots in vec's support fire, each with vec's coefficient
         vec = dict(vec)
-        for idx, (pivot, row) in enumerate(self.rows):
-            c = vec.get(pivot)
-            if c is None or c.is_zero():
+        for pivot in sorted(vec.keys() & self._by_pivot):
+            c = vec[pivot]
+            if c.is_zero():
                 continue
+            row, row_combo = self._by_pivot[pivot]
             _sub_multiple(vec, c, row)
             if combo is not None:
-                _sub_multiple(combo, c, self.combos[idx])
+                _sub_multiple(combo, c, row_combo)
         return {k: v for k, v in vec.items() if not v.is_zero()}, combo
 
     def reduce(self, vec: dict):
@@ -361,6 +376,7 @@ class Echelon:
         self.rows.insert(at, (pivot, row))
         if self.track:
             self.combos.insert(at, combo)
+        self._by_pivot[pivot] = (row, combo)
         return True
 
     def contains(self, vec: dict) -> bool:

@@ -271,8 +271,8 @@ def _quadratic_witness(G, pairs, qq, xi):
     for (i, j) in pairs:
         for (k, l) in pairs:
             lhs, rhs = _relation_sides(G, i, j, k, l, qq, xi, prod_cache)
-            diff = lhs - rhs
-            if not diff.is_zero():
+            if lhs != rhs:
+                diff = lhs - rhs
                 return {"instance": (i, j, k, l), "basis_vector": repr(next(iter(diff.entries))[1])}
     return None
 
@@ -303,12 +303,15 @@ def check_defining_relations(
 ) -> VerifyReport:
     """Verify every unit relation and every expanded quadratic relation instance.
 
+    Each instance compares its two sides entry by entry; lhs - rhs is built
+    only for the witness of a failing instance.
+
     Exact mode works in Q(q).  Probabilistic mode runs the same checks in the
     prime field GF(p), p = 2^61 - 1, once per trial: it draws c uniformly
     from [2, p) with the seeded RNG (redrawing at poles), maps every generator
-    entry and q, xi to GF(p) at q = c, and compares against an identity built
-    there.  A relation that fails in Q(q) passes all trials with probability
-    at most false_match_bound = (D / (p - E))^trials, where D (degree_bound)
+    entry and q, xi to GF(p) at q = c, and compares the two sides there.  A
+    relation that fails in Q(q) passes all trials with probability at most
+    false_match_bound = (D / (p - E))^trials, where D (degree_bound)
     bounds the numerator degree of any lhs - rhs and E (excluded_points)
     counts the points the sample leaves out; both come from the measured
     degrees of the entries (``scalars.identity_bound`` has the proof).  When

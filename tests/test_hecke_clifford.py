@@ -47,6 +47,20 @@ def test_planted_defect():
     assert wit.witness is not None
 
 
+def test_passing_hc_check_builds_no_difference(sop_sub_calls):
+    # each relation compares its two sides; the difference is built only for a witness
+    assert hc_check(hc_tensor_action(2, 3)).ok
+    assert sop_sub_calls == []
+
+
+def test_hc_witnesses_are_pinned():
+    bad = hc_tensor_action(2, 2)
+    bad.c_ops[0] = bad.c_ops[0].scale(Q)
+    bad.t_ops[0] = bad.t_ops[0].scale(Q)
+    fails = [(c.name, c.witness["basis_vector"]) for c in hc_check(bad).failures()]
+    assert fails == [("hc1", "(-2, -2)"), ("hc4", "(-2, -2)"), ("hc6", "(-2, -2)")]
+
+
 def test_supercommutation_with_queer_action():
     for (n, m) in [(1, 2), (2, 2), (2, 3)]:
         rep = tensor_rep(vector_rep(n), m)

@@ -301,6 +301,25 @@ def test_laurent_fast_path_against_sympy(pair):
         assert sympy.gcd(poly(got.num), poly(got.den)) == 1 and got.den[-1] > 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, -1]),
+    st.one_of(_laurent(), st.builds(RatFunc, _polys, _polys.filter(any))),
+)
+@example(1, RatFunc((1, 1), (2, 1)))
+@example(-1, RatFunc((0, -3), (0, 0, 2)))
+def test_unit_factor_shortcut_matches_general_path(s, a):
+    # a factor of exactly +-1 returns the other factor or its negation, as the
+    # Laurent or gcd path would
+    unit = RatFunc(s)
+    got = [(x.num, x.den) for x in (unit * a, a * unit, a * s, s * a)]
+    with mock.patch.object(scalars, "_UNITS", ()):
+        want = [(x.num, x.den) for x in (unit * a, a * unit, a * s, s * a)]
+    assert got == want
+    if s == 1 and a:
+        assert unit * a is a  # the shortcut, not the general path, gave it
+
+
 def test_laurent_examples():
     half_q = RatFunc(1, (0, 2))
     assert (half_q * (2 * Q)).is_one()

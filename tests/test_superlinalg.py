@@ -214,6 +214,17 @@ def test_scale_keeps_ints_as_ints():
     assert op.scale(0) == op.scale(ZERO) and op.scale(0).is_zero()
 
 
+def test_scale_by_plus_minus_one():
+    rng = random.Random(5)
+    op = rand_op(rng, V2, 1)
+    gf = op.map(lambda v: v.mod_p(12345))
+    for x, one in ((op, ONE), (gf, ModP(1))):
+        for s in (1, one):
+            assert x.scale(s) is x
+        for s in (-1, -one):
+            assert x.scale(s) == -x
+
+
 # -- kernel_basis: GF(p) row selection, exact result ----------------------------
 
 
@@ -284,6 +295,38 @@ def test_kernel_basis_falls_back_when_the_point_merges_rows(monkeypatch):
     calls = counting_rref(monkeypatch)
     assert kernel_basis([dict(r) for r in rows], 3) == exact_kernel(rows, 3) == [{2: ONE}]
     assert calls == [(1, 1), (2, 2)]  # the kept row alone, then the fallback on all rows
+
+
+class ScanningEchelon(Echelon):
+    """Echelon with the reduction that scans every stored row, in pivot order."""
+
+    def _reduce(self, vec, combo):
+        vec = dict(vec)
+        for idx, (pivot, row) in enumerate(self.rows):
+            c = vec.get(pivot)
+            if c is None or c.is_zero():
+                continue
+            superlinalg._sub_multiple(vec, c, row)
+            if combo is not None:
+                superlinalg._sub_multiple(combo, c, self.combos[idx])
+        return {k: v for k, v in vec.items() if not v.is_zero()}, combo
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_echelon_pivot_map_matches_scanning_reduction(seed):
+    rng = random.Random(100 + seed)
+    ncols = rng.randint(4, 8)
+    rows = redundant_system(rng, ncols, rng.randint(1, ncols - 1), rng.randint(ncols, 2 * ncols))
+    ech, scan = Echelon(track=True), ScanningEchelon(track=True)
+    for r in rows:
+        probe = {c: rand_rational(rng) for c in rng.sample(range(ncols), 3)}
+        for vec in (r, probe):
+            res, combo = ech.reduce(vec)
+            want_res, want_combo = scan.reduce(vec)
+            assert list(res.items()) == list(want_res.items())
+            assert list(combo.items()) == list(want_combo.items())
+        assert ech.insert(r) == scan.insert(r)
+        assert ech.rows == scan.rows and ech.combos == scan.combos
 
 
 def test_echelon_and_kernel_over_gf_p():

@@ -226,6 +226,22 @@ def test_relations_exact_does_no_polynomial_gcds(monkeypatch):
     assert calls == []
 
 
+def test_passing_relation_check_builds_no_difference(sop_sub_calls):
+    # each instance compares its two sides; lhs - rhs is built only for a witness
+    assert check_defining_relations(tensor_rep(vector_rep(2), 3)).ok
+    assert sop_sub_calls == []
+
+
+def test_relation_witness_is_pinned():
+    rep = tensor_rep(vector_rep(2), 2)
+    bad = dict(rep.gen)
+    bad[(1, 2)] = bad[(1, 2)].scale(Q)
+    report = check_defining_relations(QueerRep(rep.spec, rep.space, bad))
+    (fail,) = report.failures()
+    assert fail.name == "quadratic_relations"
+    assert fail.witness == {"instance": (-2, -1, 1, 2), "basis_vector": "(-1, 1)"}
+
+
 def test_comultiplication_sign_collapse():
     # the comultiplication sign (-1)^{(|i|+|k|)(|k|+|j|)} is +1 for every
     # admissible i <= k <= j: verified structurally over ranks 1..4

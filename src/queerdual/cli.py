@@ -67,9 +67,7 @@ def suite_hc(cfg) -> VerifyReport:
 
 def suite_sergeev(cfg) -> VerifyReport:
     centralizer = (2 * cfg.n) ** cfg.m <= 16
-    return sergeev_verify(
-        cfg.n, cfg.m, mode=cfg.mode, centralizer=centralizer, trials=cfg.trials, seed=cfg.seed
-    )
+    return sergeev_verify(cfg.n, cfg.m, centralizer=centralizer)
 
 
 def suite_howe(cfg) -> VerifyReport:
@@ -207,6 +205,8 @@ def validate(cfg) -> None:
         raise InvalidConfig(f"unknown param {cfg.param!r}")
     if cfg.mode == "prob" and cfg.trials < 1:
         raise InvalidConfig("probabilistic mode requires trials >= 1")
+    if cfg.mode == "prob" and not cfg.all and cfg.suite not in (None, "relations"):
+        raise InvalidConfig(f"--mode prob applies to the relations suite only, not {cfg.suite!r}")
     if cfg.write_expectations and not cfg.all:
         raise InvalidConfig("--write-expectations requires --all")
     for path in (cfg.report, cfg.write_expectations):
@@ -229,9 +229,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--m", type=int, default=2, help="column-side rank / tensor power (default 2)")
     parser.add_argument("--degree", type=int, default=2, help="degree bound for the Howe census")
     parser.add_argument("--param", choices=[PARAM_Q, PARAM_QINV], default=PARAM_Q)
-    parser.add_argument("--mode", choices=["exact", "prob"], default="exact")
-    parser.add_argument("--trials", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--mode", choices=["exact", "prob"], default="exact",
+        help="relations suite: exact, or GF(p) trials at seeded points",
+    )
+    parser.add_argument("--trials", type=int, default=5, help="with --mode prob: trial points")
+    parser.add_argument("--seed", type=int, default=0, help="with --mode prob: seed of the trial points")
     parser.add_argument("--report", metavar="PATH", help="write the JSON report here")
     parser.add_argument("--all", action="store_true", help="run the full desk-scale battery")
     parser.add_argument(

@@ -20,18 +20,19 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .report import VerifyReport
-from .scalars import ONE, QINV, RatFunc, Q, ZERO, identity_bound
+from .scalars import ONE, QINV, RatFunc, Q, ZERO
 from .superlinalg import (
+    CertifiedSpan,
     Echelon,
     SOp,
     SuperSpace,
     _op_key,
     _sylvester_rows,
+    certified_span,
     flatten_vector,
     graded_commutant,
     index_parity,
     kernel_basis,
-    operator_algebra_span,
     rref,
     supercommutator,
     supercommutes,
@@ -41,7 +42,6 @@ from .uq_queer import (
     AlgebraSpec,
     QueerRep,
     _block_kernel,
-    _prob_trials,
     _quadratic_witness,
     _span_closure,
     chevalley_ops,
@@ -265,23 +265,21 @@ def isotypic_census(n: int, m: int, rep: QueerRep | None = None):
 # Sergeev-Olshanski duality
 # ---------------------------------------------------------------------------
 
-def sergeev_verify(
-    n: int, m: int, mode: str = "exact", centralizer: bool = True, trials: int = 5, seed: int = 0
-) -> VerifyReport:
+def sergeev_verify(n: int, m: int, centralizer: bool = True) -> VerifyReport:
     """Mutual-centralizer check on V^{(x)m}: supercommutation, span of the
     Hecke-Clifford words against the graded commutant of the queer image (both
     inclusions), the bicommutant sanity check, and census consistency.
 
-    Probabilistic mode runs the supercommutation stage in GF(p), p = 2^61 - 1,
-    the way ``check_defining_relations`` does: per trial, every Chevalley and
-    Hecke-Clifford entry is mapped to GF(p) at a seeded uniform point, and the
-    report records the trial points, the degree bound and false_match_bound
-    (falling back to exact arithmetic when the bound is not sound).  The span
-    and commutant dimensions are always computed exactly.  ``centralizer=False``
-    skips the commutant solves (they scale with dim^4 and are reserved for the
-    small configurations).
+    Each span is certified against the other family's commutant
+    (``certified_span``): when its GF(p) bounds meet, the span is the whole
+    commutant, so the dimensions agree and the commutant lies in the span by
+    the certificate, and the exact commutant solve and membership scan are
+    skipped.  Otherwise both run exactly.  The report names the path of each
+    pair.  ``centralizer=False`` skips the span and commutant stage (it scales
+    with dim^4 and is reserved for the small configurations).
     """
-    report = VerifyReport("sergeev", {"n": n, "m": m, "mode": mode, "centralizer": centralizer})
+    # the dimensions are exact on either path; "mode" stays for the report schema
+    report = VerifyReport("sergeev", {"n": n, "m": m, "mode": "exact", "centralizer": centralizer})
     rep = tensor_rep(vector_rep(n, PARAM_Q), m)
     hc = hc_tensor_action(n, m, PARAM_Q)
     ch = rep.chevalley()
@@ -289,46 +287,47 @@ def sergeev_verify(
     queer_gens = list(rep.gen.values())
     hc_gens = hc.generators()
 
-    runs = [("", list(ch.values()), hc_gens)]
-    if mode == "prob":
-        values = {v for op in (*ch.values(), *hc_gens) for v in op.entries.values()}
-        # each supercommutator entry: at most 2 * dim products of two entries
-        bound = identity_bound(values, factors=2, terms=2 * rep.space.dim)
-        draws = _prob_trials(report, values, bound, trials, seed)
-        if draws is not None:
-            runs = [
-                (f"@q={c}:", [x.map(image.__getitem__) for x in ch.values()],
-                 [h.map(image.__getitem__) for h in hc_gens])
-                for c, image in draws
-            ]
-    for tag, xs, hs in runs:
-        bad = next(((x, h) for x in xs for h in hs if not supercommutes(x, h)), None)
-        witness = None if bad is None else repr(next(iter(supercommutator(*bad).entries))[1])
-        report.add(f"{tag}supercommutation", bad is None, witness=witness)
+    bad = next(((x, h) for x in ch.values() for h in hc_gens if not supercommutes(x, h)), None)
+    witness = None if bad is None else repr(next(iter(supercommutator(*bad).entries))[1])
+    report.add("supercommutation", bad is None, witness=witness)
 
     if centralizer:
-        hc_ech, hc_basis = operator_algebra_span(hc_gens)
-        comm = graded_commutant(queer_gens)
-        report.derive("hc_image_dim", hc_ech.dim)
-        report.derive("queer_commutant_dim", len(comm))
-        report.add("hc_image_dim_equals_commutant", hc_ech.dim == len(comm))
-        inside = all(hc_ech.contains(_op_key(X)) for X in comm)
-        report.add("commutant_inside_hc_span", inside)
-        cross = all(supercommutes(X, g) for X in hc_basis for g in queer_gens)
+        hc_span = certified_span(hc_gens, queer_gens)
+        _centralizer_pair(
+            report, hc_span, queer_gens, "hc_image", "queer_commutant",
+            "hc_image_dim_equals_commutant", "commutant_inside_hc_span",
+        )
+        cross = all(supercommutes(X, g) for X in hc_span.basis for g in queer_gens)
         report.add("hc_span_supercommutes", cross)
-
-        queer_ech, _ = operator_algebra_span(queer_gens)
-        comm2 = graded_commutant(hc_gens)
-        report.derive("queer_image_dim", queer_ech.dim)
-        report.derive("hc_commutant_dim", len(comm2))
-        report.add("queer_image_dim_equals_hc_commutant", queer_ech.dim == len(comm2))
-        report.add("queer_image_inside_bicommutant", all(queer_ech.contains(_op_key(X)) for X in comm2))
+        _centralizer_pair(
+            report, certified_span(queer_gens, hc_gens), hc_gens, "queer_image", "hc_commutant",
+            "queer_image_dim_equals_hc_commutant", "queer_image_inside_bicommutant",
+        )
 
     census, census_rep = isotypic_census(n, m, rep)
     report.extend(census_rep, prefix="census:")
     mults = [e.copies for e in census.entries.values()]
     report.derive("block_copies", mults)
     return report.finish()
+
+
+def _centralizer_pair(
+    report: VerifyReport, span: CertifiedSpan, partners: list[SOp], image: str, commutant: str,
+    equals: str, inside: str,
+) -> None:
+    """Record a span against the graded commutant of partners: the two dimensions,
+    the path that certified them, their equality and the commutant's inclusion."""
+    if span.certified_by == "gf_p":  # the span is the whole commutant
+        comm_dim, comm_inside = span.dim, True
+    else:
+        comm = graded_commutant(partners)
+        comm_dim, comm_inside = len(comm), all(span.echelon.contains(_op_key(X)) for X in comm)
+    path = {"certified_by": span.certified_by}
+    report.derive(f"{image}_dim", span.dim)
+    report.derive(f"{commutant}_dim", comm_dim)
+    report.derive(f"{image}_certified_by", span.certified_by)
+    report.add(equals, span.dim == comm_dim, value=path)
+    report.add(inside, comm_inside, value=path)
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,20 @@ sparse matrices.  Tensor products follow the Koszul sign rule
     (A (x) B)(u (x) w) = (-1)^{|B||u|} A(u) (x) B(w).
 
 All results are exact; pivot rows are chosen by minimal polynomial degree then
-label order, so every result is deterministic for a fixed basis order.  GF(p) only
-chooses rows: ``kernel_basis`` maps its system to GF(p) at one point, eliminates
-exactly over a row basis picked there, and checks every dropped row exactly
-against the kernel it found, falling back to all rows when one does not vanish.
+label order, so every result is deterministic for a fixed basis order.  GF(p)
+only chooses, at one point, and an exact argument or check proves each choice:
+``kernel_basis`` eliminates exactly over a row basis picked in GF(p) and checks
+every dropped row exactly against the kernel it found, falling back to all rows
+when one does not vanish; ``certified_span`` picks the words of an operator
+span in GF(p) and certifies their number against the GF(p) nullity of a
+commutant that must contain the span, falling back to exact elimination when
+the two bounds differ.  The elimination routines run unchanged over GF(p).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .scalars import ONE, ZERO, RatFunc, sample_mod_p
 
@@ -556,19 +560,23 @@ def _sylvester_rows(A: SOp, B: SOp, row_labels, col_labels, vindex: dict, sign: 
             i = vindex.get((r, k))
             if i is not None:
                 row = by_rc.setdefault((r, c), {})
-                row[i] = row.get(i, ZERO) + v
+                s = row.get(i)
+                row[i] = v if s is None else s + v
     # -sign (A X)[r,c] = -sign sum_k A[r,k] X[k,c]
     for (r, k), v in A.entries.items():
+        w = v if sign < 0 else -v
         for c in col_labels:
             i = vindex.get((k, c))
             if i is not None:
                 row = by_rc.setdefault((r, c), {})
-                row[i] = row.get(i, ZERO) + (v if sign < 0 else -v)
+                s = row.get(i)
+                row[i] = w if s is None else s + w
     return [{i: v for i, v in row.items() if not v.is_zero()} for row in by_rc.values()]
 
 
-def graded_commutant(ops: list[SOp]) -> list[SOp]:
-    """Basis of all X with X a = (-1)^{|X||a|} a X for every a in ops, split by parity."""
+def _commutant_systems(ops: list[SOp]) -> list[tuple[int, list, list[dict]]]:
+    """Per parity p: (p, the numbered unknowns X[r, c], the constraint rows) of
+    X a = (-1)^{|X||a|} a X for every a in ops."""
     if not ops:
         raise ValueError("need at least one operator")
     space = ops[0].dom
@@ -583,7 +591,7 @@ def graded_commutant(ops: list[SOp]) -> list[SOp]:
     for a in ops:
         (diagonal if not a.par and all(r == c for r, c in a.entries) else others).append(a)
     weight = {lab: tuple(d.entries.get((lab, lab)) for d in diagonal) for lab in labels}
-    out: list[SOp] = []
+    systems = []
     for p in (0, 1):
         pairs = [
             (r, c) for r in labels for c in labels
@@ -593,35 +601,106 @@ def graded_commutant(ops: list[SOp]) -> list[SOp]:
         rows = []
         for a in others:
             rows.extend(_sylvester_rows(a, a, labels, labels, vindex, -1 if (p and a.par) else 1))
+        systems.append((p, pairs, rows))
+    return systems
+
+
+def graded_commutant(ops: list[SOp]) -> list[SOp]:
+    """Basis of all X with X a = (-1)^{|X||a|} a X for every a in ops, split by parity."""
+    systems = _commutant_systems(ops)
+    space = ops[0].dom
+    out: list[SOp] = []
+    for p, pairs, rows in systems:
         for flat in kernel_basis(rows, len(pairs)):
             entries = {pairs[i]: v for i, v in flat.items()}
             out.append(SOp(space, space, p, entries, validate=False))
     return out
 
 
-def operator_algebra_span(gens: list[SOp], include_identity: bool = True):
-    """Echelon basis of the span of all words in the generators (left-multiplication
-    closure, iterated to dimension stabilization)."""
+def _closure(gens: list[SOp], include_identity: bool):
+    """Left-multiplication closure of the generator words, iterated until the span
+    stabilizes: (echelon, basis, words), where words[k] = (g, parent) records
+    basis[k] = gens[g] @ basis[parent]; parent None is the generator itself, and
+    (None, None) the identity."""
     if not gens:
         raise ValueError("need at least one generator")
-    space = gens[0].dom
     ech = Echelon()
     basis: list[SOp] = []
-    frontier: list[SOp] = []
-    seed = ([SOp.identity(space)] if include_identity else []) + list(gens)
-    for op in seed:
+    words: list[tuple] = []
+
+    def offer(op: SOp, word: tuple) -> None:
         if ech.insert(_op_key(op)):
             basis.append(op)
-            frontier.append(op)
-    while frontier:
-        new_frontier = []
-        for g in gens:
-            for b in frontier:
-                cand = g @ b
-                if cand.is_zero():
-                    continue
-                if ech.insert(_op_key(cand)):
-                    basis.append(cand)
-                    new_frontier.append(cand)
-        frontier = new_frontier
+            words.append(word)
+
+    if include_identity:  # the one of the data's field
+        one = next((v ** 0 for op in gens for v in op.entries.values()), ONE)
+        offer(SOp.identity(gens[0].dom, one), (None, None))
+    for g, op in enumerate(gens):
+        offer(op, (g, None))
+    done = 0
+    while done < len(basis):  # multiply the words kept in the last round
+        layer, done = range(done, len(basis)), len(basis)
+        for g, op in enumerate(gens):
+            for b in layer:
+                cand = op @ basis[b]
+                if not cand.is_zero():
+                    offer(cand, (g, b))
+    return ech, basis, words
+
+
+def operator_algebra_span(gens: list[SOp], include_identity: bool = True):
+    """Echelon basis of the span of all words in the generators (left-multiplication
+    closure, iterated to dimension stabilization), by exact elimination."""
+    ech, basis, _ = _closure(gens, include_identity)
     return ech, basis
+
+
+class CertifiedSpan(NamedTuple):
+    """A basis of the algebra generated by some operators and the path that found its
+    dimension: "gf_p" (matching GF(p) bounds, see ``certified_span``: the span is
+    then the whole graded commutant of the partners) or "exact" (exact
+    elimination, whose echelon form is kept for membership tests)."""
+
+    basis: list
+    certified_by: str
+    echelon: Echelon | None
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+
+def certified_span(gens: list[SOp], partners: list[SOp]) -> CertifiedSpan:
+    """The span of all words in gens (the identity included), certified against the
+    graded commutant of partners; both families have entries in Q(q).
+
+    When every generator supercommutes with every partner (checked exactly), the
+    words lie in that commutant, and at one point q = c of GF(p) with no poles
+
+        rank_p(words) <= dim span <= dim commutant <= nullity_p(commutant system):
+
+    words independent in GF(p) are independent over Q(q), and specializing the
+    commutant's constraint rows can only lower their rank.  The closure runs in
+    GF(p); when its rank equals the nullity, all four numbers are equal, and the
+    kept words, rebuilt exactly one product each, are a basis of the span.  They
+    are the words the exact closure keeps unless the point lowers the rank of
+    some intermediate family of words.  When the bounds differ (or the premise
+    fails) the closure runs by exact elimination.
+    """
+    if all(supercommutes(g, h) for g in gens for h in partners):
+        values = {v for op in (*gens, *partners) for v in op.entries.values()}
+        _, image = sample_mod_p(random.Random(0), values)
+        systems = _commutant_systems([h.map(image.__getitem__) for h in partners])
+        nullity = sum(len(pairs) - span_dim(rows)[0] for _, pairs, rows in systems)
+        _, basis_p, words = _closure([g.map(image.__getitem__) for g in gens], True)
+        if len(basis_p) == nullity:
+            basis: list[SOp] = []
+            for g, parent in words:
+                basis.append(
+                    SOp.identity(gens[0].dom) if g is None
+                    else gens[g] if parent is None else gens[g] @ basis[parent]
+                )
+            return CertifiedSpan(basis, "gf_p", None)
+    ech, basis = operator_algebra_span(gens)
+    return CertifiedSpan(basis, "exact", ech)

@@ -116,3 +116,32 @@ def laurent_of(rf) -> Laurent:
     assert len(nz) == 1, "denominator is not a monomial"
     shift, lead = nz[0], den[nz[0]]
     return Laurent({k - shift: Fraction(c, lead) for k, c in enumerate(num) if c})
+
+
+def _one_row_q(k: int, n: int) -> int:
+    """Q_(k)(1^n): the coefficient of t^k in ((1 + t) / (1 - t))^n."""
+    # (1 + t) / (1 - t) = 1 + 2t + 2t^2 + ...
+    series = [1] + [0] * k
+    for _ in range(n):
+        series = [sum(series[j] * (2 if i > j else 1) for j in range(i + 1)) for i in range(k + 1)]
+    return series[k]
+
+
+def schur_q_dim(lam: tuple, n: int) -> int:
+    """dim L_n(lam) = 2^{-floor(len(lam)/2)} Q_lam(1^n) for the rank-n queer
+    superalgebra, from integer combinatorics only: the one-row generating function
+    and, for two rows, the Pfaffian rule
+    Q_(a,b) = Q_a Q_b + 2 sum_{i=1..b} (-1)^i Q_{a+i} Q_{b-i}."""
+    lam = tuple(x for x in lam if x)
+    if len(lam) == 0:
+        return 1
+    if len(lam) == 1:
+        return _one_row_q(lam[0], n)
+    if len(lam) == 2:
+        a, b = lam
+        q = _one_row_q(a, n) * _one_row_q(b, n) + 2 * sum(
+            (-1) ** i * _one_row_q(a + i, n) * _one_row_q(b - i, n) for i in range(1, b + 1)
+        )
+        assert q % 2 == 0
+        return q // 2
+    raise NotImplementedError("Schur Q-function dimensions for at most two rows")

@@ -56,6 +56,14 @@ def test_invalid_config():
     assert main(["relations", "--mode", "prob", "--trials", "0"]) == 2
 
 
+@pytest.mark.parametrize("suite", ["sergeev", "hc"])
+def test_prob_mode_outside_relations_exits_2(suite, capsys):
+    # sergeev certifies its dimensions exactly and has no probabilistic mode
+    assert main([suite, "--n", "1", "--m", "2", "--mode", "prob"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --mode prob applies to the relations suite only, not {suite!r}\n"
+
+
 def test_unsupported_scale():
     assert main(["relations", "--n", "9"]) == 2
     assert main(["howe", "--degree", "7"]) == 2

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from queerdual import superlinalg
+from queerdual.coord_alg import operator_image_basis
 from queerdual.scalars import ONE, QINV, Q
-from queerdual.superlinalg import supercommutator
+from queerdual.superlinalg import certified_span, operator_algebra_span
 from queerdual.uq_queer import tensor_rep, vector_rep
-from queerdual.hecke_clifford import braid_operator, hc_check, zero_weight_hc
+from queerdual.hecke_clifford import braid_operator, hc_check, hc_tensor_action, zero_weight_hc
 from queerdual.duality import (
     FixtureModule,
     SubmoduleRep,
@@ -19,7 +21,7 @@ from queerdual.duality import (
     sergeev_verify,
 )
 
-from oracles import frac_rank, vectors_rows
+from oracles import frac_rank, schur_q_dim, vectors_rows
 
 
 def test_enumerate_strict_partitions():
@@ -90,13 +92,6 @@ def test_sergeev_2_3_supercommutation_only():
     assert report.ok, [c.to_dict() for c in report.failures()]
 
 
-def test_sergeev_probabilistic_mode():
-    report = sergeev_verify(2, 2, mode="prob")
-    assert report.ok
-    # span and commutant dimensions stay exact in probabilistic mode
-    assert report.derived_values["hc_image_dim"] == 8
-
-
 def _perturbed_hc(monkeypatch):
     # T_1 plus one diagonal matrix unit: no longer supercommutes with kbar
     import queerdual.duality as duality
@@ -112,30 +107,61 @@ def _perturbed_hc(monkeypatch):
     monkeypatch.setattr(duality, "hc_tensor_action", perturbed)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_sergeev_prob_rejects_planted_defect(monkeypatch, seed):
+@pytest.mark.parametrize("n,m", [(1, 2), (2, 2)])
+def test_certified_sergeev_spans_equal_the_exact_closures(n, m):
+    queer = list(tensor_rep(vector_rep(n), m).gen.values())
+    hc = hc_tensor_action(n, m).generators()
+    for gens, partners in ((hc, queer), (queer, hc)):
+        span = certified_span(gens, partners)
+        _, exact = operator_algebra_span(gens)
+        assert span.certified_by == "gf_p"
+        assert [(op.par, op.entries) for op in span.basis] == [(op.par, op.entries) for op in exact]
+    report = sergeev_verify(n, m)
+    assert report.derived_values["hc_image_certified_by"] == "gf_p"
+    assert report.derived_values["queer_image_certified_by"] == "gf_p"
+    assert [c.value for c in report.checks if c.name == "commutant_inside_hc_span"] == [{"certified_by": "gf_p"}]
+
+
+def test_sergeev_falls_back_to_exact_commutants(monkeypatch):
+    # at q = 1 the GF(p) bounds disagree: both pairs take the exact path
+    monkeypatch.setattr(superlinalg, "sample_mod_p", lambda rng, values: (1, {v: v.mod_p(1) for v in values}))
+    report = sergeev_verify(2, 2)
+    assert report.ok, [c.to_dict() for c in report.failures()]
+    assert report.derived_values["hc_image_certified_by"] == "exact"
+    assert report.derived_values["queer_image_certified_by"] == "exact"
+    for key, frozen in load_expectations()["sergeev"]["2,2"].items():
+        assert report.derived_values[key] == frozen, key
+
+
+def test_sergeev_planted_defect_never_certifies(monkeypatch):
     _perturbed_hc(monkeypatch)
-    assert not sergeev_verify(1, 2, centralizer=False).ok
-    report = sergeev_verify(1, 2, mode="prob", centralizer=False, trials=1, seed=seed)
-    point = report.derived_values["trial_points"][0]
-    assert [c.name for c in report.failures()] == [f"@q={point}:supercommutation"]
+    report = sergeev_verify(1, 2)
+    assert "supercommutation" in [c.name for c in report.failures()]
+    assert report.derived_values["hc_image_certified_by"] == "exact"
+    assert report.derived_values["queer_image_certified_by"] == "exact"
 
 
-def test_sergeev_prob_records_seed_and_bound(tmp_path):
-    import json
+def image_dim_oracle(n, l):
+    """sum over strict lam |- l with len(lam) <= n of dim L_n(lam)^2 / 2^{len(lam) mod 2}."""
+    return sum(schur_q_dim(lam, n) ** 2 // 2 ** (len(lam) % 2) for lam in enumerate_strict_partitions(l, n))
 
-    from queerdual.cli import main
 
-    a = sergeev_verify(1, 2, mode="prob", trials=2, seed=1)
-    b = sergeev_verify(1, 2, mode="prob", trials=2, seed=2)
-    assert a.ok and b.ok
-    assert a.derived_values["trial_points"] != b.derived_values["trial_points"]
-    assert 0 < Fraction(a.derived_values["false_match_bound"]) < Fraction(1, 10**24)
-    path = tmp_path / "sergeev.json"
-    assert main(["sergeev", "--n", "1", "--m", "2", "--mode", "prob", "--trials", "2",
-                 "--seed", "2", "--report", str(path)]) == 0
-    payload = json.loads(path.read_text())
-    assert payload["derived_values"]["trial_points"] == b.derived_values["trial_points"]
+def test_schur_q_dims_match_the_census():
+    assert image_dim_oracle(2, 2) == 32 == 8**2 // 2
+    assert image_dim_oracle(2, 3) == 88 == 12**2 // 2 + 4**2
+    census, _ = isotypic_census(2, 3)
+    assert {lam: e.irreducible_dim for lam, e in census.entries.items()} == {
+        pad_weight(lam, 2): schur_q_dim(lam, 2) for lam in enumerate_strict_partitions(3, 2)
+    }
+
+
+@pytest.mark.parametrize("n,l", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
+def test_certified_image_dims_match_schur_q_oracle(n, l):
+    ib = operator_image_basis(n, l)
+    assert ib.certified_by == "gf_p" and ib.dim == image_dim_oracle(n, l)
+    if l > 1:
+        report = sergeev_verify(n, l)
+        assert report.derived_values["queer_image_dim"] == ib.dim
 
 
 def test_commutant_dims_against_rank_oracle():

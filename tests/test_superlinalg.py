@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from queerdual import superlinalg
+from queerdual import coord_alg, scalars, superlinalg
+from queerdual.coord_alg import operator_image_basis
 from queerdual.duality import SubmoduleRep
-from queerdual.scalars import ONE, ModP, RatFunc, Q, ZERO
+from queerdual.hecke_clifford import hc_tensor_action
+from queerdual.scalars import ONE, ModP, RatFunc, Q, ZERO, sample_mod_p
 from queerdual.superlinalg import (
     Echelon,
     _sylvester_rows,
     SOp,
     SuperSpace,
+    certified_span,
     graded_commutant,
     graded_tensor,
     index_parity,
@@ -390,3 +393,87 @@ def test_exact_elimination_sees_only_a_row_basis(monkeypatch):
     comm = graded_commutant(ops)
     assert sorted(X.par for X in comm) == [0, 1]  # type Q: one even and one odd endomorphism
     assert len(calls) == 2 and all(received == rank for received, rank in calls)
+
+
+# ---------------------------------------------------------------------------
+# GF(p) operators and certified spans
+# ---------------------------------------------------------------------------
+
+def to_gf_p(*families):
+    """Every family's operators, their entries mapped to GF(p) at one point."""
+    values = {v for ops in families for op in ops for v in op.entries.values()}
+    _, image = sample_mod_p(random.Random(0), values)
+    return [[op.map(image.__getitem__) for op in ops] for ops in families]
+
+
+def test_commutant_and_span_over_gf_p():
+    queer = list(tensor_rep(vector_rep(2), 2).gen.values())
+    hc = hc_tensor_action(2, 2).generators()
+    queer_p, hc_p = to_gf_p(queer, hc)
+    for ops, dim in ((queer_p, 8), (hc_p, 32)):
+        comm = graded_commutant(ops)
+        assert len(comm) == dim  # the exact dimensions, reached at this point
+        assert all(isinstance(v, ModP) for X in comm for v in X.entries.values())
+        assert all(supercommutator(X, a).is_zero() for X in comm for a in ops)
+    for ops, dim in ((queer_p, 32), (hc_p, 8)):
+        ech, basis = operator_algebra_span(ops)
+        assert ech.dim == len(basis) == dim
+        assert basis[0] == SOp.identity(ops[0].dom, ModP(1))
+
+
+@pytest.fixture
+def fresh_image_basis():
+    """operator_image_basis with an empty memo, emptied again afterwards."""
+    coord_alg._image_basis.cache_clear()
+    yield operator_image_basis
+    coord_alg._image_basis.cache_clear()
+
+
+@pytest.mark.parametrize("n,l", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
+def test_certified_image_basis_equals_the_exact_closure(n, l, fresh_image_basis):
+    ib = fresh_image_basis(n, l)
+    _, exact = operator_algebra_span(list(tensor_rep(vector_rep(n), l).gen.values()))
+    assert ib.certified_by == "gf_p"
+    assert [(op.par, op.entries) for op in ib.ops] == [(op.par, op.entries) for op in exact]
+    assert fresh_image_basis(n, l) is ib  # memoized
+
+
+def test_bounds_that_disagree_fall_back_to_exact_elimination(monkeypatch, fresh_image_basis):
+    # at q = 1 the word rank drops and the commutant nullity grows: no certificate
+    monkeypatch.setattr(superlinalg, "sample_mod_p", lambda rng, values: (1, {v: v.mod_p(1) for v in values}))
+    ib = fresh_image_basis(2, 2)
+    _, exact = operator_algebra_span(list(tensor_rep(vector_rep(2), 2).gen.values()))
+    assert ib.certified_by == "exact" and ib.dim == 32
+    assert [(op.par, op.entries) for op in ib.ops] == [(op.par, op.entries) for op in exact]
+
+
+def test_failed_premise_never_certifies():
+    # D does not supercommute with the odd swap C, though span{1, D} has the
+    # dimension of C's commutant: only the premise stops a false certificate
+    C = SOp(V1, V1, 1, {((-1,), (1,)): ONE, ((1,), (-1,)): ONE})
+    D = SOp(V1, V1, 0, {((-1,), (-1,)): ONE, ((1,), (1,)): Q})
+    assert len(graded_commutant([C])) == 2 == len(operator_algebra_span([D])[1])
+    span = certified_span([D], [C])
+    assert span.certified_by == "exact" and span.dim == 2 and span.echelon.dim == 2
+    J = SOp(V1, V1, 1, {((-1,), (1,)): ONE, ((1,), (-1,)): -ONE})  # supercommutes with C
+    assert certified_span([J], [C]).certified_by == "gf_p"
+
+
+def test_certified_image_basis_does_no_exact_elimination(monkeypatch, fresh_image_basis):
+    # work guard: elimination runs in GF(p) only, and the exact rebuild multiplies
+    # Laurent polynomials, so no polynomial gcd is taken
+    exact_inserts, gcds = [], []
+    insert, pgcd = Echelon.insert, scalars._pgcd
+
+    def counting_insert(self, vec):
+        exact_inserts.extend(1 for v in vec.values() if isinstance(v, RatFunc))
+        return insert(self, vec)
+
+    def counting_pgcd(a, b):
+        gcds.append(1)
+        return pgcd(a, b)
+
+    monkeypatch.setattr(Echelon, "insert", counting_insert)
+    monkeypatch.setattr(scalars, "_pgcd", counting_pgcd)
+    assert fresh_image_basis(2, 2).dim == 32
+    assert exact_inserts == [] and gcds == []

@@ -422,8 +422,12 @@ def rref(rows: list[dict]) -> list[tuple[int, dict]]:
     return done
 
 
-def _exact_kernel(rows: list[dict], ncols: int) -> list[dict]:
-    one = next(iter(rows[0].values())) ** 0 if rows else ONE  # the one of the data's field
+def _field_one(ops: Iterable[SOp]):
+    """The one of the operators' field: Q(q) or GF(p); Q(q) when they have no entries."""
+    return next((v ** 0 for op in ops for v in op.entries.values()), ONE)
+
+
+def _exact_kernel(rows: list[dict], ncols: int, one) -> list[dict]:
     reduced = rref(rows)
     pivots = {col for col, _ in reduced}
     basis = []
@@ -475,8 +479,12 @@ def _annihilates(rows: list[dict], basis: list[dict]) -> bool:
     return True
 
 
-def kernel_basis(rows: list[dict], ncols: int) -> list[dict]:
+def kernel_basis(rows: list[dict], ncols: int, one=None) -> list[dict]:
     """Exact basis of the null space of the sparse constraint rows (columns 0..ncols-1).
+
+    The basis vectors carry ``one``, the one of the scalars' field, at their free
+    column; by default it is read off the rows, and is the one of Q(q) when there
+    are none.
 
     The basis is read off the reduced row echelon form, which the row space
     determines, so it does not depend on which spanning rows are eliminated.
@@ -484,11 +492,13 @@ def kernel_basis(rows: list[dict], ncols: int) -> list[dict]:
     kernel is then verified exactly on the dropped rows, and recomputed from all
     rows if one of them does not vanish on it.
     """
+    if one is None:
+        one = next((v ** 0 for r in rows for v in r.values()), ONE)
     rows = [r for r in ({k: v for k, v in r.items() if not v.is_zero()} for r in rows) if r]
     kept, dropped = _independent_rows(rows)
-    basis = _exact_kernel(kept, ncols)
+    basis = _exact_kernel(kept, ncols, one)
     if dropped and not _annihilates(dropped, basis):
-        basis = _exact_kernel(rows, ncols)
+        basis = _exact_kernel(rows, ncols, one)
     return basis
 
 
@@ -522,7 +532,7 @@ def joint_kernel(ops: list[SOp]) -> list[dict]:
     for op in ops[1:]:
         if op.dom != dom:
             raise ValueError("operators must share a domain")
-    out = []
+    out, one = [], _field_one(ops)
     for par in (0, 1):
         block = [lab for lab in dom.labels if dom.parity[lab] == par]
         if not block:
@@ -535,7 +545,7 @@ def joint_kernel(ops: list[SOp]) -> list[dict]:
                 if c in colpos:
                     by_row.setdefault(r, {})[colpos[c]] = v
             rows.extend(by_row.values())
-        for flat in kernel_basis(rows, len(block)):
+        for flat in kernel_basis(rows, len(block), one):
             out.append({block[k]: v for k, v in flat.items()})
     return out
 
@@ -608,10 +618,10 @@ def _commutant_systems(ops: list[SOp]) -> list[tuple[int, list, list[dict]]]:
 def graded_commutant(ops: list[SOp]) -> list[SOp]:
     """Basis of all X with X a = (-1)^{|X||a|} a X for every a in ops, split by parity."""
     systems = _commutant_systems(ops)
-    space = ops[0].dom
+    space, one = ops[0].dom, _field_one(ops)
     out: list[SOp] = []
     for p, pairs, rows in systems:
-        for flat in kernel_basis(rows, len(pairs)):
+        for flat in kernel_basis(rows, len(pairs), one):
             entries = {pairs[i]: v for i, v in flat.items()}
             out.append(SOp(space, space, p, entries, validate=False))
     return out
@@ -633,9 +643,8 @@ def _closure(gens: list[SOp], include_identity: bool):
             basis.append(op)
             words.append(word)
 
-    if include_identity:  # the one of the data's field
-        one = next((v ** 0 for op in gens for v in op.entries.values()), ONE)
-        offer(SOp.identity(gens[0].dom, one), (None, None))
+    if include_identity:
+        offer(SOp.identity(gens[0].dom, _field_one(gens)), (None, None))
     for g, op in enumerate(gens):
         offer(op, (g, None))
     done = 0
@@ -660,11 +669,19 @@ class CertifiedSpan(NamedTuple):
     """A basis of the algebra generated by some operators and the path that found its
     dimension: "gf_p" (matching GF(p) bounds, see ``certified_span``: the span is
     then the whole graded commutant of the partners) or "exact" (exact
-    elimination, whose echelon form is kept for membership tests)."""
+    elimination, whose echelon form is kept for membership tests).
+
+    ``supercommutes`` is the premise, checked exactly: every generator
+    supercommutes with every partner.  It holds exactly when every basis word
+    does: the words are homogeneous products of the generators, and the
+    supercommutant of a partner is closed under products and same-parity sums;
+    conversely a generator lies in the span, so it is a sum of same-parity basis
+    words, one of which fails with the partner it fails with."""
 
     basis: list
     certified_by: str
     echelon: Echelon | None
+    supercommutes: bool
 
     @property
     def dim(self) -> int:
@@ -688,7 +705,8 @@ def certified_span(gens: list[SOp], partners: list[SOp]) -> CertifiedSpan:
     some intermediate family of words.  When the bounds differ (or the premise
     fails) the closure runs by exact elimination.
     """
-    if all(supercommutes(g, h) for g in gens for h in partners):
+    premise = all(supercommutes(g, h) for g in gens for h in partners)
+    if premise:
         values = {v for op in (*gens, *partners) for v in op.entries.values()}
         _, image = sample_mod_p(random.Random(0), values)
         systems = _commutant_systems([h.map(image.__getitem__) for h in partners])
@@ -701,6 +719,6 @@ def certified_span(gens: list[SOp], partners: list[SOp]) -> CertifiedSpan:
                     SOp.identity(gens[0].dom) if g is None
                     else gens[g] if parent is None else gens[g] @ basis[parent]
                 )
-            return CertifiedSpan(basis, "gf_p", None)
+            return CertifiedSpan(basis, "gf_p", None, premise)
     ech, basis = operator_algebra_span(gens)
-    return CertifiedSpan(basis, "exact", ech)
+    return CertifiedSpan(basis, "exact", ech, premise)

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from queerdual import duality
 from queerdual.superlinalg import SOp
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -20,3 +21,12 @@ def sop_sub_calls(monkeypatch):
 
     monkeypatch.setattr(SOp, "__sub__", counting)
     return calls
+
+
+@pytest.fixture
+def fresh_census():
+    """isotypic_census with an empty memo, emptied again afterwards: a run under a
+    patch neither reads a census computed without it nor leaves one behind."""
+    duality._census.cache_clear()
+    yield duality.isotypic_census
+    duality._census.cache_clear()

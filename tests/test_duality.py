@@ -1,12 +1,13 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from queerdual import superlinalg
+from queerdual import cli, duality, superlinalg
 from queerdual.coord_alg import operator_image_basis
 from queerdual.scalars import ONE, QINV, Q
-from queerdual.superlinalg import certified_span, operator_algebra_span
-from queerdual.uq_queer import tensor_rep, vector_rep
+from queerdual.superlinalg import certified_span, operator_algebra_span, supercommutes
+from queerdual.uq_queer import PARAM_Q, tensor_rep, vector_rep
 from queerdual.hecke_clifford import braid_operator, hc_check, hc_tensor_action, zero_weight_hc
 from queerdual.duality import (
     FixtureModule,
@@ -63,6 +64,63 @@ def test_census_2_3_blocks():
     assert m_block.paired and m_block.detected_type == "M"
     assert m_block.submodule_dim == 8 and m_block.irreducible_dim == 4
     assert census.total_dim == 64 and census.closes
+
+
+def counting_generate_submodule(monkeypatch):
+    calls = []
+    generate = duality.generate_submodule
+
+    def counting(*args):
+        calls.append(1)
+        return generate(*args)
+
+    monkeypatch.setattr(duality, "generate_submodule", counting)
+    return calls
+
+
+def test_census_is_computed_once(monkeypatch, fresh_census):
+    calls = counting_generate_submodule(monkeypatch)
+    first, first_report = fresh_census(2, 3)
+    assert len(calls) == len(first.entries) == 2
+    again, again_report = fresh_census(2, 3)
+    assert len(calls) == 2  # no submodule generated on the second call
+    assert again == first and again is not first
+    assert again_report.to_dict() == dict(first_report.to_dict(), elapsed_ms=again_report.elapsed_ms)
+
+
+def test_census_results_are_private_copies(fresh_census):
+    census, report = fresh_census(2, 2)
+    report.add("extra", False)
+    report.checks[0].value = "edited"
+    report.derived_values["census"]["blocks"].clear()
+    census.entries[(2, 0)].copies = 99
+    census.entries.clear()
+    again, again_report = fresh_census(2, 2)
+    assert again_report.ok and "extra" not in [c.name for c in again_report.checks]
+    assert again_report.checks[0].value is None
+    assert again.entries[(2, 0)].copies == 2 and again.closes
+    assert again_report.derived_values["census"] == again.summary()
+
+
+def test_census_cli_twice_in_one_process(tmp_path, fresh_census):
+    payloads = []
+    for k in range(2):
+        path = tmp_path / f"census{k}.json"
+        assert cli.main(["census", "--n", "2", "--m", "3", "--report", str(path)]) == 0
+        payloads.append(json.loads(path.read_text()))
+    first, second = payloads
+    assert dict(second, elapsed_ms=first["elapsed_ms"]) == first
+    for payload in payloads:
+        assert [c["name"] for c in payload["checks"]].count("regression[census_blocks]") == 1
+
+
+def test_sergeev_classical_and_census_share_one_census(monkeypatch, tmp_path, fresh_census):
+    calls = counting_generate_submodule(monkeypatch)
+    for suite in ("sergeev", "classical", "census"):
+        path = tmp_path / f"{suite}.json"
+        assert cli.main([suite, "--n", "2", "--m", "2", "--report", str(path)]) == 0
+    assert len(calls) == 1  # the single (2,0) block, generated once
+    assert duality._census.cache_info().misses == 1
 
 
 def test_census_submodule_rank_oracle():
@@ -122,7 +180,7 @@ def test_certified_sergeev_spans_equal_the_exact_closures(n, m):
     assert [c.value for c in report.checks if c.name == "commutant_inside_hc_span"] == [{"certified_by": "gf_p"}]
 
 
-def test_sergeev_falls_back_to_exact_commutants(monkeypatch):
+def test_sergeev_falls_back_to_exact_commutants(monkeypatch, fresh_census):
     # at q = 1 the GF(p) bounds disagree: both pairs take the exact path
     monkeypatch.setattr(superlinalg, "sample_mod_p", lambda rng, values: (1, {v: v.mod_p(1) for v in values}))
     report = sergeev_verify(2, 2)
@@ -139,6 +197,25 @@ def test_sergeev_planted_defect_never_certifies(monkeypatch):
     assert "supercommutation" in [c.name for c in report.failures()]
     assert report.derived_values["hc_image_certified_by"] == "exact"
     assert report.derived_values["queer_image_certified_by"] == "exact"
+
+
+def span_scan(span, partners):
+    """The exhaustive check the certified premise replaces: every span word
+    supercommutes with every partner."""
+    return all(supercommutes(X, g) for X in span.basis for g in partners)
+
+
+@pytest.mark.parametrize("n,m,perturb", [(1, 2, False), (2, 2, False), (1, 2, True)])
+def test_hc_span_supercommutes_equals_the_scan(n, m, perturb, monkeypatch):
+    if perturb:
+        _perturbed_hc(monkeypatch)
+    queer = list(tensor_rep(vector_rep(n), m).gen.values())
+    span = certified_span(duality.hc_tensor_action(n, m, PARAM_Q).generators(), queer)
+    assert span.supercommutes == span_scan(span, queer) == (not perturb)
+    report = sergeev_verify(n, m)
+    assert [c.status for c in report.checks if c.name == "hc_span_supercommutes"] == [
+        "fail" if perturb else "pass"
+    ]
 
 
 def image_dim_oracle(n, l):

@@ -341,6 +341,23 @@ def test_echelon_and_kernel_over_gf_p():
     assert all(isinstance(v, ModP) for vec in kernel_basis([{1: ModP(3)}], 3) for v in vec.values())
 
 
+def test_commutant_of_diagonal_ops_over_gf_p():
+    # diagonal generators give no constraint rows: the kernel's one comes from the operators
+    for ops, dim in (
+        ([SOp.identity(V1, ModP(1))], 4),
+        ([SOp(V1, V1, 0, {((-1,), (-1,)): ModP(1), ((1,), (1,)): ModP(2)})], 2),
+    ):
+        comm = graded_commutant(ops)
+        assert len(comm) == dim
+        assert all(isinstance(v, ModP) for X in comm for v in X.entries.values())
+        assert all(supercommutator(X, a).is_zero() for X in comm for a in ops)
+    # a matrix unit leaves the other parity block without rows
+    lab = V1.labels[0]
+    kernel = joint_kernel([SOp.unit(V1, V1, lab, lab, ModP(1))])
+    assert kernel == [{V1.labels[1]: ModP(1)}]
+    assert all(isinstance(v, ModP) for vec in kernel for v in vec.values())
+
+
 def reference_commutant(ops):
     """graded_commutant without weight blocks or row selection: every unknown, every row."""
     space = ops[0].dom

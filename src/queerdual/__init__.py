@@ -3,7 +3,8 @@
 Layers:
 
 - ``scalars``: the field Q(q) of rational functions, q-combinatorics,
-  specialization, the prime field GF(2^61 - 1) and its identity-test bound;
+  specialization, the prime fields GF(2^k - 1), the identity-test bound and
+  the Kronecker point that makes one evaluation exact;
 - ``superlinalg``: parity-tagged bases, Koszul-sign tensor calculus, exact
   kernels, spans and graded commutants;
 - ``uq_queer``: the quantum queer superalgebra through its S-matrix

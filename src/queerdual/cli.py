@@ -59,7 +59,7 @@ def suite_relations(cfg) -> VerifyReport:
 
 def suite_hc(cfg) -> VerifyReport:
     report = VerifyReport("hc", {"n": cfg.n, "m": cfg.m, "param": cfg.param})
-    for power in range(2, cfg.m + 1):
+    for power in range(1, cfg.m + 1):
         local = hc_check(hc_tensor_action(cfg.n, power, cfg.param))
         report.extend(local, prefix=f"m={power}:")
     return report.finish()

@@ -9,9 +9,13 @@ sums and reductions skip the polynomial gcd: only a power of q and an integer
 content can cancel against such a denominator.  A product with a factor of
 exactly +-1 costs nothing: it returns the other factor, or its negation.
 
-The probabilistic checks work in the prime field GF(p), p = 2^61 - 1 (``ModP``):
-``RatFunc.mod_p`` maps a value to GF(p) at a point q = c, and ``identity_bound``
-gives the Schwartz-Zippel bound on a false match from the values' degrees.
+Identity tests run in prime fields.  ``ModP`` is GF(p), p = 2^61 - 1, and
+``mersenne_field(k)`` its twin GF(2^k - 1) for a larger Mersenne prime;
+``RatFunc.mod_p`` maps a value to such a field at a point q = c.
+``identity_bound`` bounds the degree and height of a difference of products of
+the values.  From it, the probabilistic checks get the Schwartz-Zippel bound on
+a false match at random points of GF(p), and ``kronecker_point`` gives one
+point q = 2^B of a large enough GF(2^k - 1) at which a zero test is exact.
 
 Polynomials are dense int tuples, index = power of q, trailing zeros stripped;
 ``()`` is the zero polynomial.
@@ -19,6 +23,7 @@ Polynomials are dense int tuples, index = power of q, trailing zeros stripped;
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -165,10 +170,10 @@ def _peval(a, c: Fraction) -> Fraction:
     return v
 
 
-def _peval_mod(a, c: int) -> int:
+def _peval_mod(a, c: int, p: int) -> int:
     v = 0
     for x in reversed(a):
-        v = (v * c + x) % P
+        v = (v * c + x) % p
     return v
 
 
@@ -207,6 +212,95 @@ def _psqrt(a):
     if _pmul(tuple(r), tuple(r)) != tuple(a):
         return None
     return _pshift(_ptrim(r), t // 2)
+
+
+# ---------------------------------------------------------------------------
+# prime fields GF(2^k - 1)
+# ---------------------------------------------------------------------------
+
+P = (1 << 61) - 1
+
+
+def _field_value(cls, x) -> int:
+    """The residue of x as an element of the field cls; only integers coerce."""
+    if isinstance(x, ModP):
+        raise TypeError(f"cannot mix elements of {cls.__name__} and {type(x).__name__}")
+    if isinstance(x, int):
+        return x
+    raise TypeError(f"cannot mix a GF(p) element with {type(x).__name__}")
+
+
+class ModP:
+    """An element of the prime field GF(p), p = 2^61 - 1 (the class attribute ``p``).
+
+    It has the scalar interface SOp relies on, so operator code runs unchanged
+    over GF(p).  ``mersenne_field(k)`` gives the subclass for GF(2^k - 1); each
+    result is an element of its operand's own field.  Integers coerce; an
+    element of another field, a RatFunc or any other type raises TypeError: a
+    value of Q(q) enters GF(p) only through ``RatFunc.mod_p``, at a point.
+    """
+
+    __slots__ = ("v",)
+    p = P
+
+    def __init__(self, v: int):
+        self.v = v % self.p
+
+    def is_zero(self) -> bool:
+        return not self.v
+
+    def __bool__(self) -> bool:
+        return bool(self.v)
+
+    def degree_size(self) -> int:
+        return 0
+
+    def __add__(self, other):
+        cls = self.__class__
+        return cls(self.v + (other.v if other.__class__ is cls else _field_value(cls, other)))
+
+    def __sub__(self, other):
+        cls = self.__class__
+        return cls(self.v - (other.v if other.__class__ is cls else _field_value(cls, other)))
+
+    def __mul__(self, other):
+        cls = self.__class__
+        return cls(self.v * (other.v if other.__class__ is cls else _field_value(cls, other)))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return self.__class__(-self.v)
+
+    def inverse(self) -> "ModP":
+        if not self.v:
+            raise ZeroDivisionError("inverse of zero")
+        return self.__class__(pow(self.v, -1, self.p))
+
+    def __pow__(self, k: int):
+        return self.__class__(pow((self.inverse() if k < 0 else self).v, abs(k), self.p))
+
+    def __eq__(self, other):
+        cls = self.__class__
+        if other.__class__ is cls:
+            return self.v == other.v
+        if isinstance(other, (ModP, int, RatFunc)):  # another field or a RatFunc raises TypeError
+            return self.v == _field_value(cls, other) % self.p
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __repr__(self):
+        return f"{self.__class__.__name__}({self.v})"
+
+
+@functools.cache
+def mersenne_field(k: int) -> type:
+    """The class of GF(2^k - 1) for a Mersenne prime 2^k - 1 (k = 61 is ``ModP``)."""
+    if k == 61:
+        return ModP
+    return type(f"ModP_{k}", (ModP,), {"__slots__": (), "p": (1 << k) - 1})
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +485,18 @@ class RatFunc:
             raise PoleAtPoint(f"denominator vanishes at q = {c}")
         return _peval(self.num, c) / d
 
-    def mod_p(self, c: int) -> "ModP":
-        """Image in GF(p) at q = c: num(c) / den(c) mod p.
+    def mod_p(self, c: int, field: type = ModP) -> ModP:
+        """Image in the prime field ``field`` (default GF(2^61 - 1)) at q = c:
+        num(c) / den(c) mod p.
 
         Raises PoleAtPoint when p divides den(c).  On the values without a pole
         at c this is a ring homomorphism to GF(p) (see ``identity_bound``).
         """
-        d = _peval_mod(self.den, c)
+        p = field.p
+        d = _peval_mod(self.den, c, p)
         if not d:
             raise PoleAtPoint(f"denominator vanishes mod p at q = {c}")
-        return ModP(_peval_mod(self.num, c) * pow(d, -1, P))
+        return field(_peval_mod(self.num, c, p) * pow(d, -1, p))
 
     def sqrt(self):
         """An exact square root in Q(q) if one exists, else None."""
@@ -538,75 +634,8 @@ def specialize(f: RatFunc, c) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the prime field GF(p) and the probabilistic identity test
+# identity tests: the Schwartz-Zippel bound and the Kronecker point
 # ---------------------------------------------------------------------------
-
-P = (1 << 61) - 1
-
-
-def _mod_p_value(x) -> int:
-    if isinstance(x, ModP):
-        return x.v
-    if isinstance(x, int):
-        return x
-    raise TypeError(f"cannot mix a GF(p) element with {type(x).__name__}")
-
-
-class ModP:
-    """An element of the prime field GF(p), p = 2^61 - 1.
-
-    It has the scalar interface SOp relies on, so operator code runs unchanged
-    over GF(p).  Integers coerce; a RatFunc or any other type raises TypeError:
-    a value of Q(q) enters GF(p) only through ``RatFunc.mod_p``, at a point.
-    """
-
-    __slots__ = ("v",)
-
-    def __init__(self, v: int):
-        self.v = v % P
-
-    def is_zero(self) -> bool:
-        return not self.v
-
-    def __bool__(self) -> bool:
-        return bool(self.v)
-
-    def degree_size(self) -> int:
-        return 0
-
-    def __add__(self, other):
-        return ModP(self.v + _mod_p_value(other))
-
-    def __sub__(self, other):
-        return ModP(self.v - _mod_p_value(other))
-
-    def __mul__(self, other):
-        return ModP(self.v * _mod_p_value(other))
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __neg__(self):
-        return ModP(-self.v)
-
-    def inverse(self) -> "ModP":
-        if not self.v:
-            raise ZeroDivisionError("inverse of zero")
-        return ModP(pow(self.v, -1, P))
-
-    def __pow__(self, k: int):
-        return ModP(pow((self.inverse() if k < 0 else self).v, abs(k), P))
-
-    def __eq__(self, other):
-        if isinstance(other, (ModP, int, RatFunc)):  # a RatFunc raises TypeError
-            return self.v == _mod_p_value(other) % P
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.v)
-
-    def __repr__(self):
-        return f"ModP({self.v})"
-
 
 class IdentityBound(NamedTuple):
     """The bounds D, E and H of a GF(p) identity test; see ``identity_bound``."""
@@ -675,6 +704,44 @@ def identity_bound(values, scalars=(ONE,), factors: int = 1, terms: int = 1) -> 
     s_norm = max(1, *(_pnorm1(s.num) for s in scalars))
     height = terms * s_norm * (a_norm * math.prod(_pnorm1(b) for b in dens)) ** factors
     return IdentityBound(hi - lo, m + 2, height)
+
+
+# Exponents k of the Mersenne primes 2^k - 1 a Kronecker point may use, ascending.
+# Each is kept because a relation check that needs it runs faster there than in
+# Q(q); at the next one, 1279, a check on (1,10) ran slower than in Q(q).
+MERSENNE_EXPONENTS = (521, 607)
+
+
+def kronecker_point(bound: IdentityBound) -> tuple[int, type] | None:
+    """One point at which a zero test is exact: q = X = 2^B in GF(2^k - 1).
+
+    B = H.bit_length(), so X > H, and 2^k - 1 is the smallest prime with k in
+    ``MERSENNE_EXPONENTS`` and 2^k - 1 > H X^D, where D and H are the
+    degree and height of ``bound``.  Returns (B, the field), or None when no
+    listed prime is that large; the caller then computes in Q(q).
+
+    Proof.  Let f, M, m, K, LO and P_f = q^-LO f M^k be as in
+    ``identity_bound`` (k >= 1 factors).  P_f is in Z[q], of degree at most D
+    and 1-norm at most H, so every coefficient has absolute value at most
+    H < X.  If P_f != 0 and d is its degree, the leading term has absolute
+    value at least X^d at q = X, and the lower terms at most (X - 1)(1 + X +
+    ... + X^(d-1)) = X^d - 1 together, so P_f(X) != 0.  And |P_f(X)| <= H X^D
+    < 2^k - 1, so P_f(X) is not 0 mod 2^k - 1.  The same argument applies to
+    each denominator factor B of M, whose degree is at most m <= D and 1-norm
+    at most K <= H: B(X) is not 0 mod 2^k - 1, and neither is X (the prime
+    is odd), so no value has a pole at X.  ``RatFunc.mod_p`` at X is then a
+    ring homomorphism on the values, and the image of f is
+    X^LO P_f(X) / M(X)^k, which is 0 exactly when f = 0 in Q(q).  This holds
+    for every f the bound covers, so a computation whose every zero test is on
+    such an f (every sum and product it builds) has the same zero pattern in
+    GF(2^k - 1) as in Q(q), and so the same verdicts and witnesses.
+    """
+    bits = bound.height.bit_length()
+    reach = bound.height << (bits * bound.degree)  # H X^D
+    for k in MERSENNE_EXPONENTS:
+        if (1 << k) - 1 > reach:
+            return bits, mersenne_field(k)
+    return None
 
 
 def sample_mod_p(rng: random.Random, values) -> tuple[int, dict]:

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 from .report import VerifyReport
 from .scalars import (
-    ONE, QINV, Q, IdentityBound, ModP, PoleAtPoint, RatFunc, _pmonomial, identity_bound, sample_mod_p,
+    ONE, QINV, Q, IdentityBound, PoleAtPoint, RatFunc, _pmonomial, identity_bound, kronecker_point,
+    sample_mod_p,
 )
 from .superlinalg import (
     Echelon,
@@ -277,6 +278,16 @@ def _quadratic_witness(G, pairs, qq, xi):
     return None
 
 
+def _relation_bound(rep: QueerRep) -> tuple[set, IdentityBound]:
+    """The scalars a relation check starts from (every generator entry, q and
+    xi) and the identity bound that covers every entry the check builds."""
+    qq, xi = param_q(rep.param), param_xi(rep.param)
+    values = {v for op in rep.gen.values() for v in op.entries.values()} | {qq, xi}
+    # each lhs - rhs entry: at most 6 * dim products of two entries, times q^{+-1}, 1 or xi
+    bound = identity_bound(values, (qq, qq.inverse(), ONE, xi), factors=2, terms=6 * rep.space.dim)
+    return values, bound
+
+
 def _prob_trials(report: VerifyReport, values, bound: IdentityBound, trials: int, seed: int):
     """Record a GF(p) identity test's bound and draw its trial points.
 
@@ -298,47 +309,71 @@ def _prob_trials(report: VerifyReport, values, bound: IdentityBound, trials: int
     return draws
 
 
+def _kronecker_image(report: VerifyReport, values, bound: IdentityBound):
+    """The image of each value at the Kronecker point, or None to compute in Q(q);
+    the report records which as ``exact_point``."""
+    point = kronecker_point(bound)
+    if point is None:
+        report.derive("exact_point", "Q(q)")
+        return None
+    bits, field = point
+    report.derive("exact_point", f"q = 2^{bits} in GF(2^{field.p.bit_length()} - 1)")
+    return {v: v.mod_p(1 << bits, field) for v in values}
+
+
 def check_defining_relations(
     rep: QueerRep, mode: str = "exact", trials: int = 5, seed: int = 0
 ) -> VerifyReport:
     """Verify every unit relation and every expanded quadratic relation instance.
 
     Each instance compares its two sides entry by entry; lhs - rhs is built
-    only for the witness of a failing instance.
+    only for the witness of a failing instance.  Both modes map every
+    generator entry and q, xi to a prime field at a point and compare the two
+    sides there.  Bounds D on the degree and H on the height of every entry
+    the checks build come from the measured degrees and coefficients of the
+    generator entries (``scalars.identity_bound`` has the proof).
 
-    Exact mode works in Q(q).  Probabilistic mode runs the same checks in the
-    prime field GF(p), p = 2^61 - 1, once per trial: it draws c uniformly
-    from [2, p) with the seeded RNG (redrawing at poles), maps every generator
-    entry and q, xi to GF(p) at q = c, and compares the two sides there.  A
-    relation that fails in Q(q) passes all trials with probability at most
-    false_match_bound = (D / (p - E))^trials, where D (degree_bound)
-    bounds the numerator degree of any lhs - rhs and E (excluded_points)
-    counts the points the sample leaves out; both come from the measured
-    degrees of the entries (``scalars.identity_bound`` has the proof).  When
-    the entries' heights would let p divide every coefficient of a nonzero
-    difference, the check runs exactly and the report says so.
+    Exact mode evaluates once, at the Kronecker point q = 2^B in GF(2^k - 1)
+    (``scalars.kronecker_point`` has the proof): there an entry is 0 exactly
+    when it is 0 in Q(q), so every verdict and witness is that of Q(q), with
+    no error probability.  The report records the point as ``exact_point``;
+    when no listed Mersenne prime exceeds H (2^B)^D, the checks run in Q(q)
+    and ``exact_point`` is "Q(q)".
+
+    Probabilistic mode runs the checks in GF(p), p = 2^61 - 1, once per
+    trial: it draws c uniformly from [2, p) with the seeded RNG (redrawing at
+    poles) and maps to GF(p) at q = c.  A relation that fails in Q(q) passes
+    all trials with probability at most false_match_bound =
+    (D / (p - E))^trials, recorded with D (degree_bound) and E
+    (excluded_points), the number of points the sample leaves out.  When
+    H >= p, so that p could divide every coefficient of a nonzero difference,
+    the check runs in exact mode and the report says so.
     """
     n = rep.spec.n
     report = VerifyReport(
         "relations",
         {"n": n, "param": rep.param, "dim": rep.space.dim, "mode": mode},
     )
-    qq, xi = param_q(rep.param), param_xi(rep.param)
-    draws = None
-    if mode == "prob":
-        values = {v for op in rep.gen.values() for v in op.entries.values()} | {qq, xi}
-        # each lhs - rhs entry: at most 6 * dim products of two entries, times q^{+-1}, 1 or xi
-        bound = identity_bound(values, (qq, qq.inverse(), ONE, xi), factors=2, terms=6 * rep.space.dim)
-        draws = _prob_trials(report, values, bound, trials, seed)
-    elif mode != "exact":
+    if mode not in ("exact", "prob"):
         raise ValueError(f"unknown mode {mode!r}")
-    if draws is None:
+    qq, xi = param_q(rep.param), param_xi(rep.param)
+    values, bound = _relation_bound(rep)
+    points = None
+    if mode == "prob":
+        draws = _prob_trials(report, values, bound, trials, seed)
+        if draws is not None:
+            points = [(f"@q={c}:", image) for c, image in draws]
+    if points is None:
+        image = _kronecker_image(report, values, bound)
+        if image is not None:
+            points = [("", image)]
+    if points is None:
         runs = [("", rep.gen, qq, xi, SOp.identity(rep.space))]
     else:
         runs = [
-            (f"@q={c}:", {key: op.map(image.__getitem__) for key, op in rep.gen.items()},
-             image[qq], image[xi], SOp.identity(rep.space, ModP(1)))
-            for c, image in draws
+            (tag, {key: op.map(image.__getitem__) for key, op in rep.gen.items()},
+             image[qq], image[xi], SOp.identity(rep.space, type(image[qq])(1)))
+            for tag, image in points
         ]
 
     idx = index_range(n)

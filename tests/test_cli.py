@@ -51,6 +51,22 @@ def test_coord_suite(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("suite", sorted(cli.SUITES))
+def test_every_suite_checks_something_at_its_smallest_configuration(suite, tmp_path):
+    # n = m = 1 and degree 0 are the smallest values validate admits
+    code, payload = run([suite, "--n", "1", "--m", "1", "--degree", "0"], tmp_path)
+    assert code == 0
+    assert payload["checks"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hc_suite_at_m1_checks_the_one_generator_clifford_algebra(n, tmp_path):
+    code, payload = run(["hc", "--n", str(n), "--m", "1"], tmp_path)
+    assert code == 0
+    assert [(c["name"], c["status"]) for c in payload["checks"]] == [("m=1:hc4", "pass")]
+    assert payload["derived_values"]["m=1:clifford_square"] == -1
+
+
 def test_invalid_config():
     assert main(["relations", "--n", "0"]) == 2
     assert main(["relations", "--mode", "prob", "--trials", "0"]) == 2

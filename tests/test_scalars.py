@@ -15,11 +15,14 @@ from queerdual.scalars import (
     ZERO,
     ModP,
     Q,
+    IdentityBound,
     PoleAtPoint,
     _padd,
     _pmonomial,
     _pmul,
     identity_bound,
+    kronecker_point,
+    mersenne_field,
     probably_equal,
     q_number,
     specialize,
@@ -163,6 +166,37 @@ def test_mod_p_never_mixes_with_ratfunc():
     assert x * x.inverse() == 1 and x**-1 == x.inverse() and ModP(P).is_zero()
     with pytest.raises(ZeroDivisionError):
         ModP(0).inverse()
+
+
+def test_prime_fields_never_mix():
+    big = mersenne_field(521)
+    assert mersenne_field(61) is ModP and mersenne_field(521) is big and big.p == 2**521 - 1
+    x, y = (Q + 2).mod_p(5), (Q + 2).mod_p(5, big)
+    assert type(x) is ModP and x == ModP(7)
+    assert y == big(7) and y * 2 == 14 and 2 + y == 9 and y - 8 == big(-1)
+    assert all(type(z) is big for z in (y * y, y + 1, y - 1, -y, y**-1, y.inverse()))
+    assert ModP(P).is_zero() and big(P) == P and not big(P).is_zero()
+    for op in (operator.add, operator.sub, operator.mul, operator.eq, operator.ne):
+        with pytest.raises(TypeError):
+            op(x, y)
+        with pytest.raises(TypeError):
+            op(y, x)
+    with pytest.raises(TypeError):
+        y * Q
+
+
+def test_kronecker_point_is_the_smallest_listed_prime_above_its_reach():
+    # X = 2^3 > H = 5 and H X^D = 5 * 8^3
+    assert kronecker_point(IdentityBound(degree=3, excluded=2, height=5)) == (3, mersenne_field(521))
+    # H = 2^10 - 1, so X = 2^10 and H X^D = (2^10 - 1) 2^(10 D): below 2^521 - 1
+    # for D = 51, above it for D = 52; below 2^607 - 1 for D = 59, above it for D = 60
+    assert kronecker_point(IdentityBound(51, 2, 2**10 - 1))[1].p == 2**521 - 1
+    assert kronecker_point(IdentityBound(52, 2, 2**10 - 1))[1].p == 2**607 - 1
+    assert kronecker_point(IdentityBound(59, 2, 2**10 - 1))[1].p == 2**607 - 1
+    assert kronecker_point(IdentityBound(60, 2, 2**10 - 1)) is None
+    with mock.patch.object(scalars, "MERSENNE_EXPONENTS", (61,)):
+        assert kronecker_point(IdentityBound(3, 2, 5)) == (3, ModP)
+        assert kronecker_point(IdentityBound(52, 2, 2**10 - 1)) is None
 
 
 def test_reduction_canonical():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from queerdual import scalars
-from queerdual.scalars import ONE, QINV, RatFunc, XI, Q, ZERO, PoleAtPoint
+from queerdual.scalars import ONE, QINV, RatFunc, XI, Q, ZERO, PoleAtPoint, kronecker_point
 from queerdual.superlinalg import (
     SOp,
     SuperSpace,
@@ -168,20 +168,26 @@ def test_relations_prob_bound_recorded():
     assert len(report.derived_values["trial_points"]) == 2
 
 
-@pytest.mark.parametrize("factor", [Q, (Q + 2).inverse()])
-def test_relations_prob_degree_bound_covers_exact_differences(factor):
+def _exact_differences(rep):
+    """Every entry of prod - 1 (unit relations) and lhs - rhs (quadratic ones) in Q(q)."""
     from queerdual.uq_queer import _relation_sides, param_q, param_xi
 
+    n = rep.spec.n
+    qq, xi = param_q(rep.param), param_xi(rep.param)
+    ident = SOp.identity(rep.space)
+    diffs = [rep.gen[(i, i)] @ rep.gen[(-i, -i)] - ident for i in index_range(n)]
+    for (i, j) in generator_pairs(n):
+        for (k, l) in generator_pairs(n):
+            lhs, rhs = _relation_sides(rep.gen, i, j, k, l, qq, xi, {})
+            diffs.append(lhs - rhs)
+    return [v for d in diffs for v in d.entries.values()]
+
+
+@pytest.mark.parametrize("factor", [Q, (Q + 2).inverse()])
+def test_relations_prob_degree_bound_covers_exact_differences(factor):
     bad = _defective(2, 2, (1, 2), factor)
     degree = check_defining_relations(bad, mode="prob", trials=1).derived_values["degree_bound"]
-    qq, xi = param_q(bad.param), param_xi(bad.param)
-    ident = SOp.identity(bad.space)
-    diffs = [bad.gen[(i, i)] @ bad.gen[(-i, -i)] - ident for i in index_range(2)]
-    for (i, j) in generator_pairs(2):
-        for (k, l) in generator_pairs(2):
-            lhs, rhs = _relation_sides(bad.gen, i, j, k, l, qq, xi, {})
-            diffs.append(lhs - rhs)
-    true_degrees = [len(v.num) - 1 for d in diffs for v in d.entries.values()]
+    true_degrees = [len(v.num) - 1 for v in _exact_differences(bad)]
     assert true_degrees and max(true_degrees) <= degree
 
 
@@ -237,6 +243,115 @@ def test_relation_witness_is_pinned():
     bad = dict(rep.gen)
     bad[(1, 2)] = bad[(1, 2)].scale(Q)
     report = check_defining_relations(QueerRep(rep.spec, rep.space, bad))
+    (fail,) = report.failures()
+    assert fail.name == "quadratic_relations"
+    assert fail.witness == {"instance": (-2, -1, 1, 2), "basis_vector": "(-1, 1)"}
+
+
+def check_in_qq(rep):
+    """The relation check computed in Q(q), with no Mersenne prime to pick a point in."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars, "MERSENNE_EXPONENTS", ())
+        report = check_defining_relations(rep)
+    assert report.derived_values["exact_point"] == "Q(q)"
+    return report
+
+
+def _verdicts(report):
+    return [(c.name, c.status, c.witness) for c in report.checks]
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)])
+def test_kronecker_verdicts_match_qq_on_passing_reps(n, m):
+    rep = tensor_rep(vector_rep(n), m)
+    report = check_defining_relations(rep)
+    assert report.ok and report.derived_values["exact_point"].endswith("in GF(2^521 - 1)")
+    assert _verdicts(report) == _verdicts(check_in_qq(rep))
+
+
+def _kronecker_defects():
+    # (n, m, generator, factor, the field of the point): a factor with a large
+    # constant needs the larger prime, and one of 2^61 reaches past every
+    # listed prime, so that check runs in Q(q)
+    from queerdual.scalars import P
+
+    return [
+        (2, 2, (1, 2), Q, "GF(2^521 - 1)"),
+        (2, 2, (1, 2), (Q + 2).inverse(), "GF(2^521 - 1)"),
+        (2, 2, (1, 1), (Q + 2).inverse(), "GF(2^521 - 1)"),
+        (2, 1, (-2, 1), Q, "GF(2^521 - 1)"),
+        (2, 2, (1, 2), RatFunc(1 + 2**20), "GF(2^607 - 1)"),
+        (1, 1, (1, 1), RatFunc(1 + 2**40), "GF(2^607 - 1)"),
+        (2, 2, (1, 2), RatFunc(1 + P), "Q(q)"),
+        (1, 1, (1, 1), RatFunc(1 + P), "Q(q)"),
+    ]
+
+
+@pytest.mark.parametrize("n,m,key,factor,field", _kronecker_defects())
+def test_kronecker_verdicts_match_qq_on_defects(n, m, key, factor, field):
+    bad = _defective(n, m, key, factor)
+    report = check_defining_relations(bad)
+    assert not report.ok and report.derived_values["exact_point"].endswith(field)
+    assert _verdicts(report) == _verdicts(check_in_qq(bad))
+
+
+def test_kronecker_point_is_taken_from_the_perturbed_values():
+    # a defect that vanishes at the point the unperturbed values would pick
+    from queerdual.uq_queer import _relation_bound
+
+    bits, field = kronecker_point(_relation_bound(tensor_rep(vector_rep(2), 2))[1])
+    factor = Q + (1 - 2**bits)
+    assert factor.mod_p(2**bits, field) == 1 and factor != ONE
+    bad = _defective(2, 2, (1, 1), factor)
+    report = check_defining_relations(bad)
+    stale = f"q = 2^{bits} in GF(2^{field.p.bit_length()} - 1)"
+    assert report.derived_values["exact_point"] not in ("Q(q)", stale)
+    assert not report.ok
+    assert _verdicts(report) == _verdicts(check_in_qq(bad))
+
+
+@pytest.mark.parametrize("factor", [Q, (Q + 2).inverse()])
+def test_kronecker_height_bound_covers_exact_differences(factor):
+    # P_f = q^-LO f M^2 has 1-norm at most H < X = 2^B: the Kronecker premise
+    from queerdual.scalars import _pmonomial, _ptrailing
+    from queerdual.uq_queer import _relation_bound
+
+    bad = _defective(2, 2, (1, 2), factor)
+    values, bound = _relation_bound(bad)
+    bits, _ = kronecker_point(bound)
+    M = ONE
+    for b in {v.den[_ptrailing(v.den):] for v in values} - {(1,)}:
+        M = M * RatFunc(b)
+    diffs = [f for f in _exact_differences(bad) if f]
+    assert diffs
+    for f in diffs:
+        pf = f * M * M
+        t, c = _pmonomial(pf.den)
+        assert c == 1  # f M^2 is a Laurent polynomial with integer coefficients
+        assert sum(abs(a) for a in pf.num) <= bound.height < 2**bits
+        assert len(pf.num) - 1 - _ptrailing(pf.num) <= bound.degree
+
+
+def test_relations_exact_does_no_ratfunc_products(monkeypatch):
+    rep = tensor_rep(vector_rep(2), 3)
+    calls = []
+    mul = RatFunc.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(RatFunc, "__mul__", counting)
+    monkeypatch.setattr(RatFunc, "__rmul__", counting)
+    assert check_defining_relations(rep).ok
+    assert calls == []
+
+
+def test_relations_in_qq_when_no_listed_prime_is_large_enough(monkeypatch):
+    monkeypatch.setattr(scalars, "MERSENNE_EXPONENTS", (61,))
+    bad = _defective(2, 2, (1, 2), Q)
+    report = check_defining_relations(bad)
+    assert report.derived_values["exact_point"] == "Q(q)"
     (fail,) = report.failures()
     assert fail.name == "quadratic_relations"
     assert fail.witness == {"instance": (-2, -1, 1, 2), "basis_vector": "(-1, 1)"}

@@ -95,6 +95,9 @@ def suite_census(cfg) -> VerifyReport:
     return report
 
 
+# the suites that read --param; every other suite runs at q
+PARAM_SUITES = ("relations", "hc")
+
 SUITES = {
     "relations": suite_relations,
     "hc": suite_hc,
@@ -207,6 +210,10 @@ def validate(cfg) -> None:
         raise InvalidConfig("probabilistic mode requires trials >= 1")
     if cfg.mode == "prob" and not cfg.all and cfg.suite not in (None, "relations"):
         raise InvalidConfig(f"--mode prob applies to the relations suite only, not {cfg.suite!r}")
+    if cfg.param != PARAM_Q and not cfg.all and cfg.suite not in (None, *PARAM_SUITES):
+        raise InvalidConfig(
+            f"--param {cfg.param} applies to the {' and '.join(PARAM_SUITES)} suites only, not {cfg.suite!r}"
+        )
     if cfg.write_expectations and not cfg.all:
         raise InvalidConfig("--write-expectations requires --all")
     for path in (cfg.report, cfg.write_expectations):

@@ -307,23 +307,11 @@ def act(label: str, x: GenWord, f: CoordFunctional, n: int, m: int) -> CoordFunc
     if l == 0:
         # scalars act through the counit on the unit functional
         return f.scale(_counit_value(x)) if word_parity(x) == 0 else CoordFunctional(0)
-    out = CoordFunctional(l)
     xp = word_parity(x)
     if label == "phi":
-        M = word_operator(_translation_rep("col", m, l), x)
-        for (rows, cols), v in f.terms.items():
-            k1 = kappa_sign(rows, cols)
-            pa = sum(index_parity(a) for a in rows) & 1
-            front = -v if (xp and pa) else v
-            for (bc, bb), w in M.entries.items():
-                if bb != cols:
-                    continue
-                c = front * w
-                if k1 * kappa_sign(rows, bc) < 0:
-                    c = -c
-                out = out + CoordFunctional.monomial(rows, bc, c)
-        return out
+        return _phi_translate(word_operator(_translation_rep("col", m, l), x), xp, f)
     if label in ("psi", "psit"):
+        out: dict = {}
         rep = _translation_rep("row_dual" if label == "psi" else "row_twist", n, l)
         W = word_operator(rep, x)
         for (rows, cols), v in f.terms.items():
@@ -335,15 +323,34 @@ def act(label: str, x: GenWord, f: CoordFunctional, n: int, m: int) -> CoordFunc
                 pb = sum(index_parity(b) for b in cols) & 1
                 if pb:
                     front = -front
-            for (ar, ac), w in W.entries.items():
-                if ac != rows:
-                    continue
+            for ar, w in W.column(rows):
                 c = front * w
                 if k1 * kappa_sign(ar, cols) < 0:
                     c = -c
-                out = out + CoordFunctional.monomial(ar, cols, c)
-        return out
+                _accumulate(out, (ar, cols), c)
+        return CoordFunctional(l, out)
     raise ValueError(f"unknown action label {label!r}")
+
+
+def _phi_translate(M: SOp, xp: int, f: CoordFunctional) -> CoordFunctional:
+    """phi(x) on f of degree l >= 1, given the operator M of x (parity xp) on the
+    degree-l column module."""
+    out: dict = {}
+    for (rows, cols), v in f.terms.items():
+        k1 = kappa_sign(rows, cols)
+        pa = sum(index_parity(a) for a in rows) & 1
+        front = -v if (xp and pa) else v
+        for bc, w in M.column(cols):
+            c = front * w
+            if k1 * kappa_sign(rows, bc) < 0:
+                c = -c
+            _accumulate(out, (rows, bc), c)
+    return CoordFunctional(f.degree, out)
+
+
+def _accumulate(out: dict, key, c) -> None:
+    prev = out.get(key)
+    out[key] = c if prev is None else prev + c
 
 
 def gen_word(i: int, j: int, coeff: RatFunc = ONE) -> GenWord:
@@ -392,7 +399,14 @@ def normalized_monomials(n: int, m: int, l: int) -> list[tuple]:
 
 
 class GradedComponent:
-    """The degree-l component: its dimension, a monomial basis, and coordinates."""
+    """The degree-l component: its dimension, a monomial basis, and coordinates.
+
+    Coordinates over the basis are unique (the basis monomials are independent)
+    and linear in the functional, so ``coordinates`` sums those of its
+    monomials.  A basis monomial's coordinates are its unit vector; any other
+    monomial is reduced against ``ech`` once, and its coordinates (None when it
+    is not in the span) are memoized on the component.
+    """
 
     def __init__(self, n, m, l, image_basis, monomials, basis, ech, positions):
         self.n = n
@@ -403,29 +417,53 @@ class GradedComponent:
         self.basis = basis
         self.ech = ech
         self._positions = positions  # insertion index -> monomial key
+        self._coords = {key: {key: ONE} for key in basis}  # monomial key -> coordinates or None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def eval_vector(self, f: CoordFunctional) -> dict:
-        vec: dict = {}
-        for t, op in enumerate(self.image_basis.ops):
-            val = eval_on_operator(f, op)
-            if not val.is_zero():
-                vec[t] = val
-        return vec
+        return _eval_vector(self.image_basis, f)
 
     def coordinates(self, f: CoordFunctional) -> dict:
-        """Coordinates over the basis monomials (exact; f must lie in the component)."""
+        """Coordinates over the basis monomials (exact); ValueError when f does
+        not lie in the component."""
+        if f.degree != self.l:
+            raise DegreeMismatch(f"functional degree {f.degree}, component degree {self.l}")
+        out: dict = {}
+        for key, v in f.terms.items():
+            coords = self._monomial_coordinates(key)
+            if coords is None:
+                # the residuals of several monomials can cancel: decide on f itself
+                res, coords = self._reduce(f)
+                if res:
+                    raise ValueError("functional does not lie in the spanned component")
+                return coords
+            for mono, c in coords.items():
+                _accumulate(out, mono, v * c)
+        return {mono: c for mono, c in out.items() if not c.is_zero()}
+
+    def _monomial_coordinates(self, key) -> dict | None:
+        if key not in self._coords:
+            res, coords = self._reduce(CoordFunctional.monomial(*key))
+            self._coords[key] = None if res else coords
+        return self._coords[key]
+
+    def _reduce(self, f: CoordFunctional) -> tuple[dict, dict]:
+        """The residual of f's evaluation vector and its coordinates over the basis."""
         res, combo = self.ech.reduce(self.eval_vector(f))
-        if res:
-            raise ValueError("functional does not lie in the spanned component")
-        out = {}
-        for idx, c in combo.items():
-            if not c.is_zero():
-                out[self._positions[idx]] = -c
-        return out
+        return res, {self._positions[idx]: -c for idx, c in combo.items() if not c.is_zero()}
+
+
+def _eval_vector(image: ImageBasis, f: CoordFunctional) -> dict:
+    """The values of f on the image basis operators, by index (zeros left out)."""
+    vec: dict = {}
+    for t, op in enumerate(image.ops):
+        val = eval_on_operator(f, op)
+        if not val.is_zero():
+            vec[t] = val
+    return vec
 
 
 def graded_component(n: int, m: int, l: int, preferred: list | None = None) -> GradedComponent:
@@ -443,19 +481,20 @@ def graded_component(n: int, m: int, l: int, preferred: list | None = None) -> G
     ech = Echelon(track=True)
     basis = []
     positions = {}
-    comp = GradedComponent(n, m, l, image, monos, basis, ech, positions)
     for key in order:
-        f = CoordFunctional.monomial(*key)
         idx = ech.n_inserted
-        if ech.insert(comp.eval_vector(f)):
+        if ech.insert(_eval_vector(image, CoordFunctional.monomial(*key))):
             basis.append(key)
             positions[idx] = key
-    return comp
+    return GradedComponent(n, m, l, image, monos, basis, ech, positions)
 
 
 def phi_component_rep(n: int, m: int, l: int, comp: GradedComponent | None = None):
     """The column-translation action as a rank-m representation on the degree-l
-    component basis (zero-weight monomials seeded into the basis first)."""
+    component basis (zero-weight monomials seeded into the basis first).
+
+    Each generator's column-module operator is built once and applied to every
+    basis monomial; the images' coordinates come from ``comp.coordinates``."""
     from .uq_queer import AlgebraSpec, generator_pairs
 
     if comp is None:
@@ -468,13 +507,16 @@ def phi_component_rep(n: int, m: int, l: int, comp: GradedComponent | None = Non
     space = SuperSpace(labels, {k: monomial_parity(*k) for k in labels})
     gen = {}
     for (i, j) in generator_pairs(m):
+        x = gen_word(i, j)
+        xp = word_parity(x)
+        M = word_operator(_translation_rep("col", m, l), x) if l else None
         entries = {}
         for key in labels:
-            img = act("phi", gen_word(i, j), CoordFunctional.monomial(*key), n, m).normalized()
-            for mono, c in comp.coordinates(img).items():
-                if not c.is_zero():
-                    entries[(mono, key)] = c
-        gen[(i, j)] = SOp(space, space, (index_parity(i) + index_parity(j)) & 1, entries, validate=False)
+            f = CoordFunctional.monomial(*key)
+            img = _phi_translate(M, xp, f) if l else act("phi", x, f, n, m)
+            for mono, c in comp.coordinates(img.normalized()).items():
+                entries[(mono, key)] = c
+        gen[(i, j)] = SOp(space, space, xp, entries, validate=False)
     rep = QueerRep(AlgebraSpec(m, PARAM_Q), space, gen)
     return rep, comp
 

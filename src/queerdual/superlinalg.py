@@ -183,6 +183,10 @@ class SOp:
             self._by_col = by
         return self._by_col
 
+    def column(self, c) -> list:
+        """The nonzero entries (r, v) of column c."""
+        return self._cols().get(c, [])
+
     def __matmul__(self, other: "SOp") -> "SOp":
         """Composition self after other (plain operator product, no signs)."""
         if other.cod != self.dom:

@@ -243,38 +243,60 @@ def vector_action_table(n: int, param: str = PARAM_Q) -> dict:
 # defining relations
 # ---------------------------------------------------------------------------
 
-def _relation_sides(G, i, j, k, l, qq, xi, prod):
-    def mul(a, b):
+def _relation_terms(i, j, k, l, qq, xi):
+    """Both sides of quadratic instance (i, j, k, l), each a list of terms
+    (a, b, c) standing for the product G[a] @ G[b] scaled by c."""
+    pi, pj, pk, pl = index_parity(i), index_parity(j), index_parity(k), index_parity(l)
+    sign = -1 if ((pi + pj) * (pk + pl)) & 1 else 1
+    lhs = [((i, j), (k, l), (qq ** phi(j, l)) * sign)]
+    if k <= j < l:
+        lhs.append(((i, l), (k, j), xi * theta(i, j, k)))
+    if i <= -l < j <= -k:
+        lhs.append(((i, -l), (k, -j), xi * theta(-i, -j, k)))
+    rhs = [((k, l), (i, j), qq ** phi(i, k))]
+    if k < i <= l:
+        rhs.append(((i, l), (k, j), xi * theta(i, j, k)))
+    if -j <= k < -i <= l:
+        rhs.append(((-i, l), (-k, j), xi * theta(-i, -j, k)))
+    return lhs, rhs
+
+
+def _side_operator(G, terms, prod):
+    """The operator of one side's terms; products are looked up in, and added to, prod."""
+    total = None
+    for a, b, c in terms:
         op = prod.get((a, b))
         if op is None:
             op = G[a] @ G[b]
             prod[(a, b)] = op
-        return op
-
-    pi, pj, pk, pl = index_parity(i), index_parity(j), index_parity(k), index_parity(l)
-    sign = -1 if ((pi + pj) * (pk + pl)) & 1 else 1
-    lhs = mul((i, j), (k, l)).scale((qq ** phi(j, l)) * sign)
-    if k <= j < l:
-        lhs = lhs + mul((i, l), (k, j)).scale(xi * theta(i, j, k))
-    if i <= -l < j <= -k:
-        lhs = lhs + mul((i, -l), (k, -j)).scale(xi * theta(-i, -j, k))
-    rhs = mul((k, l), (i, j)).scale(qq ** phi(i, k))
-    if k < i <= l:
-        rhs = rhs + mul((i, l), (k, j)).scale(xi * theta(i, j, k))
-    if -j <= k < -i <= l:
-        rhs = rhs + mul((-i, l), (-k, j)).scale(xi * theta(-i, -j, k))
-    return lhs, rhs
+        op = op.scale(c)
+        total = op if total is None else total + op
+    return total
 
 
-def _quadratic_witness(G, pairs, qq, xi):
-    """The first quadratic relation instance that fails on the operators G, or None."""
-    prod_cache: dict = {}
-    for (i, j) in pairs:
-        for (k, l) in pairs:
-            lhs, rhs = _relation_sides(G, i, j, k, l, qq, xi, prod_cache)
-            if lhs != rhs:
-                diff = lhs - rhs
-                return {"instance": (i, j, k, l), "basis_vector": repr(next(iter(diff.entries))[1])}
+def _relation_sides(G, i, j, k, l, qq, xi, prod):
+    """The two side operators (lhs, rhs) of quadratic instance (i, j, k, l)."""
+    return tuple(_side_operator(G, side, prod) for side in _relation_terms(i, j, k, l, qq, xi))
+
+
+def _quadratic_witness(G, pairs, qq, xi, prod: dict | None = None):
+    """The first quadratic relation instance that fails on the operators G, or None.
+
+    Each product G[a] @ G[b] is built once, kept in ``prod`` while a later
+    instance still uses it, and dropped after the instance that uses it last."""
+    instances = [((i, j, k, l), _relation_terms(i, j, k, l, qq, xi)) for (i, j) in pairs for (k, l) in pairs]
+    expiring: list[list] = [[] for _ in instances]
+    last_use = {(a, b): t for t, (_, sides) in enumerate(instances) for side in sides for a, b, _ in side}
+    for key, t in last_use.items():
+        expiring[t].append(key)
+    prod = {} if prod is None else prod
+    for t, (instance, sides) in enumerate(instances):
+        lhs, rhs = (_side_operator(G, side, prod) for side in sides)
+        if lhs != rhs:
+            diff = lhs - rhs
+            return {"instance": instance, "basis_vector": repr(next(iter(diff.entries))[1])}
+        for key in expiring[t]:
+            del prod[key]
     return None
 
 

@@ -80,6 +80,21 @@ def test_prob_mode_outside_relations_exits_2(suite, capsys):
     assert err == f"error: --mode prob applies to the relations suite only, not {suite!r}\n"
 
 
+@pytest.mark.parametrize("suite", sorted(set(cli.SUITES) - set(cli.PARAM_SUITES)))
+def test_param_qinv_outside_relations_and_hc_exits_2(suite, capsys):
+    # these suites run at q only, so a requested q^{-1} would be silently ignored
+    assert main([suite, "--n", "1", "--m", "1", "--param", "qinv"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --param qinv applies to the relations and hc suites only, not {suite!r}\n"
+
+
+@pytest.mark.parametrize("suite", cli.PARAM_SUITES)
+def test_param_qinv_reaches_relations_and_hc(suite, tmp_path):
+    code, payload = run([suite, "--n", "1", "--m", "1", "--param", "qinv"], tmp_path)
+    assert code == 0
+    assert payload["params"]["param"] == "qinv"
+
+
 def test_unsupported_scale():
     assert main(["relations", "--n", "9"]) == 2
     assert main(["howe", "--degree", "7"]) == 2

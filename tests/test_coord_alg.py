@@ -18,6 +18,7 @@ from queerdual.coord_alg import (
     kbar_word,
     normalized_monomials,
     operator_image_basis,
+    phi_component_rep,
     product,
     qca_report,
     word_operator,
@@ -273,3 +274,80 @@ def test_zero_weight_iso_smallest():
     # m = 1: no braid operators, pure Clifford and row-side checks
     report = zero_weight_iso(1, 1)
     assert report.ok, [c.to_dict() for c in report.failures()]
+
+
+def _whole_vector_coordinates(comp, f):
+    """The reference: reduce f's whole evaluation vector against the component."""
+    res, combo = comp.ech.reduce(comp.eval_vector(f))
+    assert not res
+    return {comp._positions[idx]: -c for idx, c in combo.items() if not c.is_zero()}
+
+
+@pytest.mark.parametrize("n,m,l", [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 1, 2), (2, 2, 2)])
+def test_coordinates_match_whole_vector_reduction(n, m, l):
+    comp = graded_component(n, m, l)
+    rng = random.Random(11 * n + 7 * m + l)
+    funcs = [CoordFunctional.monomial(*key) for key in comp.monomials]
+    for (i, j) in generator_pairs(m):
+        for key in comp.basis:
+            funcs.append(act("phi", gen_word(i, j), CoordFunctional.monomial(*key), n, m).normalized())
+    for _ in range(4):
+        keys = rng.sample(comp.monomials, min(5, len(comp.monomials)))
+        funcs.append(CoordFunctional(l, {key: RatFunc(rng.randint(-3, 3)) * Q ** rng.randint(-1, 1) for key in keys}))
+    for f in funcs:
+        assert comp.coordinates(f) == _whole_vector_coordinates(comp, f)
+
+
+def test_coordinates_reject_a_non_member():
+    # column letter 2 lies outside the rank-1 column range of the component
+    comp = graded_component(2, 1, 2)
+    outside = CoordFunctional.monomial((1, 1), (1, 2))
+    for _ in range(2):  # the second call reads the memo
+        with pytest.raises(ValueError):
+            comp.coordinates(outside)
+        with pytest.raises(ValueError):
+            comp.coordinates(outside + CoordFunctional.monomial(*comp.basis[0]))
+    with pytest.raises(DegreeMismatch):
+        comp.coordinates(CoordFunctional.monomial((1,), (1,)))
+
+
+def test_coordinates_when_non_member_residuals_cancel():
+    # t_{1,2} and t_{-1,-2} both leave the rank-1 component, but they are equal
+    comp = graded_component(2, 1, 1)
+    f = CoordFunctional.monomial((1,), (2,)) - CoordFunctional.monomial((-1,), (-2,))
+    assert comp.coordinates(f) == {}
+    g = f + CoordFunctional.monomial((-1,), (-1,), Q)
+    assert comp.coordinates(g) == {((1,), (1,)): Q}
+
+
+def test_phi_component_rep_reduces_each_monomial_once(monkeypatch):
+    from queerdual.superlinalg import Echelon
+
+    calls = []
+    reduce = Echelon.reduce
+
+    def counting(self, vec):
+        calls.append(1)
+        return reduce(self, vec)
+
+    monkeypatch.setattr(Echelon, "reduce", counting)
+    rep, comp = phi_component_rep(2, 2, 2)
+    reductions = len(calls)
+    images = {
+        mono
+        for (i, j) in generator_pairs(2)
+        for key in comp.basis
+        for mono in act("phi", gen_word(i, j), CoordFunctional.monomial(*key), 2, 2).normalized().terms
+    }
+    # at most one reduction per distinct non-basis monomial, where one per image took 320
+    assert reductions <= len(images - set(comp.basis)) <= 32
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (1, 3)])
+def test_degree_zero_phi_action_is_the_counit(n, m):
+    rep, comp = phi_component_rep(n, m, 0)
+    unit = ((), ())
+    assert comp.basis == [unit]
+    assert comp.coordinates(CoordFunctional.unit().scale(Q)) == {unit: Q}
+    for (i, j), op in rep.gen.items():
+        assert op.entries == ({(unit, unit): ONE} if i == j else {})

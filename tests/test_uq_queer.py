@@ -191,6 +191,46 @@ def test_relations_prob_degree_bound_covers_exact_differences(factor):
     assert true_degrees and max(true_degrees) <= degree
 
 
+class _SizeLog(dict):
+    """A product cache that records how often it is filled and its largest size."""
+
+    def __init__(self):
+        super().__init__()
+        self.filled = 0
+        self.peak = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.filled += 1
+        self.peak = max(self.peak, len(self))
+
+
+def test_quadratic_witness_drops_each_product_after_its_last_use():
+    from queerdual.uq_queer import _quadratic_witness, param_q, param_xi
+
+    rep = tensor_rep(vector_rep(2), 2)
+    prod = _SizeLog()
+    assert _quadratic_witness(rep.gen, generator_pairs(2), param_q(rep.param), param_xi(rep.param), prod) is None
+    assert prod == {}
+    assert 0 < prod.peak < prod.filled  # products are dropped along the way, not held to the end
+
+
+def test_quadratic_witness_is_the_first_failing_instance():
+    from queerdual.uq_queer import _quadratic_witness, _relation_sides, param_q, param_xi
+
+    bad = _defective(2, 2, (1, 2), Q)
+    qq, xi = param_q(bad.param), param_xi(bad.param)
+    pairs = generator_pairs(2)
+    failing = []
+    for (i, j) in pairs:
+        for (k, l) in pairs:
+            lhs, rhs = _relation_sides(bad.gen, i, j, k, l, qq, xi, {})
+            if lhs != rhs:
+                failing.append((i, j, k, l))
+    assert failing
+    assert _quadratic_witness(bad.gen, pairs, qq, xi)["instance"] == failing[0]
+
+
 def test_relations_prob_height_fallback():
     # 1 + p is 1 in GF(p): only the exact check can see this defect
     from queerdual.scalars import P

@@ -6,15 +6,20 @@ sparse matrices.  Tensor products follow the Koszul sign rule
 
     (A (x) B)(u (x) w) = (-1)^{|B||u|} A(u) (x) B(w).
 
-All results are exact; pivot rows are chosen by minimal polynomial degree then
-label order, so every result is deterministic for a fixed basis order.  GF(p)
-only chooses, at one point, and an exact argument or check proves each choice:
-``kernel_basis`` eliminates exactly over a row basis picked in GF(p) and checks
-every dropped row exactly against the kernel it found, falling back to all rows
-when one does not vanish; ``certified_span`` picks the words of an operator
-span in GF(p) and certifies their number against the GF(p) nullity of a
-commutant that must contain the span, falling back to exact elimination when
-the two bounds differ.  The elimination routines run unchanged over GF(p).
+All results are exact and deterministic for a fixed basis order.  There is one
+elimination engine, ``Echelon``: it keeps its rows fully reduced with pivot 1,
+so after inserting a family its rows are the reduced row echelon form of the
+family's span, and kernels and inverses are read off it.  It runs unchanged
+over GF(p).  There is one intertwiner system: ``intertwiners(A_ops, B_ops)``
+solves X b = (-1)^{|X||a|} a X for every pair (a, b), numbering X[r, c] only
+where every even diagonal pair has a_r = b_c; ``graded_commutant`` is the
+case A_ops = B_ops.  GF(p) only chooses, at one point, and an exact argument or
+check proves each choice: ``kernel_basis`` eliminates exactly over a row basis
+picked in GF(p) and checks every dropped row exactly against the kernel it
+found, falling back to all rows when one does not vanish; ``certified_span``
+picks the words of an operator span in GF(p) and certifies their number
+against the GF(p) nullity of a commutant that must contain the span, falling
+back to exact elimination when the two bounds differ.
 """
 
 from __future__ import annotations
@@ -392,47 +397,13 @@ class Echelon:
         return not res
 
 
-def rref(rows: list[dict]) -> list[tuple[int, dict]]:
-    """Reduced row echelon form of sparse rows; pivot rows picked by minimal
-    coefficient degree, ties broken by input order."""
-    buckets: dict[int, list[dict]] = {}
-    for r in rows:
-        r = {k: v for k, v in r.items() if not v.is_zero()}
-        if r:
-            buckets.setdefault(min(r), []).append(r)
-    done: list[tuple[int, dict]] = []
-    while buckets:
-        col = min(buckets)
-        cands = buckets.pop(col)
-        best = min(range(len(cands)), key=lambda i: cands[i][col].degree_size())
-        pivot_row = cands.pop(best)
-        inv = pivot_row[col].inverse()
-        pivot_row = {k: inv * v for k, v in pivot_row.items()}
-        for r in cands:
-            _sub_multiple(r, r[col], pivot_row)
-            if r:
-                buckets.setdefault(min(r), []).append(r)
-        done.append((col, pivot_row))
-    # back substitution for the fully reduced form
-    done.sort(key=lambda t: t[0])
-    for i in range(len(done) - 1, -1, -1):
-        col, row = done[i]
-        for j in range(i):
-            _, r = done[j]
-            c = r.get(col)
-            if c is None:
-                continue
-            _sub_multiple(r, c, row)
-    return done
-
-
 def _field_one(ops: Iterable[SOp]):
     """The one of the operators' field: Q(q) or GF(p); Q(q) when they have no entries."""
     return next((v ** 0 for op in ops for v in op.entries.values()), ONE)
 
 
 def _exact_kernel(rows: list[dict], ncols: int, one) -> list[dict]:
-    reduced = rref(rows)
+    reduced = span_dim(rows)[1].rows  # the reduced row echelon form
     pivots = {col for col, _ in reduced}
     basis = []
     for free in range(ncols):
@@ -588,47 +559,51 @@ def _sylvester_rows(A: SOp, B: SOp, row_labels, col_labels, vindex: dict, sign: 
     return [{i: v for i, v in row.items() if not v.is_zero()} for row in by_rc.values()]
 
 
-def _commutant_systems(ops: list[SOp]) -> list[tuple[int, list, list[dict]]]:
+def _intertwiner_systems(A_ops: list[SOp], B_ops: list[SOp]) -> list[tuple[int, list, list[dict]]]:
     """Per parity p: (p, the numbered unknowns X[r, c], the constraint rows) of
-    X a = (-1)^{|X||a|} a X for every a in ops."""
-    if not ops:
-        raise ValueError("need at least one operator")
-    space = ops[0].dom
-    for op in ops:
-        if op.dom != space or op.cod != space:
-            raise ValueError("operators must be endomorphisms of one space")
-    labels = space.labels
-    par = space.parity
-    # X commutes with an even diagonal d, so X[r, c] (d_c - d_r) = 0: only the
-    # unknowns whose labels no such d tells apart are numbered, and d adds no rows
+    X b = (-1)^{|X||a|} a X for every pair (a, b) of A_ops and B_ops."""
+    if not A_ops or len(A_ops) != len(B_ops):
+        raise ValueError("need two nonempty operator families of one length")
+    cod, dom = A_ops[0].dom, B_ops[0].dom
+    for a, b in zip(A_ops, B_ops):
+        if a.dom != cod or a.cod != cod or b.dom != dom or b.cod != dom:
+            raise ValueError("operators must be endomorphisms of one space per family")
+    # X b = a X for an even diagonal pair gives X[r, c] (b_c - a_r) = 0: only the
+    # unknowns with a_r = b_c for every such pair are numbered, and it adds no rows
     diagonal, others = [], []
-    for a in ops:
-        (diagonal if not a.par and all(r == c for r, c in a.entries) else others).append(a)
-    weight = {lab: tuple(d.entries.get((lab, lab)) for d in diagonal) for lab in labels}
+    for a, b in zip(A_ops, B_ops):
+        diag = not (a.par or b.par) and all(r == c for op in (a, b) for r, c in op.entries)
+        (diagonal if diag else others).append((a, b))
+    row_weight = {r: tuple(a.entries.get((r, r)) for a, _ in diagonal) for r in cod.labels}
+    col_weight = {c: tuple(b.entries.get((c, c)) for _, b in diagonal) for c in dom.labels}
     systems = []
     for p in (0, 1):
         pairs = [
-            (r, c) for r in labels for c in labels
-            if (par[r] + par[c]) & 1 == p and weight[r] == weight[c]
+            (r, c) for r in cod.labels for c in dom.labels
+            if (cod.parity[r] + dom.parity[c]) & 1 == p and row_weight[r] == col_weight[c]
         ]
         vindex = {rc: i for i, rc in enumerate(pairs)}
         rows = []
-        for a in others:
-            rows.extend(_sylvester_rows(a, a, labels, labels, vindex, -1 if (p and a.par) else 1))
+        for a, b in others:
+            rows.extend(_sylvester_rows(a, b, cod.labels, dom.labels, vindex, -1 if (p and a.par) else 1))
         systems.append((p, pairs, rows))
     return systems
 
 
+def intertwiners(A_ops: list[SOp], B_ops: list[SOp]) -> list[SOp]:
+    """Basis of all X from the space of B_ops to that of A_ops with
+    X b = (-1)^{|X||a|} a X for every pair (a, b), split by parity (even first)."""
+    systems = _intertwiner_systems(A_ops, B_ops)
+    cod, dom, one = A_ops[0].dom, B_ops[0].dom, _field_one([*A_ops, *B_ops])
+    return [
+        SOp(dom, cod, p, {pairs[i]: v for i, v in flat.items()}, validate=False)
+        for p, pairs, rows in systems for flat in kernel_basis(rows, len(pairs), one)
+    ]
+
+
 def graded_commutant(ops: list[SOp]) -> list[SOp]:
     """Basis of all X with X a = (-1)^{|X||a|} a X for every a in ops, split by parity."""
-    systems = _commutant_systems(ops)
-    space, one = ops[0].dom, _field_one(ops)
-    out: list[SOp] = []
-    for p, pairs, rows in systems:
-        for flat in kernel_basis(rows, len(pairs), one):
-            entries = {pairs[i]: v for i, v in flat.items()}
-            out.append(SOp(space, space, p, entries, validate=False))
-    return out
+    return intertwiners(ops, ops)
 
 
 def _closure(gens: list[SOp], include_identity: bool):
@@ -713,7 +688,8 @@ def certified_span(gens: list[SOp], partners: list[SOp]) -> CertifiedSpan:
     if premise:
         values = {v for op in (*gens, *partners) for v in op.entries.values()}
         _, image = sample_mod_p(random.Random(0), values)
-        systems = _commutant_systems([h.map(image.__getitem__) for h in partners])
+        partners_p = [h.map(image.__getitem__) for h in partners]
+        systems = _intertwiner_systems(partners_p, partners_p)
         nullity = sum(len(pairs) - span_dim(rows)[0] for _, pairs, rows in systems)
         _, basis_p, words = _closure([g.map(image.__getitem__) for g in gens], True)
         if len(basis_p) == nullity:

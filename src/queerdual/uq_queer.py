@@ -35,7 +35,7 @@ from .superlinalg import (
     index_parity,
     index_range,
     joint_kernel,
-    rref,
+    span_dim,
     tensor_space,
     unflatten_vector,
 )
@@ -440,7 +440,7 @@ def _op_inverse(op: SOp) -> SOp:
                 row[pos[c]] = v
         row[dim + pos[r_lab]] = ONE
         rows.append(row)
-    reduced = rref(rows)
+    reduced = span_dim(rows)[1].rows  # [op | 1] reduces to [1 | op^{-1}]
     if len(reduced) != dim or any(col >= dim for col, _ in reduced):
         raise NonInvertibleDiagonal("generator action is singular")
     entries = {}

@@ -1,5 +1,6 @@
 import argparse
 import json
+from importlib import resources
 
 import pytest
 
@@ -124,6 +125,13 @@ def test_removed_option_exits_2(option, capsys):
         main(["relations", f"--{option}", "d"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: --{option} d" in capsys.readouterr().err
+
+
+def test_battery_reproduces_the_expectations_file_byte_for_byte(tmp_path):
+    written = tmp_path / "expected_values.json"
+    assert main(["--all", "--write-expectations", str(written), "--report", str(tmp_path / "all.json")]) == 0
+    packaged = resources.files("queerdual").joinpath("expected_values.json").read_bytes()
+    assert written.read_bytes() == packaged
 
 
 def test_frozen_values_match_expectations_file():

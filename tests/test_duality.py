@@ -329,6 +329,16 @@ def test_classical_crosscheck():
         assert report.ok, [(n, m), [c.to_dict() for c in report.failures()]]
 
 
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2)])
+def test_classical_braid_checks_need_a_braid_generator(n, m):
+    # at m = 1 there is no T_a: the two checks over T_1..T_{m-1} are not recorded
+    report = classical_crosscheck(n, m)
+    assert report.ok, [c.to_dict() for c in report.failures()]
+    names = {c.name for c in report.checks}
+    braid_checks = {"braid_specializes_to_signed_swap", "hc1_degenerates"}
+    assert names & braid_checks == (braid_checks if m >= 2 else set())
+
+
 def test_submodule_rep_errors():
     rep = tensor_rep(vector_rep(1), 2)
     with pytest.raises(ValueError):

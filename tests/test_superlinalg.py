@@ -5,7 +5,7 @@ import pytest
 
 from queerdual import coord_alg, scalars, superlinalg
 from queerdual.coord_alg import operator_image_basis
-from queerdual.duality import SubmoduleRep
+from queerdual.duality import FixtureModule, SubmoduleRep
 from queerdual.hecke_clifford import hc_tensor_action
 from queerdual.scalars import ONE, ModP, RatFunc, Q, ZERO, sample_mod_p
 from queerdual.superlinalg import (
@@ -18,15 +18,15 @@ from queerdual.superlinalg import (
     graded_tensor,
     index_parity,
     index_range,
+    intertwiners,
     joint_kernel,
     kernel_basis,
     operator_algebra_span,
-    rref,
     span_dim,
     supercommutator,
     tensor_space,
 )
-from queerdual.uq_queer import generate_submodule, highest_weight_vectors, tensor_rep, vector_rep
+from queerdual.uq_queer import chevalley_ops, generate_submodule, highest_weight_vectors, tensor_rep, vector_rep
 
 from oracles import flatten_ops_rows, frac_rank, specialize_op_rows, vectors_rows
 
@@ -232,8 +232,9 @@ def test_scale_by_plus_minus_one():
 
 
 def exact_kernel(rows, ncols):
-    """The kernel read off the rref of all rows: kernel_basis without row selection."""
-    reduced = rref(rows)
+    """The kernel read off the reduced row echelon form of all rows: kernel_basis
+    without row selection."""
+    reduced = span_dim(rows)[1].rows
     pivots = {col for col, _ in reduced}
     basis = []
     for free in range(ncols):
@@ -265,16 +266,17 @@ def redundant_system(rng, ncols, rank, nrows):
     return rows
 
 
-def counting_rref(monkeypatch):
+def counting_eliminations(monkeypatch):
+    """Record (rows received, their rank) for each exact elimination."""
     calls = []
-    real = superlinalg.rref
+    real = superlinalg._exact_kernel
 
-    def counting(rows):
-        out = real(rows)
-        calls.append((len(rows), len(out)))
+    def counting(rows, ncols, one):
+        out = real(rows, ncols, one)
+        calls.append((len(rows), ncols - len(out)))
         return out
 
-    monkeypatch.setattr(superlinalg, "rref", counting)
+    monkeypatch.setattr(superlinalg, "_exact_kernel", counting)
     return calls
 
 
@@ -284,7 +286,7 @@ def test_kernel_basis_equals_exact_kernel_on_redundant_rows(seed, monkeypatch):
     ncols = rng.randint(4, 8)
     rows = redundant_system(rng, ncols, rng.randint(1, ncols - 1), rng.randint(2 * ncols, 3 * ncols))
     expected = exact_kernel([dict(r) for r in rows], ncols)
-    calls = counting_rref(monkeypatch)
+    calls = counting_eliminations(monkeypatch)
     assert kernel_basis(rows, ncols) == expected
     (received, rank), = calls  # one elimination, on a row basis only
     assert received == rank == ncols - len(expected) < len(rows)
@@ -295,7 +297,7 @@ def test_kernel_basis_falls_back_when_the_point_merges_rows(monkeypatch):
     f = RatFunc((-20, 0, 1), (-4, 1))  # (q^2 - 20) / (q - 4), which is 5 at q = 5
     rows = [{0: ONE, 1: Q}, {0: ONE, 1: f}]
     monkeypatch.setattr(superlinalg, "sample_mod_p", lambda rng, values: (5, {v: v.mod_p(5) for v in values}))
-    calls = counting_rref(monkeypatch)
+    calls = counting_eliminations(monkeypatch)
     assert kernel_basis([dict(r) for r in rows], 3) == exact_kernel(rows, 3) == [{2: ONE}]
     assert calls == [(1, 1), (2, 2)]  # the kept row alone, then the fallback on all rows
 
@@ -358,18 +360,17 @@ def test_commutant_of_diagonal_ops_over_gf_p():
     assert all(isinstance(v, ModP) for vec in kernel for v in vec.values())
 
 
-def reference_commutant(ops):
-    """graded_commutant without weight blocks or row selection: every unknown, every row."""
-    space = ops[0].dom
-    labels, par = space.labels, space.parity
+def reference_intertwiners(A_ops, B_ops):
+    """intertwiners without weight blocks or row selection: every unknown, every row."""
+    cod, dom = A_ops[0].dom, B_ops[0].dom
     out = []
     for p in (0, 1):
-        pairs = [(r, c) for r in labels for c in labels if (par[r] + par[c]) & 1 == p]
+        pairs = [(r, c) for r in cod.labels for c in dom.labels if (cod.parity[r] + dom.parity[c]) & 1 == p]
         vindex = {rc: i for i, rc in enumerate(pairs)}
         rows = []
-        for a in ops:
-            rows.extend(_sylvester_rows(a, a, labels, labels, vindex, -1 if (p and a.par) else 1))
-        out.extend(SOp(space, space, p, {pairs[i]: v for i, v in flat.items()}) for flat in exact_kernel(rows, len(pairs)))
+        for a, b in zip(A_ops, B_ops):
+            rows.extend(_sylvester_rows(a, b, cod.labels, dom.labels, vindex, -1 if (p and a.par) else 1))
+        out.extend(SOp(dom, cod, p, {pairs[i]: v for i, v in flat.items()}) for flat in exact_kernel(rows, len(pairs)))
     return out
 
 
@@ -380,7 +381,17 @@ def test_weight_block_commutant_matches_the_full_system():
     d1 = SOp(W, W, 0, {(lab, lab): Q if lab[0] > 0 else ONE for lab in W.labels})
     d2 = SOp(W, W, 0, {((1, 1), (1, 1)): Q, ((-1, -1), (-1, -1)): Q})
     for ops in ([d1], [d1, rand_op(rng, W, 1)], [d1, d2, rand_op(rng, W, 0)], [rand_op(rng, W, 0)]):
-        assert graded_commutant(ops) == reference_commutant(ops)
+        assert graded_commutant(ops) == reference_intertwiners(ops, ops)
+    # two different families: the rank-2 fixture against the ambient submodule of V^{(x)2}
+    rep = tensor_rep(vector_rep(2), 2)
+    target = chevalley_ops(SubmoduleRep(rep, generate_submodule(rep, [{(1, 1): ONE}])).as_queer_rep())
+    fixture = FixtureModule().chevalley()
+    solve_on = [("k", 1), ("k", 2), ("e", 1), ("f", 1), ("ebar", 1)]
+    A_ops, B_ops = [target[k] for k in solve_on], [fixture[k] for k in solve_on]
+    got = intertwiners(A_ops, B_ops)
+    assert got == reference_intertwiners(A_ops, B_ops)
+    assert [X.par for X in got] == [0, 1]  # theta, and an odd one: L((2)) is of type Q
+    assert all(X.dom == fixture[("k", 1)].dom and X.cod == target[("k", 1)].dom for X in got)
 
 
 def census_top_block():
@@ -393,11 +404,11 @@ def census_top_block():
 
 
 def test_exact_elimination_sees_only_a_row_basis(monkeypatch):
-    # work guard: the redundant rows of a commutant system never reach exact rref
+    # work guard: the redundant rows of a commutant system never reach exact elimination
     ops = census_top_block()
     space = ops[0].dom
     labels, par = space.labels, space.parity
-    calls = counting_rref(monkeypatch)
+    calls = counting_eliminations(monkeypatch)
     for p in (0, 1):
         pairs = [(r, c) for r in labels for c in labels if (par[r] + par[c]) & 1 == p]
         vindex = {rc: i for i, rc in enumerate(pairs)}
@@ -410,6 +421,7 @@ def test_exact_elimination_sees_only_a_row_basis(monkeypatch):
     comm = graded_commutant(ops)
     assert sorted(X.par for X in comm) == [0, 1]  # type Q: one even and one odd endomorphism
     assert len(calls) == 2 and all(received == rank for received, rank in calls)
+    assert comm == intertwiners(ops, ops)
 
 
 # ---------------------------------------------------------------------------

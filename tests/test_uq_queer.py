@@ -12,13 +12,14 @@ from queerdual.superlinalg import (
     graded_tensor,
     index_range,
     kernel_basis,
-    rref,
     span_dim,
     supercommutator,
     tensor_space,
 )
+from queerdual.hecke_clifford import hc_tensor_action
 from queerdual.uq_queer import (
     AlgebraSpec,
+    _op_inverse,
     NonInvertibleDiagonal,
     QueerRep,
     antipode_images,
@@ -453,6 +454,20 @@ def test_dual_rep_noninvertible_diagonal():
         dual_rep(QueerRep(AlgebraSpec(1), space, bad))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_op_inverse_of_a_braid_generator(n):
+    T = hc_tensor_action(n, 2).t(1)  # even, and not diagonal
+    assert any(r != c for r, c in T.entries)
+    assert T @ _op_inverse(T) == SOp.identity(T.dom)
+
+
+def test_op_inverse_of_a_singular_non_diagonal_operator():
+    V = SuperSpace.standard(2)
+    singular = SOp(V, V, 0, {((1,), (1,)): ONE, ((1,), (2,)): ONE})  # E_{1,1} + E_{1,2}
+    with pytest.raises(NonInvertibleDiagonal):
+        _op_inverse(singular)
+
+
 def test_double_dual_intertwines_with_v():
     rep = vector_rep(2)
     dd = dual_rep(dual_rep(rep))
@@ -482,7 +497,7 @@ def test_double_dual_intertwines_with_v():
         {V.pos[c]: theta.entry(r, c) for c in V.labels if not theta.entry(r, c).is_zero()}
         for r in V.labels
     ]
-    assert len(rref([m for m in mat if m])) == V.dim  # invertible
+    assert span_dim([m for m in mat if m])[0] == V.dim  # invertible
     # theta solves  (rep gen) . theta = theta . (double-dual gen)
     for key in rep.gen:
         assert (rep.gen[key] @ theta) == (theta @ dd.gen[key])

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 
-from .hecke_clifford import hc_tensor_action
+from .hecke_clifford import HCAction, HCSpec, hc_check, hc_tensor_action, zero_weight_hc
 from .report import VerifyReport
 from .scalars import ONE, Q, RatFunc, ZERO
 from .superlinalg import (
@@ -31,6 +31,7 @@ from .superlinalg import (
     SOp,
     SuperSpace,
     certified_span,
+    graded_tensor,
     index_parity,
     index_range,
     tensor_space,
@@ -38,9 +39,13 @@ from .superlinalg import (
 from .uq_queer import (
     PARAM_Q,
     PARAM_QINV,
+    AlgebraSpec,
     QueerRep,
     dual_rep,
+    generator_pairs,
     param_xi,
+    phi,
+    s_matrix,
     sigma_twist,
     tensor_rep,
     vector_rep,
@@ -363,9 +368,7 @@ def kbar_word(i: int, param: str = PARAM_Q) -> GenWord:
 
 def phi_weight_exponents(cols: tuple, m: int) -> tuple:
     """Exponent vector (e_1..e_m) with Phi_{k_i}-eigenvalue q^{e_i} on a monomial."""
-    from .uq_queer import phi as _phi
-
-    return tuple(sum(_phi(b, i) for b in cols) for i in range(1, m + 1))
+    return tuple(sum(phi(b, i) for b in cols) for i in range(1, m + 1))
 
 
 def psit_weight_exponents(rows: tuple, n: int) -> tuple:
@@ -453,7 +456,7 @@ class GradedComponent:
     def _reduce(self, f: CoordFunctional) -> tuple[dict, dict]:
         """The residual of f's evaluation vector and its coordinates over the basis."""
         res, combo = self.ech.reduce(self.eval_vector(f))
-        return res, {self._positions[idx]: -c for idx, c in combo.items() if not c.is_zero()}
+        return res, {self._positions[idx]: c for idx, c in combo.items()}
 
 
 def _eval_vector(image: ImageBasis, f: CoordFunctional) -> dict:
@@ -495,8 +498,6 @@ def phi_component_rep(n: int, m: int, l: int, comp: GradedComponent | None = Non
 
     Each generator's column-module operator is built once and applied to every
     basis monomial; the images' coordinates come from ``comp.coordinates``."""
-    from .uq_queer import AlgebraSpec, generator_pairs
-
     if comp is None:
         preferred = None
         if l == m:
@@ -552,9 +553,6 @@ def qca_report(n: int) -> VerifyReport:
     qca1: t_{ab} = t_{-a,-b} for all index pairs (degree 1);
     qca2: every entry identity of S12 T13 T23 = T23 T13 S12 (degree 2).
     """
-    from .uq_queer import s_matrix
-    from .superlinalg import graded_tensor
-
     report = VerifyReport("coord_relations", {"n": n})
     ib1 = operator_image_basis(n, 1)
     report.derive("image_dim_l1", ib1.dim)
@@ -613,9 +611,6 @@ def zero_weight_iso(n: int, m: int) -> VerifyReport:
     an HC structure for the q^{-1} parameter; the plain (uncorrected) assignment
     and the displayed Clifford normalization are reported alongside.
     """
-    from .hecke_clifford import HCAction, HCSpec, hc_check, hc_tensor_action, zero_weight_hc
-    from .uq_queer import generator_pairs as _gpairs
-
     report = VerifyReport("zero_weight_iso", {"n": n, "m": m})
     W = tensor_space(SuperSpace.standard(n), m)
     cols = tuple(range(1, m + 1))
@@ -644,7 +639,7 @@ def zero_weight_iso(n: int, m: int) -> VerifyReport:
     # row side: Psi~ generator matrices on the block vs the twisted tensor action
     twist = sigma_twist(tensor_rep(vector_rep(n, PARAM_Q), m))
     exact = plain = 0
-    for (i, j) in _gpairs(n):
+    for (i, j) in generator_pairs(n):
         entries = {}
         for a in rows_pool:
             img = act("psit", gen_word(i, j), CoordFunctional.monomial(a, cols), n, m)
@@ -663,7 +658,7 @@ def zero_weight_iso(n: int, m: int) -> VerifyReport:
             for a2 in rows_pool
         ):
             plain += 1
-    n_gens = len(_gpairs(n))
+    n_gens = len(generator_pairs(n))
     report.add("row_equivariance_kappa", exact == n_gens, value={"matched": exact, "of": n_gens})
     report.derive("row_equivariance_plain_matches", plain)
 
@@ -713,7 +708,7 @@ def zero_weight_iso(n: int, m: int) -> VerifyReport:
     )
     report.add("transported_hc_qinv", hc_check(cand).ok)
     comm_ok = True
-    for (i, j) in _gpairs(n):
+    for (i, j) in generator_pairs(n):
         x = twist.act(i, j)
         for h in cand.generators():
             if x @ h != h @ x:

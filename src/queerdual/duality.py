@@ -28,12 +28,15 @@ from .superlinalg import (
     Echelon,
     SOp,
     SuperSpace,
+    _closure,
     _op_key,
     certified_span,
     flatten_vector,
     graded_commutant,
     index_parity,
     intertwiners,
+    joint_kernel,
+    point_map,
     span_dim,
     supercommutator,
     supercommutes,
@@ -42,9 +45,7 @@ from .uq_queer import (
     PARAM_Q,
     AlgebraSpec,
     QueerRep,
-    _block_kernel,
     _quadratic_witness,
-    _span_closure,
     chevalley_ops,
     classical_limit,
     generate_submodule,
@@ -56,6 +57,17 @@ from .uq_queer import (
     weight_spaces,
 )
 from .hecke_clifford import HCAction, braid_operator, hc_check, hc_tensor_action, zero_weight_hc
+from .coord_alg import (
+    CoordFunctional,
+    act,
+    functional_is_zero,
+    gen_word,
+    graded_component,
+    normalized_monomials,
+    operator_image_basis,
+    phi_weight_exponents,
+    psit_weight_exponents,
+)
 
 
 def enumerate_strict_partitions(size: int, max_len: int) -> list[tuple]:
@@ -109,7 +121,7 @@ class SubmoduleRep:
         res, combo = self._ech.reduce(flatten_vector(self.parent.space, vec))
         if res:
             raise ValueError("vector leaves the submodule")
-        return {self.space.labels[j]: -c for j, c in combo.items() if not c.is_zero()}
+        return {self.space.labels[j]: c for j, c in combo.items()}
 
     def restrict(self, op: SOp) -> SOp:
         entries = {}
@@ -359,18 +371,6 @@ def howe_verify(n: int, m: int, l_max: int) -> VerifyReport:
     hardcoded).  Also verifies the fixed-subspace characterization: monomials
     with row letters in the rank-n range and column letters in the rank-m range
     are exactly the vectors fixed by the outer k_i of the ambient rank."""
-    from .coord_alg import (
-        CoordFunctional,
-        act,
-        functional_is_zero,
-        gen_word,
-        graded_component,
-        normalized_monomials,
-        operator_image_basis,
-        phi_weight_exponents,
-        psit_weight_exponents,
-    )
-
     report = VerifyReport("howe", {"n": n, "m": m, "l_max": l_max})
     r = min(n, m)
     dims_by_degree = {}
@@ -576,9 +576,9 @@ def fixture_module():
     _, u0_cols, _ = span_dim([flatten_vector(target, dict(X.column("u0"))) for X in sols], track=True)
     residual, combo = u0_cols.reduce(flatten_vector(target, sub.coordinates({(1, 1): ONE})))
     theta = SOp.zero(fix.space, target)
-    if not residual:  # combo holds minus the coordinates over sols
+    if not residual:
         for a, c in combo.items():
-            theta = theta + sols[a].scale(-c)
+            theta = theta + sols[a].scale(c)
     found = not theta.is_zero()
     inv_ok = found and span_dim([flatten_vector(target, dict(theta.column(c))) for c in fix.space.labels])[0] == 8
     report.add("intertwiner_found", found)
@@ -669,14 +669,14 @@ def classical_crosscheck(n: int, m: int) -> VerifyReport:
     census, _ = isotypic_census(n, m)
     cls_ok = True
     raising = [cl[("e", i)] for i in range(1, n)] + [cl[("ebar", i)] for i in range(1, n)]
-    lowering = [cl[k] for k in cl if k[0] in ("e", "f", "ebar", "fbar", "kbar")]
+    generators = [cl[k] for k in cl if k[0] in ("e", "f", "ebar", "fbar", "kbar")]
     for mu, entry in census.entries.items():
-        block = [w for w in W.labels if tuple(sum(1 for x in w if abs(x) == i) for i in range(1, n + 1)) == mu]
-        hw = _block_kernel(raising, W, block)
+        # the weight mu at q = 1: h_i acts by the content mu_i
+        hw = joint_kernel(raising, [(cl[("h", i)], RatFunc(c)) for i, c in enumerate(mu, start=1)])
         if len(hw) != entry.hwv_dim:
             cls_ok = False
             continue
-        if _span_closure(W, lowering, [_pick_seed(hw, W)]).dim != entry.submodule_dim:
+        if _closure(generators, [point_map(W, _pick_seed(hw, W))])[0].dim != entry.submodule_dim:
             cls_ok = False
     report.add("classical_census_matches", cls_ok)
     return report.finish()

@@ -13,18 +13,23 @@ family's span, and kernels and inverses are read off it.  It runs unchanged
 over GF(p).  There is one intertwiner system: ``intertwiners(A_ops, B_ops)``
 solves X b = (-1)^{|X||a|} a X for every pair (a, b), numbering X[r, c] only
 where every even diagonal pair has a_r = b_c; ``graded_commutant`` is the
-case A_ops = B_ops.  GF(p) only chooses, at one point, and an exact argument or
-check proves each choice: ``kernel_basis`` eliminates exactly over a row basis
-picked in GF(p) and checks every dropped row exactly against the kernel it
-found, falling back to all rows when one does not vanish; ``certified_span``
-picks the words of an operator span in GF(p) and certifies their number
-against the GF(p) nullity of a commutant that must contain the span, falling
-back to exact elimination when the two bounds differ.
+case A_ops = B_ops, and ``joint_kernel`` the case of maps from ``POINT``, the
+even line V^{(x)0}.  There is one closure, ``_closure(gens, seeds)``: an
+operator algebra seeds it with the identity and the generators, a submodule
+with its vectors as maps from ``POINT``.  GF(p) only chooses, at one point,
+and an exact argument or check proves each choice: ``kernel_basis``
+eliminates exactly over a row basis picked in GF(p) and checks every dropped
+row exactly against the kernel it found, falling back to all rows when one
+does not vanish; ``certified_span`` picks the words of an operator span in
+GF(p) and certifies their number against the GF(p) nullity of a commutant
+that must contain the span, falling back to exact elimination when the two
+bounds differ.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .scalars import ONE, ZERO, RatFunc, sample_mod_p
@@ -269,8 +274,6 @@ class SOp:
 
     def specialize(self, c) -> "SOp":
         """Entrywise specialization at q = c, embedded back as constant scalars."""
-        from fractions import Fraction
-
         c = Fraction(c)
         return self.map(lambda v: RatFunc.from_fraction(v.specialize(c)))
 
@@ -356,10 +359,10 @@ class Echelon:
         return {k: v for k, v in vec.items() if not v.is_zero()}, combo
 
     def reduce(self, vec: dict):
-        """Residual of vec modulo the span, and its coordinates over inserted vectors."""
-        combo: dict | None = {} if self.track else None
-        res, combo = self._reduce(vec, combo)
-        return res, combo
+        """Residual of vec modulo the span, and, when tracking, the nonzero
+        coordinates of vec minus the residual over the inserted vectors."""
+        res, minus = self._reduce(vec, {} if self.track else None)
+        return res, None if minus is None else {j: -c for j, c in minus.items() if not c.is_zero()}
 
     def insert(self, vec: dict) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
@@ -495,36 +498,6 @@ def unflatten_vector(space: SuperSpace, flat: dict) -> dict:
     return {space.labels[k]: v for k, v in flat.items()}
 
 
-def joint_kernel(ops: list[SOp]) -> list[dict]:
-    """Exact basis of the intersection of kernels, parity-homogeneous vectors.
-
-    Deterministic for a fixed basis order; basis vectors are returned grouped by
-    parity (even block first) following the domain label order.
-    """
-    if not ops:
-        raise ValueError("need at least one operator")
-    dom = ops[0].dom
-    for op in ops[1:]:
-        if op.dom != dom:
-            raise ValueError("operators must share a domain")
-    out, one = [], _field_one(ops)
-    for par in (0, 1):
-        block = [lab for lab in dom.labels if dom.parity[lab] == par]
-        if not block:
-            continue
-        colpos = {lab: i for i, lab in enumerate(block)}
-        rows = []
-        for op in ops:
-            by_row: dict = {}
-            for (r, c), v in op.entries.items():
-                if c in colpos:
-                    by_row.setdefault(r, {})[colpos[c]] = v
-            rows.extend(by_row.values())
-        for flat in kernel_basis(rows, len(block), one):
-            out.append({block[k]: v for k, v in flat.items()})
-    return out
-
-
 def span_dim(elems: Sequence, track: bool = False):
     """Exact rank and echelon basis of a family of operators or flat vectors."""
     ech = Echelon(track=track)
@@ -537,25 +510,28 @@ def span_dim(elems: Sequence, track: bool = False):
 
 
 def _sylvester_rows(A: SOp, B: SOp, row_labels, col_labels, vindex: dict, sign: int = 1) -> list[dict]:
-    """Constraint rows of X B = sign * A X in the unknown entries X[r, c], numbered by vindex."""
+    """Constraint rows of X B = sign * A X, as A X - sign * X B = 0, in the unknown
+    entries X[r, c], numbered by vindex."""
     by_rc: dict = {}
-    # (X B)[r,c] = sum_k X[r,k] B[k,c]
+    # -sign (X B)[r,c] = -sign sum_k X[r,k] B[k,c]
     for (k, c), v in B.entries.items():
+        w = None  # negated once, and only for an entry that meets a numbered unknown
         for r in row_labels:
             i = vindex.get((r, k))
             if i is not None:
+                if w is None:
+                    w = -v if sign > 0 else v
                 row = by_rc.setdefault((r, c), {})
                 s = row.get(i)
-                row[i] = v if s is None else s + v
-    # -sign (A X)[r,c] = -sign sum_k A[r,k] X[k,c]
+                row[i] = w if s is None else s + w
+    # (A X)[r,c] = sum_k A[r,k] X[k,c]
     for (r, k), v in A.entries.items():
-        w = v if sign < 0 else -v
         for c in col_labels:
             i = vindex.get((k, c))
             if i is not None:
                 row = by_rc.setdefault((r, c), {})
                 s = row.get(i)
-                row[i] = w if s is None else s + w
+                row[i] = v if s is None else s + v
     return [{i: v for i, v in row.items() if not v.is_zero()} for row in by_rc.values()]
 
 
@@ -606,13 +582,30 @@ def graded_commutant(ops: list[SOp]) -> list[SOp]:
     return intertwiners(ops, ops)
 
 
-def _closure(gens: list[SOp], include_identity: bool):
-    """Left-multiplication closure of the generator words, iterated until the span
-    stabilizes: (echelon, basis, words), where words[k] = (g, parent) records
-    basis[k] = gens[g] @ basis[parent]; parent None is the generator itself, and
-    (None, None) the identity."""
-    if not gens:
-        raise ValueError("need at least one generator")
+POINT = SuperSpace([()], {(): 0})  # V^{(x)0}: a vector of V is an operator POINT -> V
+
+
+def point_map(space: SuperSpace, vec: dict) -> SOp:
+    """The operator POINT -> space that sends the point's basis vector to vec."""
+    par = next((space.parity[lab] for lab in vec), 0)
+    return SOp(POINT, space, par, {(lab, ()): v for lab, v in vec.items()}, validate=False)
+
+
+def joint_kernel(ops: list[SOp], weight: Sequence = ()) -> list[dict]:
+    """Exact basis of the vectors killed by every operator in ops on which each
+    diagonal d of the (d, eigenvalue) pairs in weight acts by its eigenvalue,
+    parity-homogeneous, even first: the intertwiners from POINT on which each
+    op acts by 0 and each d by its eigenvalue (a zero eigenvalue, an empty
+    scalar, matches the entries where d vanishes)."""
+    A_ops = [*ops, *(d for d, _ in weight)]
+    B_ops = [SOp.zero(POINT)] * len(ops) + [SOp.identity(POINT, value) for _, value in weight]
+    return [{r: v for (r, _), v in X.entries.items()} for X in intertwiners(A_ops, B_ops)]
+
+
+def _closure(gens: list[SOp], seeds: list[SOp]):
+    """Left-multiplication closure of the seeds under the generators, iterated
+    until the span stabilizes: (echelon, basis, words), where words[k] = (g,
+    parent) records basis[k] = gens[g] @ basis[parent]; g None is seeds[parent]."""
     ech = Echelon()
     basis: list[SOp] = []
     words: list[tuple] = []
@@ -622,10 +615,8 @@ def _closure(gens: list[SOp], include_identity: bool):
             basis.append(op)
             words.append(word)
 
-    if include_identity:
-        offer(SOp.identity(gens[0].dom, _field_one(gens)), (None, None))
-    for g, op in enumerate(gens):
-        offer(op, (g, None))
+    for s, op in enumerate(seeds):
+        offer(op, (None, s))
     done = 0
     while done < len(basis):  # multiply the words kept in the last round
         layer, done = range(done, len(basis)), len(basis)
@@ -637,10 +628,17 @@ def _closure(gens: list[SOp], include_identity: bool):
     return ech, basis, words
 
 
-def operator_algebra_span(gens: list[SOp], include_identity: bool = True):
+def _algebra_seeds(gens: list[SOp]) -> list[SOp]:
+    """The seeds of the algebra the generators span: the identity, then the generators."""
+    if not gens:
+        raise ValueError("need at least one generator")
+    return [SOp.identity(gens[0].dom, _field_one(gens)), *gens]
+
+
+def operator_algebra_span(gens: list[SOp]):
     """Echelon basis of the span of all words in the generators (left-multiplication
     closure, iterated to dimension stabilization), by exact elimination."""
-    ech, basis, _ = _closure(gens, include_identity)
+    ech, basis, _ = _closure(gens, _algebra_seeds(gens))
     return ech, basis
 
 
@@ -691,14 +689,13 @@ def certified_span(gens: list[SOp], partners: list[SOp]) -> CertifiedSpan:
         partners_p = [h.map(image.__getitem__) for h in partners]
         systems = _intertwiner_systems(partners_p, partners_p)
         nullity = sum(len(pairs) - span_dim(rows)[0] for _, pairs, rows in systems)
-        _, basis_p, words = _closure([g.map(image.__getitem__) for g in gens], True)
+        gens_p = [g.map(image.__getitem__) for g in gens]
+        _, basis_p, words = _closure(gens_p, _algebra_seeds(gens_p))
         if len(basis_p) == nullity:
+            seeds = _algebra_seeds(gens)
             basis: list[SOp] = []
             for g, parent in words:
-                basis.append(
-                    SOp.identity(gens[0].dom) if g is None
-                    else gens[g] if parent is None else gens[g] @ basis[parent]
-                )
+                basis.append(seeds[parent] if g is None else gens[g] @ basis[parent])
             return CertifiedSpan(basis, "gf_p", None, premise)
     ech, basis = operator_algebra_span(gens)
     return CertifiedSpan(basis, "exact", ech, premise)

@@ -27,14 +27,14 @@ from .scalars import (
     sample_mod_p,
 )
 from .superlinalg import (
-    Echelon,
     SOp,
     SuperSpace,
-    flatten_vector,
+    _closure,
     graded_tensor,
     index_parity,
     index_range,
     joint_kernel,
+    point_map,
     span_dim,
     tensor_space,
     unflatten_vector,
@@ -564,49 +564,21 @@ def raising_operators(rep: QueerRep) -> list[SOp]:
     return [ch[("e", i)] for i in range(1, n)] + [ch[("ebar", i)] for i in range(1, n)]
 
 
-def _block_kernel(ops: list[SOp], space: SuperSpace, block: list) -> list[dict]:
-    """Joint kernel of the operators on the span of a block of basis vectors."""
-    if not ops:
-        return [{lab: ONE} for lab in block]
-    sub = SuperSpace(block, {lab: space.parity[lab] for lab in block})
-    restricted = []
-    for op in ops:
-        keep = {(r, c): v for (r, c), v in op.entries.items() if c in sub.pos}
-        restricted.append(SOp(sub, space, op.par, keep, validate=False))
-    return joint_kernel(restricted)
-
-
 def highest_weight_vectors(rep: QueerRep, weight: tuple) -> list[dict]:
-    """Joint kernel of the raising operators e_i, ebar_i inside one weight block."""
-    block = weight_spaces(rep).get(tuple(weight))
-    if block is None:
-        return []
-    return _block_kernel(raising_operators(rep), rep.space, block)
-
-
-def _span_closure(space: SuperSpace, ops: list[SOp], seeds: list[dict]) -> Echelon:
-    """Echelon basis of the smallest subspace that contains the seeds and is
-    invariant under the operators, built by iterating to stabilization."""
-    ech = Echelon()
-    frontier = []
-    for v in seeds:
-        flat = flatten_vector(space, v)
-        if flat and ech.insert(flat):
-            frontier.append(v)
-    while frontier:
-        new = []
-        for g in ops:
-            for v in frontier:
-                w = g.apply(v)
-                if w and ech.insert(flatten_vector(space, w)):
-                    new.append(w)
-        frontier = new
-    return ech
+    """Basis of the vectors of the weight killed by every raising operator e_i,
+    ebar_i: the joint kernel on which each k_i acts by q^{weight_i} (q^{-1} for
+    the q^{-1} form), even vectors first."""
+    n = rep.spec.n
+    if len(weight) != n:
+        raise ValueError(f"weight {tuple(weight)} has {len(weight)} entries, rank n = {n}")
+    qq = param_q(rep.param)
+    cartan = [(rep.act(i, i), qq ** mu) for i, mu in enumerate(weight, start=1)]
+    return joint_kernel(raising_operators(rep), cartan)
 
 
 def generate_submodule(rep: QueerRep, seeds: list[dict]) -> list[dict]:
     """Closure of the seed span under all generator actions, iterated to stabilization."""
-    ech = _span_closure(rep.space, list(rep.gen.values()), seeds)
+    ech, _, _ = _closure(list(rep.gen.values()), [point_map(rep.space, v) for v in seeds])
     return [unflatten_vector(rep.space, dict(row)) for _, row in ech.rows]
 
 

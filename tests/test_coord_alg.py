@@ -280,7 +280,7 @@ def _whole_vector_coordinates(comp, f):
     """The reference: reduce f's whole evaluation vector against the component."""
     res, combo = comp.ech.reduce(comp.eval_vector(f))
     assert not res
-    return {comp._positions[idx]: -c for idx, c in combo.items() if not c.is_zero()}
+    return {comp._positions[idx]: c for idx, c in combo.items()}
 
 
 @pytest.mark.parametrize("n,m,l", [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 1, 2), (2, 2, 2)])

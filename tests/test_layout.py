@@ -1,0 +1,41 @@
+"""Import hygiene of the package modules, checked on their syntax trees."""
+
+import ast
+import os
+
+import pytest
+
+import queerdual
+
+PACKAGE = os.path.dirname(queerdual.__file__)
+MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "__init__.py")
+
+
+def parse(name: str) -> ast.Module:
+    with open(os.path.join(PACKAGE, name)) as fh:
+        return ast.parse(fh.read(), filename=name)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_import_inside_a_function(name):
+    local = [
+        f"{fn.name}:{node.lineno}"
+        for fn in ast.walk(parse(name)) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not local, f"function-local imports in {name}: {local}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_module_level_import_is_used(name):
+    tree = parse(name)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(f"{n}:{line}" for n, line in imported.items() if n not in used)
+    assert not unused, f"unused imports in {name}: {unused}"

@@ -176,8 +176,7 @@ def test_echelon_coordinates():
     assert ech.insert(v1) and ech.insert(v2)
     res, combo = ech.reduce({0: 2 * ONE, 1: 2 * Q + 3 * ONE})
     assert not res
-    coords = {j: -c for j, c in combo.items()}
-    assert coords == {0: 2 * ONE, 1: 3 * ONE}
+    assert combo == {0: 2 * ONE, 1: 3 * ONE}
 
 
 def test_rref_kernel_random_oracle():
@@ -338,7 +337,7 @@ def test_echelon_and_kernel_over_gf_p():
     ech = Echelon(track=True)
     assert ech.insert({0: ModP(1)}) and ech.insert({0: ModP(3), 1: ModP(2)})
     res, combo = ech.reduce({0: ModP(5), 1: ModP(4)})
-    assert not res and {j: -c for j, c in combo.items()} == {0: ModP(-1), 1: ModP(2)}
+    assert not res and combo == {0: ModP(-1), 1: ModP(2)}
     assert kernel_basis([{0: ModP(1), 1: ModP(2)}], 2) == [{1: ModP(1), 0: ModP(-2)}]
     assert all(isinstance(v, ModP) for vec in kernel_basis([{1: ModP(3)}], 3) for v in vec.values())
 
@@ -358,6 +357,20 @@ def test_commutant_of_diagonal_ops_over_gf_p():
     kernel = joint_kernel([SOp.unit(V1, V1, lab, lab, ModP(1))])
     assert kernel == [{V1.labels[1]: ModP(1)}]
     assert all(isinstance(v, ModP) for vec in kernel for v in vec.values())
+
+
+def test_joint_kernel_with_a_weight_over_gf_p():
+    # d has eigenvalue 3 on every label but (-2,); the shift sends (2,) to (1,)
+    d = SOp(V2, V2, 0, {(lab, lab): ModP(5 if lab == (-2,) else 3) for lab in V2.labels})
+    shift = SOp.unit(V2, V2, (1,), (2,), ModP(1))
+    kernel = joint_kernel([shift], [(d, ModP(3))])
+    assert kernel == [{(1,): ModP(1)}, {(-1,): ModP(1)}]
+    assert all(isinstance(v, ModP) for vec in kernel for v in vec.values())
+    assert joint_kernel([shift], [(d, ModP(5))]) == [{(-2,): ModP(1)}]
+    assert joint_kernel([shift], [(d, ModP(4))]) == []
+    # a zero eigenvalue selects the labels where the diagonal operator vanishes
+    h = SOp(V2, V2, 0, {((2,), (2,)): ModP(1), ((-2,), (-2,)): ModP(1)})
+    assert joint_kernel([shift], [(h, ModP(0))]) == [{(1,): ModP(1)}, {(-1,): ModP(1)}]
 
 
 def reference_intertwiners(A_ops, B_ops):

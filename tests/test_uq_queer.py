@@ -5,16 +5,21 @@ import pytest
 
 from queerdual import scalars
 from queerdual.scalars import ONE, QINV, RatFunc, XI, Q, ZERO, PoleAtPoint, kronecker_point
+from queerdual.duality import _pick_seed, enumerate_strict_partitions
 from queerdual.superlinalg import (
+    POINT,
+    Echelon,
     SOp,
     SuperSpace,
     flatten_vector,
     graded_tensor,
     index_range,
+    joint_kernel,
     kernel_basis,
     span_dim,
     supercommutator,
     tensor_space,
+    unflatten_vector,
 )
 from queerdual.hecke_clifford import hc_tensor_action
 from queerdual.uq_queer import (
@@ -33,6 +38,7 @@ from queerdual.uq_queer import (
     is_dominant_weight,
     omega_map,
     phi,
+    raising_operators,
     s_matrix,
     sigma_twist,
     tensor_product_rep,
@@ -591,6 +597,114 @@ def test_generate_submodule():
     assert frac_rank(vectors_rows(rep.space, sub, Fraction(4, 3))) == 8
     whole = generate_submodule(rep, [{lab: ONE} for lab in rep.space.labels])
     assert len(whole) == 16
+
+
+# -- references: the block kernel and span closure that joint_kernel and _closure replaced
+
+def reference_block_kernel(ops, space, block):
+    """Joint kernel of ops on the span of a block of basis labels: per parity, one
+    row per (operator, output label) over the block's labels of that parity."""
+    if not ops:
+        return [{lab: ONE} for lab in block]
+    out = []
+    for par in (0, 1):
+        cols = [lab for lab in block if space.parity[lab] == par]
+        if not cols:
+            continue
+        colpos = {lab: i for i, lab in enumerate(cols)}
+        rows = []
+        for op in ops:
+            by_row = {}
+            for (r, c), v in op.entries.items():
+                if c in colpos:
+                    by_row.setdefault(r, {})[colpos[c]] = v
+            rows.extend(by_row.values())
+        out.extend({cols[k]: v for k, v in flat.items()} for flat in kernel_basis(rows, len(cols)))
+    return out
+
+
+def reference_hwv(rep, mu):
+    block = weight_spaces(rep).get(tuple(mu))
+    return [] if block is None else reference_block_kernel(raising_operators(rep), rep.space, block)
+
+
+def reference_span_closure(space, ops, seeds):
+    """Echelon basis of the smallest subspace that contains the seeds and is
+    invariant under the operators, applying each operator to the newest vectors."""
+    ech = Echelon()
+    frontier = []
+    for v in seeds:
+        flat = flatten_vector(space, v)
+        if flat and ech.insert(flat):
+            frontier.append(v)
+    while frontier:
+        new = []
+        for g in ops:
+            for v in frontier:
+                w = g.apply(v)
+                if w and ech.insert(flatten_vector(space, w)):
+                    new.append(w)
+        frontier = new
+    return ech
+
+
+def items(vectors):
+    return [list(v.items()) for v in vectors]
+
+
+@pytest.mark.parametrize("param", ["q", "qinv"])
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
+def test_hwv_equal_the_block_kernel_reference(n, m, param):
+    rep = tensor_rep(vector_rep(n, param), m)
+    weights = list(weight_spaces(rep))
+    assert len(weights) > 1
+    for mu in weights + [(m + 1,) + (0,) * (n - 1)]:  # the last is no weight
+        assert items(highest_weight_vectors(rep, mu)) == items(reference_hwv(rep, mu)), mu
+
+
+@pytest.mark.parametrize("param", ["q", "qinv"])
+@pytest.mark.parametrize("m", [3, 4])
+def test_rank_one_hwv_are_the_weight_block_even_first(m, param):
+    # no raising operator: every vector of the weight block, even ones first
+    rep = tensor_rep(vector_rep(1, param), m)
+    for mu in weight_spaces(rep):
+        got, want = highest_weight_vectors(rep, mu), reference_hwv(rep, mu)
+        assert items(got) == items(sorted(want, key=lambda v: rep.space.parity[next(iter(v))]))
+        assert _pick_seed(got, rep.space) == _pick_seed(want, rep.space)
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (2, 2), (2, 3), (3, 2)])
+def test_generate_submodule_equals_the_span_closure_reference(n, m):
+    rep = tensor_rep(vector_rep(n), m)
+    gens = list(rep.gen.values())
+    census = [hw for hw in (reference_hwv(rep, mu) for mu in weight_spaces(rep)) if hw]
+    seeds = [_pick_seed(hw, rep.space) for hw in census]
+    assert len(seeds) == len(enumerate_strict_partitions(m, n))
+    for seed in seeds:
+        want = [unflatten_vector(rep.space, dict(row)) for _, row in reference_span_closure(rep.space, gens, [seed]).rows]
+        assert generate_submodule(rep, [seed]) == want  # row by row, entry by entry
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2)])
+def test_classical_hwv_by_content_match_the_content_block(n, m):
+    # at q = 1 the weight is read off h_i, which acts by the content; a zero
+    # content is an empty scalar on POINT and selects the labels where h_i vanishes
+    rep = tensor_rep(vector_rep(n), m)
+    cl = classical_limit(rep)
+    raising = [cl[("e", i)] for i in range(1, n)] + [cl[("ebar", i)] for i in range(1, n)]
+    assert SOp.identity(POINT, RatFunc(0)).is_zero()
+    blocks = weight_spaces(rep)
+    assert any(0 in mu for mu in blocks)
+    for mu, block in blocks.items():
+        weight = [(cl[("h", i)], RatFunc(c)) for i, c in enumerate(mu, start=1)]
+        assert items(joint_kernel(raising, weight)) == items(reference_block_kernel(raising, rep.space, block)), mu
+
+
+def test_hwv_weight_of_the_wrong_length_raises():
+    rep = tensor_rep(vector_rep(2), 2)
+    for mu in ((2,), (2, 0, 0)):
+        with pytest.raises(ValueError):
+            highest_weight_vectors(rep, mu)
 
 
 def test_omega():

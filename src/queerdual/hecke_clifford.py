@@ -18,7 +18,13 @@ are inequivalent forms.  The zero-weight Clifford generators kbar_b square to
 involution to one slot) square to -1; rescaling one into the other needs a
 square root of -1, which the field lacks.  hc_check therefore accepts a single
 uniform sign eps and reports it as derived_values["clifford_square"]; every
-other family is checked verbatim.
+other family is checked verbatim, hc1 in the expanded form
+T_a T_a + (q'^{-1} - q') T_a - 1 = 0.
+
+Each family instance is a relation between words of at most three generators,
+checked by ``superlinalg.relation_failures`` on residues at one Kronecker point
+(``_hc_bound`` bounds every difference), so the verdicts and witnesses are
+those of Q(q); the report records the point as ``exact_point``.
 
 The tensor action is the direct transcription of the two closed formulas
 (graded swap with q-weight, two xi-corrections guarded by the order on the
@@ -30,14 +36,16 @@ HC-module structure for the opposite parameter.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .report import VerifyReport
-from .scalars import ONE, q_number
-from .superlinalg import SOp, SuperSpace, index_parity, tensor_space
+from .scalars import ONE, IdentityBound, RatFunc, identity_bound, q_number
+from .superlinalg import SOp, SuperSpace, index_parity, relation_failures, tensor_space, word_sum
 from .uq_queer import (
     PARAM_Q,
     QueerRep,
+    _kronecker_image,
     opposite_param,
     param_q,
     param_xi,
@@ -191,14 +199,44 @@ def zero_weight_hc(rep) -> HCAction:
     return HCAction(HCSpec(m, opposite_param(rep.param)), sub, t_ops, c_ops)
 
 
+def _hc_bound(ops: dict, qq) -> IdentityBound:
+    """The identity bound, on the values every T and C entry and 1, that covers
+    every difference entry hc_check tests.
+
+    Let w be the largest number of nonzero entries in a row of a generator.
+    Entry (r, c) of a word g_1 ... g_k is the sum over the paths r = s_0,
+    s_1, ..., s_k = c of g_1[s_0, s_1] ... g_k[s_{k-1}, s_k]; s_1 .. s_{k-1}
+    each run over the nonzero entries of one row, so the sum has at most
+    w^(k-1) nonzero terms, each a product of k <= 3 entries, padded with 1 to
+    three factors.  A difference entry therefore has at most
+      hc1: w (T T) + 1 (q'^-1 T) + 1 (q' T) + 1 (the constant 1) = w + 3,
+      hc2: 2 w^2 (two words of length 3),
+      hc3, hc5, hc6, hc7: 2 w (two words of length 2),
+      hc4 and the Clifford square: w (C C) + 1 (eps 1) = w + 1
+    terms, each +-s * g_1 g_2 g_3 with s in {q', q'^-1, 1}; max(2 w^2, w + 3)
+    bounds them all.
+    """
+    values = {v for op in ops.values() for v in op.entries.values()} | {ONE}
+    width = max(max(Counter(r for r, _ in op.entries).values(), default=0) for op in ops.values())
+    terms = max(2 * width * width, width + 3)
+    return identity_bound(values, (qq, qq.inverse(), ONE), factors=3, terms=terms)
+
+
 def hc_check(action: HCAction, qq=None) -> VerifyReport:
     """Verify relation families hc1..hc7 exactly; failures carry a witness word.
 
-    Each relation compares its two sides entry by entry (hc1 against zero); the
-    difference is built only for the witness of a failing instance.
-
     ``qq`` is the value of q' in hc1, by default q or q^{-1} per the parameter
     flag; the classical cross-check passes 1 for an action specialized at q = 1.
+    hc1 is checked as T T + (q'^{-1} - q') T - 1 = 0.
+
+    Each relation accumulates lhs - rhs entry by entry on residues
+    (``superlinalg.relation_failures``); the two sides are built as operators,
+    in the action's own field, only for the witness of a failing instance.  An
+    action over Q(q) is evaluated once, at the Kronecker point of the bound in
+    ``_hc_bound`` (``scalars.kronecker_point`` has the proof), so every verdict
+    and witness is that of Q(q); the report records the point as
+    ``exact_point``, which is "Q(q)" when no listed Mersenne prime is large
+    enough and the check runs in Q(q).  An action over GF(p) is checked there.
     """
     m = action.spec.m
     if qq is None:
@@ -206,48 +244,59 @@ def hc_check(action: HCAction, qq=None) -> VerifyReport:
     report = VerifyReport(
         "hc", {"m": m, "param": action.spec.param, "dim": action.space.dim}
     )
-    ident = SOp.identity(action.space, qq ** 0)  # over the field of qq: Q(q), or GF(p) at a point
+    ops = {**{("T", a): action.t(a) for a in range(1, m)}, **{("C", b): action.c(b) for b in range(1, m + 1)}}
+    qinv = qq.inverse()
+    values = {v for op in ops.values() for v in op.entries.values()} | {qq, qinv}
+    if isinstance(qq, RatFunc):
+        point = _kronecker_image(report, values, _hc_bound(ops, qq))
+    else:  # the action is over GF(p) already
+        point = {v: v.v for v in values}, qq.p
+    image, p = point or (None, None)
+    shift = qinv - qq if image is None else image[qinv] - image[qq]
 
-    def check(name: str, lhs: SOp, rhs: SOp, ctx):
-        if lhs == rhs:
-            report.add(name, True)
-        else:
-            diff = lhs - rhs
-            wit = {"instance": ctx, "basis_vector": repr(next(iter(diff.entries))[1])}
-            report.add(name, False, witness=wit)
+    def T(a):
+        return ("T", a)
 
-    for a in range(1, m):
-        T = action.t(a)
-        lhs = (T + ident.scale(-qq)) @ (T + ident.scale(qq.inverse()))
-        check("hc1", lhs, SOp.zero(action.space), {"a": a})
+    def C(b):
+        return ("C", b)
+
+    # the Clifford square: one uniform sign across all generators
+    squares = [(e, [((C(1), C(1)), 1)], [((), e)]) for e in (1, -1)]
+    failing = relation_failures(ops, squares, image, p)
+    eps = next((e for t, (e, _, _) in enumerate(squares) if t not in failing), None)
+
+    checks = [("hc1", {"a": a}, [((T(a), T(a)), 1), ((T(a),), shift), ((), -1)], []) for a in range(1, m)]
     for a in range(1, m - 1):
-        lhs = action.t(a) @ action.t(a + 1) @ action.t(a)
-        rhs = action.t(a + 1) @ action.t(a) @ action.t(a + 1)
-        check("hc2", lhs, rhs, {"a": a})
+        checks.append(("hc2", {"a": a}, [((T(a), T(a + 1), T(a)), 1)], [((T(a + 1), T(a), T(a + 1)), 1)]))
     for a in range(1, m):
         for b in range(a + 2, m):
-            check("hc3", action.t(a) @ action.t(b), action.t(b) @ action.t(a), {"a": a, "b": b})
-    # the Clifford square: one uniform sign across all generators
-    eps = None
-    sq = action.c(1) @ action.c(1)
-    if sq == ident:
-        eps = 1
-    elif sq == ident.scale(-1):
-        eps = -1
-    report.derive("clifford_square", eps)
+            checks.append(("hc3", {"a": a, "b": b}, [((T(a), T(b)), 1)], [((T(b), T(a)), 1)]))
     if eps is None:
-        check("hc4", sq, ident, {"b": 1})
+        checks.append(("hc4", {"b": 1}, [((C(1), C(1)), 1)], [((), 1)]))
     else:
         for b in range(1, m + 1):
-            check("hc4", action.c(b) @ action.c(b), ident.scale(eps), {"b": b, "eps": eps})
+            checks.append(("hc4", {"b": b, "eps": eps}, [((C(b), C(b)), 1)], [((), eps)]))
     for a in range(1, m + 1):
         for b in range(a + 1, m + 1):
-            check("hc5", action.c(a) @ action.c(b), -(action.c(b) @ action.c(a)), {"a": a, "b": b})
+            checks.append(("hc5", {"a": a, "b": b}, [((C(a), C(b)), 1)], [((C(b), C(a)), -1)]))
     for a in range(1, m):
-        check("hc6", action.t(a) @ action.c(a), action.c(a + 1) @ action.t(a), {"a": a})
+        checks.append(("hc6", {"a": a}, [((T(a), C(a)), 1)], [((C(a + 1), T(a)), 1)]))
     for a in range(1, m):
         for b in range(1, m + 1):
-            if b in (a, a + 1):
-                continue
-            check("hc7", action.t(a) @ action.c(b), action.c(b) @ action.t(a), {"a": a, "b": b})
+            if b not in (a, a + 1):
+                checks.append(("hc7", {"a": a, "b": b}, [((T(a), C(b)), 1)], [((C(b), T(a)), 1)]))
+
+    failing = set(relation_failures(ops, [check[1:] for check in checks], image, p))
+    report.derive("clifford_square", eps)
+    for t, (name, ctx, lhs, rhs) in enumerate(checks):
+        if t not in failing:
+            report.add(name, True)
+            continue
+        if name == "hc1":  # the witness of the factored form (T - q')(T + q'^{-1})
+            tt = action.t(ctx["a"])
+            ident = SOp.identity(action.space, qq ** 0)
+            diff = (tt + ident.scale(-qq)) @ (tt + ident.scale(qinv))
+        else:
+            diff = word_sum(ops, lhs) - word_sum(ops, rhs)
+        report.add(name, False, witness={"instance": ctx, "basis_vector": repr(next(iter(diff.entries))[1])})
     return report.finish()

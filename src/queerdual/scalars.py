@@ -492,11 +492,14 @@ class RatFunc:
         Raises PoleAtPoint when p divides den(c).  On the values without a pole
         at c this is a ring homomorphism to GF(p) (see ``identity_bound``).
         """
-        p = field.p
+        return field(self.residue(c, field.p))
+
+    def residue(self, c: int, p: int) -> int:
+        """The image of ``mod_p`` as a plain int in [0, p)."""
         d = _peval_mod(self.den, c, p)
         if not d:
             raise PoleAtPoint(f"denominator vanishes mod p at q = {c}")
-        return field(_peval_mod(self.num, c, p) * pow(d, -1, p))
+        return _peval_mod(self.num, c, p) * pow(d, -1, p) % p
 
     def sqrt(self):
         """An exact square root in Q(q) if one exists, else None."""

@@ -310,6 +310,118 @@ def supercommutes(A: SOp, B: SOp) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# relations between words in operators
+# ---------------------------------------------------------------------------
+
+def word_sum(ops: dict, terms, prod: dict | None = None) -> SOp:
+    """The operator sum of c * ops[w_1] @ ... @ ops[w_k] over the terms (word, c),
+    the empty word being the identity; products of two or more letters are
+    looked up in, and added to, ``prod``."""
+    space = next(iter(ops.values())).dom
+    prod = {} if prod is None else prod
+    total = None
+    for word, c in terms:
+        op = prod.get(word)
+        if op is None:
+            op = ops[word[0]] if word else SOp.identity(space, _field_one(ops.values()))
+            for w in word[1:]:
+                op = op @ ops[w]
+            if len(word) > 1:
+                prod[word] = op
+        op = op.scale(c)
+        total = op if total is None else total + op
+    return total if total is not None else SOp.zero(space)
+
+
+def relation_failures(ops: dict, instances, image: dict | None = None, p: int | None = None, prod=None) -> list[int]:
+    """The indices, in order, of the instances whose two sides differ.
+
+    ``ops`` maps generator keys to endomorphisms of one space.  An instance is
+    (ctx, lhs, rhs), each side a list of terms (word, c) standing for
+    c * ops[w_1] @ ... @ ops[w_k]; the empty word is the identity.  Each
+    instance accumulates lhs - rhs into one dict and tests its entries for 0.
+
+    With ``image`` the check runs on residues mod the prime ``p``: every entry
+    v of ops becomes the plain int image[v] once, the coefficients are ints,
+    products are summed on ints and reduced mod p once per entry, and each
+    difference entry is tested ``% p``.  Without it the same loop runs on the
+    entries' own field elements (Q(q), or GF(p) elements), tested by
+    ``is_zero``.
+
+    Each product of two or more letters is built once, kept in ``prod`` while
+    a later instance still uses it, and dropped after the instance that uses it
+    last.
+    """
+    space = next(iter(ops.values())).dom
+    N = space.dim
+    pos = space.pos
+    scalar = (lambda v: v) if image is None else image.__getitem__
+    # an operator is {c * N + r: value} over basis positions, and a left factor
+    # is also read by columns: {c: [(r, value), ...]}
+    mats: dict = {}
+    cols: dict = {}
+    for key, op in ops.items():
+        flat = mats[key] = {}
+        by_col = cols[key] = {}
+        for (r, c), v in op.entries.items():
+            x = scalar(v)
+            flat[pos[c] * N + pos[r]] = x
+            by_col.setdefault(pos[c], []).append((pos[r], x))
+    one = 1 if image is not None else _field_one(ops.values())
+    ident = {i * N + i: one for i in range(N)}
+
+    def product(word: tuple) -> dict:
+        if not word:
+            return ident
+        out = mats[word[-1]]
+        for w in reversed(word[:-1]):
+            a_cols = cols[w]
+            acc: dict = {}
+            for key, bv in out.items():
+                k = key % N
+                base = key - k
+                for r, av in a_cols.get(k, ()):
+                    s = acc.get(base + r)
+                    acc[base + r] = av * bv if s is None else s + av * bv
+            if p is None:
+                out = {k: v for k, v in acc.items() if not v.is_zero()}
+            else:
+                out = {k: x for k, v in acc.items() if (x := v % p)}
+        return out
+
+    last_use = {}
+    for t, (_, lhs, rhs) in enumerate(instances):
+        for word, _ in (*lhs, *rhs):
+            if len(word) > 1:
+                last_use[word] = t
+    expiring: list[list] = [[] for _ in instances]
+    for word, t in last_use.items():
+        expiring[t].append(word)
+    prod = {} if prod is None else prod
+
+    failures = []
+    for t, (_, lhs, rhs) in enumerate(instances):
+        diff: dict = {}
+        for word, c in (*lhs, *((word, -c) for word, c in rhs)):
+            if not c:
+                continue
+            op = prod.get(word)
+            if op is None:
+                op = product(word)
+                if len(word) > 1:
+                    prod[word] = op
+            for k, v in op.items():
+                s = diff.get(k)
+                diff[k] = c * v if s is None else s + c * v
+        for word in expiring[t]:
+            prod.pop(word, None)
+        nonzero = (not v.is_zero() for v in diff.values()) if p is None else (v % p for v in diff.values())
+        if any(nonzero):
+            failures.append(t)
+    return failures
+
+
+# ---------------------------------------------------------------------------
 # exact elimination
 # ---------------------------------------------------------------------------
 
@@ -602,29 +714,31 @@ def joint_kernel(ops: list[SOp], weight: Sequence = ()) -> list[dict]:
     return [{r: v for (r, _), v in X.entries.items()} for X in intertwiners(A_ops, B_ops)]
 
 
-def _closure(gens: list[SOp], seeds: list[SOp]):
+def _closure(gens: list[SOp], seeds: list[SOp], limit: int | None = None):
     """Left-multiplication closure of the seeds under the generators, iterated
-    until the span stabilizes: (echelon, basis, words), where words[k] = (g,
-    parent) records basis[k] = gens[g] @ basis[parent]; g None is seeds[parent]."""
+    until the span stabilizes or reaches dimension ``limit``: (echelon, basis,
+    words), where words[k] = (g, parent) records basis[k] = gens[g] @
+    basis[parent]; g None is seeds[parent]."""
     ech = Echelon()
     basis: list[SOp] = []
     words: list[tuple] = []
 
-    def offer(op: SOp, word: tuple) -> None:
-        if ech.insert(_op_key(op)):
+    def candidates():
+        for s, op in enumerate(seeds):
+            yield op, (None, s)
+        done = 0
+        while done < len(basis):  # multiply the words kept in the last round
+            layer, done = range(done, len(basis)), len(basis)
+            for g, op in enumerate(gens):
+                for b in layer:
+                    yield op @ basis[b], (g, b)
+
+    for op, word in candidates():
+        if not op.is_zero() and ech.insert(_op_key(op)):
             basis.append(op)
             words.append(word)
-
-    for s, op in enumerate(seeds):
-        offer(op, (None, s))
-    done = 0
-    while done < len(basis):  # multiply the words kept in the last round
-        layer, done = range(done, len(basis)), len(basis)
-        for g, op in enumerate(gens):
-            for b in layer:
-                cand = op @ basis[b]
-                if not cand.is_zero():
-                    offer(cand, (g, b))
+            if len(basis) == limit:
+                break
     return ech, basis, words
 
 
@@ -676,8 +790,10 @@ def certified_span(gens: list[SOp], partners: list[SOp]) -> CertifiedSpan:
 
     words independent in GF(p) are independent over Q(q), and specializing the
     commutant's constraint rows can only lower their rank.  The closure runs in
-    GF(p); when its rank equals the nullity, all four numbers are equal, and the
-    kept words, rebuilt exactly one product each, are a basis of the span.  They
+    GF(p) and stops once its rank reaches the nullity: no later word could
+    enlarge it, so the kept words are those of the full closure.  When its rank
+    equals the nullity, all four numbers are equal, and the kept words, rebuilt
+    exactly one product each, are a basis of the span.  They
     are the words the exact closure keeps unless the point lowers the rank of
     some intermediate family of words.  When the bounds differ (or the premise
     fails) the closure runs by exact elimination.
@@ -690,7 +806,7 @@ def certified_span(gens: list[SOp], partners: list[SOp]) -> CertifiedSpan:
         systems = _intertwiner_systems(partners_p, partners_p)
         nullity = sum(len(pairs) - span_dim(rows)[0] for _, pairs, rows in systems)
         gens_p = [g.map(image.__getitem__) for g in gens]
-        _, basis_p, words = _closure(gens_p, _algebra_seeds(gens_p))
+        _, basis_p, words = _closure(gens_p, _algebra_seeds(gens_p), limit=nullity)
         if len(basis_p) == nullity:
             seeds = _algebra_seeds(gens)
             basis: list[SOp] = []

@@ -10,7 +10,9 @@ relation governed by the S-matrix
 with phi(i,j) = (-1)^{|j|} (delta_{i,j} + delta_{i,-j}) and xi = q - q^{-1}.
 A representation stores one sparse operator per generator; everything downstream
 (relation checking, duals, twists, weights, submodules) is exact operator
-arithmetic on a chosen module, never abstract normal-form rewriting.
+arithmetic on a chosen module, never abstract normal-form rewriting.  Relation
+checking runs on residues at a point where a zero test is exact (see
+``check_defining_relations``).
 
 The ``param`` flag selects the q or q^{-1} form of the algebra: the q^{-1} form
 has every structure constant substituted q -> q^{-1}.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 from .report import VerifyReport
 from .scalars import (
-    ONE, QINV, Q, IdentityBound, PoleAtPoint, RatFunc, _pmonomial, identity_bound, kronecker_point,
+    ONE, P, QINV, Q, IdentityBound, PoleAtPoint, RatFunc, _pmonomial, identity_bound, kronecker_point,
     sample_mod_p,
 )
 from .superlinalg import (
@@ -35,9 +37,11 @@ from .superlinalg import (
     index_range,
     joint_kernel,
     point_map,
+    relation_failures,
     span_dim,
     tensor_space,
     unflatten_vector,
+    word_sum,
 )
 
 PARAM_Q = "q"
@@ -243,61 +247,67 @@ def vector_action_table(n: int, param: str = PARAM_Q) -> dict:
 # defining relations
 # ---------------------------------------------------------------------------
 
-def _relation_terms(i, j, k, l, qq, xi):
+def _relation_terms(i, j, k, l, qpow, xi):
     """Both sides of quadratic instance (i, j, k, l), each a list of terms
-    (a, b, c) standing for the product G[a] @ G[b] scaled by c."""
+    (word, c): the product G[a] @ G[b] for the word (a, b), scaled by c.
+    qpow[e] is q^e for e in (-1, 0, 1)."""
     pi, pj, pk, pl = index_parity(i), index_parity(j), index_parity(k), index_parity(l)
     sign = -1 if ((pi + pj) * (pk + pl)) & 1 else 1
-    lhs = [((i, j), (k, l), (qq ** phi(j, l)) * sign)]
+    lhs = [(((i, j), (k, l)), qpow[phi(j, l)] * sign)]
     if k <= j < l:
-        lhs.append(((i, l), (k, j), xi * theta(i, j, k)))
+        lhs.append((((i, l), (k, j)), xi * theta(i, j, k)))
     if i <= -l < j <= -k:
-        lhs.append(((i, -l), (k, -j), xi * theta(-i, -j, k)))
-    rhs = [((k, l), (i, j), qq ** phi(i, k))]
+        lhs.append((((i, -l), (k, -j)), xi * theta(-i, -j, k)))
+    rhs = [(((k, l), (i, j)), qpow[phi(i, k)])]
     if k < i <= l:
-        rhs.append(((i, l), (k, j), xi * theta(i, j, k)))
+        rhs.append((((i, l), (k, j)), xi * theta(i, j, k)))
     if -j <= k < -i <= l:
-        rhs.append(((-i, l), (-k, j), xi * theta(-i, -j, k)))
+        rhs.append((((-i, l), (-k, j)), xi * theta(-i, -j, k)))
     return lhs, rhs
 
 
-def _side_operator(G, terms, prod):
-    """The operator of one side's terms; products are looked up in, and added to, prod."""
-    total = None
-    for a, b, c in terms:
-        op = prod.get((a, b))
-        if op is None:
-            op = G[a] @ G[b]
-            prod[(a, b)] = op
-        op = op.scale(c)
-        total = op if total is None else total + op
-    return total
+def _qpowers(qq) -> dict:
+    return {-1: qq.inverse(), 0: qq ** 0, 1: qq}
 
 
 def _relation_sides(G, i, j, k, l, qq, xi, prod):
-    """The two side operators (lhs, rhs) of quadratic instance (i, j, k, l)."""
-    return tuple(_side_operator(G, side, prod) for side in _relation_terms(i, j, k, l, qq, xi))
+    """The two side operators (lhs, rhs) of quadratic instance (i, j, k, l);
+    products are looked up in, and added to, prod."""
+    return tuple(word_sum(G, side, prod) for side in _relation_terms(i, j, k, l, _qpowers(qq), xi))
 
 
-def _quadratic_witness(G, pairs, qq, xi, prod: dict | None = None):
+def _witness(G, key: str, ctx, lhs, rhs) -> dict:
+    """The witness of a failing instance: the basis vector of the first entry of
+    lhs - rhs, built from the operators G in their own field."""
+    diff = word_sum(G, lhs) - word_sum(G, rhs)
+    return {key: ctx, "basis_vector": repr(next(iter(diff.entries))[1])}
+
+
+def _unit_witness(G, n: int, image=None, p=None):
+    """The first unit relation L_ii L_{-i,-i} = 1 or L_{-i,-i} L_ii = 1 that fails
+    on the operators G, or None; with ``image`` the check runs on residues mod p."""
+    instances = [
+        (i, [((left, right), 1)], [((), 1)])
+        for i in index_range(n) for left, right in (((i, i), (-i, -i)), ((-i, -i), (i, i)))
+    ]
+    failures = relation_failures(G, instances, image, p)
+    return _witness(G, "i", *instances[failures[0]]) if failures else None
+
+
+def _quadratic_witness(G, pairs, qq, xi, prod: dict | None = None, image=None, p=None):
     """The first quadratic relation instance that fails on the operators G, or None.
 
-    Each product G[a] @ G[b] is built once, kept in ``prod`` while a later
-    instance still uses it, and dropped after the instance that uses it last."""
-    instances = [((i, j, k, l), _relation_terms(i, j, k, l, qq, xi)) for (i, j) in pairs for (k, l) in pairs]
-    expiring: list[list] = [[] for _ in instances]
-    last_use = {(a, b): t for t, (_, sides) in enumerate(instances) for side in sides for a, b, _ in side}
-    for key, t in last_use.items():
-        expiring[t].append(key)
-    prod = {} if prod is None else prod
-    for t, (instance, sides) in enumerate(instances):
-        lhs, rhs = (_side_operator(G, side, prod) for side in sides)
-        if lhs != rhs:
-            diff = lhs - rhs
-            return {"instance": instance, "basis_vector": repr(next(iter(diff.entries))[1])}
-        for key in expiring[t]:
-            del prod[key]
-    return None
+    With ``image`` the check runs on residues mod p (see ``relation_failures``,
+    which keeps each product in ``prod`` until its last use); the witness is
+    rebuilt from G in its own field."""
+    qpow = _qpowers(qq)
+    at = (qpow, xi) if image is None else ({-1: pow(image[qq], -1, p), 0: 1, 1: image[qq]}, image[xi])
+    instances = [((i, j, k, l), *_relation_terms(i, j, k, l, *at)) for (i, j) in pairs for (k, l) in pairs]
+    failures = relation_failures(G, instances, image, p, prod)
+    if not failures:
+        return None
+    instance = instances[failures[0]][0]
+    return _witness(G, "instance", instance, *_relation_terms(*instance, qpow, xi))
 
 
 def _relation_bound(rep: QueerRep) -> tuple[set, IdentityBound]:
@@ -313,7 +323,7 @@ def _relation_bound(rep: QueerRep) -> tuple[set, IdentityBound]:
 def _prob_trials(report: VerifyReport, values, bound: IdentityBound, trials: int, seed: int):
     """Record a GF(p) identity test's bound and draw its trial points.
 
-    Returns one (c, image of each value at q = c) per trial, or None when the
+    Returns one (c, residue of each value at q = c) per trial, or None when the
     bound is not sound; the caller then checks exactly, as the report records.
     """
     if trials < 1:
@@ -328,19 +338,19 @@ def _prob_trials(report: VerifyReport, values, bound: IdentityBound, trials: int
     draws = [sample_mod_p(rng, values) for _ in range(trials)]
     report.derive("trial_points", [str(c) for c, _ in draws])
     report.derive("false_match_bound", str(bound.false_match(trials)))
-    return draws
+    return [(c, {v: x.v for v, x in image.items()}) for c, image in draws]
 
 
 def _kronecker_image(report: VerifyReport, values, bound: IdentityBound):
-    """The image of each value at the Kronecker point, or None to compute in Q(q);
-    the report records which as ``exact_point``."""
+    """(the residue of each value at the Kronecker point, its prime), or None to
+    compute in Q(q); the report records which as ``exact_point``."""
     point = kronecker_point(bound)
     if point is None:
         report.derive("exact_point", "Q(q)")
         return None
     bits, field = point
     report.derive("exact_point", f"q = 2^{bits} in GF(2^{field.p.bit_length()} - 1)")
-    return {v: v.mod_p(1 << bits, field) for v in values}
+    return {v: v.residue(1 << bits, field.p) for v in values}, field.p
 
 
 def check_defining_relations(
@@ -348,12 +358,14 @@ def check_defining_relations(
 ) -> VerifyReport:
     """Verify every unit relation and every expanded quadratic relation instance.
 
-    Each instance compares its two sides entry by entry; lhs - rhs is built
-    only for the witness of a failing instance.  Both modes map every
-    generator entry and q, xi to a prime field at a point and compare the two
-    sides there.  Bounds D on the degree and H on the height of every entry
-    the checks build come from the measured degrees and coefficients of the
-    generator entries (``scalars.identity_bound`` has the proof).
+    Each instance accumulates lhs - rhs entry by entry on residues
+    (``superlinalg.relation_failures``); the two sides are built as operators
+    only for the witness of the first failing instance, from the generators in
+    Q(q).  Both modes map every generator entry and q, xi to a prime field at
+    a point and test there.  Bounds D on the degree and H on the height of
+    every entry the checks build come from the measured degrees and
+    coefficients of the generator entries (``scalars.identity_bound`` has the
+    proof).
 
     Exact mode evaluates once, at the Kronecker point q = 2^B in GF(2^k - 1)
     (``scalars.kronecker_point`` has the proof): there an entry is 0 exactly
@@ -384,36 +396,15 @@ def check_defining_relations(
     if mode == "prob":
         draws = _prob_trials(report, values, bound, trials, seed)
         if draws is not None:
-            points = [(f"@q={c}:", image) for c, image in draws]
+            points = [(f"@q={c}:", image, P) for c, image in draws]
     if points is None:
-        image = _kronecker_image(report, values, bound)
-        if image is not None:
-            points = [("", image)]
-    if points is None:
-        runs = [("", rep.gen, qq, xi, SOp.identity(rep.space))]
-    else:
-        runs = [
-            (tag, {key: op.map(image.__getitem__) for key, op in rep.gen.items()},
-             image[qq], image[xi], SOp.identity(rep.space, type(image[qq])(1)))
-            for tag, image in points
-        ]
-
-    idx = index_range(n)
+        point = _kronecker_image(report, values, bound)
+        points = [("", *(point or (None, None)))]
     pairs = generator_pairs(n)
-    for tag, G, qq, xi, ident in runs:
-        unit_ok, unit_wit = True, None
-        for i in idx:
-            for left, right in (((i, i), (-i, -i)), ((-i, -i), (i, i))):
-                prod = G[left] @ G[right]
-                if prod != ident:
-                    unit_ok = False
-                    diff = prod - ident
-                    unit_wit = {"i": i, "basis_vector": repr(next(iter(diff.entries))[1])}
-                    break
-            if not unit_ok:
-                break
-        report.add(f"{tag}unit_relations", unit_ok, witness=unit_wit)
-        quad_wit = _quadratic_witness(G, pairs, qq, xi)
+    for tag, image, p in points:
+        unit_wit = _unit_witness(rep.gen, n, image, p)
+        report.add(f"{tag}unit_relations", unit_wit is None, witness=unit_wit)
+        quad_wit = _quadratic_witness(rep.gen, pairs, qq, xi, image=image, p=p)
         report.add(f"{tag}quadratic_relations", quad_wit is None, witness=quad_wit)
     report.derive("n_quadratic_instances", len(pairs) ** 2)
     return report.finish()

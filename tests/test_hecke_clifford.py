@@ -2,12 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from queerdual.scalars import ONE, QINV, XI, Q, ModP
+from queerdual import scalars
+from queerdual.coord_alg import phi_component_rep, zero_weight_iso
+from queerdual.duality import fixture_module
+from queerdual.scalars import ONE, P, QINV, XI, Q, ModP, RatFunc, _pmonomial, _ptrailing, kronecker_point
 from queerdual.superlinalg import SOp, index_parity, supercommutator
 from queerdual.hecke_clifford import (
     EmptyZeroWeight,
     HCAction,
     HCSpec,
+    _hc_bound,
     braid_operator,
     hc_check,
     hc_tensor_action,
@@ -145,3 +149,145 @@ def test_hc_check_over_gf_p():
     bad = HCAction(hc.spec, hc.space, at_point(hc.t_ops), at_point(hc.c_ops))
     bad.c_ops[0] = bad.c_ops[0].scale(ModP(2))
     assert {c.name for c in hc_check(bad, qq).failures()} == {"hc4", "hc6"}
+
+
+# -- the Kronecker point of hc_check ------------------------------------------
+
+def hc_check_in_qq(action, qq=None):
+    """hc_check computed in Q(q), with no Mersenne prime to pick a point in."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars, "MERSENNE_EXPONENTS", ())
+        report = hc_check(action, qq)
+    assert report.derived_values["exact_point"] == "Q(q)"
+    return report
+
+
+def _verdicts(report):
+    return [(c.name, c.status, c.witness) for c in report.checks], report.derived_values["clifford_square"]
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (2, 4)])
+def test_hc_kronecker_verdicts_match_qq_on_passing_actions(n, m):
+    action = hc_tensor_action(n, m)
+    report = hc_check(action)
+    assert report.ok and report.derived_values["exact_point"].endswith("in GF(2^521 - 1)")
+    assert _verdicts(report) == _verdicts(hc_check_in_qq(action))
+
+
+def _hc_defective(n, m, kind, index, factor):
+    hc = hc_tensor_action(n, m)
+    ops = hc.t_ops if kind == "T" else hc.c_ops
+    ops[index] = ops[index].scale(factor)
+    return hc
+
+
+def _hc_defects():
+    # (n, m, generator family, index, factor, the field of the point): a large
+    # constant needs the larger prime, a larger one (or 1 + p) reaches past
+    # every listed prime, so that check runs in Q(q)
+    return [
+        (2, 2, "C", 0, Q, "GF(2^521 - 1)"),
+        (2, 2, "T", 0, Q, "GF(2^521 - 1)"),
+        (2, 3, "T", 1, Q, "GF(2^521 - 1)"),
+        (2, 2, "T", 0, (Q + 2).inverse(), "GF(2^521 - 1)"),
+        (1, 3, "C", 2, (Q + 2).inverse(), "GF(2^521 - 1)"),
+        (2, 2, "C", 0, RatFunc(1 + 2**20), "GF(2^607 - 1)"),
+        (2, 2, "T", 0, RatFunc(1 + 2**20), "Q(q)"),
+        (2, 2, "C", 1, RatFunc(1 + P), "Q(q)"),
+    ]
+
+
+@pytest.mark.parametrize("n,m,kind,index,factor,field", _hc_defects())
+def test_hc_kronecker_verdicts_match_qq_on_defects(n, m, kind, index, factor, field):
+    bad = _hc_defective(n, m, kind, index, factor)
+    report = hc_check(bad)
+    assert not report.ok and report.derived_values["exact_point"].endswith(field)
+    assert _verdicts(report) == _verdicts(hc_check_in_qq(bad))
+
+
+def _hc_differences(action, qq):
+    """Every entry of lhs - rhs of every instance hc_check tests, in Q(q), for
+    both signs of the Clifford square."""
+    m, t, c = action.spec.m, action.t, action.c
+    ident = SOp.identity(action.space)
+    diffs = [t(a) @ t(a) + t(a).scale(qq.inverse() - qq) - ident for a in range(1, m)]
+    diffs += [t(a) @ t(a + 1) @ t(a) - t(a + 1) @ t(a) @ t(a + 1) for a in range(1, m - 1)]
+    diffs += [t(a) @ t(b) - t(b) @ t(a) for a in range(1, m) for b in range(a + 2, m)]
+    diffs += [c(b) @ c(b) - ident.scale(eps) for b in range(1, m + 1) for eps in (1, -1)]
+    diffs += [c(a) @ c(b) + c(b) @ c(a) for a in range(1, m + 1) for b in range(a + 1, m + 1)]
+    diffs += [t(a) @ c(a) - c(a + 1) @ t(a) for a in range(1, m)]
+    diffs += [t(a) @ c(b) - c(b) @ t(a) for a in range(1, m) for b in range(1, m + 1)]
+    return [v for d in diffs for v in d.entries.values()]
+
+
+@pytest.mark.parametrize("n,m,kind,index,factor", [
+    (2, 3, "T", 0, ONE), (2, 3, "T", 1, Q), (2, 3, "C", 0, (Q + 2).inverse()), (1, 4, "T", 2, (Q + 2).inverse()),
+])
+def test_hc_height_bound_covers_exact_differences(n, m, kind, index, factor):
+    # P_f = q^-LO f M^3 has 1-norm at most H < X = 2^B and degree at most D
+    action = _hc_defective(n, m, kind, index, factor)
+    qq = Q
+    ops = {("T", a): action.t(a) for a in range(1, m)} | {("C", b): action.c(b) for b in range(1, m + 1)}
+    bound = _hc_bound(ops, qq)
+    bits, _ = kronecker_point(bound)
+    M = ONE
+    for b in {v.den[_ptrailing(v.den):] for op in ops.values() for v in op.entries.values()} - {(1,)}:
+        M = M * RatFunc(b)
+    diffs = [f for f in _hc_differences(action, qq) if f]
+    assert diffs
+    for f in diffs:
+        pf = f * M * M * M
+        _, c = _pmonomial(pf.den)
+        assert c == 1  # f M^3 is a Laurent polynomial with integer coefficients
+        assert sum(abs(a) for a in pf.num) <= bound.height < 2**bits
+        assert len(pf.num) - 1 - _ptrailing(pf.num) <= bound.degree
+
+
+def test_hc_check_at_the_point_does_no_ratfunc_products(monkeypatch):
+    action = hc_tensor_action(2, 4)
+    calls = []
+    mul = RatFunc.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(RatFunc, "__mul__", counting)
+    monkeypatch.setattr(RatFunc, "__rmul__", counting)
+    report = hc_check(action)
+    assert report.ok and report.derived_values["exact_point"].startswith("q = 2^")
+    assert calls == []
+
+
+def _zero_weight_actions():
+    fix, _ = fixture_module()
+    out = [("fixture", zero_weight_hc(fix)), ("V(2)^2", zero_weight_hc(tensor_rep(vector_rep(2), 2)))]
+    for n, m in [(1, 2), (2, 2)]:
+        out.append((f"phi({n},{m})", zero_weight_hc(phi_component_rep(n, m, m)[0])))
+    return out
+
+
+def test_zero_weight_hc_verdicts_match_qq():
+    # rational braid entries: every zero-weight action keeps its verdicts, the
+    # failing q-parameter check (zw_hc_q_param_passes) included
+    for name, zw in _zero_weight_actions():
+        for qq in (None, Q):
+            report = hc_check(zw, qq)
+            assert report.derived_values["exact_point"].startswith("q = 2^"), name
+            assert _verdicts(report) == _verdicts(hc_check_in_qq(zw, qq)), (name, qq)
+
+
+def test_zero_weight_reports_keep_their_verdicts():
+    def run():
+        return [fixture_module()[1].to_dict(), zero_weight_iso(2, 2).to_dict()]
+
+    def strip(report):
+        return {k: v for k, v in report.items() if k != "elapsed_ms"}
+
+    at_point = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars, "MERSENNE_EXPONENTS", ())
+        in_qq = run()
+    assert [strip(r) for r in at_point] == [strip(r) for r in in_qq]
+    assert at_point[0]["derived_values"]["zw_hc_q_param_passes"] is False
+    assert at_point[1]["derived_values"]["zw_hc_q_param_passes"] is False

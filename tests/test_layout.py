@@ -2,6 +2,7 @@
 
 import ast
 import os
+import sys
 
 import pytest
 
@@ -39,3 +40,18 @@ def test_every_module_level_import_is_used(name):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{n}:{line}" for n, line in imported.items() if n not in used)
     assert not unused, f"unused imports in {name}: {unused}"
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")))
+def test_imports_only_the_standard_library_and_the_package(name):
+    # pyproject declares no dependencies: any other import would fail on install
+    outside = []
+    for node in ast.walk(parse(name)):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        outside += [f"{root}:{node.lineno}" for root in roots if root not in sys.stdlib_module_names | {"queerdual"}]
+    assert not outside, f"imports outside the standard library in {name}: {outside}"

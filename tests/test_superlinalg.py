@@ -519,3 +519,45 @@ def test_certified_image_basis_does_no_exact_elimination(monkeypatch, fresh_imag
     monkeypatch.setattr(scalars, "_pgcd", counting_pgcd)
     assert fresh_image_basis(2, 2).dim == 32
     assert exact_inserts == [] and gcds == []
+
+
+def _recorded_closures(monkeypatch):
+    """(limit, kept words, words of the same closure run to the end) for every
+    closure that certified_span runs with a limit."""
+    calls = []
+    closure = superlinalg._closure
+
+    def recording(gens, seeds, limit=None):
+        out = closure(gens, seeds, limit)
+        if limit is not None:
+            calls.append((limit, out[2], closure(gens, seeds)[2]))
+        return out
+
+    monkeypatch.setattr(superlinalg, "_closure", recording)
+    return calls
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)])
+def test_gf_p_closure_stops_at_the_nullity_with_the_full_closures_words(n, m, monkeypatch):
+    calls = _recorded_closures(monkeypatch)
+    queer = list(tensor_rep(vector_rep(n), m).gen.values())
+    hc = hc_tensor_action(n, m).generators()
+    for gens, partners in ((queer, hc), (hc, queer)):
+        assert certified_span(gens, partners).certified_by == "gf_p"
+    assert len(calls) == 2
+    for limit, kept, full in calls:
+        assert kept == full and len(kept) == limit
+
+
+def test_gf_p_closure_runs_to_the_end_when_the_bounds_differ(monkeypatch):
+    # at q = 1 the word rank stays below the nullity: the closure never reaches
+    # its limit, and the exact path returns the exact closure
+    monkeypatch.setattr(superlinalg, "sample_mod_p", lambda rng, values: (1, {v: v.mod_p(1) for v in values}))
+    calls = _recorded_closures(monkeypatch)
+    queer = list(tensor_rep(vector_rep(2), 2).gen.values())
+    span = certified_span(queer, hc_tensor_action(2, 2).generators())
+    ((limit, kept, full),) = calls
+    assert kept == full and len(kept) < limit
+    _, exact = operator_algebra_span(queer)
+    assert span.certified_by == "exact"
+    assert [(op.par, op.entries) for op in span.basis] == [(op.par, op.entries) for op in exact]

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from queerdual import scalars
-from queerdual.scalars import ONE, QINV, RatFunc, XI, Q, ZERO, PoleAtPoint, kronecker_point
+from queerdual.scalars import ONE, P, QINV, RatFunc, XI, Q, ZERO, ModP, PoleAtPoint, kronecker_point
 from queerdual.duality import _pick_seed, enumerate_strict_partitions
 from queerdual.superlinalg import (
     POINT,
@@ -746,3 +747,41 @@ def test_classical_limit_pole_detection():
     bad[(-1, 1)] = SOp(space, space, 1, {((-1,), (1,)): 1 / (Q - 1)})
     with pytest.raises(PoleAtPoint):
         classical_limit(QueerRep(AlgebraSpec(1), space, bad))
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    point=st.integers(2, P - 1),
+    key=st.sampled_from(generator_pairs(2)),
+    factor=st.integers(1, P - 1),
+    extra=st.integers(0, P - 1),
+)
+@example(point=12345, key=(1, 2), factor=1, extra=0)
+@example(point=12345, key=(1, 2), factor=3, extra=0)
+@example(point=99, key=(-2, 1), factor=1, extra=7)
+@example(point=P - 1, key=(-2, -1), factor=1, extra=0)
+def test_residue_loop_reports_the_sop_references_first_failing_instance(point, key, factor, extra):
+    # prime-field operators with a planted defect: a scaled generator with one
+    # entry shifted; the residue loop, the same loop on GF(p) elements and the
+    # SOp sides of _relation_sides agree on the first failing instance
+    from queerdual.uq_queer import _quadratic_witness, _relation_sides
+
+    rep = tensor_rep(vector_rep(2), 2)
+    G = {k: op.map(lambda v: v.mod_p(point)) for k, op in rep.gen.items()}
+    r, c = next(iter(rep.gen[key].entries))  # at q = -1 some generators vanish in GF(p)
+    G[key] = G[key].scale(ModP(factor)) + SOp.unit(rep.space, rep.space, r, c, ModP(extra))
+    qq, xi = Q.mod_p(point), XI.mod_p(point)
+    pairs = generator_pairs(2)
+    reference = None
+    for (i, j) in pairs:
+        for (k, l) in pairs:
+            lhs, rhs = _relation_sides(G, i, j, k, l, qq, xi, {})
+            if lhs != rhs:
+                diff = lhs - rhs
+                reference = {"instance": (i, j, k, l), "basis_vector": repr(next(iter(diff.entries))[1])}
+                break
+        if reference is not None:
+            break
+    image = {v: v.v for op in G.values() for v in op.entries.values()} | {qq: qq.v, xi: xi.v}
+    assert _quadratic_witness(G, pairs, qq, xi, image=image, p=P) == reference
+    assert _quadratic_witness(G, pairs, qq, xi) == reference

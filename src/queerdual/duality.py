@@ -31,15 +31,17 @@ from .superlinalg import (
     _closure,
     _op_key,
     certified_span,
+    commutant_dim_bounds,
     flatten_vector,
     graded_commutant,
     index_parity,
     intertwiners,
+    invariant_under,
     joint_kernel,
     point_map,
     span_dim,
+    supercommutation_failures,
     supercommutator,
-    supercommutes,
 )
 from .uq_queer import (
     PARAM_Q,
@@ -99,7 +101,16 @@ def pad_weight(lam: tuple, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 class SubmoduleRep:
-    """A representation restricted to an invariant subspace given by basis vectors."""
+    """A representation restricted to an invariant subspace given by basis vectors.
+
+    ``as_queer_rep`` reads each coordinate of a generator image off the pivots
+    of the basis's reduced echelon rows r_l: an image u in the span is
+    sum_l u[p_l] r_l, and r_l is a known combination of the basis vectors.
+    Only the entries of u at the pivots are computed exactly; that every image
+    lies in the span is certified at once by ``superlinalg.invariant_under``
+    (on residues at a Kronecker point, or in Q(q) when no listed prime is large
+    enough), which raises "vector leaves the submodule" when one does not.
+    """
 
     def __init__(self, rep: QueerRep, basis: list[dict], label_prefix: str = "s"):
         self.parent = rep
@@ -123,19 +134,32 @@ class SubmoduleRep:
             raise ValueError("vector leaves the submodule")
         return {self.space.labels[j]: c for j, c in combo.items()}
 
-    def restrict(self, op: SOp) -> SOp:
-        entries = {}
-        for k, vec in enumerate(self.basis):
-            img = op.apply(vec)
-            if not img:
-                continue
-            col = self.space.labels[k]
-            for row, c in self.coordinates(img).items():
-                entries[(row, col)] = c
-        return SOp(self.space, self.space, op.par, entries, validate=False)
-
     def as_queer_rep(self) -> QueerRep:
-        gen = {key: self.restrict(op) for key, op in self.parent.gen.items()}
+        parent, labels = self.parent.space, self.space.labels
+        flat = [flatten_vector(parent, vec) for vec in self.basis]
+        rows = self._ech.rows
+        if not invariant_under(list(self.parent.gen.values()), flat, rows):
+            raise ValueError("vector leaves the submodule")
+        pivot_row = {pivot: l for l, (pivot, _) in enumerate(rows)}
+        gen = {}
+        for key, op in self.parent.gen.items():
+            at_pivots: dict = {}  # column -> [(l, op[p_l, column])]
+            for (r, c), v in op.entries.items():
+                l = pivot_row.get(parent.pos[r])
+                if l is not None:
+                    at_pivots.setdefault(parent.pos[c], []).append((l, v))
+            entries: dict = {}
+            for k, vec in enumerate(flat):
+                img: dict = {}  # the image's entries at the pivots
+                for c, x in vec.items():
+                    for l, v in at_pivots.get(c, ()):
+                        s = img.get(l)
+                        img[l] = v * x if s is None else s + v * x
+                for l, u in img.items():
+                    for j, w in self._ech.combos[l].items():
+                        s = entries.get((labels[j], labels[k]))
+                        entries[(labels[j], labels[k])] = u * w if s is None else s + u * w
+            gen[key] = SOp(self.space, self.space, op.par, entries, validate=False)
         return QueerRep(self.parent.spec, self.space, gen)
 
 
@@ -197,6 +221,14 @@ def _pick_seed(vectors: list[dict], space: SuperSpace) -> dict:
 def isotypic_census(n: int, m: int):
     """HWV extraction, submodule generation, and type detection for V^{(x)m}.
 
+    Per highest weight mu with highest weight vectors HW_mu (dimension h), one
+    even seed generates the block S (``generate_submodule``); the copies are
+    h / dim(S & HW_mu), where dim(S & HW_mu) is h minus the number of vectors
+    of HW_mu that enlarge S.  The block's commutant dimension per parity lies
+    between a lower bound (1 even, the identity; 0 odd) and its GF(p) nullity
+    (``commutant_dim_bounds``); only a parity whose two bounds differ is
+    solved exactly, which for type Q is the odd one the odd-square test needs.
+
     The census is computed once per (n, m) and memoized in ``_census`` (cleared by
     its ``cache_clear()``); every call returns its own report and its own copy of
     the census, so editing one result never reaches the next."""
@@ -233,21 +265,26 @@ def _census(n: int, m: int) -> tuple[IsotypicCensus, VerifyReport]:
     for mu, hw in sorted(nonempty.items(), reverse=True):
         seed = _pick_seed(hw, rep.space)
         sub_basis = generate_submodule(rep, [seed])
-        sub = SubmoduleRep(rep, sub_basis)
-        sub_rep = sub.as_queer_rep()
-        sub_hw = highest_weight_vectors(sub_rep, mu)
-        h, d, h_sub = len(hw), len(sub_basis), len(sub_hw)
+        sub_rep = SubmoduleRep(rep, sub_basis).as_queer_rep()
+        h, d = len(hw), len(sub_basis)
+        # the highest weight vectors of weight mu in the submodule S are S & HW_mu,
+        # of dimension h minus the number of hw vectors that enlarge S
+        h_sub = h + d - span_dim([flatten_vector(rep.space, v) for v in (*sub_basis, *hw)])[0]
         copies_ok = h_sub > 0 and h % h_sub == 0
         copies = h // h_sub if copies_ok else 0
-        comm = graded_commutant(list(sub_rep.gen.values()))
-        even = sum(1 for X in comm if X.par == 0)
-        odd = sum(1 for X in comm if X.par == 1)
+        # the commutant's dimension per parity lies between a lower bound (the
+        # identity is even) and its GF(p) nullity; a parity is solved exactly
+        # only when the two differ
+        gens = list(sub_rep.gen.values())
+        lower, upper = (1, 0), commutant_dim_bounds(gens)
+        comm = {p: intertwiners(gens, gens, p) for p in (0, 1) if upper[p] > lower[p]}
+        even, odd = (len(comm[p]) if p in comm else lower[p] for p in (0, 1))
         odd_sq = None
         if odd == 1 and even == 1:
             # type Q: the odd endomorphism squares to a scalar c; over the base
             # field -c need not be a perfect square (the normalized odd
             # involution lives over a quadratic extension), so record it
-            X = next(X for X in comm if X.par == 1)
+            (X,) = comm[1]
             sq = X @ X
             diag = sq.entry(sub_rep.space.labels[0], sub_rep.space.labels[0])
             scalar_ok = sq == SOp.identity(sub_rep.space).scale(diag)
@@ -295,6 +332,12 @@ def sergeev_verify(n: int, m: int, centralizer: bool = True) -> VerifyReport:
     Hecke-Clifford words against the graded commutant of the queer image (both
     inclusions), the bicommutant sanity check, and census consistency.
 
+    Supercommutation of every Chevalley operator with every HC generator is
+    checked on residues at one Kronecker point (``supercommutation_failures``),
+    so its verdict is that of Q(q); the witness of a failure is rebuilt in
+    Q(q) from the first failing pair, and the report records the point as
+    ``exact_point`` ("Q(q)" when no listed prime is large enough).
+
     Each span is certified against the other family's commutant
     (``certified_span``): when its GF(p) bounds meet, the span is the whole
     commutant, so the dimensions agree and the commutant lies in the span by
@@ -314,9 +357,14 @@ def sergeev_verify(n: int, m: int, centralizer: bool = True) -> VerifyReport:
     queer_gens = list(rep.gen.values())
     hc_gens = hc.generators()
 
-    bad = next(((x, h) for x in ch.values() for h in hc_gens if not supercommutes(x, h)), None)
-    witness = None if bad is None else repr(next(iter(supercommutator(*bad).entries))[1])
-    report.add("supercommutation", bad is None, witness=witness)
+    chevalley = list(ch.values())
+    failures, point = supercommutation_failures(chevalley, hc_gens)
+    report.derive("exact_point", point)
+    witness = None
+    if failures:  # the witness is rebuilt in Q(q), from the first failing pair
+        i, j = failures[0]
+        witness = repr(next(iter(supercommutator(chevalley[i], hc_gens[j]).entries))[1])
+    report.add("supercommutation", not failures, witness=witness)
 
     if centralizer:
         hc_span = certified_span(hc_gens, queer_gens)
@@ -568,7 +616,7 @@ def fixture_module():
     report.add("ambient_submodule_dim", sub.space.dim == 8, value=sub.space.dim)
 
     solve_on = [("k", 1), ("k", 2), ("e", 1), ("f", 1), ("ebar", 1)]
-    sols = [X for X in intertwiners([target_ch[k] for k in solve_on], [ch[k] for k in solve_on]) if not X.par]
+    sols = intertwiners([target_ch[k] for k in solve_on], [ch[k] for k in solve_on], parity=0)
     report.derive("intertwiner_space_dim", len(sols))
 
     # normalize: Theta(u0) = the seed highest weight vector v1 (x) v1
@@ -644,7 +692,7 @@ def classical_crosscheck(n: int, m: int) -> VerifyReport:
     cliff_ok = all(hc1.c(b) == hc.c(b) for b in range(1, m + 1))
     report.add("clifford_constant", cliff_ok)
 
-    comm_ok = all(supercommutes(x, h) for x in cl.values() for h in hc1.generators())
+    comm_ok = not supercommutation_failures(list(cl.values()), hc1.generators())[0]
     report.add("classical_supercommutation", comm_ok)
 
     # the FRT relations at q = 1

@@ -36,12 +36,11 @@ HC-module structure for the opposite parameter.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .report import VerifyReport
 from .scalars import ONE, IdentityBound, RatFunc, identity_bound, q_number
-from .superlinalg import SOp, SuperSpace, index_parity, relation_failures, tensor_space, word_sum
+from .superlinalg import SOp, SuperSpace, index_parity, relation_failures, row_width, tensor_space, word_sum
 from .uq_queer import (
     PARAM_Q,
     QueerRep,
@@ -217,7 +216,7 @@ def _hc_bound(ops: dict, qq) -> IdentityBound:
     bounds them all.
     """
     values = {v for op in ops.values() for v in op.entries.values()} | {ONE}
-    width = max(max(Counter(r for r, _ in op.entries).values(), default=0) for op in ops.values())
+    width = row_width(ops.values())
     terms = max(2 * width * width, width + 3)
     return identity_bound(values, (qq, qq.inverse(), ONE), factors=3, terms=terms)
 

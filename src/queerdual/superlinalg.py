@@ -23,16 +23,21 @@ row exactly against the kernel it found, falling back to all rows when one
 does not vanish; ``certified_span`` picks the words of an operator span in
 GF(p) and certifies their number against the GF(p) nullity of a commutant
 that must contain the span, falling back to exact elimination when the two
-bounds differ.
+bounds differ; ``submodule_echelon`` picks the words of a submodule in GF(p)
+and certifies that their span is invariant (``invariant_under``), falling
+back to the exact closure when it is not.  The zero tests of the two
+certificates (``invariant_under``, ``supercommutation_failures``) run on
+residues at a Kronecker point, where they are exact.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .scalars import ONE, ZERO, RatFunc, sample_mod_p
+from .scalars import ONE, ZERO, IdentityBound, RatFunc, identity_bound, kronecker_point, sample_mod_p
 
 
 def index_parity(i: int) -> int:
@@ -421,6 +426,58 @@ def relation_failures(ops: dict, instances, image: dict | None = None, p: int | 
     return failures
 
 
+def row_width(ops: Iterable[SOp]) -> int:
+    """The largest number of nonzero entries in one row of one of the operators."""
+    return max((max(Counter(r for r, _ in op.entries).values(), default=0) for op in ops), default=0)
+
+
+def at_kronecker_point(values, bound: IdentityBound) -> tuple[dict, int, str] | None:
+    """(the residue of each value at the Kronecker point of ``bound``, its prime,
+    the point as "q = 2^B in GF(2^k - 1)"), or None when no listed Mersenne prime
+    is large enough (``scalars.kronecker_point`` has the proof)."""
+    point = kronecker_point(bound)
+    if point is None:
+        return None
+    bits, field = point
+    name = f"q = 2^{bits} in GF(2^{field.p.bit_length()} - 1)"
+    return {v: v.residue(1 << bits, field.p) for v in values}, field.p, name
+
+
+def supercommutation_bound(A_ops: list[SOp], B_ops: list[SOp]) -> tuple[set, IdentityBound]:
+    """The entries of both families, and the identity bound that covers every
+    entry ``supercommutation_failures`` tests: identity_bound(entries,
+    factors=2, terms=2 w), w = ``row_width`` of both families.
+
+    Proof.  Entry (r, c) of a b is the sum over k of a[r, k] b[k, c], whose
+    nonzero terms are at most the w nonzero entries of row r of a; so an entry
+    of a b - (-1)^{|a||b|} b a is a sum of at most 2 w terms +-g_1 g_2, each
+    g_i an entry of one of the operators.
+    """
+    values = {v for op in (*A_ops, *B_ops) for v in op.entries.values()}
+    return values, identity_bound(values, factors=2, terms=2 * row_width([*A_ops, *B_ops]))
+
+
+def supercommutation_failures(A_ops: list[SOp], B_ops: list[SOp]) -> tuple[list[tuple[int, int]], str]:
+    """The pairs (i, j), in order, with A_ops[i] B_ops[j] != (-1)^{|a||b|}
+    B_ops[j] A_ops[i], and the point the check ran at: "q = 2^B in
+    GF(2^k - 1)", or "Q(q)".
+
+    Both families have entries in Q(q).  Each pair is one instance of
+    ``relation_failures``, on residues at the Kronecker point of
+    ``supercommutation_bound``: there a difference entry is 0 exactly when it
+    is 0 in Q(q), so the pairs are those of Q(q).  When no listed prime is
+    large enough the check runs in Q(q).
+    """
+    ops = {**{("a", i): a for i, a in enumerate(A_ops)}, **{("b", j): b for j, b in enumerate(B_ops)}}
+    pairs = [(i, j) for i in range(len(A_ops)) for j in range(len(B_ops))]
+    instances = [
+        ((i, j), [((("a", i), ("b", j)), 1)], [((("b", j), ("a", i)), -1 if A_ops[i].par and B_ops[j].par else 1)])
+        for i, j in pairs
+    ]
+    image, p, name = at_kronecker_point(*supercommutation_bound(A_ops, B_ops)) or (None, None, "Q(q)")
+    return [pairs[t] for t in relation_failures(ops, instances, image, p)], name
+
+
 # ---------------------------------------------------------------------------
 # exact elimination
 # ---------------------------------------------------------------------------
@@ -647,9 +704,12 @@ def _sylvester_rows(A: SOp, B: SOp, row_labels, col_labels, vindex: dict, sign: 
     return [{i: v for i, v in row.items() if not v.is_zero()} for row in by_rc.values()]
 
 
-def _intertwiner_systems(A_ops: list[SOp], B_ops: list[SOp]) -> list[tuple[int, list, list[dict]]]:
-    """Per parity p: (p, the numbered unknowns X[r, c], the constraint rows) of
-    X b = (-1)^{|X||a|} a X for every pair (a, b) of A_ops and B_ops."""
+def _intertwiner_systems(
+    A_ops: list[SOp], B_ops: list[SOp], parities: Sequence[int] = (0, 1)
+) -> list[tuple[int, list, list[dict]]]:
+    """Per parity p of ``parities``: (p, the numbered unknowns X[r, c], the
+    constraint rows) of X b = (-1)^{|X||a|} a X for every pair (a, b) of A_ops
+    and B_ops."""
     if not A_ops or len(A_ops) != len(B_ops):
         raise ValueError("need two nonempty operator families of one length")
     cod, dom = A_ops[0].dom, B_ops[0].dom
@@ -665,7 +725,7 @@ def _intertwiner_systems(A_ops: list[SOp], B_ops: list[SOp]) -> list[tuple[int, 
     row_weight = {r: tuple(a.entries.get((r, r)) for a, _ in diagonal) for r in cod.labels}
     col_weight = {c: tuple(b.entries.get((c, c)) for _, b in diagonal) for c in dom.labels}
     systems = []
-    for p in (0, 1):
+    for p in parities:
         pairs = [
             (r, c) for r in cod.labels for c in dom.labels
             if (cod.parity[r] + dom.parity[c]) & 1 == p and row_weight[r] == col_weight[c]
@@ -678,10 +738,11 @@ def _intertwiner_systems(A_ops: list[SOp], B_ops: list[SOp]) -> list[tuple[int, 
     return systems
 
 
-def intertwiners(A_ops: list[SOp], B_ops: list[SOp]) -> list[SOp]:
+def intertwiners(A_ops: list[SOp], B_ops: list[SOp], parity: int | None = None) -> list[SOp]:
     """Basis of all X from the space of B_ops to that of A_ops with
-    X b = (-1)^{|X||a|} a X for every pair (a, b), split by parity (even first)."""
-    systems = _intertwiner_systems(A_ops, B_ops)
+    X b = (-1)^{|X||a|} a X for every pair (a, b), split by parity (even first);
+    with ``parity``, only the system of that parity is built and solved."""
+    systems = _intertwiner_systems(A_ops, B_ops, (0, 1) if parity is None else (parity,))
     cod, dom, one = A_ops[0].dom, B_ops[0].dom, _field_one([*A_ops, *B_ops])
     return [
         SOp(dom, cod, p, {pairs[i]: v for i, v in flat.items()}, validate=False)
@@ -692,6 +753,21 @@ def intertwiners(A_ops: list[SOp], B_ops: list[SOp]) -> list[SOp]:
 def graded_commutant(ops: list[SOp]) -> list[SOp]:
     """Basis of all X with X a = (-1)^{|X||a|} a X for every a in ops, split by parity."""
     return intertwiners(ops, ops)
+
+
+def _nullities(ops: list[SOp]) -> list[int]:
+    """The nullity of the graded commutant system of ops, per parity (even first)."""
+    return [len(pairs) - span_dim(rows)[0] for _, pairs, rows in _intertwiner_systems(ops, ops)]
+
+
+def commutant_dim_bounds(ops: list[SOp]) -> list[int]:
+    """Upper bounds on the graded commutant's dimension per parity (even first):
+    the nullities of its systems in GF(p), at one point q = c where no entry of
+    ops has a pole.  Specializing the constraint rows can only lower their rank,
+    so each nullity is at least the exact dimension."""
+    values = {v for op in ops for v in op.entries.values()}
+    _, image = sample_mod_p(random.Random(0), values)
+    return _nullities([op.map(image.__getitem__) for op in ops])
 
 
 POINT = SuperSpace([()], {(): 0})  # V^{(x)0}: a vector of V is an operator POINT -> V
@@ -742,6 +818,99 @@ def _closure(gens: list[SOp], seeds: list[SOp], limit: int | None = None):
     return ech, basis, words
 
 
+def invariance_bound(ops: list[SOp], vectors: list[dict], rows: list[tuple[int, dict]]) -> tuple[set, IdentityBound]:
+    """The entries of ops, vectors and rows and 1, and the identity bound that
+    covers every entry ``invariant_under`` tests: identity_bound(values,
+    factors=3, terms=w (1 + d)), w = ``row_width(ops)``, d = len(rows).
+
+    Proof.  Entry i of op v is sum_k op[i, k] v[k], at most w terms of two
+    values; entry i of sum_l (op v)[p_l] r_l is sum_l sum_k op[p_l, k] v[k]
+    r_l[i], at most w d terms of three.  Padded with the value 1 to three
+    factors, an entry of op v - sum_l (op v)[p_l] r_l is a sum of at most
+    w (1 + d) terms +-g_1 g_2 g_3.
+    """
+    values = {v for op in ops for v in op.entries.values()} | {ONE}
+    values |= {v for vec in (*vectors, *(row for _, row in rows)) for v in vec.values()}
+    return values, identity_bound(values, factors=3, terms=row_width(ops) * (1 + len(rows)))
+
+
+def invariant_under(ops: list[SOp], vectors: list[dict], rows: list[tuple[int, dict]]) -> bool:
+    """Whether op v lies in the span of ``rows`` for every op and every vector v,
+    decided exactly with one zero test per entry.
+
+    Entries are in Q(q).  Vectors and rows are flat dicts over the positions
+    of the ops' space; rows are an ``Echelon``'s (pivot, row): row l is 1 at
+    its pivot p_l and 0 at every other row's pivot.  A vector u lies in their
+    span exactly when u = sum_l u[p_l] r_l (if u = sum_l c_l r_l, reading
+    position p_l gives c_l = u[p_l]), so the test is f = op v - sum_l
+    (op v)[p_l] r_l = 0.
+
+    The test runs on residues at the Kronecker point of ``invariance_bound``,
+    where (``scalars.kronecker_point`` has the proof) each residue is 0 exactly
+    when the entry is 0 in Q(q).  When no listed prime is large enough the
+    same loop runs in Q(q).
+    """
+    if not ops:
+        return True
+    image, p, _ = at_kronecker_point(*invariance_bound(ops, vectors, rows)) or (None, None, None)
+    scalar = (lambda v: v) if image is None else image.__getitem__
+    pos = ops[0].dom.pos
+    rows = [(pivot, {k: scalar(v) for k, v in row.items()}) for pivot, row in rows]
+    vectors = [{k: scalar(v) for k, v in vec.items()} for vec in vectors]
+    for op in ops:
+        by_col: dict = {}
+        for (r, c), v in op.entries.items():
+            by_col.setdefault(pos[c], []).append((pos[r], scalar(v)))
+        for vec in vectors:
+            img: dict = {}
+            for c, x in vec.items():
+                for r, v in by_col.get(c, ()):
+                    s = img.get(r)
+                    img[r] = v * x if s is None else s + v * x
+            if p is not None:
+                img = {k: v % p for k, v in img.items()}
+            for pivot, row in rows:  # subtracting r_l leaves img unchanged at every other pivot
+                c = img.get(pivot)
+                if c:
+                    for k, v in row.items():
+                        s = img.get(k)
+                        img[k] = -c * v if s is None else s - c * v
+            if any(v % p for v in img.values()) if p is not None else any(img.values()):
+                return False
+    return True
+
+
+def submodule_echelon(gens: list[SOp], seeds: list[dict]) -> Echelon:
+    """The exact ``Echelon`` of the smallest subspace that contains the seed
+    vectors (dicts over the labels of the gens' space) and is invariant under
+    gens, all with entries in Q(q); its rows are that subspace's reduced row
+    echelon form.
+
+    GF(p) picks the words, at one point q = c where no entry has a pole: the
+    closure runs there, and the kept words, rebuilt exactly one product each,
+    are inserted into an exact ``Echelon``.  Words independent in GF(p) are
+    independent over Q(q), and every word lies in the closure; so the words
+    span the closure exactly when their span contains the seeds and is
+    invariant.  A seed kept as a word lies in it; any other is checked
+    exactly, and invariance is certified by ``invariant_under`` on the rows.
+    When either fails (the point lowered some rank), the closure runs by exact
+    elimination.  The reduced row echelon form depends only on the subspace,
+    so both paths return the same rows.
+    """
+    space = gens[0].dom
+    seed_ops = [point_map(space, v) for v in seeds]
+    _, image = sample_mod_p(random.Random(0), {v for op in (*gens, *seed_ops) for v in op.entries.values()})
+    _, _, words = _closure([g.map(image.__getitem__) for g in gens], [s.map(image.__getitem__) for s in seed_ops])
+    basis: list[SOp] = []
+    for g, parent in words:
+        basis.append(seed_ops[parent] if g is None else gens[g] @ basis[parent])
+    ech = span_dim(basis)[1]
+    kept = {parent for g, parent in words if g is None}
+    seeds_in = all(ech.contains(_op_key(op)) for s, op in enumerate(seed_ops) if s not in kept)
+    rows = [row for _, row in ech.rows]
+    return ech if seeds_in and invariant_under(gens, rows, ech.rows) else _closure(gens, seed_ops)[0]
+
+
 def _algebra_seeds(gens: list[SOp]) -> list[SOp]:
     """The seeds of the algebra the generators span: the identity, then the generators."""
     if not gens:
@@ -783,8 +952,9 @@ def certified_span(gens: list[SOp], partners: list[SOp]) -> CertifiedSpan:
     """The span of all words in gens (the identity included), certified against the
     graded commutant of partners; both families have entries in Q(q).
 
-    When every generator supercommutes with every partner (checked exactly), the
-    words lie in that commutant, and at one point q = c of GF(p) with no poles
+    When every generator supercommutes with every partner (checked exactly, by
+    ``supercommutation_failures``), the words lie in that commutant, and at
+    one point q = c of GF(p) with no poles
 
         rank_p(words) <= dim span <= dim commutant <= nullity_p(commutant system):
 
@@ -798,13 +968,11 @@ def certified_span(gens: list[SOp], partners: list[SOp]) -> CertifiedSpan:
     some intermediate family of words.  When the bounds differ (or the premise
     fails) the closure runs by exact elimination.
     """
-    premise = all(supercommutes(g, h) for g in gens for h in partners)
+    premise = not supercommutation_failures(gens, partners)[0]
     if premise:
         values = {v for op in (*gens, *partners) for v in op.entries.values()}
         _, image = sample_mod_p(random.Random(0), values)
-        partners_p = [h.map(image.__getitem__) for h in partners]
-        systems = _intertwiner_systems(partners_p, partners_p)
-        nullity = sum(len(pairs) - span_dim(rows)[0] for _, pairs, rows in systems)
+        nullity = sum(_nullities([h.map(image.__getitem__) for h in partners]))
         gens_p = [g.map(image.__getitem__) for g in gens]
         _, basis_p, words = _closure(gens_p, _algebra_seeds(gens_p), limit=nullity)
         if len(basis_p) == nullity:

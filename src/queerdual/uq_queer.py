@@ -25,20 +25,19 @@ from dataclasses import dataclass
 
 from .report import VerifyReport
 from .scalars import (
-    ONE, P, QINV, Q, IdentityBound, PoleAtPoint, RatFunc, _pmonomial, identity_bound, kronecker_point,
-    sample_mod_p,
+    ONE, P, QINV, Q, IdentityBound, PoleAtPoint, RatFunc, _pmonomial, identity_bound, sample_mod_p,
 )
 from .superlinalg import (
     SOp,
     SuperSpace,
-    _closure,
+    at_kronecker_point,
     graded_tensor,
     index_parity,
     index_range,
     joint_kernel,
-    point_map,
     relation_failures,
     span_dim,
+    submodule_echelon,
     tensor_space,
     unflatten_vector,
     word_sum,
@@ -344,13 +343,9 @@ def _prob_trials(report: VerifyReport, values, bound: IdentityBound, trials: int
 def _kronecker_image(report: VerifyReport, values, bound: IdentityBound):
     """(the residue of each value at the Kronecker point, its prime), or None to
     compute in Q(q); the report records which as ``exact_point``."""
-    point = kronecker_point(bound)
-    if point is None:
-        report.derive("exact_point", "Q(q)")
-        return None
-    bits, field = point
-    report.derive("exact_point", f"q = 2^{bits} in GF(2^{field.p.bit_length()} - 1)")
-    return {v: v.residue(1 << bits, field.p) for v in values}, field.p
+    point = at_kronecker_point(values, bound)
+    report.derive("exact_point", "Q(q)" if point is None else point[2])
+    return None if point is None else point[:2]
 
 
 def check_defining_relations(
@@ -568,8 +563,14 @@ def highest_weight_vectors(rep: QueerRep, weight: tuple) -> list[dict]:
 
 
 def generate_submodule(rep: QueerRep, seeds: list[dict]) -> list[dict]:
-    """Closure of the seed span under all generator actions, iterated to stabilization."""
-    ech, _, _ = _closure(list(rep.gen.values()), [point_map(rep.space, v) for v in seeds])
+    """The reduced row echelon basis of the closure of the seed span under all
+    generator actions, exact.
+
+    The closure's words are picked in GF(p) and rebuilt exactly; one check of
+    every generator on every basis row, on residues at a Kronecker point,
+    certifies that their span is invariant, and the exact closure runs when it
+    is not (``superlinalg.submodule_echelon`` has the argument)."""
+    ech = submodule_echelon(list(rep.gen.values()), seeds)
     return [unflatten_vector(rep.space, dict(row)) for _, row in ech.rows]
 
 

@@ -1,0 +1,449 @@
+"""The certified census: submodules from GF(p) words with one invariance
+certificate, commutant dimensions from GF(p) bounds, and supercommutation on
+residues at a Kronecker point."""
+
+import random
+
+import pytest
+
+from queerdual import duality, scalars, superlinalg
+from queerdual.duality import (
+    CensusEntry,
+    FixtureModule,
+    SubmoduleRep,
+    _pick_seed,
+    fixture_module,
+    sergeev_verify,
+)
+from queerdual.hecke_clifford import hc_tensor_action
+from queerdual.scalars import ONE, Q, RatFunc, _pmonomial, _ptrailing
+from queerdual.superlinalg import (
+    Echelon,
+    SOp,
+    SuperSpace,
+    _closure,
+    at_kronecker_point,
+    flatten_vector,
+    graded_commutant,
+    intertwiners,
+    invariance_bound,
+    invariant_under,
+    point_map,
+    supercommutation_bound,
+    supercommutation_failures,
+    supercommutator,
+    tensor_space,
+    unflatten_vector,
+)
+from queerdual.uq_queer import (
+    QueerRep,
+    chevalley_ops,
+    generate_submodule,
+    highest_weight_vectors,
+    tensor_rep,
+    vector_rep,
+    weight_spaces,
+)
+
+from test_duality import _perturbed_hc
+from test_superlinalg import V1, rand_op
+
+
+def at_q_one(monkeypatch):
+    """Force the GF(p) point of superlinalg to q = 1, where xi = q - q^{-1} vanishes."""
+    monkeypatch.setattr(superlinalg, "sample_mod_p", lambda rng, values: (1, {v: v.mod_p(1) for v in values}))
+
+
+def census_seeds(rep):
+    return [_pick_seed(hw, rep.space) for hw in (highest_weight_vectors(rep, mu) for mu in weight_spaces(rep)) if hw]
+
+
+def exact_closure_rows(rep, seeds):
+    """The rows of the exact closure, as generate_submodule computed them before."""
+    ech = _closure(list(rep.gen.values()), [point_map(rep.space, v) for v in seeds])[0]
+    return [unflatten_vector(rep.space, dict(row)) for _, row in ech.rows]
+
+
+# -- intertwiners of one parity
+
+
+def fixture_pair():
+    rep = tensor_rep(vector_rep(2), 2)
+    target = chevalley_ops(SubmoduleRep(rep, generate_submodule(rep, [{(1, 1): ONE}])).as_queer_rep())
+    fixture = FixtureModule().chevalley()
+    solve_on = [("k", 1), ("k", 2), ("e", 1), ("f", 1), ("ebar", 1)]
+    return [target[k] for k in solve_on], [fixture[k] for k in solve_on]
+
+
+def reference_families():
+    """The families of test_weight_block_commutant_matches_the_full_system."""
+    rng = random.Random(4)
+    W = tensor_space(V1, 2)
+    d1 = SOp(W, W, 0, {(lab, lab): Q if lab[0] > 0 else ONE for lab in W.labels})
+    d2 = SOp(W, W, 0, {((1, 1), (1, 1)): Q, ((-1, -1), (-1, -1)): Q})
+    families = [[d1], [d1, rand_op(rng, W, 1)], [d1, d2, rand_op(rng, W, 0)], [rand_op(rng, W, 0)]]
+    return [(ops, ops) for ops in families] + [fixture_pair()]
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_intertwiners_of_one_parity_are_that_parity_of_the_full_result(k, monkeypatch):
+    A_ops, B_ops = reference_families()[k]
+    full = intertwiners(A_ops, B_ops)
+    kernels = []
+    kernel_basis = superlinalg.kernel_basis
+    monkeypatch.setattr(superlinalg, "kernel_basis", lambda *args: kernels.append(1) or kernel_basis(*args))
+    for p in (0, 1):
+        assert intertwiners(A_ops, B_ops, p) == [X for X in full if X.par == p]
+    assert len(kernels) == 2  # one system per call
+
+
+def test_fixture_solves_only_the_even_intertwiner_system(monkeypatch):
+    parities = []
+    real = duality.intertwiners
+
+    def recording(A_ops, B_ops, parity=None):
+        parities.append(parity)
+        return real(A_ops, B_ops, parity)
+
+    monkeypatch.setattr(duality, "intertwiners", recording)
+    _, report = fixture_module()
+    assert report.ok and report.derived_values["intertwiner_space_dim"] == 1
+    assert parities == [0]
+
+
+# -- the invariance certificate
+
+
+def exact_invariance_differences(ops, vectors, rows):
+    """Every entry of op v - sum_l (op v)[p_l] r_l, computed in Q(q)."""
+    pos = ops[0].dom.pos
+    out = []
+    for op in ops:
+        for vec in vectors:
+            img = {}
+            for (r, c), v in op.entries.items():
+                if pos[c] in vec:
+                    img[pos[r]] = img.get(pos[r], RatFunc(0)) + v * vec[pos[c]]
+            diff = dict(img)
+            for pivot, row in rows:
+                for k, v in row.items():
+                    diff[k] = diff.get(k, RatFunc(0)) - img.get(pivot, RatFunc(0)) * v
+            out += [f for f in diff.values() if f]
+    return out
+
+
+def assert_bound_covers(values, bound, diffs, factors):
+    """P_f = q^-LO f M^factors has 1-norm at most H and degree at most D."""
+    M = ONE
+    for b in {v.den[_ptrailing(v.den):] for v in values if v} - {(1,)}:
+        M = M * RatFunc(b)
+    assert diffs
+    for f in diffs:
+        pf = f * M ** factors
+        _, c = _pmonomial(pf.den)
+        assert c == 1  # f M^factors is a Laurent polynomial with integer coefficients
+        assert sum(abs(a) for a in pf.num) <= bound.height
+        assert len(pf.num) - 1 - _ptrailing(pf.num) <= bound.degree
+
+
+def test_invariance_bound_covers_a_worst_case_difference():
+    # width 1 and d rows whose terms all add up: f = A^2 + d A^3, against the
+    # bound's (1 + d) A^3; one term fewer in the bound would not cover it
+    A, d = 2**20 + 1, 3
+    labels = [f"x{k}" for k in range(d + 2)]  # pivots x0 .. x{d-1}, then x{d}, x{d+1}
+    space = SuperSpace.named(labels, odd=[])
+    entries = {(f"x{d}", f"x{d + 1}"): RatFunc(A)} | {(f"x{l}", f"x{d + 1}"): RatFunc(-A) for l in range(d)}
+    op = SOp(space, space, 0, entries)
+    vectors = [{d + 1: RatFunc(A)}]
+    rows = [(l, {l: ONE, d: RatFunc(A)}) for l in range(d)]
+    diffs = exact_invariance_differences([op], vectors, rows)
+    assert diffs == [RatFunc(A**2 + d * A**3)]
+    values, bound = invariance_bound([op], vectors, rows)
+    assert bound.height == (1 + d) * A**3
+    assert_bound_covers(values, bound, diffs, 3)
+    assert at_kronecker_point(values, bound) is not None
+    assert not invariant_under([op], vectors, rows)
+
+
+def non_invariant_bases():
+    rep = tensor_rep(vector_rep(2), 2)
+    rows = generate_submodule(rep, [{(1, 1): ONE}])
+    return rep, rows, [[{(1, 1): ONE}], rows[:-1], rows[1:], [rows[0], {(1, -1): Q + 2}]]
+
+
+def test_invariance_bound_covers_the_exact_differences_of_non_invariant_bases():
+    rep, _, bases = non_invariant_bases()
+    gens = list(rep.gen.values())
+    for basis in bases:
+        ech = Echelon()
+        flat = [flatten_vector(rep.space, v) for v in basis]
+        for vec in flat:
+            ech.insert(vec)
+        values, bound = invariance_bound(gens, flat, ech.rows)
+        assert_bound_covers(values, bound, exact_invariance_differences(gens, flat, ech.rows), 3)
+        assert at_kronecker_point(values, bound) is not None
+        assert not invariant_under(gens, flat, ech.rows)
+
+
+@pytest.mark.parametrize("exponents", [None, ()])
+def test_a_non_invariant_basis_leaves_the_submodule(exponents, monkeypatch):
+    # at the Kronecker point, and in Q(q) when no listed prime is large enough
+    if exponents is not None:
+        monkeypatch.setattr(scalars, "MERSENNE_EXPONENTS", exponents)
+    rep, rows, bases = non_invariant_bases()
+    flat = [flatten_vector(rep.space, v) for v in rows]
+    sub = SubmoduleRep(rep, rows)
+    point = at_kronecker_point(*invariance_bound(list(rep.gen.values()), flat, sub._ech.rows))
+    assert (point is None) == (exponents is not None)
+    assert sub.as_queer_rep().space.dim == 8
+    for basis in bases:
+        with pytest.raises(ValueError, match="vector leaves the submodule"):
+            SubmoduleRep(rep, basis).as_queer_rep()
+
+
+def recording_certificates(monkeypatch):
+    verdicts = []
+    real = superlinalg.invariant_under
+
+    def recording(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(superlinalg, "invariant_under", recording)
+    return verdicts
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (2, 2), (2, 3), (3, 2)])
+def test_generate_submodule_certifies_the_gf_p_words(n, m, monkeypatch):
+    rep = tensor_rep(vector_rep(n), m)
+    seeds = census_seeds(rep)
+    verdicts = recording_certificates(monkeypatch)
+    assert [generate_submodule(rep, [s]) for s in seeds] == [exact_closure_rows(rep, [s]) for s in seeds]
+    assert verdicts == [True] * len(seeds)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
+def test_collapsed_words_fall_back_to_the_exact_closure(n, m, monkeypatch):
+    # at q = 1 the generators lose their xi entries: the GF(p) words span too
+    # little, the certificate refuses them and the exact closure runs
+    rep = tensor_rep(vector_rep(n), m)
+    seeds = census_seeds(rep)
+    want = [exact_closure_rows(rep, [s]) for s in seeds]
+    at_q_one(monkeypatch)
+    verdicts = recording_certificates(monkeypatch)
+    assert [generate_submodule(rep, [s]) for s in seeds] == want
+    assert False in verdicts
+
+
+def test_a_seed_dropped_in_gf_p_is_checked_exactly(monkeypatch):
+    # at q = 5 the second seed u + (q - 5) x equals the first: the GF(p) words
+    # span the closure of u alone, which is invariant but misses x, so only the
+    # exact check of the dropped seed sends the closure to the exact path
+    rep = tensor_rep(vector_rep(2), 3)
+    u, x = census_seeds(rep)
+    seeds = [u, {**u, **{lab: (Q - 5) * v for lab, v in x.items()}}]
+    want = exact_closure_rows(rep, seeds)
+    assert len(want) == 20
+    monkeypatch.setattr(superlinalg, "sample_mod_p", lambda rng, values: (5, {v: v.mod_p(5) for v in values}))
+    verdicts = recording_certificates(monkeypatch)
+    assert generate_submodule(rep, seeds) == want
+    assert verdicts == []  # the seed check failed first
+    assert generate_submodule(rep, [{}]) == []
+
+
+# -- supercommutation on residues
+
+
+def test_supercommutation_bound_covers_a_worst_case_difference():
+    # two odd operators of width 1: a b + b a has the entry 2 A^2, the bound's height
+    A = 2**20 + 1
+    a = SOp(V1, V1, 1, {((-1,), (1,)): RatFunc(A), ((1,), (-1,)): RatFunc(A)})
+    diffs = list(supercommutator(a, a).entries.values())
+    assert diffs == [RatFunc(2 * A**2)] * 2
+    values, bound = supercommutation_bound([a], [a])
+    assert bound.height == 2 * A**2
+    assert_bound_covers(values, bound, diffs, 2)
+    failures, point = supercommutation_failures([a], [a])
+    assert failures == [(0, 0)] and point.startswith("q = 2^")
+
+
+@pytest.mark.parametrize("n,m", [(1, 2), (2, 2)])
+def test_supercommutation_bound_covers_the_exact_differences_of_a_planted_defect(n, m, monkeypatch):
+    _perturbed_hc(monkeypatch)
+    chevalley = list(tensor_rep(vector_rep(n), m).chevalley().values())
+    hc = duality.hc_tensor_action(n, m, "q").generators()
+    values, bound = supercommutation_bound(chevalley, hc)
+    diffs = [f for x in chevalley for h in hc for f in supercommutator(x, h).entries.values()]
+    assert_bound_covers(values, bound, diffs, 2)
+    failures, point = supercommutation_failures(chevalley, hc)
+    assert point.startswith("q = 2^")
+    assert failures == [(i, j) for i, x in enumerate(chevalley) for j, h in enumerate(hc) if supercommutator(x, h).entries]
+
+
+def test_supercommutation_at_the_point_does_no_ratfunc_products(monkeypatch):
+    chevalley = list(tensor_rep(vector_rep(2), 3).chevalley().values())
+    hc = hc_tensor_action(2, 3).generators()
+    calls = []
+    mul = RatFunc.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(RatFunc, "__mul__", counting)
+    monkeypatch.setattr(RatFunc, "__rmul__", counting)
+    assert supercommutation_failures(chevalley, hc) == ([], "q = 2^8 in GF(2^521 - 1)")
+    assert calls == []
+
+
+def strip(report: dict) -> dict:
+    """A report without its timing, and without the point a check ran at."""
+    out = {k: v for k, v in report.items() if k != "elapsed_ms"}
+    out["derived_values"] = {k: v for k, v in out["derived_values"].items() if k != "exact_point"}
+    return out
+
+
+def test_planted_defect_gives_the_same_witness_at_the_point_and_in_qq(monkeypatch):
+    _perturbed_hc(monkeypatch)
+    at_point = sergeev_verify(1, 2).to_dict()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars, "MERSENNE_EXPONENTS", ())
+        in_qq = sergeev_verify(1, 2).to_dict()
+    assert at_point["derived_values"]["exact_point"].startswith("q = 2^")
+    assert in_qq["derived_values"]["exact_point"] == "Q(q)"
+    (fail,) = [c for c in at_point["checks"] if c["name"] == "supercommutation"]
+    assert fail["status"] == "fail" and fail["witness"]
+    assert strip(at_point) == strip(in_qq)
+
+
+def test_census_sergeev_and_fixture_reports_are_equal_in_qq(fresh_census):
+    def run():
+        duality._census.cache_clear()
+        return [
+            fresh_census(2, 3)[1].to_dict(),
+            sergeev_verify(2, 2).to_dict(),
+            sergeev_verify(2, 3, centralizer=False).to_dict(),
+            fixture_module()[1].to_dict(),
+        ]
+
+    at_point = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars, "MERSENNE_EXPONENTS", ())
+        in_qq = run()
+    assert [r["derived_values"].get("exact_point") for r in in_qq[1:3]] == ["Q(q)", "Q(q)"]
+    assert all(r["derived_values"]["exact_point"].startswith("q = 2^") for r in at_point[1:3])
+    assert [strip(r) for r in at_point] == [strip(r) for r in in_qq]
+
+
+# -- the census against the way it was computed before
+
+
+def restrict_by_reduction(rep, basis):
+    """The submodule's generators, one exact reduction per generator image."""
+    labels = [f"s{k}" for k in range(len(basis))]
+    space = SuperSpace(labels, {lab: rep.space.parity[next(iter(v))] for lab, v in zip(labels, basis)})
+    ech = Echelon(track=True)
+    for vec in basis:
+        assert ech.insert(flatten_vector(rep.space, vec))
+    gen = {}
+    for key, op in rep.gen.items():
+        entries = {}
+        for k, vec in enumerate(basis):
+            res, combo = ech.reduce(flatten_vector(rep.space, op.apply(vec)))
+            assert not res
+            entries.update({(labels[j], labels[k]): c for j, c in combo.items()})
+        gen[key] = SOp(space, space, op.par, entries)
+    return QueerRep(rep.spec, space, gen)
+
+
+def census_entries_the_old_way(n, m):
+    """Exact closure, restriction by reduction, the sub-representation's highest
+    weight vectors and its whole graded commutant."""
+    rep = tensor_rep(vector_rep(n), m)
+    out = {}
+    for mu in sorted(weight_spaces(rep), reverse=True):
+        hw = highest_weight_vectors(rep, mu)
+        if not hw:
+            continue
+        basis = exact_closure_rows(rep, [_pick_seed(hw, rep.space)])
+        sub_rep = restrict_by_reduction(rep, basis)
+        assert SubmoduleRep(rep, basis).as_queer_rep().gen == sub_rep.gen
+        h, d, h_sub = len(hw), len(basis), len(highest_weight_vectors(sub_rep, mu))
+        copies = h // h_sub if h_sub > 0 and h % h_sub == 0 else 0
+        comm = graded_commutant(list(sub_rep.gen.values()))
+        even, odd = sum(1 for X in comm if X.par == 0), sum(1 for X in comm if X.par == 1)
+        odd_sq = None
+        if (even, odd) == (1, 1):
+            X = next(X for X in comm if X.par == 1)
+            sq = X @ X
+            diag = sq.entry(sub_rep.space.labels[0], sub_rep.space.labels[0])
+            if sq == SOp.identity(sub_rep.space).scale(diag):
+                odd_sq = (-diag).sqrt() is not None
+        detected, paired, irr = {
+            (1, 0): ("M", False, d), (1, 1): ("Q", False, d), (2, 2): ("M", True, d // 2),
+        }.get((even, odd), ("?", False, d))
+        if (even, odd) == (2, 2) and d % 2:
+            detected, paired, irr = "?", False, d
+        predicted = "M" if sum(1 for x in mu if x) % 2 == 0 else "Q"
+        out[mu] = CensusEntry(h, d, h_sub, copies, even, odd, odd_sq, predicted, detected, paired, irr)
+    return out
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)])
+def test_census_entries_equal_the_old_way(n, m, fresh_census):
+    census, report = fresh_census(n, m)
+    assert report.ok
+    assert census.entries == census_entries_the_old_way(n, m)
+
+
+def test_census_2_3_solves_three_commutant_systems_and_reduces_no_generator_image(monkeypatch, fresh_census):
+    # work guard: (3,0) is of type Q, so only its odd commutant system is solved
+    # (the identity meets the even bound); the paired block (2,1) solves both.
+    # Generating a block reduces each kept word once, and restricting to it
+    # reduces nothing: the exact closure and restriction reduced every image.
+    # Both invariance certificates of each block run at a Kronecker point.
+    solved, exact_reductions, steps, points = [], [], [], []
+    real_intertwiners, real_reduce = duality.intertwiners, Echelon._reduce
+    generate, restrict = duality.generate_submodule, SubmoduleRep.as_queer_rep
+
+    def solving(A_ops, B_ops, parity=None):
+        solved.extend([0, 1] if parity is None else [parity])
+        return real_intertwiners(A_ops, B_ops, parity)
+
+    def reducing(self, vec, combo):
+        if any(isinstance(v, RatFunc) for v in vec.values()):
+            exact_reductions.append(1)
+        return real_reduce(self, vec, combo)
+
+    def counted(step, call, *args):
+        before = len(exact_reductions)
+        out = call(*args)
+        steps.append((step, len(exact_reductions) - before))
+        return out
+
+    def forbidden(ops):
+        raise AssertionError("the census solves no whole graded commutant")
+
+    at_point = superlinalg.at_kronecker_point
+    monkeypatch.setattr(superlinalg, "at_kronecker_point", lambda *args: points.append(at_point(*args)) or points[-1])
+    monkeypatch.setattr(duality, "intertwiners", solving)
+    monkeypatch.setattr(duality, "graded_commutant", forbidden)
+    monkeypatch.setattr(Echelon, "_reduce", reducing)
+    monkeypatch.setattr(duality, "generate_submodule", lambda *args: counted("generate", generate, *args))
+    monkeypatch.setattr(SubmoduleRep, "as_queer_rep", lambda self: counted("restrict", restrict, self))
+    census, report = fresh_census(2, 3)
+    assert report.ok and list(census.entries) == [(3, 0), (2, 1)]
+    assert solved == [1, 0, 1]
+    assert steps == [("generate", 12), ("restrict", 0), ("generate", 8), ("restrict", 0)]
+    assert len(points) == 4 and None not in points
+
+
+def test_census_at_q_one_falls_back_and_keeps_its_entries(monkeypatch, fresh_census):
+    # at q = 1 the words collapse and the GF(p) commutant bounds grow: every
+    # block takes the exact paths, with the same entries
+    want = census_entries_the_old_way(2, 2)
+    at_q_one(monkeypatch)
+    verdicts = recording_certificates(monkeypatch)
+    census, report = fresh_census(2, 2)
+    assert report.ok and census.entries == want
+    assert False in verdicts

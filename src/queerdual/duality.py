@@ -29,6 +29,7 @@ from .superlinalg import (
     SOp,
     SuperSpace,
     _closure,
+    _flat_product,
     _op_key,
     certified_span,
     commutant_dim_bounds,
@@ -150,12 +151,7 @@ class SubmoduleRep:
                     at_pivots.setdefault(parent.pos[c], []).append((l, v))
             entries: dict = {}
             for k, vec in enumerate(flat):
-                img: dict = {}  # the image's entries at the pivots
-                for c, x in vec.items():
-                    for l, v in at_pivots.get(c, ()):
-                        s = img.get(l)
-                        img[l] = v * x if s is None else s + v * x
-                for l, u in img.items():
+                for l, u in _flat_product(at_pivots, vec, parent.dim, None).items():  # the entries at the pivots
                     for j, w in self._ech.combos[l].items():
                         s = entries.get((labels[j], labels[k]))
                         entries[(labels[j], labels[k])] = u * w if s is None else s + u * w

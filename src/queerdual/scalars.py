@@ -11,7 +11,8 @@ exactly +-1 costs nothing: it returns the other factor, or its negation.
 
 Identity tests run in prime fields.  ``ModP`` is GF(p), p = 2^61 - 1, and
 ``mersenne_field(k)`` its twin GF(2^k - 1) for a larger Mersenne prime;
-``RatFunc.mod_p`` maps a value to such a field at a point q = c.
+``RatFunc.mod_p`` maps a value to such a field at a point q = c, and
+``RatFunc.residue`` to the plain int in [0, p) that the engine computes with.
 ``identity_bound`` bounds the degree and height of a difference of products of
 the values.  From it, the probabilistic checks get the Schwartz-Zippel bound on
 a false match at random points of GF(p), and ``kronecker_point`` gives one
@@ -252,9 +253,6 @@ class ModP:
     def __bool__(self) -> bool:
         return bool(self.v)
 
-    def degree_size(self) -> int:
-        return 0
-
     def __add__(self, other):
         cls = self.__class__
         return cls(self.v + (other.v if other.__class__ is cls else _field_value(cls, other)))
@@ -345,10 +343,6 @@ class RatFunc:
 
     def __bool__(self) -> bool:
         return bool(self.num)
-
-    def degree_size(self) -> int:
-        """Pivot-choice measure: total degree of the reduced pair."""
-        return max(len(self.num) - 1, 0) + max(len(self.den) - 1, 0)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -749,14 +743,14 @@ def kronecker_point(bound: IdentityBound) -> tuple[int, type] | None:
 
 def sample_mod_p(rng: random.Random, values) -> tuple[int, dict]:
     """Draw c uniformly from [2, p), redrawing while some value has a pole at c;
-    return c and the image of each value in GF(p) at q = c.
+    return c and the residue mod p of each value at q = c (``RatFunc.residue``).
 
     Terminates when ``identity_bound(values).sound``: then at most E points are poles.
     """
     while True:
         c = rng.randrange(2, P)
         try:
-            return c, {v: v.mod_p(c) for v in values}
+            return c, {v: v.residue(c, P) for v in values}
         except PoleAtPoint:
             continue
 

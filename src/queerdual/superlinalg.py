@@ -9,35 +9,39 @@ sparse matrices.  Tensor products follow the Koszul sign rule
 All results are exact and deterministic for a fixed basis order.  There is one
 elimination engine, ``Echelon``: it keeps its rows fully reduced with pivot 1,
 so after inserting a family its rows are the reduced row echelon form of the
-family's span, and kernels and inverses are read off it.  It runs unchanged
-over GF(p).  There is one intertwiner system: ``intertwiners(A_ops, B_ops)``
+family's span, and kernels and inverses are read off it.  Every GF(p) step
+runs it on plain-int residues (``RatFunc.residue``), reduced mod p once per
+update.  There is one intertwiner system: ``intertwiners(A_ops, B_ops)``
 solves X b = (-1)^{|X||a|} a X for every pair (a, b), numbering X[r, c] only
-where every even diagonal pair has a_r = b_c; ``graded_commutant`` is the
-case A_ops = B_ops, and ``joint_kernel`` the case of maps from ``POINT``, the
-even line V^{(x)0}.  There is one closure, ``_closure(gens, seeds)``: an
-operator algebra seeds it with the identity and the generators, a submodule
-with its vectors as maps from ``POINT``.  GF(p) only chooses, at one point,
-and an exact argument or check proves each choice: ``kernel_basis``
-eliminates exactly over a row basis picked in GF(p) and checks every dropped
-row exactly against the kernel it found, falling back to all rows when one
-does not vanish; ``certified_span`` picks the words of an operator span in
-GF(p) and certifies their number against the GF(p) nullity of a commutant
-that must contain the span, falling back to exact elimination when the two
-bounds differ; ``submodule_echelon`` picks the words of a submodule in GF(p)
-and certifies that their span is invariant (``invariant_under``), falling
-back to the exact closure when it is not.  The zero tests of the two
-certificates (``invariant_under``, ``supercommutation_failures``) run on
-residues at a Kronecker point, where they are exact.
+where every even diagonal pair has a_r = b_c, and eliminating each connected
+block of unknowns on its own; ``graded_commutant`` is the case A_ops = B_ops,
+and ``joint_kernel`` the case of maps from ``POINT``, the even line V^{(x)0}.
+There is one closure, ``_closure(gens, seeds)``: an operator algebra seeds it
+with the identity and the generators, a submodule with its vectors as maps
+from ``POINT``; on residues it multiplies flat int operators.  GF(p) only
+chooses, at one point, and an exact argument or check proves each choice:
+``kernel_basis`` eliminates exactly over a row basis picked in GF(p) and
+checks every dropped row exactly against the kernel it found, falling back to
+all rows when one does not vanish; ``certified_span`` picks the words of an
+operator span in GF(p) and certifies their number against the GF(p) nullity
+of a commutant that must contain the span, falling back to exact elimination
+when the two bounds differ; ``submodule_echelon`` picks the words of a
+submodule in GF(p) and certifies that their span is invariant
+(``invariant_under``), falling back to the exact closure when it is not.  The
+zero tests of the two certificates (``invariant_under``,
+``supercommutation_failures``) run on residues at a Kronecker point, where
+they are exact.
 """
 
 from __future__ import annotations
 
+import bisect
 import random
 from collections import Counter
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .scalars import ONE, ZERO, IdentityBound, RatFunc, identity_bound, kronecker_point, sample_mod_p
+from .scalars import ONE, P, ZERO, IdentityBound, RatFunc, identity_bound, kronecker_point, sample_mod_p
 
 
 def index_parity(i: int) -> int:
@@ -185,7 +189,9 @@ class SOp:
             return self
         if s == -1:
             return -self
-        return SOp(self.dom, self.cod, self.par, {k: s * v for k, v in self.entries.items()}, validate=False)
+        products: dict = {}  # values are canonical: one product per distinct value
+        entries = {k: products[v] if v in products else products.setdefault(v, s * v) for k, v in self.entries.items()}
+        return SOp(self.dom, self.cod, self.par, entries, validate=False)
 
     def __rmul__(self, s):
         return self.scale(s)
@@ -229,15 +235,7 @@ class SOp:
 
     def apply(self, vec: dict) -> dict:
         """Matrix-vector application; vec maps domain labels to scalars."""
-        out: dict = {}
-        for (r, c), v in self.entries.items():
-            x = vec.get(c)
-            if x is None:
-                continue
-            s = out.get(r)
-            w = v * x if s is None else s + v * x
-            out[r] = w
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        return {r: v for (r, _), v in (self @ point_map(self.dom, vec)).entries.items()}
 
     # -- structure ----------------------------------------------------------------
 
@@ -357,41 +355,18 @@ def relation_failures(ops: dict, instances, image: dict | None = None, p: int | 
     a later instance still uses it, and dropped after the instance that uses it
     last.
     """
-    space = next(iter(ops.values())).dom
-    N = space.dim
-    pos = space.pos
+    N = next(iter(ops.values())).dom.dim
     scalar = (lambda v: v) if image is None else image.__getitem__
-    # an operator is {c * N + r: value} over basis positions, and a left factor
-    # is also read by columns: {c: [(r, value), ...]}
-    mats: dict = {}
-    cols: dict = {}
-    for key, op in ops.items():
-        flat = mats[key] = {}
-        by_col = cols[key] = {}
-        for (r, c), v in op.entries.items():
-            x = scalar(v)
-            flat[pos[c] * N + pos[r]] = x
-            by_col.setdefault(pos[c], []).append((pos[r], x))
+    mats = {key: _columns(op, scalar) for key, op in ops.items()}  # (flat, by columns)
     one = 1 if image is not None else _field_one(ops.values())
     ident = {i * N + i: one for i in range(N)}
 
     def product(word: tuple) -> dict:
         if not word:
             return ident
-        out = mats[word[-1]]
+        out = mats[word[-1]][0]
         for w in reversed(word[:-1]):
-            a_cols = cols[w]
-            acc: dict = {}
-            for key, bv in out.items():
-                k = key % N
-                base = key - k
-                for r, av in a_cols.get(k, ()):
-                    s = acc.get(base + r)
-                    acc[base + r] = av * bv if s is None else s + av * bv
-            if p is None:
-                out = {k: v for k, v in acc.items() if not v.is_zero()}
-            else:
-                out = {k: x for k, v in acc.items() if (x := v % p)}
+            out = _flat_product(mats[w][1], out, N, p)
         return out
 
     last_use = {}
@@ -424,6 +399,32 @@ def relation_failures(ops: dict, instances, image: dict | None = None, p: int | 
         if any(nonzero):
             failures.append(t)
     return failures
+
+
+def _columns(op: SOp, scalar) -> tuple[dict, dict]:
+    """op over basis positions, each entry v as scalar(v): flat, {c * N + r: value}
+    with N = op.cod.dim, and by columns, {c: [(r, value), ...]}."""
+    pos_r, pos_c, N = op.cod.pos, op.dom.pos, op.cod.dim
+    flat, by_col = {}, {}
+    for (r, c), v in op.entries.items():
+        x = flat[pos_c[c] * N + pos_r[r]] = scalar(v)
+        by_col.setdefault(pos_c[c], []).append((pos_r[r], x))
+    return flat, by_col
+
+
+def _flat_product(a_cols: dict, b: dict, N: int, p: int | None) -> dict:
+    """a @ b on flat operators with N rows (``_columns``), a given by columns, without
+    zero entries; on residues mod a prime p, summed on ints and reduced once per entry."""
+    acc: dict = {}
+    for key, bv in b.items():
+        k = key % N
+        base = key - k
+        for r, av in a_cols.get(k, ()):
+            s = acc.get(base + r)
+            acc[base + r] = av * bv if s is None else s + av * bv
+    if p is None:
+        return {k: v for k, v in acc.items() if not v.is_zero()}
+    return {k: x for k, v in acc.items() if (x := v % p)}
 
 
 def row_width(ops: Iterable[SOp]) -> int:
@@ -482,8 +483,16 @@ def supercommutation_failures(A_ops: list[SOp], B_ops: list[SOp]) -> tuple[list[
 # exact elimination
 # ---------------------------------------------------------------------------
 
-def _sub_multiple(vec: dict, c, row: dict) -> None:
-    """vec -= c * row in place, dropping the entries that cancel."""
+def _sub_multiple(vec: dict, c, row: dict, p: int | None = None) -> None:
+    """vec -= c * row in place, dropping the entries that cancel; on residues mod p once per entry."""
+    if p is not None:
+        for k, v in row.items():
+            w = (vec.get(k, 0) - c * v) % p
+            if w:
+                vec[k] = w
+            else:
+                vec.pop(k, None)
+        return
     for k, v in row.items():
         s = vec.get(k)
         w = -c * v if s is None else s - c * v
@@ -493,17 +502,26 @@ def _sub_multiple(vec: dict, c, row: dict) -> None:
             vec[k] = w
 
 
+def _times(c, vec: dict, p: int | None) -> dict:
+    """c * vec without its zero entries; with a prime p on residues, mod p."""
+    if p is None:
+        return {k: c * v for k, v in vec.items() if v}
+    return {k: x for k, v in vec.items() if (x := c * v % p)}
+
+
 class Echelon:
     """Incremental reduced echelon basis of sparse vectors over integer keys.
 
     Rows are kept fully reduced with pivot coefficient 1.  With ``track=True``
     each row remembers its expression in the inserted vectors, so membership
-    queries can return coordinates.
+    queries can return coordinates.  With a prime ``p`` the entries are
+    residues, ints in [0, p), reduced mod p once per update.
     """
 
-    def __init__(self, track: bool = False):
+    def __init__(self, track: bool = False, p: int | None = None):
         self.rows: list[tuple[int, dict]] = []
         self.track = track
+        self.p = p
         self.combos: list[dict] = []
         self.n_inserted = 0
         # pivot -> (row, combo): the dicts in rows/combos, which back-substitution updates in place
@@ -519,19 +537,19 @@ class Echelon:
         vec = dict(vec)
         for pivot in sorted(vec.keys() & self._by_pivot):
             c = vec[pivot]
-            if c.is_zero():
+            if not c:
                 continue
             row, row_combo = self._by_pivot[pivot]
-            _sub_multiple(vec, c, row)
+            _sub_multiple(vec, c, row, self.p)
             if combo is not None:
-                _sub_multiple(combo, c, row_combo)
-        return {k: v for k, v in vec.items() if not v.is_zero()}, combo
+                _sub_multiple(combo, c, row_combo, self.p)
+        return {k: v for k, v in vec.items() if v}, combo
 
     def reduce(self, vec: dict):
         """Residual of vec modulo the span, and, when tracking, the nonzero
         coordinates of vec minus the residual over the inserted vectors."""
         res, minus = self._reduce(vec, {} if self.track else None)
-        return res, None if minus is None else {j: -c for j, c in minus.items() if not c.is_zero()}
+        return res, None if minus is None else _times(-1, minus, self.p)
 
     def insert(self, vec: dict) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
@@ -543,21 +561,18 @@ class Echelon:
         if not res:
             return False
         pivot = min(res)
-        inv = res[pivot].inverse()
-        row = {k: inv * v for k, v in res.items()}
-        if combo is not None:
-            combo = {j: inv * v for j, v in combo.items() if not v.is_zero()}
+        inv = res[pivot].inverse() if self.p is None else pow(res[pivot], -1, self.p)
+        row = _times(inv, res, self.p)
+        combo = None if combo is None else _times(inv, combo, self.p)
         # back-substitute into existing rows to keep the reduced form
-        for i, (p, r) in enumerate(self.rows):
+        for i, (_, r) in enumerate(self.rows):
             c = r.get(pivot)
             if c is None:
                 continue
-            _sub_multiple(r, c, row)
+            _sub_multiple(r, c, row, self.p)
             if self.track:
-                _sub_multiple(self.combos[i], c, combo)
-        at = 0
-        while at < len(self.rows) and self.rows[at][0] < pivot:
-            at += 1
+                _sub_multiple(self.combos[i], c, combo, self.p)
+        at = bisect.bisect_left(self.rows, pivot, key=lambda pivot_row: pivot_row[0])
         self.rows.insert(at, (pivot, row))
         if self.track:
             self.combos.insert(at, combo)
@@ -582,19 +597,18 @@ def _exact_kernel(rows: list[dict], ncols: int, one) -> list[dict]:
         if free in pivots:
             continue
         vec = {free: one}
-        for col, row in reduced:
-            c = row.get(free)
-            if c is not None and not c.is_zero():
-                vec[col] = -c
+        for col, row in reduced:  # the rows hold no zero entries
+            if free in row:
+                vec[col] = -row[free]
         basis.append(vec)
     return basis
 
 
 def _independent_rows(rows: list[dict]) -> tuple[list[dict], list[dict]]:
     """Split rows into (kept, dropped): kept are the rows that enlarge the span of
-    the earlier ones in GF(p) at one point q = c.
+    the earlier ones in GF(P) at one point q = c, eliminated on residues.
 
-    Rows independent in GF(p) are independent over Q(q), so the kept rows have
+    Rows independent in GF(P) are independent over Q(q), so the kept rows have
     full rank; a dropped row need not lie in their span over Q(q) (c may be a
     root of a minor), which the caller checks exactly.
     """
@@ -602,31 +616,23 @@ def _independent_rows(rows: list[dict]) -> tuple[list[dict], list[dict]]:
     if not all(isinstance(v, RatFunc) for v in values):
         return rows, []
     _, image = sample_mod_p(random.Random(0), values)
-    ech = Echelon()
+    ech = Echelon(p=P)
     kept, dropped = [], []
     for r in rows:
         (kept if ech.insert({k: image[v] for k, v in r.items()}) else dropped).append(r)
     return kept, dropped
 
 
-def _annihilates(rows: list[dict], basis: list[dict]) -> bool:
+def _annihilates(rows: list[dict], basis: list[dict], ncols: int) -> bool:
     """Exactly: does every row have zero dot product with every basis vector?"""
     by_col: dict = {}
     for b, vec in enumerate(basis):
         for k, v in vec.items():
             by_col.setdefault(k, []).append((b, v))
-    for r in rows:
-        dots: dict = {}
-        for k, v in r.items():
-            for b, w in by_col.get(k, ()):
-                s = dots.get(b)
-                dots[b] = v * w if s is None else s + v * w
-        if any(not d.is_zero() for d in dots.values()):
-            return False
-    return True
+    return not any(_flat_product(by_col, r, ncols, None) for r in rows)  # the nonzero dot products with r
 
 
-def kernel_basis(rows: list[dict], ncols: int, one=None) -> list[dict]:
+def kernel_basis(rows: list[dict], ncols: int, one=None, block_of: Sequence | None = None) -> list[dict]:
     """Exact basis of the null space of the sparse constraint rows (columns 0..ncols-1).
 
     The basis vectors carry ``one``, the one of the scalars' field, at their free
@@ -638,15 +644,35 @@ def kernel_basis(rows: list[dict], ncols: int, one=None) -> list[dict]:
     Elimination runs on a row basis picked in GF(p) (``_independent_rows``); the
     kernel is then verified exactly on the dropped rows, and recomputed from all
     rows if one of them does not vanish on it.
+
+    With ``block_of`` (see ``_blocks``) each block is eliminated on its own and
+    the vectors are merged in free-column order.  The reduced row echelon form
+    of the system is that of its blocks together, so the basis is the same.
     """
     if one is None:
         one = next((v ** 0 for r in rows for v in r.values()), ONE)
     rows = [r for r in ({k: v for k, v in r.items() if not v.is_zero()} for r in rows) if r]
-    kept, dropped = _independent_rows(rows)
-    basis = _exact_kernel(kept, ncols, one)
-    if dropped and not _annihilates(dropped, basis):
-        basis = _exact_kernel(rows, ncols, one)
-    return basis
+    basis = []
+    for cols, block in _blocks(rows, block_of or [0] * ncols):
+        kept, dropped = _independent_rows(block)
+        kernel = _exact_kernel(kept, len(cols), one)
+        if dropped and not _annihilates(dropped, kernel, len(cols)):
+            kernel = _exact_kernel(block, len(cols), one)
+        basis += ({cols[j]: v for j, v in vec.items()} for vec in kernel)
+    return sorted(basis, key=lambda vec: next(iter(vec)))  # a vector's first key is its free column
+
+
+def _blocks(rows: list[dict], block_of: Sequence) -> list[tuple[list[int], list[dict]]]:
+    """(the columns, the nonzero rows with their columns numbered from 0) of each
+    block: column i lies in block block_of[i], and the columns of each row in one."""
+    blocks: dict = {}
+    for i, b in enumerate(block_of):
+        blocks.setdefault(b, ([], []))[0].append(i)
+    local = {i: j for cols, _ in blocks.values() for j, i in enumerate(cols)}
+    for r in rows:
+        if r:
+            blocks[block_of[next(iter(r))]][1].append({local[i]: v for i, v in r.items()})
+    return list(blocks.values())
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +693,9 @@ def unflatten_vector(space: SuperSpace, flat: dict) -> dict:
     return {space.labels[k]: v for k, v in flat.items()}
 
 
-def span_dim(elems: Sequence, track: bool = False):
-    """Exact rank and echelon basis of a family of operators or flat vectors."""
-    ech = Echelon(track=track)
+def span_dim(elems: Sequence, track: bool = False, p: int | None = None):
+    """Rank and echelon basis of a family of operators or flat vectors: exact, or in GF(p) on residues."""
+    ech = Echelon(track=track, p=p)
     kept = []
     for e in elems:
         flat = _op_key(e) if isinstance(e, SOp) else dict(e)
@@ -678,9 +704,10 @@ def span_dim(elems: Sequence, track: bool = False):
     return ech.dim, ech, kept
 
 
-def _sylvester_rows(A: SOp, B: SOp, row_labels, col_labels, vindex: dict, sign: int = 1) -> list[dict]:
+def _sylvester_rows(A: SOp, B: SOp, row_labels, col_labels, vindex: dict, sign: int = 1, image=None) -> list[dict]:
     """Constraint rows of X B = sign * A X, as A X - sign * X B = 0, in the unknown
-    entries X[r, c], numbered by vindex."""
+    entries X[r, c], numbered by vindex; with ``image``, on the residues mod P."""
+    scalar = (lambda v: v) if image is None else image.__getitem__
     by_rc: dict = {}
     # -sign (X B)[r,c] = -sign sum_k X[r,k] B[k,c]
     for (k, c), v in B.entries.items():
@@ -689,27 +716,44 @@ def _sylvester_rows(A: SOp, B: SOp, row_labels, col_labels, vindex: dict, sign: 
             i = vindex.get((r, k))
             if i is not None:
                 if w is None:
-                    w = -v if sign > 0 else v
+                    w = -scalar(v) if sign > 0 else scalar(v)
                 row = by_rc.setdefault((r, c), {})
                 s = row.get(i)
                 row[i] = w if s is None else s + w
     # (A X)[r,c] = sum_k A[r,k] X[k,c]
     for (r, k), v in A.entries.items():
+        w = scalar(v)
         for c in col_labels:
             i = vindex.get((k, c))
             if i is not None:
                 row = by_rc.setdefault((r, c), {})
                 s = row.get(i)
-                row[i] = v if s is None else s + v
-    return [{i: v for i, v in row.items() if not v.is_zero()} for row in by_rc.values()]
+                row[i] = w if s is None else s + w
+    keep = (lambda v: v) if image is None else (lambda v: v % P)  # a value, or its residue in [0, P)
+    return [{i: x for i, v in row.items() if (x := keep(v))} for row in by_rc.values()]
+
+
+def _components(ops: list[SOp], labels: Sequence) -> dict:
+    """Each label's connected component, named by one of its labels: two labels
+    are joined when some operator has an entry at (r, c)."""
+    members = {lab: [lab] for lab in labels}  # one list per component, shared by its labels
+    for op in ops:
+        for r, c in op.entries:
+            a, b = sorted((members[r], members[c]), key=len)
+            if a is not b:  # merge the smaller into the larger, which keeps its first label
+                b += a
+                members.update(dict.fromkeys(a, b))
+    return {lab: comp[0] for lab, comp in members.items()}
 
 
 def _intertwiner_systems(
-    A_ops: list[SOp], B_ops: list[SOp], parities: Sequence[int] = (0, 1)
-) -> list[tuple[int, list, list[dict]]]:
+    A_ops: list[SOp], B_ops: list[SOp], parities: Sequence[int] = (0, 1), image: dict | None = None
+) -> list[tuple[int, list, list[dict], list]]:
     """Per parity p of ``parities``: (p, the numbered unknowns X[r, c], the
-    constraint rows) of X b = (-1)^{|X||a|} a X for every pair (a, b) of A_ops
-    and B_ops."""
+    constraint rows, the block of each unknown) of X b = (-1)^{|X||a|} a X for
+    every pair (a, b) of A_ops and B_ops; with ``image``, on residues mod P.  The
+    block of X[r, c] is (the ``_components`` of r and c): the row of entry (r, c)
+    has terms a[r, k] X[k, c] and X[r, k] b[k, c], all in that block."""
     if not A_ops or len(A_ops) != len(B_ops):
         raise ValueError("need two nonempty operator families of one length")
     cod, dom = A_ops[0].dom, B_ops[0].dom
@@ -724,6 +768,7 @@ def _intertwiner_systems(
         (diagonal if diag else others).append((a, b))
     row_weight = {r: tuple(a.entries.get((r, r)) for a, _ in diagonal) for r in cod.labels}
     col_weight = {c: tuple(b.entries.get((c, c)) for _, b in diagonal) for c in dom.labels}
+    row_comp, col_comp = _components(A_ops, cod.labels), _components(B_ops, dom.labels)
     systems = []
     for p in parities:
         pairs = [
@@ -733,8 +778,8 @@ def _intertwiner_systems(
         vindex = {rc: i for i, rc in enumerate(pairs)}
         rows = []
         for a, b in others:
-            rows.extend(_sylvester_rows(a, b, cod.labels, dom.labels, vindex, -1 if (p and a.par) else 1))
-        systems.append((p, pairs, rows))
+            rows.extend(_sylvester_rows(a, b, cod.labels, dom.labels, vindex, -1 if (p and a.par) else 1, image))
+        systems.append((p, pairs, rows, [(row_comp[r], col_comp[c]) for r, c in pairs]))
     return systems
 
 
@@ -746,7 +791,7 @@ def intertwiners(A_ops: list[SOp], B_ops: list[SOp], parity: int | None = None) 
     cod, dom, one = A_ops[0].dom, B_ops[0].dom, _field_one([*A_ops, *B_ops])
     return [
         SOp(dom, cod, p, {pairs[i]: v for i, v in flat.items()}, validate=False)
-        for p, pairs, rows in systems for flat in kernel_basis(rows, len(pairs), one)
+        for p, pairs, rows, block_of in systems for flat in kernel_basis(rows, len(pairs), one, block_of)
     ]
 
 
@@ -755,9 +800,14 @@ def graded_commutant(ops: list[SOp]) -> list[SOp]:
     return intertwiners(ops, ops)
 
 
-def _nullities(ops: list[SOp]) -> list[int]:
-    """The nullity of the graded commutant system of ops, per parity (even first)."""
-    return [len(pairs) - span_dim(rows)[0] for _, pairs, rows in _intertwiner_systems(ops, ops)]
+def _nullities(ops: list[SOp], image: dict) -> list[int]:
+    """The nullity in GF(P) of the graded commutant system of ops at the point of
+    ``image`` (residues mod P), per parity (even first), block by block, the rows
+    by decreasing first column: the rank is the same, and the rows stay sparse."""
+    return [
+        len(pairs) - sum(span_dim(sorted(b, key=min, reverse=True), p=P)[0] for _, b in _blocks(rows, block_of))
+        for _, pairs, rows, block_of in _intertwiner_systems(ops, ops, image=image)
+    ]
 
 
 def commutant_dim_bounds(ops: list[SOp]) -> list[int]:
@@ -765,9 +815,7 @@ def commutant_dim_bounds(ops: list[SOp]) -> list[int]:
     the nullities of its systems in GF(p), at one point q = c where no entry of
     ops has a pole.  Specializing the constraint rows can only lower their rank,
     so each nullity is at least the exact dimension."""
-    values = {v for op in ops for v in op.entries.values()}
-    _, image = sample_mod_p(random.Random(0), values)
-    return _nullities([op.map(image.__getitem__) for op in ops])
+    return _nullities(ops, sample_mod_p(random.Random(0), {v for op in ops for v in op.entries.values()})[1])
 
 
 POINT = SuperSpace([()], {(): 0})  # V^{(x)0}: a vector of V is an operator POINT -> V
@@ -790,13 +838,23 @@ def joint_kernel(ops: list[SOp], weight: Sequence = ()) -> list[dict]:
     return [{r: v for (r, _), v in X.entries.items()} for X in intertwiners(A_ops, B_ops)]
 
 
-def _closure(gens: list[SOp], seeds: list[SOp], limit: int | None = None):
+def _closure(gens: list[SOp], seeds: list[SOp], limit: int | None = None, image: dict | None = None):
     """Left-multiplication closure of the seeds under the generators, iterated
     until the span stabilizes or reaches dimension ``limit``: (echelon, basis,
     words), where words[k] = (g, parent) records basis[k] = gens[g] @
-    basis[parent]; g None is seeds[parent]."""
-    ech = Echelon()
-    basis: list[SOp] = []
+    basis[parent]; g None is seeds[parent].
+
+    With ``image`` (residues mod P) it runs in GF(P) on flat operators
+    (``_columns``) of residues, multiplied by ``_flat_product``; a word is kept
+    when it leaves the span of the earlier ones, whatever the order of the keys."""
+    if image is None:
+        ech, flat, times = Echelon(), _op_key, (lambda g, op: gens[g] @ op)
+    else:
+        N = gens[0].dom.dim
+        cols = [_columns(g, image.__getitem__)[1] for g in gens]
+        seeds = [{k: x for k, x in _columns(op, image.__getitem__)[0].items() if x} for op in seeds]
+        ech, flat, times = Echelon(p=P), (lambda op: op), (lambda g, op: _flat_product(cols[g], op, N, P))
+    basis: list = []
     words: list[tuple] = []
 
     def candidates():
@@ -805,12 +863,13 @@ def _closure(gens: list[SOp], seeds: list[SOp], limit: int | None = None):
         done = 0
         while done < len(basis):  # multiply the words kept in the last round
             layer, done = range(done, len(basis)), len(basis)
-            for g, op in enumerate(gens):
+            for g in range(len(gens)):
                 for b in layer:
-                    yield op @ basis[b], (g, b)
+                    yield times(g, basis[b]), (g, b)
 
     for op, word in candidates():
-        if not op.is_zero() and ech.insert(_op_key(op)):
+        key = flat(op)
+        if key and ech.insert(key):
             basis.append(op)
             words.append(word)
             if len(basis) == limit:
@@ -854,21 +913,12 @@ def invariant_under(ops: list[SOp], vectors: list[dict], rows: list[tuple[int, d
         return True
     image, p, _ = at_kronecker_point(*invariance_bound(ops, vectors, rows)) or (None, None, None)
     scalar = (lambda v: v) if image is None else image.__getitem__
-    pos = ops[0].dom.pos
     rows = [(pivot, {k: scalar(v) for k, v in row.items()}) for pivot, row in rows]
     vectors = [{k: scalar(v) for k, v in vec.items()} for vec in vectors]
     for op in ops:
-        by_col: dict = {}
-        for (r, c), v in op.entries.items():
-            by_col.setdefault(pos[c], []).append((pos[r], scalar(v)))
+        by_col = _columns(op, scalar)[1]
         for vec in vectors:
-            img: dict = {}
-            for c, x in vec.items():
-                for r, v in by_col.get(c, ()):
-                    s = img.get(r)
-                    img[r] = v * x if s is None else s + v * x
-            if p is not None:
-                img = {k: v % p for k, v in img.items()}
+            img = _flat_product(by_col, vec, op.dom.dim, p)
             for pivot, row in rows:  # subtracting r_l leaves img unchanged at every other pivot
                 c = img.get(pivot)
                 if c:
@@ -900,15 +950,20 @@ def submodule_echelon(gens: list[SOp], seeds: list[dict]) -> Echelon:
     space = gens[0].dom
     seed_ops = [point_map(space, v) for v in seeds]
     _, image = sample_mod_p(random.Random(0), {v for op in (*gens, *seed_ops) for v in op.entries.values()})
-    _, _, words = _closure([g.map(image.__getitem__) for g in gens], [s.map(image.__getitem__) for s in seed_ops])
-    basis: list[SOp] = []
-    for g, parent in words:
-        basis.append(seed_ops[parent] if g is None else gens[g] @ basis[parent])
-    ech = span_dim(basis)[1]
+    words = _closure(gens, seed_ops, image=image)[2]
+    ech = span_dim(_rebuild(gens, seed_ops, words))[1]
     kept = {parent for g, parent in words if g is None}
     seeds_in = all(ech.contains(_op_key(op)) for s, op in enumerate(seed_ops) if s not in kept)
     rows = [row for _, row in ech.rows]
     return ech if seeds_in and invariant_under(gens, rows, ech.rows) else _closure(gens, seed_ops)[0]
+
+
+def _rebuild(gens: list[SOp], seeds: list[SOp], words: list[tuple]) -> list[SOp]:
+    """The operators of a closure's words, rebuilt exactly, one product each."""
+    basis: list[SOp] = []
+    for g, parent in words:
+        basis.append(seeds[parent] if g is None else gens[g] @ basis[parent])
+    return basis
 
 
 def _algebra_seeds(gens: list[SOp]) -> list[SOp]:
@@ -970,16 +1025,11 @@ def certified_span(gens: list[SOp], partners: list[SOp]) -> CertifiedSpan:
     """
     premise = not supercommutation_failures(gens, partners)[0]
     if premise:
-        values = {v for op in (*gens, *partners) for v in op.entries.values()}
-        _, image = sample_mod_p(random.Random(0), values)
-        nullity = sum(_nullities([h.map(image.__getitem__) for h in partners]))
-        gens_p = [g.map(image.__getitem__) for g in gens]
-        _, basis_p, words = _closure(gens_p, _algebra_seeds(gens_p), limit=nullity)
-        if len(basis_p) == nullity:
-            seeds = _algebra_seeds(gens)
-            basis: list[SOp] = []
-            for g, parent in words:
-                basis.append(seeds[parent] if g is None else gens[g] @ basis[parent])
-            return CertifiedSpan(basis, "gf_p", None, premise)
+        seeds = _algebra_seeds(gens)
+        _, image = sample_mod_p(random.Random(0), {v for op in (*seeds, *partners) for v in op.entries.values()})
+        nullity = sum(_nullities(partners, image))
+        words = _closure(gens, seeds, limit=nullity, image=image)[2]
+        if len(words) == nullity:
+            return CertifiedSpan(_rebuild(gens, seeds, words), "gf_p", None, premise)
     ech, basis = operator_algebra_span(gens)
     return CertifiedSpan(basis, "exact", ech, premise)

@@ -337,7 +337,7 @@ def _prob_trials(report: VerifyReport, values, bound: IdentityBound, trials: int
     draws = [sample_mod_p(rng, values) for _ in range(trials)]
     report.derive("trial_points", [str(c) for c, _ in draws])
     report.derive("false_match_bound", str(bound.false_match(trials)))
-    return [(c, {v: x.v for v, x in image.items()}) for c, image in draws]
+    return draws
 
 
 def _kronecker_image(report: VerifyReport, values, bound: IdentityBound):

@@ -16,7 +16,7 @@ from queerdual.duality import (
     sergeev_verify,
 )
 from queerdual.hecke_clifford import hc_tensor_action
-from queerdual.scalars import ONE, Q, RatFunc, _pmonomial, _ptrailing
+from queerdual.scalars import ONE, P, Q, RatFunc, _pmonomial, _ptrailing
 from queerdual.superlinalg import (
     Echelon,
     SOp,
@@ -51,7 +51,7 @@ from test_superlinalg import V1, rand_op
 
 def at_q_one(monkeypatch):
     """Force the GF(p) point of superlinalg to q = 1, where xi = q - q^{-1} vanishes."""
-    monkeypatch.setattr(superlinalg, "sample_mod_p", lambda rng, values: (1, {v: v.mod_p(1) for v in values}))
+    monkeypatch.setattr(superlinalg, "sample_mod_p", lambda rng, values: (1, {v: v.residue(1, P) for v in values}))
 
 
 def census_seeds(rep):
@@ -244,7 +244,7 @@ def test_a_seed_dropped_in_gf_p_is_checked_exactly(monkeypatch):
     seeds = [u, {**u, **{lab: (Q - 5) * v for lab, v in x.items()}}]
     want = exact_closure_rows(rep, seeds)
     assert len(want) == 20
-    monkeypatch.setattr(superlinalg, "sample_mod_p", lambda rng, values: (5, {v: v.mod_p(5) for v in values}))
+    monkeypatch.setattr(superlinalg, "sample_mod_p", lambda rng, values: (5, {v: v.residue(5, P) for v in values}))
     verdicts = recording_certificates(monkeypatch)
     assert generate_submodule(rep, seeds) == want
     assert verdicts == []  # the seed check failed first

@@ -5,7 +5,7 @@ import pytest
 
 from queerdual import cli, duality, superlinalg
 from queerdual.coord_alg import operator_image_basis
-from queerdual.scalars import ONE, QINV, Q
+from queerdual.scalars import ONE, P, QINV, Q
 from queerdual.superlinalg import certified_span, operator_algebra_span, supercommutes
 from queerdual.uq_queer import PARAM_Q, tensor_rep, vector_rep
 from queerdual.hecke_clifford import braid_operator, hc_check, hc_tensor_action, zero_weight_hc
@@ -182,7 +182,7 @@ def test_certified_sergeev_spans_equal_the_exact_closures(n, m):
 
 def test_sergeev_falls_back_to_exact_commutants(monkeypatch, fresh_census):
     # at q = 1 the GF(p) bounds disagree: both pairs take the exact path
-    monkeypatch.setattr(superlinalg, "sample_mod_p", lambda rng, values: (1, {v: v.mod_p(1) for v in values}))
+    monkeypatch.setattr(superlinalg, "sample_mod_p", lambda rng, values: (1, {v: v.residue(1, P) for v in values}))
     report = sergeev_verify(2, 2)
     assert report.ok, [c.to_dict() for c in report.failures()]
     assert report.derived_values["hc_image_certified_by"] == "exact"

@@ -7,7 +7,7 @@ from queerdual import coord_alg, scalars, superlinalg
 from queerdual.coord_alg import operator_image_basis
 from queerdual.duality import FixtureModule, SubmoduleRep
 from queerdual.hecke_clifford import hc_tensor_action
-from queerdual.scalars import ONE, ModP, RatFunc, Q, ZERO, sample_mod_p
+from queerdual.scalars import ONE, P, ModP, RatFunc, Q, ZERO, sample_mod_p
 from queerdual.superlinalg import (
     Echelon,
     _sylvester_rows,
@@ -295,7 +295,7 @@ def test_kernel_basis_falls_back_when_the_point_merges_rows(monkeypatch):
     # at q = 5 the two rows coincide mod p, though they are independent over Q(q)
     f = RatFunc((-20, 0, 1), (-4, 1))  # (q^2 - 20) / (q - 4), which is 5 at q = 5
     rows = [{0: ONE, 1: Q}, {0: ONE, 1: f}]
-    monkeypatch.setattr(superlinalg, "sample_mod_p", lambda rng, values: (5, {v: v.mod_p(5) for v in values}))
+    monkeypatch.setattr(superlinalg, "sample_mod_p", lambda rng, values: (5, {v: v.residue(5, P) for v in values}))
     calls = counting_eliminations(monkeypatch)
     assert kernel_basis([dict(r) for r in rows], 3) == exact_kernel(rows, 3) == [{2: ONE}]
     assert calls == [(1, 1), (2, 2)]  # the kept row alone, then the fallback on all rows
@@ -445,7 +445,7 @@ def to_gf_p(*families):
     """Every family's operators, their entries mapped to GF(p) at one point."""
     values = {v for ops in families for op in ops for v in op.entries.values()}
     _, image = sample_mod_p(random.Random(0), values)
-    return [[op.map(image.__getitem__) for op in ops] for ops in families]
+    return [[op.map(lambda v: ModP(image[v])) for op in ops] for ops in families]
 
 
 def test_commutant_and_span_over_gf_p():
@@ -482,7 +482,7 @@ def test_certified_image_basis_equals_the_exact_closure(n, l, fresh_image_basis)
 
 def test_bounds_that_disagree_fall_back_to_exact_elimination(monkeypatch, fresh_image_basis):
     # at q = 1 the word rank drops and the commutant nullity grows: no certificate
-    monkeypatch.setattr(superlinalg, "sample_mod_p", lambda rng, values: (1, {v: v.mod_p(1) for v in values}))
+    monkeypatch.setattr(superlinalg, "sample_mod_p", lambda rng, values: (1, {v: v.residue(1, P) for v in values}))
     ib = fresh_image_basis(2, 2)
     _, exact = operator_algebra_span(list(tensor_rep(vector_rep(2), 2).gen.values()))
     assert ib.certified_by == "exact" and ib.dim == 32
@@ -523,14 +523,15 @@ def test_certified_image_basis_does_no_exact_elimination(monkeypatch, fresh_imag
 
 def _recorded_closures(monkeypatch):
     """(limit, kept words, words of the same closure run to the end) for every
-    closure that certified_span runs with a limit."""
+    closure that certified_span runs with a limit: the closure on residues."""
     calls = []
     closure = superlinalg._closure
 
-    def recording(gens, seeds, limit=None):
-        out = closure(gens, seeds, limit)
+    def recording(gens, seeds, limit=None, image=None):
+        out = closure(gens, seeds, limit, image)
         if limit is not None:
-            calls.append((limit, out[2], closure(gens, seeds)[2]))
+            assert image is not None
+            calls.append((limit, out[2], closure(gens, seeds, image=image)[2]))
         return out
 
     monkeypatch.setattr(superlinalg, "_closure", recording)
@@ -552,7 +553,7 @@ def test_gf_p_closure_stops_at_the_nullity_with_the_full_closures_words(n, m, mo
 def test_gf_p_closure_runs_to_the_end_when_the_bounds_differ(monkeypatch):
     # at q = 1 the word rank stays below the nullity: the closure never reaches
     # its limit, and the exact path returns the exact closure
-    monkeypatch.setattr(superlinalg, "sample_mod_p", lambda rng, values: (1, {v: v.mod_p(1) for v in values}))
+    monkeypatch.setattr(superlinalg, "sample_mod_p", lambda rng, values: (1, {v: v.residue(1, P) for v in values}))
     calls = _recorded_closures(monkeypatch)
     queer = list(tensor_rep(vector_rep(2), 2).gen.values())
     span = certified_span(queer, hc_tensor_action(2, 2).generators())

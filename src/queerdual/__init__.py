@@ -3,8 +3,8 @@
 Layers:
 
 - ``scalars``: the field Q(q) of rational functions, q-combinatorics,
-  specialization, the prime fields GF(2^k - 1), the identity-test bound and
-  the Kronecker point that makes one evaluation exact;
+  specialization, residues mod a prime (GF(p) on plain ints), the
+  identity-test bound and the Kronecker point that makes one evaluation exact;
 - ``superlinalg``: parity-tagged bases, Koszul-sign tensor calculus, exact
   kernels, spans and graded commutants;
 - ``uq_queer``: the quantum queer superalgebra through its S-matrix
@@ -19,7 +19,7 @@ Layers:
 """
 
 from .scalars import (
-    ONE, QINV, RatFunc, XI, ZERO, Q, ModP, PoleAtPoint, identity_bound, probably_equal, q_number, specialize,
+    ONE, QINV, RatFunc, XI, ZERO, Q, PoleAtPoint, identity_bound, probably_equal, q_number, specialize,
 )
 from .superlinalg import SOp, SuperSpace, graded_commutant, graded_tensor, joint_kernel, span_dim, tensor_space
 from .uq_queer import (

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .report import VerifyReport
-from .scalars import ONE, IdentityBound, RatFunc, identity_bound, q_number
+from .scalars import ONE, IdentityBound, identity_bound, q_number
 from .superlinalg import SOp, SuperSpace, index_parity, relation_failures, row_width, tensor_space, word_sum
 from .uq_queer import (
     PARAM_Q,
@@ -224,18 +224,19 @@ def _hc_bound(ops: dict, qq) -> IdentityBound:
 def hc_check(action: HCAction, qq=None) -> VerifyReport:
     """Verify relation families hc1..hc7 exactly; failures carry a witness word.
 
-    ``qq`` is the value of q' in hc1, by default q or q^{-1} per the parameter
-    flag; the classical cross-check passes 1 for an action specialized at q = 1.
-    hc1 is checked as T T + (q'^{-1} - q') T - 1 = 0.
+    ``qq`` is the value of q' in hc1, a ``RatFunc``: by default q or q^{-1}
+    per the parameter flag; the classical cross-check passes ``ONE`` for an
+    action specialized at q = 1.  hc1 is checked as
+    T T + (q'^{-1} - q') T - 1 = 0.
 
     Each relation accumulates lhs - rhs entry by entry on residues
-    (``superlinalg.relation_failures``); the two sides are built as operators,
-    in the action's own field, only for the witness of a failing instance.  An
-    action over Q(q) is evaluated once, at the Kronecker point of the bound in
-    ``_hc_bound`` (``scalars.kronecker_point`` has the proof), so every verdict
-    and witness is that of Q(q); the report records the point as
-    ``exact_point``, which is "Q(q)" when no listed Mersenne prime is large
-    enough and the check runs in Q(q).  An action over GF(p) is checked there.
+    (``superlinalg.relation_failures``); the two sides are built as operators
+    in Q(q) only for the witness of a failing instance.  The action is
+    evaluated once, at the Kronecker point of the bound in ``_hc_bound``
+    (``scalars.kronecker_point`` has the proof), so every verdict and witness
+    is that of Q(q); the report records the point as ``exact_point``, which is
+    "Q(q)" when no listed Mersenne prime is large enough and the check runs in
+    Q(q).
     """
     m = action.spec.m
     if qq is None:
@@ -246,11 +247,7 @@ def hc_check(action: HCAction, qq=None) -> VerifyReport:
     ops = {**{("T", a): action.t(a) for a in range(1, m)}, **{("C", b): action.c(b) for b in range(1, m + 1)}}
     qinv = qq.inverse()
     values = {v for op in ops.values() for v in op.entries.values()} | {qq, qinv}
-    if isinstance(qq, RatFunc):
-        point = _kronecker_image(report, values, _hc_bound(ops, qq))
-    else:  # the action is over GF(p) already
-        point = {v: v.v for v in values}, qq.p
-    image, p = point or (None, None)
+    image, p = _kronecker_image(report, values, _hc_bound(ops, qq)) or (None, None)
     shift = qinv - qq if image is None else image[qinv] - image[qq]
 
     def T(a):
@@ -293,7 +290,7 @@ def hc_check(action: HCAction, qq=None) -> VerifyReport:
             continue
         if name == "hc1":  # the witness of the factored form (T - q')(T + q'^{-1})
             tt = action.t(ctx["a"])
-            ident = SOp.identity(action.space, qq ** 0)
+            ident = SOp.identity(action.space)
             diff = (tt + ident.scale(-qq)) @ (tt + ident.scale(qinv))
         else:
             diff = word_sum(ops, lhs) - word_sum(ops, rhs)

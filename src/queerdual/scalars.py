@@ -9,10 +9,9 @@ sums and reductions skip the polynomial gcd: only a power of q and an integer
 content can cancel against such a denominator.  A product with a factor of
 exactly +-1 costs nothing: it returns the other factor, or its negation.
 
-Identity tests run in prime fields.  ``ModP`` is GF(p), p = 2^61 - 1, and
-``mersenne_field(k)`` its twin GF(2^k - 1) for a larger Mersenne prime;
-``RatFunc.mod_p`` maps a value to such a field at a point q = c, and
-``RatFunc.residue`` to the plain int in [0, p) that the engine computes with.
+Identity tests run in prime fields GF(p), whose elements are plain ints in
+[0, p): ``RatFunc.residue`` maps a value to its residue mod p at a point
+q = c, a ring homomorphism on the values without a pole there.
 ``identity_bound`` bounds the degree and height of a difference of products of
 the values.  From it, the probabilistic checks get the Schwartz-Zippel bound on
 a false match at random points of GF(p), and ``kronecker_point`` gives one
@@ -24,7 +23,6 @@ Polynomials are dense int tuples, index = power of q, trailing zeros stripped;
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from fractions import Fraction
@@ -216,89 +214,10 @@ def _psqrt(a):
 
 
 # ---------------------------------------------------------------------------
-# prime fields GF(2^k - 1)
+# the prime of the probabilistic checks
 # ---------------------------------------------------------------------------
 
 P = (1 << 61) - 1
-
-
-def _field_value(cls, x) -> int:
-    """The residue of x as an element of the field cls; only integers coerce."""
-    if isinstance(x, ModP):
-        raise TypeError(f"cannot mix elements of {cls.__name__} and {type(x).__name__}")
-    if isinstance(x, int):
-        return x
-    raise TypeError(f"cannot mix a GF(p) element with {type(x).__name__}")
-
-
-class ModP:
-    """An element of the prime field GF(p), p = 2^61 - 1 (the class attribute ``p``).
-
-    It has the scalar interface SOp relies on, so operator code runs unchanged
-    over GF(p).  ``mersenne_field(k)`` gives the subclass for GF(2^k - 1); each
-    result is an element of its operand's own field.  Integers coerce; an
-    element of another field, a RatFunc or any other type raises TypeError: a
-    value of Q(q) enters GF(p) only through ``RatFunc.mod_p``, at a point.
-    """
-
-    __slots__ = ("v",)
-    p = P
-
-    def __init__(self, v: int):
-        self.v = v % self.p
-
-    def is_zero(self) -> bool:
-        return not self.v
-
-    def __bool__(self) -> bool:
-        return bool(self.v)
-
-    def __add__(self, other):
-        cls = self.__class__
-        return cls(self.v + (other.v if other.__class__ is cls else _field_value(cls, other)))
-
-    def __sub__(self, other):
-        cls = self.__class__
-        return cls(self.v - (other.v if other.__class__ is cls else _field_value(cls, other)))
-
-    def __mul__(self, other):
-        cls = self.__class__
-        return cls(self.v * (other.v if other.__class__ is cls else _field_value(cls, other)))
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __neg__(self):
-        return self.__class__(-self.v)
-
-    def inverse(self) -> "ModP":
-        if not self.v:
-            raise ZeroDivisionError("inverse of zero")
-        return self.__class__(pow(self.v, -1, self.p))
-
-    def __pow__(self, k: int):
-        return self.__class__(pow((self.inverse() if k < 0 else self).v, abs(k), self.p))
-
-    def __eq__(self, other):
-        cls = self.__class__
-        if other.__class__ is cls:
-            return self.v == other.v
-        if isinstance(other, (ModP, int, RatFunc)):  # another field or a RatFunc raises TypeError
-            return self.v == _field_value(cls, other) % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.v)
-
-    def __repr__(self):
-        return f"{self.__class__.__name__}({self.v})"
-
-
-@functools.cache
-def mersenne_field(k: int) -> type:
-    """The class of GF(2^k - 1) for a Mersenne prime 2^k - 1 (k = 61 is ``ModP``)."""
-    if k == 61:
-        return ModP
-    return type(f"ModP_{k}", (ModP,), {"__slots__": (), "p": (1 << k) - 1})
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +398,12 @@ class RatFunc:
             raise PoleAtPoint(f"denominator vanishes at q = {c}")
         return _peval(self.num, c) / d
 
-    def mod_p(self, c: int, field: type = ModP) -> ModP:
-        """Image in the prime field ``field`` (default GF(2^61 - 1)) at q = c:
-        num(c) / den(c) mod p.
+    def residue(self, c: int, p: int) -> int:
+        """The image num(c) / den(c) mod the prime p at q = c, a plain int in [0, p).
 
         Raises PoleAtPoint when p divides den(c).  On the values without a pole
-        at c this is a ring homomorphism to GF(p) (see ``identity_bound``).
+        at c this is a ring homomorphism Q(q) -> GF(p) (see ``identity_bound``).
         """
-        return field(self.residue(c, field.p))
-
-    def residue(self, c: int, p: int) -> int:
-        """The image of ``mod_p`` as a plain int in [0, p)."""
         d = _peval_mod(self.den, c, p)
         if not d:
             raise PoleAtPoint(f"denominator vanishes mod p at q = {c}")
@@ -670,7 +584,7 @@ def identity_bound(values, scalars=(ONE,), factors: int = 1, terms: int = 1) -> 
     most H = terms * max ||s||_1 * (max ||a||_1 * K)^k.
 
     The checkers draw c uniformly from [2, p), redrawing while some value has
-    a pole mod p there.  ``RatFunc.mod_p`` at c is a ring homomorphism on the
+    a pole mod p there.  ``RatFunc.residue`` at c is a ring homomorphism on the
     rational functions whose reduced denominator does not vanish mod p at c,
     so the GF(p) computation yields f(c) = c^LO P_f(c) / M(c)^k, which is 0
     iff p divides P_f(c).  If H < p (``sound``), no coefficient of P_f or of
@@ -709,12 +623,12 @@ def identity_bound(values, scalars=(ONE,), factors: int = 1, terms: int = 1) -> 
 MERSENNE_EXPONENTS = (521, 607)
 
 
-def kronecker_point(bound: IdentityBound) -> tuple[int, type] | None:
+def kronecker_point(bound: IdentityBound) -> tuple[int, int] | None:
     """One point at which a zero test is exact: q = X = 2^B in GF(2^k - 1).
 
     B = H.bit_length(), so X > H, and 2^k - 1 is the smallest prime with k in
     ``MERSENNE_EXPONENTS`` and 2^k - 1 > H X^D, where D and H are the
-    degree and height of ``bound``.  Returns (B, the field), or None when no
+    degree and height of ``bound``.  Returns (B, 2^k - 1), or None when no
     listed prime is that large; the caller then computes in Q(q).
 
     Proof.  Let f, M, m, K, LO and P_f = q^-LO f M^k be as in
@@ -726,7 +640,7 @@ def kronecker_point(bound: IdentityBound) -> tuple[int, type] | None:
     < 2^k - 1, so P_f(X) is not 0 mod 2^k - 1.  The same argument applies to
     each denominator factor B of M, whose degree is at most m <= D and 1-norm
     at most K <= H: B(X) is not 0 mod 2^k - 1, and neither is X (the prime
-    is odd), so no value has a pole at X.  ``RatFunc.mod_p`` at X is then a
+    is odd), so no value has a pole at X.  ``RatFunc.residue`` at X is then a
     ring homomorphism on the values, and the image of f is
     X^LO P_f(X) / M(X)^k, which is 0 exactly when f = 0 in Q(q).  This holds
     for every f the bound covers, so a computation whose every zero test is on
@@ -737,7 +651,7 @@ def kronecker_point(bound: IdentityBound) -> tuple[int, type] | None:
     reach = bound.height << (bits * bound.degree)  # H X^D
     for k in MERSENNE_EXPONENTS:
         if (1 << k) - 1 > reach:
-            return bits, mersenne_field(k)
+            return bits, (1 << k) - 1
     return None
 
 

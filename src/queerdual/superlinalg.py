@@ -9,28 +9,29 @@ sparse matrices.  Tensor products follow the Koszul sign rule
 All results are exact and deterministic for a fixed basis order.  There is one
 elimination engine, ``Echelon``: it keeps its rows fully reduced with pivot 1,
 so after inserting a family its rows are the reduced row echelon form of the
-family's span, and kernels and inverses are read off it.  Every GF(p) step
-runs it on plain-int residues (``RatFunc.residue``), reduced mod p once per
-update.  There is one intertwiner system: ``intertwiners(A_ops, B_ops)``
-solves X b = (-1)^{|X||a|} a X for every pair (a, b), numbering X[r, c] only
-where every even diagonal pair has a_r = b_c, and eliminating each connected
-block of unknowns on its own; ``graded_commutant`` is the case A_ops = B_ops,
-and ``joint_kernel`` the case of maps from ``POINT``, the even line V^{(x)0}.
-There is one closure, ``_closure(gens, seeds)``: an operator algebra seeds it
-with the identity and the generators, a submodule with its vectors as maps
-from ``POINT``; on residues it multiplies flat int operators.  GF(p) only
-chooses, at one point, and an exact argument or check proves each choice:
-``kernel_basis`` eliminates exactly over a row basis picked in GF(p) and
-checks every dropped row exactly against the kernel it found, falling back to
-all rows when one does not vanish; ``certified_span`` picks the words of an
-operator span in GF(p) and certifies their number against the GF(p) nullity
-of a commutant that must contain the span, falling back to exact elimination
-when the two bounds differ; ``submodule_echelon`` picks the words of a
-submodule in GF(p) and certifies that their span is invariant
-(``invariant_under``), falling back to the exact closure when it is not.  The
-zero tests of the two certificates (``invariant_under``,
-``supercommutation_failures``) run on residues at a Kronecker point, where
-they are exact.
+family's span, and kernels and inverses are read off it.  Operator entries are
+``RatFunc`` values of Q(q); a value of GF(p) is a plain int in [0, p), and
+every GF(p) step runs ``Echelon`` on such residues (``RatFunc.residue``),
+reduced mod p once per update.  There is one intertwiner system:
+``intertwiners(A_ops, B_ops)`` solves X b = (-1)^{|X||a|} a X for every pair
+(a, b), numbering X[r, c] only where every even diagonal pair has a_r = b_c,
+and eliminating each connected block of unknowns on its own;
+``graded_commutant`` is the case A_ops = B_ops, and ``joint_kernel`` the case
+of maps from ``POINT``, the even line V^{(x)0}.  There is one closure,
+``_closure(gens, seeds)``: an operator algebra seeds it with the identity and
+the generators, a submodule with its vectors as maps from ``POINT``; on
+residues it multiplies flat int operators.  GF(p) only chooses, at one point,
+and an exact argument or check proves each choice: ``kernel_basis`` eliminates
+exactly over a row basis picked in GF(p) and checks every dropped row exactly
+against the kernel it found, falling back to all rows when one does not
+vanish; ``certified_span`` picks the words of an operator span in GF(p) and
+certifies their number against the GF(p) nullity of a commutant that must
+contain the span, falling back to exact elimination when the two bounds
+differ; ``submodule_echelon`` picks the words of a submodule in GF(p) and
+certifies that their span is invariant (``invariant_under``), falling back to
+the exact closure when it is not.  The zero tests of the two certificates
+(``invariant_under``, ``supercommutation_failures``) run on residues at a
+Kronecker point, where they are exact.
 """
 
 from __future__ import annotations
@@ -326,7 +327,7 @@ def word_sum(ops: dict, terms, prod: dict | None = None) -> SOp:
     for word, c in terms:
         op = prod.get(word)
         if op is None:
-            op = ops[word[0]] if word else SOp.identity(space, _field_one(ops.values()))
+            op = ops[word[0]] if word else SOp.identity(space)
             for w in word[1:]:
                 op = op @ ops[w]
             if len(word) > 1:
@@ -348,8 +349,7 @@ def relation_failures(ops: dict, instances, image: dict | None = None, p: int | 
     v of ops becomes the plain int image[v] once, the coefficients are ints,
     products are summed on ints and reduced mod p once per entry, and each
     difference entry is tested ``% p``.  Without it the same loop runs on the
-    entries' own field elements (Q(q), or GF(p) elements), tested by
-    ``is_zero``.
+    entries in Q(q), tested by ``is_zero``.
 
     Each product of two or more letters is built once, kept in ``prod`` while
     a later instance still uses it, and dropped after the instance that uses it
@@ -358,8 +358,7 @@ def relation_failures(ops: dict, instances, image: dict | None = None, p: int | 
     N = next(iter(ops.values())).dom.dim
     scalar = (lambda v: v) if image is None else image.__getitem__
     mats = {key: _columns(op, scalar) for key, op in ops.items()}  # (flat, by columns)
-    one = 1 if image is not None else _field_one(ops.values())
-    ident = {i * N + i: one for i in range(N)}
+    ident = {i * N + i: ONE if image is None else 1 for i in range(N)}
 
     def product(word: tuple) -> dict:
         if not word:
@@ -439,9 +438,8 @@ def at_kronecker_point(values, bound: IdentityBound) -> tuple[dict, int, str] | 
     point = kronecker_point(bound)
     if point is None:
         return None
-    bits, field = point
-    name = f"q = 2^{bits} in GF(2^{field.p.bit_length()} - 1)"
-    return {v: v.residue(1 << bits, field.p) for v in values}, field.p, name
+    bits, p = point
+    return {v: v.residue(1 << bits, p) for v in values}, p, f"q = 2^{bits} in GF(2^{p.bit_length()} - 1)"
 
 
 def supercommutation_bound(A_ops: list[SOp], B_ops: list[SOp]) -> tuple[set, IdentityBound]:
@@ -554,8 +552,8 @@ class Echelon:
     def insert(self, vec: dict) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
         combo: dict | None = None
-        if self.track:  # the one of the data's field
-            combo = {self.n_inserted: next(iter(vec.values())) ** 0} if vec else {}
+        if self.track:
+            combo = {self.n_inserted: ONE if self.p is None else 1} if vec else {}
         self.n_inserted += 1
         res, combo = self._reduce(vec, combo)
         if not res:
@@ -584,19 +582,14 @@ class Echelon:
         return not res
 
 
-def _field_one(ops: Iterable[SOp]):
-    """The one of the operators' field: Q(q) or GF(p); Q(q) when they have no entries."""
-    return next((v ** 0 for op in ops for v in op.entries.values()), ONE)
-
-
-def _exact_kernel(rows: list[dict], ncols: int, one) -> list[dict]:
+def _exact_kernel(rows: list[dict], ncols: int) -> list[dict]:
     reduced = span_dim(rows)[1].rows  # the reduced row echelon form
     pivots = {col for col, _ in reduced}
     basis = []
     for free in range(ncols):
         if free in pivots:
             continue
-        vec = {free: one}
+        vec = {free: ONE}
         for col, row in reduced:  # the rows hold no zero entries
             if free in row:
                 vec[col] = -row[free]
@@ -612,10 +605,7 @@ def _independent_rows(rows: list[dict]) -> tuple[list[dict], list[dict]]:
     full rank; a dropped row need not lie in their span over Q(q) (c may be a
     root of a minor), which the caller checks exactly.
     """
-    values = {v for r in rows for v in r.values()}
-    if not all(isinstance(v, RatFunc) for v in values):
-        return rows, []
-    _, image = sample_mod_p(random.Random(0), values)
+    _, image = sample_mod_p(random.Random(0), {v for r in rows for v in r.values()})
     ech = Echelon(p=P)
     kept, dropped = [], []
     for r in rows:
@@ -632,12 +622,9 @@ def _annihilates(rows: list[dict], basis: list[dict], ncols: int) -> bool:
     return not any(_flat_product(by_col, r, ncols, None) for r in rows)  # the nonzero dot products with r
 
 
-def kernel_basis(rows: list[dict], ncols: int, one=None, block_of: Sequence | None = None) -> list[dict]:
-    """Exact basis of the null space of the sparse constraint rows (columns 0..ncols-1).
-
-    The basis vectors carry ``one``, the one of the scalars' field, at their free
-    column; by default it is read off the rows, and is the one of Q(q) when there
-    are none.
+def kernel_basis(rows: list[dict], ncols: int, block_of: Sequence | None = None) -> list[dict]:
+    """Exact basis of the null space of the sparse constraint rows (columns
+    0..ncols-1, entries in Q(q)); each vector is ``ONE`` at its free column.
 
     The basis is read off the reduced row echelon form, which the row space
     determines, so it does not depend on which spanning rows are eliminated.
@@ -649,15 +636,13 @@ def kernel_basis(rows: list[dict], ncols: int, one=None, block_of: Sequence | No
     the vectors are merged in free-column order.  The reduced row echelon form
     of the system is that of its blocks together, so the basis is the same.
     """
-    if one is None:
-        one = next((v ** 0 for r in rows for v in r.values()), ONE)
     rows = [r for r in ({k: v for k, v in r.items() if not v.is_zero()} for r in rows) if r]
     basis = []
     for cols, block in _blocks(rows, block_of or [0] * ncols):
         kept, dropped = _independent_rows(block)
-        kernel = _exact_kernel(kept, len(cols), one)
+        kernel = _exact_kernel(kept, len(cols))
         if dropped and not _annihilates(dropped, kernel, len(cols)):
-            kernel = _exact_kernel(block, len(cols), one)
+            kernel = _exact_kernel(block, len(cols))
         basis += ({cols[j]: v for j, v in vec.items()} for vec in kernel)
     return sorted(basis, key=lambda vec: next(iter(vec)))  # a vector's first key is its free column
 
@@ -704,31 +689,41 @@ def span_dim(elems: Sequence, track: bool = False, p: int | None = None):
     return ech.dim, ech, kept
 
 
-def _sylvester_rows(A: SOp, B: SOp, row_labels, col_labels, vindex: dict, sign: int = 1, image=None) -> list[dict]:
+def _numbered(pairs: list) -> tuple[dict, dict]:
+    """The unknowns X[r, c] numbered in the order of ``pairs``, grouped by row
+    label, {r: [(c, i), ...]}, and by column label, {c: [(r, i), ...]}."""
+    by_row: dict = {}
+    by_col: dict = {}
+    for i, (r, c) in enumerate(pairs):
+        by_row.setdefault(r, []).append((c, i))
+        by_col.setdefault(c, []).append((r, i))
+    return by_row, by_col
+
+
+def _sylvester_rows(A: SOp, B: SOp, numbered: tuple[dict, dict], sign: int = 1, image=None) -> list[dict]:
     """Constraint rows of X B = sign * A X, as A X - sign * X B = 0, in the unknown
-    entries X[r, c], numbered by vindex; with ``image``, on the residues mod P."""
+    entries X[r, c], numbered as ``_numbered`` groups them; with ``image``, on
+    the residues mod P."""
     scalar = (lambda v: v) if image is None else image.__getitem__
+    by_row, by_col = numbered
     by_rc: dict = {}
     # -sign (X B)[r,c] = -sign sum_k X[r,k] B[k,c]
     for (k, c), v in B.entries.items():
-        w = None  # negated once, and only for an entry that meets a numbered unknown
-        for r in row_labels:
-            i = vindex.get((r, k))
-            if i is not None:
-                if w is None:
-                    w = -scalar(v) if sign > 0 else scalar(v)
-                row = by_rc.setdefault((r, c), {})
-                s = row.get(i)
-                row[i] = w if s is None else s + w
+        hits = by_col.get(k)
+        if not hits:
+            continue
+        w = -scalar(v) if sign > 0 else scalar(v)  # negated once, only for an entry that meets an unknown
+        for r, i in hits:
+            row = by_rc.setdefault((r, c), {})
+            s = row.get(i)
+            row[i] = w if s is None else s + w
     # (A X)[r,c] = sum_k A[r,k] X[k,c]
     for (r, k), v in A.entries.items():
         w = scalar(v)
-        for c in col_labels:
-            i = vindex.get((k, c))
-            if i is not None:
-                row = by_rc.setdefault((r, c), {})
-                s = row.get(i)
-                row[i] = w if s is None else s + w
+        for c, i in by_row.get(k, ()):
+            row = by_rc.setdefault((r, c), {})
+            s = row.get(i)
+            row[i] = w if s is None else s + w
     keep = (lambda v: v) if image is None else (lambda v: v % P)  # a value, or its residue in [0, P)
     return [{i: x for i, v in row.items() if (x := keep(v))} for row in by_rc.values()]
 
@@ -775,10 +770,10 @@ def _intertwiner_systems(
             (r, c) for r in cod.labels for c in dom.labels
             if (cod.parity[r] + dom.parity[c]) & 1 == p and row_weight[r] == col_weight[c]
         ]
-        vindex = {rc: i for i, rc in enumerate(pairs)}
+        numbered = _numbered(pairs)
         rows = []
         for a, b in others:
-            rows.extend(_sylvester_rows(a, b, cod.labels, dom.labels, vindex, -1 if (p and a.par) else 1, image))
+            rows.extend(_sylvester_rows(a, b, numbered, -1 if (p and a.par) else 1, image))
         systems.append((p, pairs, rows, [(row_comp[r], col_comp[c]) for r, c in pairs]))
     return systems
 
@@ -788,10 +783,10 @@ def intertwiners(A_ops: list[SOp], B_ops: list[SOp], parity: int | None = None) 
     X b = (-1)^{|X||a|} a X for every pair (a, b), split by parity (even first);
     with ``parity``, only the system of that parity is built and solved."""
     systems = _intertwiner_systems(A_ops, B_ops, (0, 1) if parity is None else (parity,))
-    cod, dom, one = A_ops[0].dom, B_ops[0].dom, _field_one([*A_ops, *B_ops])
+    cod, dom = A_ops[0].dom, B_ops[0].dom
     return [
         SOp(dom, cod, p, {pairs[i]: v for i, v in flat.items()}, validate=False)
-        for p, pairs, rows, block_of in systems for flat in kernel_basis(rows, len(pairs), one, block_of)
+        for p, pairs, rows, block_of in systems for flat in kernel_basis(rows, len(pairs), block_of)
     ]
 
 
@@ -970,7 +965,7 @@ def _algebra_seeds(gens: list[SOp]) -> list[SOp]:
     """The seeds of the algebra the generators span: the identity, then the generators."""
     if not gens:
         raise ValueError("need at least one generator")
-    return [SOp.identity(gens[0].dom, _field_one(gens)), *gens]
+    return [SOp.identity(gens[0].dom), *gens]
 
 
 def operator_algebra_span(gens: list[SOp]):

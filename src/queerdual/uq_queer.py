@@ -266,7 +266,7 @@ def _relation_terms(i, j, k, l, qpow, xi):
 
 
 def _qpowers(qq) -> dict:
-    return {-1: qq.inverse(), 0: qq ** 0, 1: qq}
+    return {-1: qq.inverse(), 0: ONE, 1: qq}
 
 
 def _relation_sides(G, i, j, k, l, qq, xi, prod):
@@ -277,7 +277,7 @@ def _relation_sides(G, i, j, k, l, qq, xi, prod):
 
 def _witness(G, key: str, ctx, lhs, rhs) -> dict:
     """The witness of a failing instance: the basis vector of the first entry of
-    lhs - rhs, built from the operators G in their own field."""
+    lhs - rhs, built from the operators G in Q(q)."""
     diff = word_sum(G, lhs) - word_sum(G, rhs)
     return {key: ctx, "basis_vector": repr(next(iter(diff.entries))[1])}
 
@@ -298,7 +298,7 @@ def _quadratic_witness(G, pairs, qq, xi, prod: dict | None = None, image=None, p
 
     With ``image`` the check runs on residues mod p (see ``relation_failures``,
     which keeps each product in ``prod`` until its last use); the witness is
-    rebuilt from G in its own field."""
+    rebuilt from G in Q(q)."""
     qpow = _qpowers(qq)
     at = (qpow, xi) if image is None else ({-1: pow(image[qq], -1, p), 0: 1, 1: image[qq]}, image[xi])
     instances = [((i, j, k, l), *_relation_terms(i, j, k, l, *at)) for (i, j) in pairs for (k, l) in pairs]

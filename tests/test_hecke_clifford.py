@@ -5,7 +5,7 @@ import pytest
 from queerdual import scalars
 from queerdual.coord_alg import phi_component_rep, zero_weight_iso
 from queerdual.duality import fixture_module
-from queerdual.scalars import ONE, P, QINV, XI, Q, ModP, RatFunc, _pmonomial, _ptrailing, kronecker_point
+from queerdual.scalars import ONE, P, QINV, XI, Q, RatFunc, _pmonomial, _ptrailing, kronecker_point
 from queerdual.superlinalg import SOp, index_parity, supercommutator
 from queerdual.hecke_clifford import (
     EmptyZeroWeight,
@@ -133,22 +133,6 @@ def test_hc_check_at_a_given_q():
     # with the default q' = q, hc1 fails on the q = 1 action and every other family still holds
     report = hc_check(hc1)
     assert {c.name for c in report.failures()} == {"hc1"}
-
-
-def test_hc_check_over_gf_p():
-    # the action mapped into GF(p) at a point checks with q' = q mod p there
-    point = 12345
-    hc = hc_tensor_action(2, 3)
-
-    def at_point(ops):
-        return [op.map(lambda v: v.mod_p(point)) for op in ops]
-
-    qq = Q.mod_p(point)
-    report = hc_check(HCAction(hc.spec, hc.space, at_point(hc.t_ops), at_point(hc.c_ops)), qq)
-    assert report.ok and report.derived_values["clifford_square"] == -1
-    bad = HCAction(hc.spec, hc.space, at_point(hc.t_ops), at_point(hc.c_ops))
-    bad.c_ops[0] = bad.c_ops[0].scale(ModP(2))
-    assert {c.name for c in hc_check(bad, qq).failures()} == {"hc4", "hc6"}
 
 
 # -- the Kronecker point of hc_check ------------------------------------------

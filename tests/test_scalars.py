@@ -1,4 +1,3 @@
-import operator
 import random
 from fractions import Fraction
 from unittest import mock
@@ -13,7 +12,6 @@ from queerdual.scalars import (
     RatFunc,
     XI,
     ZERO,
-    ModP,
     Q,
     IdentityBound,
     PoleAtPoint,
@@ -22,7 +20,6 @@ from queerdual.scalars import (
     _pmul,
     identity_bound,
     kronecker_point,
-    mersenne_field,
     probably_equal,
     q_number,
     specialize,
@@ -114,88 +111,64 @@ def _ratfunc_at(draw, c):
     return RatFunc(num, den)
 
 
+MERSENNE_521 = (1 << 521) - 1  # the smallest prime a Kronecker point uses
+
+
 @st.composite
 def _pair_at_point(draw):
-    c = draw(st.one_of(st.integers(2, 50), st.integers(2, P - 1)))
-    return draw(_ratfunc_at(c)), draw(_ratfunc_at(c)), c
+    p = draw(st.sampled_from((P, MERSENNE_521)))
+    c = draw(st.one_of(st.integers(2, 50), st.integers(2, p - 1)))
+    return draw(_ratfunc_at(c)), draw(_ratfunc_at(c)), c, p
 
 
-def _image(f, c):
+def _image(f, c, p):
     try:
-        return f.mod_p(c)
+        return f.residue(c, p)
     except PoleAtPoint:
         return None
 
 
 @settings(max_examples=300, deadline=None)
 @given(_pair_at_point())
+@example((Q + 2, 1 / (Q - 3), 3, MERSENNE_521))  # a pole at the larger prime
+@example((Q + 2, XI, 1 << 10, MERSENNE_521))
+@example((1 / (Q - 3), QINV, 3 + P, MERSENNE_521))  # a pole mod P that is none mod 2^521 - 1
+@example((Q - 5, XI, 5, P))  # a zero, so no inverse
 def test_mod_p_is_a_ring_homomorphism(sample):
-    a, b, c = sample
-    ia, ib = _image(a, c), _image(b, c)
+    # RatFunc.residue, the map Q(q) -> GF(p) at q = c, on plain ints
+    a, b, c, p = sample
+    ia, ib = _image(a, c, p), _image(b, c, p)
     for f, img in ((a, ia), (b, ib)):
         # a pole exactly when the reduced denominator vanishes mod p
-        den_at_c = sum(x * pow(c, k, P) for k, x in enumerate(f.den)) % P
+        den_at_c = sum(x * pow(c, k, p) for k, x in enumerate(f.den)) % p
         assert (img is None) == (den_at_c == 0)
+        assert img is None or (type(img) is int and 0 <= img < p)
     if ia is None or ib is None:
         return
-    assert (a * b).mod_p(c) == ia * ib
-    assert (a + b).mod_p(c) == ia + ib
-    assert (a - b).mod_p(c) == ia - ib
-    assert (-a).mod_p(c) == -ia
+    assert (a * b).residue(c, p) == ia * ib % p
+    assert (a + b).residue(c, p) == (ia + ib) % p
+    assert (a - b).residue(c, p) == (ia - ib) % p
+    assert (-a).residue(c, p) == -ia % p
     if not a.is_zero():
-        if ia.is_zero():
+        if not ia:
             with pytest.raises(PoleAtPoint):
-                a.inverse().mod_p(c)
+                a.inverse().residue(c, p)
         else:
-            assert a.inverse().mod_p(c) == ia.inverse()
-            assert (a**-2).mod_p(c) == ia**-2
-
-
-def test_mod_p_never_mixes_with_ratfunc():
-    x = (Q + 2).mod_p(5)
-    assert x == ModP(7) and x * 2 == 14 and x - 8 == ModP(-1) and x**3 == 343 and 2 + x == 9
-    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.eq, operator.ne):
-        with pytest.raises(TypeError):
-            op(x, Q)
-        with pytest.raises(TypeError):
-            op(Q, x)
-    with pytest.raises(TypeError):
-        x + Fraction(1, 2)
-    with pytest.raises(TypeError):
-        Fraction(1, 2) * x
-    assert x * x.inverse() == 1 and x**-1 == x.inverse() and ModP(P).is_zero()
-    with pytest.raises(ZeroDivisionError):
-        ModP(0).inverse()
-
-
-def test_prime_fields_never_mix():
-    big = mersenne_field(521)
-    assert mersenne_field(61) is ModP and mersenne_field(521) is big and big.p == 2**521 - 1
-    x, y = (Q + 2).mod_p(5), (Q + 2).mod_p(5, big)
-    assert type(x) is ModP and x == ModP(7)
-    assert y == big(7) and y * 2 == 14 and 2 + y == 9 and y - 8 == big(-1)
-    assert all(type(z) is big for z in (y * y, y + 1, y - 1, -y, y**-1, y.inverse()))
-    assert ModP(P).is_zero() and big(P) == P and not big(P).is_zero()
-    for op in (operator.add, operator.sub, operator.mul, operator.eq, operator.ne):
-        with pytest.raises(TypeError):
-            op(x, y)
-        with pytest.raises(TypeError):
-            op(y, x)
-    with pytest.raises(TypeError):
-        y * Q
+            assert a.inverse().residue(c, p) == pow(ia, -1, p)
+            assert (a**-2).residue(c, p) == pow(ia, -2, p)
 
 
 def test_kronecker_point_is_the_smallest_listed_prime_above_its_reach():
     # X = 2^3 > H = 5 and H X^D = 5 * 8^3
-    assert kronecker_point(IdentityBound(degree=3, excluded=2, height=5)) == (3, mersenne_field(521))
+    assert kronecker_point(IdentityBound(degree=3, excluded=2, height=5)) == (3, MERSENNE_521)
     # H = 2^10 - 1, so X = 2^10 and H X^D = (2^10 - 1) 2^(10 D): below 2^521 - 1
     # for D = 51, above it for D = 52; below 2^607 - 1 for D = 59, above it for D = 60
-    assert kronecker_point(IdentityBound(51, 2, 2**10 - 1))[1].p == 2**521 - 1
-    assert kronecker_point(IdentityBound(52, 2, 2**10 - 1))[1].p == 2**607 - 1
-    assert kronecker_point(IdentityBound(59, 2, 2**10 - 1))[1].p == 2**607 - 1
+    assert kronecker_point(IdentityBound(51, 2, 2**10 - 1)) == (10, MERSENNE_521)
+    assert kronecker_point(IdentityBound(52, 2, 2**10 - 1)) == (10, 2**607 - 1)
+    assert kronecker_point(IdentityBound(59, 2, 2**10 - 1)) == (10, 2**607 - 1)
     assert kronecker_point(IdentityBound(60, 2, 2**10 - 1)) is None
     with mock.patch.object(scalars, "MERSENNE_EXPONENTS", (61,)):
-        assert kronecker_point(IdentityBound(3, 2, 5)) == (3, ModP)
+        assert kronecker_point(IdentityBound(3, 2, 5)) == (3, P)
         assert kronecker_point(IdentityBound(52, 2, 2**10 - 1)) is None
 
 

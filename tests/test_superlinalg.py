@@ -7,13 +7,17 @@ from queerdual import coord_alg, scalars, superlinalg
 from queerdual.coord_alg import operator_image_basis
 from queerdual.duality import FixtureModule, SubmoduleRep
 from queerdual.hecke_clifford import hc_tensor_action
-from queerdual.scalars import ONE, P, ModP, RatFunc, Q, ZERO, sample_mod_p
+from queerdual.scalars import ONE, P, RatFunc, Q, ZERO, sample_mod_p
 from queerdual.superlinalg import (
     Echelon,
+    _algebra_seeds,
+    _closure,
+    _numbered,
     _sylvester_rows,
     SOp,
     SuperSpace,
     certified_span,
+    commutant_dim_bounds,
     graded_commutant,
     graded_tensor,
     index_parity,
@@ -207,9 +211,7 @@ def test_restrict_invariance():
 
 
 def test_scale_keeps_ints_as_ints():
-    # an int scalar must not be promoted to a RatFunc: GF(p) operators scale too
-    assert SOp.identity(V2, ModP(1)).scale(-1) == SOp.identity(V2, ModP(-1))
-    assert SOp.identity(V2, ModP(1)).scale(0).is_zero()
+    # an int scalar scales a Q(q) operator as its RatFunc does
     op = SOp(V2, V2, 0, {((1,), (1,)): Q, ((2,), (1,)): ONE})
     minus3 = RatFunc(-3)
     assert op.scale(-3) == op.scale(minus3) == SOp(V2, V2, 0, {((1,), (1,)): Q * minus3, ((2,), (1,)): minus3})
@@ -219,12 +221,10 @@ def test_scale_keeps_ints_as_ints():
 def test_scale_by_plus_minus_one():
     rng = random.Random(5)
     op = rand_op(rng, V2, 1)
-    gf = op.map(lambda v: v.mod_p(12345))
-    for x, one in ((op, ONE), (gf, ModP(1))):
-        for s in (1, one):
-            assert x.scale(s) is x
-        for s in (-1, -one):
-            assert x.scale(s) == -x
+    for s in (1, ONE):
+        assert op.scale(s) is op
+    for s in (-1, -ONE):
+        assert op.scale(s) == -op
 
 
 # -- kernel_basis: GF(p) row selection, exact result ----------------------------
@@ -270,8 +270,8 @@ def counting_eliminations(monkeypatch):
     calls = []
     real = superlinalg._exact_kernel
 
-    def counting(rows, ncols, one):
-        out = real(rows, ncols, one)
+    def counting(rows, ncols):
+        out = real(rows, ncols)
         calls.append((len(rows), ncols - len(out)))
         return out
 
@@ -334,43 +334,41 @@ def test_echelon_pivot_map_matches_scanning_reduction(seed):
 
 
 def test_echelon_and_kernel_over_gf_p():
-    ech = Echelon(track=True)
-    assert ech.insert({0: ModP(1)}) and ech.insert({0: ModP(3), 1: ModP(2)})
-    res, combo = ech.reduce({0: ModP(5), 1: ModP(4)})
-    assert not res and combo == {0: ModP(-1), 1: ModP(2)}
-    assert kernel_basis([{0: ModP(1), 1: ModP(2)}], 2) == [{1: ModP(1), 0: ModP(-2)}]
-    assert all(isinstance(v, ModP) for vec in kernel_basis([{1: ModP(3)}], 3) for v in vec.values())
+    # the int echelon on residues mod P: -1 is P - 1
+    ech = Echelon(track=True, p=P)
+    assert ech.insert({0: 1}) and ech.insert({0: 3, 1: 2})
+    res, combo = ech.reduce({0: 5, 1: 4})
+    assert not res and combo == {0: P - 1, 1: 2}
+    # the exact kernel carries ONE at each free column
+    assert kernel_basis([{0: ONE, 1: RatFunc(2)}], 2) == [{1: ONE, 0: RatFunc(-2)}]
+    assert kernel_basis([{1: RatFunc(3)}], 3) == [{0: ONE}, {2: ONE}]
 
 
-def test_commutant_of_diagonal_ops_over_gf_p():
-    # diagonal generators give no constraint rows: the kernel's one comes from the operators
+def test_commutant_of_diagonal_ops():
+    # diagonal generators give no constraint rows: each vector is ONE at its free unknown
     for ops, dim in (
-        ([SOp.identity(V1, ModP(1))], 4),
-        ([SOp(V1, V1, 0, {((-1,), (-1,)): ModP(1), ((1,), (1,)): ModP(2)})], 2),
+        ([SOp.identity(V1)], 4),
+        ([SOp(V1, V1, 0, {((-1,), (-1,)): ONE, ((1,), (1,)): RatFunc(2)})], 2),
     ):
         comm = graded_commutant(ops)
         assert len(comm) == dim
-        assert all(isinstance(v, ModP) for X in comm for v in X.entries.values())
+        assert all(v == ONE for X in comm for v in X.entries.values())
         assert all(supercommutator(X, a).is_zero() for X in comm for a in ops)
     # a matrix unit leaves the other parity block without rows
     lab = V1.labels[0]
-    kernel = joint_kernel([SOp.unit(V1, V1, lab, lab, ModP(1))])
-    assert kernel == [{V1.labels[1]: ModP(1)}]
-    assert all(isinstance(v, ModP) for vec in kernel for v in vec.values())
+    assert joint_kernel([SOp.unit(V1, V1, lab, lab)]) == [{V1.labels[1]: ONE}]
 
 
-def test_joint_kernel_with_a_weight_over_gf_p():
+def test_joint_kernel_with_a_weight():
     # d has eigenvalue 3 on every label but (-2,); the shift sends (2,) to (1,)
-    d = SOp(V2, V2, 0, {(lab, lab): ModP(5 if lab == (-2,) else 3) for lab in V2.labels})
-    shift = SOp.unit(V2, V2, (1,), (2,), ModP(1))
-    kernel = joint_kernel([shift], [(d, ModP(3))])
-    assert kernel == [{(1,): ModP(1)}, {(-1,): ModP(1)}]
-    assert all(isinstance(v, ModP) for vec in kernel for v in vec.values())
-    assert joint_kernel([shift], [(d, ModP(5))]) == [{(-2,): ModP(1)}]
-    assert joint_kernel([shift], [(d, ModP(4))]) == []
+    d = SOp(V2, V2, 0, {(lab, lab): RatFunc(5 if lab == (-2,) else 3) for lab in V2.labels})
+    shift = SOp.unit(V2, V2, (1,), (2,))
+    assert joint_kernel([shift], [(d, RatFunc(3))]) == [{(1,): ONE}, {(-1,): ONE}]
+    assert joint_kernel([shift], [(d, RatFunc(5))]) == [{(-2,): ONE}]
+    assert joint_kernel([shift], [(d, RatFunc(4))]) == []
     # a zero eigenvalue selects the labels where the diagonal operator vanishes
-    h = SOp(V2, V2, 0, {((2,), (2,)): ModP(1), ((-2,), (-2,)): ModP(1)})
-    assert joint_kernel([shift], [(h, ModP(0))]) == [{(1,): ModP(1)}, {(-1,): ModP(1)}]
+    h = SOp(V2, V2, 0, {((2,), (2,)): ONE, ((-2,), (-2,)): ONE})
+    assert joint_kernel([shift], [(h, ZERO)]) == [{(1,): ONE}, {(-1,): ONE}]
 
 
 def reference_intertwiners(A_ops, B_ops):
@@ -379,10 +377,10 @@ def reference_intertwiners(A_ops, B_ops):
     out = []
     for p in (0, 1):
         pairs = [(r, c) for r in cod.labels for c in dom.labels if (cod.parity[r] + dom.parity[c]) & 1 == p]
-        vindex = {rc: i for i, rc in enumerate(pairs)}
+        numbered = _numbered(pairs)
         rows = []
         for a, b in zip(A_ops, B_ops):
-            rows.extend(_sylvester_rows(a, b, cod.labels, dom.labels, vindex, -1 if (p and a.par) else 1))
+            rows.extend(_sylvester_rows(a, b, numbered, -1 if (p and a.par) else 1))
         out.extend(SOp(dom, cod, p, {pairs[i]: v for i, v in flat.items()}) for flat in exact_kernel(rows, len(pairs)))
     return out
 
@@ -424,8 +422,8 @@ def test_exact_elimination_sees_only_a_row_basis(monkeypatch):
     calls = counting_eliminations(monkeypatch)
     for p in (0, 1):
         pairs = [(r, c) for r in labels for c in labels if (par[r] + par[c]) & 1 == p]
-        vindex = {rc: i for i, rc in enumerate(pairs)}
-        rows = [r for a in ops for r in _sylvester_rows(a, a, labels, labels, vindex, -1 if (p and a.par) else 1) if r]
+        numbered = _numbered(pairs)
+        rows = [r for a in ops for r in _sylvester_rows(a, a, numbered, -1 if (p and a.par) else 1) if r]
         assert (len(rows), len(pairs)) == (625, 72)
         assert len(kernel_basis(rows, len(pairs))) == 1
     assert calls == [(71, 71), (71, 71)]
@@ -438,29 +436,23 @@ def test_exact_elimination_sees_only_a_row_basis(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# GF(p) operators and certified spans
+# GF(p) bounds and certified spans
 # ---------------------------------------------------------------------------
-
-def to_gf_p(*families):
-    """Every family's operators, their entries mapped to GF(p) at one point."""
-    values = {v for ops in families for op in ops for v in op.entries.values()}
-    _, image = sample_mod_p(random.Random(0), values)
-    return [[op.map(lambda v: ModP(image[v])) for op in ops] for ops in families]
-
 
 def test_commutant_and_span_over_gf_p():
     queer = list(tensor_rep(vector_rep(2), 2).gen.values())
     hc = hc_tensor_action(2, 2).generators()
-    queer_p, hc_p = to_gf_p(queer, hc)
-    for ops, dim in ((queer_p, 8), (hc_p, 32)):
-        comm = graded_commutant(ops)
-        assert len(comm) == dim  # the exact dimensions, reached at this point
-        assert all(isinstance(v, ModP) for X in comm for v in X.entries.values())
-        assert all(supercommutator(X, a).is_zero() for X in comm for a in ops)
-    for ops, dim in ((queer_p, 32), (hc_p, 8)):
-        ech, basis = operator_algebra_span(ops)
-        assert ech.dim == len(basis) == dim
-        assert basis[0] == SOp.identity(ops[0].dom, ModP(1))
+    # the GF(p) bounds reach the exact dimensions of the commutants, (even, odd)
+    for ops, dims in ((queer, [4, 4]), (hc, [16, 16])):
+        assert commutant_dim_bounds(ops) == dims
+        assert [sum(X.par == p for X in graded_commutant(ops)) for p in (0, 1)] == dims
+    # and the residue closure the exact dimensions of the spans
+    for ops, dim in ((queer, 32), (hc, 8)):
+        seeds = _algebra_seeds(ops)
+        _, image = sample_mod_p(random.Random(0), {v for op in seeds for v in op.entries.values()})
+        ech, basis, words = _closure(ops, seeds, image=image)
+        assert ech.dim == len(basis) == len(words) == dim == operator_algebra_span(ops)[0].dim
+        assert words[0] == (None, 0)  # the identity
 
 
 @pytest.fixture

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from queerdual import scalars
-from queerdual.scalars import ONE, P, QINV, RatFunc, XI, Q, ZERO, ModP, PoleAtPoint, kronecker_point
+from queerdual.scalars import ONE, QINV, RatFunc, XI, Q, ZERO, PoleAtPoint, kronecker_point
 from queerdual.duality import _pick_seed, enumerate_strict_partitions
 from queerdual.superlinalg import (
     POINT,
     Echelon,
+    at_kronecker_point,
     SOp,
     SuperSpace,
     flatten_vector,
@@ -347,12 +348,12 @@ def test_kronecker_point_is_taken_from_the_perturbed_values():
     # a defect that vanishes at the point the unperturbed values would pick
     from queerdual.uq_queer import _relation_bound
 
-    bits, field = kronecker_point(_relation_bound(tensor_rep(vector_rep(2), 2))[1])
+    bits, p = kronecker_point(_relation_bound(tensor_rep(vector_rep(2), 2))[1])
     factor = Q + (1 - 2**bits)
-    assert factor.mod_p(2**bits, field) == 1 and factor != ONE
+    assert factor.residue(2**bits, p) == 1 and factor != ONE
     bad = _defective(2, 2, (1, 1), factor)
     report = check_defining_relations(bad)
-    stale = f"q = 2^{bits} in GF(2^{field.p.bit_length()} - 1)"
+    stale = f"q = 2^{bits} in GF(2^{p.bit_length()} - 1)"
     assert report.derived_values["exact_point"] not in ("Q(q)", stale)
     assert not report.ok
     assert _verdicts(report) == _verdicts(check_in_qq(bad))
@@ -751,37 +752,36 @@ def test_classical_limit_pole_detection():
 
 @settings(max_examples=8, deadline=None)
 @given(
-    point=st.integers(2, P - 1),
     key=st.sampled_from(generator_pairs(2)),
-    factor=st.integers(1, P - 1),
-    extra=st.integers(0, P - 1),
+    factor=st.sampled_from([ONE, -ONE, RatFunc(3), Q, QINV, (Q + 2).inverse()]),
+    extra=st.sampled_from([ZERO, RatFunc(7), Q, XI]),
 )
-@example(point=12345, key=(1, 2), factor=1, extra=0)
-@example(point=12345, key=(1, 2), factor=3, extra=0)
-@example(point=99, key=(-2, 1), factor=1, extra=7)
-@example(point=P - 1, key=(-2, -1), factor=1, extra=0)
-def test_residue_loop_reports_the_sop_references_first_failing_instance(point, key, factor, extra):
-    # prime-field operators with a planted defect: a scaled generator with one
-    # entry shifted; the residue loop, the same loop on GF(p) elements and the
-    # SOp sides of _relation_sides agree on the first failing instance
-    from queerdual.uq_queer import _quadratic_witness, _relation_sides
+@example(key=(1, 2), factor=ONE, extra=ZERO)
+@example(key=(1, 2), factor=RatFunc(3), extra=ZERO)
+@example(key=(-2, 1), factor=ONE, extra=RatFunc(7))
+@example(key=(-2, -1), factor=(Q + 2).inverse(), extra=XI)
+def test_residue_loop_reports_the_sop_references_first_failing_instance(key, factor, extra):
+    # generators with a defect planted in Q(q): a scaled generator with one
+    # entry shifted; the residue loop at the Kronecker point, the same loop in
+    # Q(q) and the SOp sides of _relation_sides agree on the first failing instance
+    from queerdual.uq_queer import _quadratic_witness, _relation_bound, _relation_sides
 
     rep = tensor_rep(vector_rep(2), 2)
-    G = {k: op.map(lambda v: v.mod_p(point)) for k, op in rep.gen.items()}
-    r, c = next(iter(rep.gen[key].entries))  # at q = -1 some generators vanish in GF(p)
-    G[key] = G[key].scale(ModP(factor)) + SOp.unit(rep.space, rep.space, r, c, ModP(extra))
-    qq, xi = Q.mod_p(point), XI.mod_p(point)
+    G = dict(rep.gen)
+    r, c = next(iter(rep.gen[key].entries))
+    G[key] = G[key].scale(factor) + SOp.unit(rep.space, rep.space, r, c, extra)
     pairs = generator_pairs(2)
     reference = None
     for (i, j) in pairs:
         for (k, l) in pairs:
-            lhs, rhs = _relation_sides(G, i, j, k, l, qq, xi, {})
+            lhs, rhs = _relation_sides(G, i, j, k, l, Q, XI, {})
             if lhs != rhs:
                 diff = lhs - rhs
                 reference = {"instance": (i, j, k, l), "basis_vector": repr(next(iter(diff.entries))[1])}
                 break
         if reference is not None:
             break
-    image = {v: v.v for op in G.values() for v in op.entries.values()} | {qq: qq.v, xi: xi.v}
-    assert _quadratic_witness(G, pairs, qq, xi, image=image, p=P) == reference
-    assert _quadratic_witness(G, pairs, qq, xi) == reference
+    image, p, _ = at_kronecker_point(*_relation_bound(QueerRep(rep.spec, rep.space, G)))
+    assert p is not None
+    assert _quadratic_witness(G, pairs, Q, XI, image=image, p=p) == reference
+    assert _quadratic_witness(G, pairs, Q, XI) == reference

@@ -4,7 +4,8 @@ Layers:
 
 - ``scalars``: the field Q(q) of rational functions, q-combinatorics,
   specialization, residues mod a prime (GF(p) on plain ints), the
-  identity-test bound and the Kronecker point that makes one evaluation exact;
+  identity-test bound and the Kronecker point q = 2^B in Z at which one
+  evaluation on integers decides every zero test exactly;
 - ``superlinalg``: parity-tagged bases, Koszul-sign tensor calculus, exact
   kernels, spans and graded commutants;
 - ``uq_queer``: the quantum queer superalgebra through its S-matrix
@@ -35,6 +36,7 @@ from .uq_queer import (
     s_matrix,
     sigma_twist,
     tensor_rep,
+    vector_action_table,
     vector_rep,
     weight_spaces,
 )

@@ -43,7 +43,6 @@ from .uq_queer import (
     QueerRep,
     dual_rep,
     generator_pairs,
-    param_xi,
     phi,
     s_matrix,
     sigma_twist,
@@ -360,10 +359,6 @@ def _accumulate(out: dict, key, c) -> None:
 
 def gen_word(i: int, j: int, coeff: RatFunc = ONE) -> GenWord:
     return [(coeff, ((i, j),))]
-
-
-def kbar_word(i: int, param: str = PARAM_Q) -> GenWord:
-    return [(-param_xi(param).inverse(), ((-i, i),))]
 
 
 def phi_weight_exponents(cols: tuple, m: int) -> tuple:

@@ -109,8 +109,8 @@ class SubmoduleRep:
     sum_l u[p_l] r_l, and r_l is a known combination of the basis vectors.
     Only the entries of u at the pivots are computed exactly; that every image
     lies in the span is certified at once by ``superlinalg.invariant_under``
-    (on residues at a Kronecker point, or in Q(q) when no listed prime is large
-    enough), which raises "vector leaves the submodule" when one does not.
+    (on integers at a Kronecker point q = 2^B in Z), which raises "vector
+    leaves the submodule" when one does not.
     """
 
     def __init__(self, rep: QueerRep, basis: list[dict], label_prefix: str = "s"):
@@ -329,10 +329,10 @@ def sergeev_verify(n: int, m: int, centralizer: bool = True) -> VerifyReport:
     inclusions), the bicommutant sanity check, and census consistency.
 
     Supercommutation of every Chevalley operator with every HC generator is
-    checked on residues at one Kronecker point (``supercommutation_failures``),
-    so its verdict is that of Q(q); the witness of a failure is rebuilt in
-    Q(q) from the first failing pair, and the report records the point as
-    ``exact_point`` ("Q(q)" when no listed prime is large enough).
+    checked on integers at one Kronecker point q = 2^B in Z
+    (``supercommutation_failures``), so its verdict is that of Q(q); the
+    witness of a failure is rebuilt in Q(q) from the first failing pair, and
+    the report records the point as ``exact_point``.
 
     Each span is certified against the other family's commutant
     (``certified_span``): when its GF(p) bounds meet, the span is the whole

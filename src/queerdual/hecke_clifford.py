@@ -22,9 +22,9 @@ other family is checked verbatim, hc1 in the expanded form
 T_a T_a + (q'^{-1} - q') T_a - 1 = 0.
 
 Each family instance is a relation between words of at most three generators,
-checked by ``superlinalg.relation_failures`` on residues at one Kronecker point
-(``_hc_bound`` bounds every difference), so the verdicts and witnesses are
-those of Q(q); the report records the point as ``exact_point``.
+checked by ``superlinalg.relation_failures`` on integers at one Kronecker point
+q = 2^B in Z (``_hc_bound`` bounds every difference), so the verdicts and
+witnesses are those of Q(q); the report records the point as ``exact_point``.
 
 The tensor action is the direct transcription of the two closed formulas
 (graded swap with q-weight, two xi-corrections guarded by the order on the
@@ -39,12 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .report import VerifyReport
-from .scalars import ONE, IdentityBound, identity_bound, q_number
+from .scalars import ONE, IdentityBound, identity_bound, kronecker_point, q_number
 from .superlinalg import SOp, SuperSpace, index_parity, relation_failures, row_width, tensor_space, word_sum
 from .uq_queer import (
     PARAM_Q,
     QueerRep,
-    _kronecker_image,
     opposite_param,
     param_q,
     param_xi,
@@ -198,8 +197,8 @@ def zero_weight_hc(rep) -> HCAction:
     return HCAction(HCSpec(m, opposite_param(rep.param)), sub, t_ops, c_ops)
 
 
-def _hc_bound(ops: dict, qq) -> IdentityBound:
-    """The identity bound, on the values every T and C entry and 1, that covers
+def _hc_bound(ops: dict, qq) -> tuple[set, IdentityBound]:
+    """The values, every T and C entry and 1, and the identity bound that covers
     every difference entry hc_check tests.
 
     Let w be the largest number of nonzero entries in a row of a generator.
@@ -218,7 +217,7 @@ def _hc_bound(ops: dict, qq) -> IdentityBound:
     values = {v for op in ops.values() for v in op.entries.values()} | {ONE}
     width = row_width(ops.values())
     terms = max(2 * width * width, width + 3)
-    return identity_bound(values, (qq, qq.inverse(), ONE), factors=3, terms=terms)
+    return values, identity_bound(values, (qq, qq.inverse(), ONE), factors=3, terms=terms)
 
 
 def hc_check(action: HCAction, qq=None) -> VerifyReport:
@@ -229,14 +228,13 @@ def hc_check(action: HCAction, qq=None) -> VerifyReport:
     action specialized at q = 1.  hc1 is checked as
     T T + (q'^{-1} - q') T - 1 = 0.
 
-    Each relation accumulates lhs - rhs entry by entry on residues
+    Each relation accumulates lhs - rhs entry by entry on integers
     (``superlinalg.relation_failures``); the two sides are built as operators
     in Q(q) only for the witness of a failing instance.  The action is
-    evaluated once, at the Kronecker point of the bound in ``_hc_bound``
-    (``scalars.kronecker_point`` has the proof), so every verdict and witness
-    is that of Q(q); the report records the point as ``exact_point``, which is
-    "Q(q)" when no listed Mersenne prime is large enough and the check runs in
-    Q(q).
+    evaluated once, at the Kronecker point q = 2^B in Z of the bound in
+    ``_hc_bound`` (``scalars.kronecker_point`` has the proof), so every verdict
+    and witness is that of Q(q); the report records the point as
+    ``exact_point``.
     """
     m = action.spec.m
     if qq is None:
@@ -245,10 +243,9 @@ def hc_check(action: HCAction, qq=None) -> VerifyReport:
         "hc", {"m": m, "param": action.spec.param, "dim": action.space.dim}
     )
     ops = {**{("T", a): action.t(a) for a in range(1, m)}, **{("C", b): action.c(b) for b in range(1, m + 1)}}
-    qinv = qq.inverse()
-    values = {v for op in ops.values() for v in op.entries.values()} | {qq, qinv}
-    image, p = _kronecker_image(report, values, _hc_bound(ops, qq)) or (None, None)
-    shift = qinv - qq if image is None else image[qinv] - image[qq]
+    shift = qq.inverse() - qq  # the hc1 coefficient, one object for every a
+    point = kronecker_point(*_hc_bound(ops, qq))
+    report.derive("exact_point", point.name)
 
     def T(a):
         return ("T", a)
@@ -258,7 +255,7 @@ def hc_check(action: HCAction, qq=None) -> VerifyReport:
 
     # the Clifford square: one uniform sign across all generators
     squares = [(e, [((C(1), C(1)), 1)], [((), e)]) for e in (1, -1)]
-    failing = relation_failures(ops, squares, image, p)
+    failing = relation_failures(ops, squares, point)
     eps = next((e for t, (e, _, _) in enumerate(squares) if t not in failing), None)
 
     checks = [("hc1", {"a": a}, [((T(a), T(a)), 1), ((T(a),), shift), ((), -1)], []) for a in range(1, m)]
@@ -282,7 +279,7 @@ def hc_check(action: HCAction, qq=None) -> VerifyReport:
             if b not in (a, a + 1):
                 checks.append(("hc7", {"a": a, "b": b}, [((T(a), C(b)), 1)], [((C(b), T(a)), 1)]))
 
-    failing = set(relation_failures(ops, [check[1:] for check in checks], image, p))
+    failing = set(relation_failures(ops, [check[1:] for check in checks], point))
     report.derive("clifford_square", eps)
     for t, (name, ctx, lhs, rhs) in enumerate(checks):
         if t not in failing:
@@ -291,7 +288,7 @@ def hc_check(action: HCAction, qq=None) -> VerifyReport:
         if name == "hc1":  # the witness of the factored form (T - q')(T + q'^{-1})
             tt = action.t(ctx["a"])
             ident = SOp.identity(action.space)
-            diff = (tt + ident.scale(-qq)) @ (tt + ident.scale(qinv))
+            diff = (tt + ident.scale(-qq)) @ (tt + ident.scale(qq.inverse()))
         else:
             diff = word_sum(ops, lhs) - word_sum(ops, rhs)
         report.add(name, False, witness={"instance": ctx, "basis_vector": repr(next(iter(diff.entries))[1])})

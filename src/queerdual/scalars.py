@@ -15,7 +15,8 @@ q = c, a ring homomorphism on the values without a pole there.
 ``identity_bound`` bounds the degree and height of a difference of products of
 the values.  From it, the probabilistic checks get the Schwartz-Zippel bound on
 a false match at random points of GF(p), and ``kronecker_point`` gives one
-point q = 2^B of a large enough GF(2^k - 1) at which a zero test is exact.
+integer point q = 2^B, B the height's bit length, at which a zero test is
+exact (Kronecker substitution over Z).
 
 Polynomials are dense int tuples, index = power of q, trailing zeros stripped;
 ``()`` is the zero polynomial.
@@ -166,6 +167,14 @@ def _peval(a, c: Fraction) -> Fraction:
     v = Fraction(0)
     for x in reversed(a):
         v = v * c + x
+    return v
+
+
+def _peval_z(a, bits: int) -> int:
+    """a(2^bits) in Z."""
+    v = 0
+    for x in reversed(a):
+        v = (v << bits) + x
     return v
 
 
@@ -617,42 +626,66 @@ def identity_bound(values, scalars=(ONE,), factors: int = 1, terms: int = 1) -> 
     return IdentityBound(hi - lo, m + 2, height)
 
 
-# Exponents k of the Mersenne primes 2^k - 1 a Kronecker point may use, ascending.
-# Each is kept because a relation check that needs it runs faster there than in
-# Q(q); at the next one, 1279, a check on (1,10) ran slower than in Q(q).
-MERSENNE_EXPONENTS = (521, 607)
+class EvalPoint(NamedTuple):
+    """Where a zero test runs: q = ``q``, each value g an int ``image[g]``.  In Z
+    (``p`` None, ``kronecker_point``) a product of fewer than k values is padded
+    to k factors with ``lam``, the image of 1; in GF(p) the images are residues
+    (``sample_mod_p``) and ``lam`` is 1."""
+
+    q: int
+    image: dict
+    p: int | None = None
+    lam: int = 1
+
+    @property
+    def name(self) -> str:
+        """The point in Z, "q = 2^B in Z", as reports record it in ``exact_point``."""
+        return f"q = 2^{self.q.bit_length() - 1} in Z"
+
+    def coefficients(self, coefs) -> list[int]:
+        """The images of coefficients s, ints or Laurent polynomials, that zero
+        tests combine: in GF(p) their residues at q = c; in Z, (s q^σ)(X) for
+        the one σ >= 0 that makes every s q^σ a polynomial."""
+        coefs = [_coerce(s) for s in coefs]
+        if self.p is not None:
+            return [s.residue(self.q, self.p) for s in coefs]
+        if any(s.den != _pshift((1,), len(s.den) - 1) for s in coefs):
+            raise ValueError("a coefficient is not a Laurent polynomial")
+        bits = self.q.bit_length() - 1
+        sigma = max([0] + [len(s.den) - 1 - _ptrailing(s.num) for s in coefs if s.num])
+        # s.num(X) X^σ is a multiple of X^t = den(X), so the shift is exact
+        return [(_peval_z(s.num, bits) << (bits * sigma)) >> (bits * (len(s.den) - 1)) for s in coefs]
 
 
-def kronecker_point(bound: IdentityBound) -> tuple[int, int] | None:
-    """One point at which a zero test is exact: q = X = 2^B in GF(2^k - 1).
+def kronecker_point(values, bound: IdentityBound) -> EvalPoint:
+    """The point q = X = 2^B in Z, B = H.bit_length() for the height H of
+    ``bound``, at which a zero test of any f the bound covers is exact.
 
-    B = H.bit_length(), so X > H, and 2^k - 1 is the smallest prime with k in
-    ``MERSENNE_EXPONENTS`` and 2^k - 1 > H X^D, where D and H are the
-    degree and height of ``bound``.  Returns (B, 2^k - 1), or None when no
-    listed prime is that large; the caller then computes in Q(q).
+    With g = a / (q^t B), M and K as in ``identity_bound``, s the largest t
+    and lam = q^s M, a value g maps to (g lam)(X) = num(X) lam(X) / den(X),
+    an exact division (g lam = a q^(s - t) (M/B) is in Z[q]), and 1 to
+    lam(X).  A coefficient s maps to (s q^σ)(X), one σ >= 0 per zero test
+    (``EvalPoint.coefficients``).  The map is not a ring homomorphism, so
+    every term of a tested sum carries the same number k of values: a
+    product of j < k values is padded with lam(X)^(k - j).  Evaluation at X
+    is a ring homomorphism Z[q] -> Z, so the tested integer is P(X) for
+    P = q^σ lam^k f.
 
-    Proof.  Let f, M, m, K, LO and P_f = q^-LO f M^k be as in
-    ``identity_bound`` (k >= 1 factors).  P_f is in Z[q], of degree at most D
-    and 1-norm at most H, so every coefficient has absolute value at most
-    H < X.  If P_f != 0 and d is its degree, the leading term has absolute
-    value at least X^d at q = X, and the lower terms at most (X - 1)(1 + X +
-    ... + X^(d-1)) = X^d - 1 together, so P_f(X) != 0.  And |P_f(X)| <= H X^D
-    < 2^k - 1, so P_f(X) is not 0 mod 2^k - 1.  The same argument applies to
-    each denominator factor B of M, whose degree is at most m <= D and 1-norm
-    at most K <= H: B(X) is not 0 mod 2^k - 1, and neither is X (the prime
-    is odd), so no value has a pole at X.  ``RatFunc.residue`` at X is then a
-    ring homomorphism on the values, and the image of f is
-    X^LO P_f(X) / M(X)^k, which is 0 exactly when f = 0 in Q(q).  This holds
-    for every f the bound covers, so a computation whose every zero test is on
-    such an f (every sum and product it builds) has the same zero pattern in
-    GF(2^k - 1) as in Q(q), and so the same verdicts and witnesses.
+    Proof.  g lam has 1-norm at most ||a||_1 ||M/B||_1 <= ||a||_1 K, and lam
+    at most K; a power of q leaves a 1-norm unchanged.  So P is in Z[q] with
+    1-norm at most H (for any k up to the bound's factors), and each
+    coefficient has absolute value at most H < X.  If P != 0 has degree d,
+    its leading term is at least X^d in absolute value at q = X and the
+    others at most (X - 1)(1 + X + ... + X^(d-1)) = X^d - 1 together, so
+    P(X) != 0.  As q^σ lam^k != 0, P(X) = 0 exactly when f = 0.  So a
+    computation whose every zero test is on an f the bound covers has the
+    zero pattern, and so the verdicts and witnesses, of Q(q).
     """
     bits = bound.height.bit_length()
-    reach = bound.height << (bits * bound.degree)  # H X^D
-    for k in MERSENNE_EXPONENTS:
-        if (1 << k) - 1 > reach:
-            return bits, (1 << k) - 1
-    return None
+    dens = {g.den[_ptrailing(g.den):] for g in values if g.num} - {(1,)}
+    shift = max((_ptrailing(g.den) for g in values), default=0)
+    lam = math.prod(_peval_z(b, bits) for b in dens) << (bits * shift)
+    return EvalPoint(1 << bits, {g: _peval_z(g.num, bits) * lam // _peval_z(g.den, bits) for g in values}, None, lam)
 
 
 def sample_mod_p(rng: random.Random, values) -> tuple[int, dict]:

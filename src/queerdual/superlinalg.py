@@ -29,9 +29,9 @@ certifies their number against the GF(p) nullity of a commutant that must
 contain the span, falling back to exact elimination when the two bounds
 differ; ``submodule_echelon`` picks the words of a submodule in GF(p) and
 certifies that their span is invariant (``invariant_under``), falling back to
-the exact closure when it is not.  The zero tests of the two certificates
-(``invariant_under``, ``supercommutation_failures``) run on residues at a
-Kronecker point, where they are exact.
+the exact closure when it is not.  Every exact zero test (``relation_failures``,
+``invariant_under``, ``kernel_basis``'s dropped rows) runs on integers at a
+Kronecker point q = 2^B in Z, where it is exact.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .scalars import ONE, P, ZERO, IdentityBound, RatFunc, identity_bound, kronecker_point, sample_mod_p
+from .scalars import ONE, P, ZERO, EvalPoint, IdentityBound, RatFunc, identity_bound, kronecker_point, sample_mod_p
 
 
 def index_parity(i: int) -> int:
@@ -317,48 +317,47 @@ def supercommutes(A: SOp, B: SOp) -> bool:
 # relations between words in operators
 # ---------------------------------------------------------------------------
 
-def word_sum(ops: dict, terms, prod: dict | None = None) -> SOp:
+def word_sum(ops: dict, terms) -> SOp:
     """The operator sum of c * ops[w_1] @ ... @ ops[w_k] over the terms (word, c),
-    the empty word being the identity; products of two or more letters are
-    looked up in, and added to, ``prod``."""
+    the empty word being the identity."""
     space = next(iter(ops.values())).dom
-    prod = {} if prod is None else prod
     total = None
     for word, c in terms:
-        op = prod.get(word)
-        if op is None:
-            op = ops[word[0]] if word else SOp.identity(space)
-            for w in word[1:]:
-                op = op @ ops[w]
-            if len(word) > 1:
-                prod[word] = op
+        op = ops[word[0]] if word else SOp.identity(space)
+        for w in word[1:]:
+            op = op @ ops[w]
         op = op.scale(c)
         total = op if total is None else total + op
     return total if total is not None else SOp.zero(space)
 
 
-def relation_failures(ops: dict, instances, image: dict | None = None, p: int | None = None, prod=None) -> list[int]:
-    """The indices, in order, of the instances whose two sides differ.
+def relation_failures(ops: dict, instances, point: EvalPoint, prod=None) -> list[int]:
+    """The indices, in order, of the instances whose two sides differ at ``point``.
 
     ``ops`` maps generator keys to endomorphisms of one space.  An instance is
     (ctx, lhs, rhs), each side a list of terms (word, c) standing for
-    c * ops[w_1] @ ... @ ops[w_k]; the empty word is the identity.  Each
-    instance accumulates lhs - rhs into one dict and tests its entries for 0.
-
-    With ``image`` the check runs on residues mod the prime ``p``: every entry
-    v of ops becomes the plain int image[v] once, the coefficients are ints,
-    products are summed on ints and reduced mod p once per entry, and each
-    difference entry is tested ``% p``.  Without it the same loop runs on the
-    entries in Q(q), tested by ``is_zero``.
+    c * ops[w_1] @ ... @ ops[w_k], c an int or a Laurent polynomial; the empty
+    word is the identity.  Every entry v of ops, and every coefficient object
+    (``EvalPoint.coefficients``, one X^σ for all), becomes a plain int once; a
+    word of j letters is padded with lam^(K - j), K the longest word of all
+    the instances.  Each instance sums lhs - rhs on ints into one dict and
+    tests its entries for 0: in Z at a Kronecker point, where that is exact
+    (``scalars.kronecker_point``), or mod p, once per entry.
 
     Each product of two or more letters is built once, kept in ``prod`` while
     a later instance still uses it, and dropped after the instance that uses it
     last.
     """
     N = next(iter(ops.values())).dom.dim
-    scalar = (lambda v: v) if image is None else image.__getitem__
-    mats = {key: _columns(op, scalar) for key, op in ops.items()}  # (flat, by columns)
-    ident = {i * N + i: ONE if image is None else 1 for i in range(N)}
+    p, lam = point.p, point.lam
+    mats = {key: _columns(op, point.image.__getitem__) for key, op in ops.items()}  # (flat, by columns)
+    # keyed by identity, so that no term hashes a RatFunc; callers share coefficient objects
+    coefs = {id(c): c for _, lhs, rhs in instances for _, c in (*lhs, *rhs)}
+    coef_image = dict(zip(coefs, point.coefficients(coefs.values())))
+    longest = max((len(word) for _, lhs, rhs in instances for word, _ in (*lhs, *rhs)), default=0)
+    pads = [lam ** (longest - j) for j in range(longest + 1)]  # by word length; negated for rhs
+    side_pads = (pads, [-x for x in pads])
+    ident = {i * N + i: 1 for i in range(N)}
 
     def product(word: tuple) -> dict:
         if not word:
@@ -381,21 +380,22 @@ def relation_failures(ops: dict, instances, image: dict | None = None, p: int | 
     failures = []
     for t, (_, lhs, rhs) in enumerate(instances):
         diff: dict = {}
-        for word, c in (*lhs, *((word, -c) for word, c in rhs)):
-            if not c:
-                continue
-            op = prod.get(word)
-            if op is None:
-                op = product(word)
-                if len(word) > 1:
-                    prod[word] = op
-            for k, v in op.items():
-                s = diff.get(k)
-                diff[k] = c * v if s is None else s + c * v
+        for side, pad in zip((lhs, rhs), side_pads):
+            for word, c in side:
+                c = coef_image[id(c)] * pad[len(word)]
+                if not c:
+                    continue
+                op = prod.get(word)
+                if op is None:
+                    op = product(word)
+                    if len(word) > 1:
+                        prod[word] = op
+                for k, v in op.items():
+                    s = diff.get(k)
+                    diff[k] = c * v if s is None else s + c * v
         for word in expiring[t]:
             prod.pop(word, None)
-        nonzero = (not v.is_zero() for v in diff.values()) if p is None else (v % p for v in diff.values())
-        if any(nonzero):
+        if any(diff.values()) if p is None else any(v % p for v in diff.values()):
             failures.append(t)
     return failures
 
@@ -413,7 +413,7 @@ def _columns(op: SOp, scalar) -> tuple[dict, dict]:
 
 def _flat_product(a_cols: dict, b: dict, N: int, p: int | None) -> dict:
     """a @ b on flat operators with N rows (``_columns``), a given by columns, without
-    zero entries; on residues mod a prime p, summed on ints and reduced once per entry."""
+    zero entries; with a prime p on residues, summed on ints and reduced once per entry."""
     acc: dict = {}
     for key, bv in b.items():
         k = key % N
@@ -422,24 +422,13 @@ def _flat_product(a_cols: dict, b: dict, N: int, p: int | None) -> dict:
             s = acc.get(base + r)
             acc[base + r] = av * bv if s is None else s + av * bv
     if p is None:
-        return {k: v for k, v in acc.items() if not v.is_zero()}
+        return {k: v for k, v in acc.items() if v}
     return {k: x for k, v in acc.items() if (x := v % p)}
 
 
 def row_width(ops: Iterable[SOp]) -> int:
     """The largest number of nonzero entries in one row of one of the operators."""
     return max((max(Counter(r for r, _ in op.entries).values(), default=0) for op in ops), default=0)
-
-
-def at_kronecker_point(values, bound: IdentityBound) -> tuple[dict, int, str] | None:
-    """(the residue of each value at the Kronecker point of ``bound``, its prime,
-    the point as "q = 2^B in GF(2^k - 1)"), or None when no listed Mersenne prime
-    is large enough (``scalars.kronecker_point`` has the proof)."""
-    point = kronecker_point(bound)
-    if point is None:
-        return None
-    bits, p = point
-    return {v: v.residue(1 << bits, p) for v in values}, p, f"q = 2^{bits} in GF(2^{p.bit_length()} - 1)"
 
 
 def supercommutation_bound(A_ops: list[SOp], B_ops: list[SOp]) -> tuple[set, IdentityBound]:
@@ -458,14 +447,12 @@ def supercommutation_bound(A_ops: list[SOp], B_ops: list[SOp]) -> tuple[set, Ide
 
 def supercommutation_failures(A_ops: list[SOp], B_ops: list[SOp]) -> tuple[list[tuple[int, int]], str]:
     """The pairs (i, j), in order, with A_ops[i] B_ops[j] != (-1)^{|a||b|}
-    B_ops[j] A_ops[i], and the point the check ran at: "q = 2^B in
-    GF(2^k - 1)", or "Q(q)".
+    B_ops[j] A_ops[i], and the point the check ran at, "q = 2^B in Z".
 
     Both families have entries in Q(q).  Each pair is one instance of
-    ``relation_failures``, on residues at the Kronecker point of
+    ``relation_failures``, on integers at the Kronecker point of
     ``supercommutation_bound``: there a difference entry is 0 exactly when it
-    is 0 in Q(q), so the pairs are those of Q(q).  When no listed prime is
-    large enough the check runs in Q(q).
+    is 0 in Q(q), so the pairs are those of Q(q).
     """
     ops = {**{("a", i): a for i, a in enumerate(A_ops)}, **{("b", j): b for j, b in enumerate(B_ops)}}
     pairs = [(i, j) for i in range(len(A_ops)) for j in range(len(B_ops))]
@@ -473,8 +460,8 @@ def supercommutation_failures(A_ops: list[SOp], B_ops: list[SOp]) -> tuple[list[
         ((i, j), [((("a", i), ("b", j)), 1)], [((("b", j), ("a", i)), -1 if A_ops[i].par and B_ops[j].par else 1)])
         for i, j in pairs
     ]
-    image, p, name = at_kronecker_point(*supercommutation_bound(A_ops, B_ops)) or (None, None, "Q(q)")
-    return [pairs[t] for t in relation_failures(ops, instances, image, p)], name
+    point = kronecker_point(*supercommutation_bound(A_ops, B_ops))
+    return [pairs[t] for t in relation_failures(ops, instances, point)], point.name
 
 
 # ---------------------------------------------------------------------------
@@ -614,12 +601,20 @@ def _independent_rows(rows: list[dict]) -> tuple[list[dict], list[dict]]:
 
 
 def _annihilates(rows: list[dict], basis: list[dict], ncols: int) -> bool:
-    """Exactly: does every row have zero dot product with every basis vector?"""
+    """Exactly: does every row have zero dot product with every basis vector?
+
+    A dot product of a row r with a vector is a sum of at most len(r) terms
+    of two entries, so the test runs on integers at the Kronecker point of
+    identity_bound(entries, factors=2, terms=the longest row's length), where
+    it is exact (``scalars.kronecker_point``)."""
+    values = {v for vec in (*rows, *basis) for v in vec.values()}
+    image = kronecker_point(values, identity_bound(values, factors=2, terms=max(map(len, rows)))).image
     by_col: dict = {}
     for b, vec in enumerate(basis):
         for k, v in vec.items():
-            by_col.setdefault(k, []).append((b, v))
-    return not any(_flat_product(by_col, r, ncols, None) for r in rows)  # the nonzero dot products with r
+            by_col.setdefault(k, []).append((b, image[v]))
+    # the nonzero dot products with each row
+    return not any(_flat_product(by_col, {k: image[v] for k, v in r.items()}, ncols, None) for r in rows)
 
 
 def kernel_basis(rows: list[dict], ncols: int, block_of: Sequence | None = None) -> list[dict]:
@@ -641,7 +636,7 @@ def kernel_basis(rows: list[dict], ncols: int, block_of: Sequence | None = None)
     for cols, block in _blocks(rows, block_of or [0] * ncols):
         kept, dropped = _independent_rows(block)
         kernel = _exact_kernel(kept, len(cols))
-        if dropped and not _annihilates(dropped, kernel, len(cols)):
+        if dropped and kernel and not _annihilates(dropped, kernel, len(cols)):
             kernel = _exact_kernel(block, len(cols))
         basis += ({cols[j]: v for j, v in vec.items()} for vec in kernel)
     return sorted(basis, key=lambda vec: next(iter(vec)))  # a vector's first key is its free column
@@ -899,28 +894,27 @@ def invariant_under(ops: list[SOp], vectors: list[dict], rows: list[tuple[int, d
     position p_l gives c_l = u[p_l]), so the test is f = op v - sum_l
     (op v)[p_l] r_l = 0.
 
-    The test runs on residues at the Kronecker point of ``invariance_bound``,
-    where (``scalars.kronecker_point`` has the proof) each residue is 0 exactly
-    when the entry is 0 in Q(q).  When no listed prime is large enough the
-    same loop runs in Q(q).
+    The test runs on integers at the Kronecker point of ``invariance_bound``,
+    with op v padded by lam to three factors; there (``scalars.kronecker_point``
+    has the proof) each entry is 0 exactly when it is 0 in Q(q).
     """
     if not ops:
         return True
-    image, p, _ = at_kronecker_point(*invariance_bound(ops, vectors, rows)) or (None, None, None)
-    scalar = (lambda v: v) if image is None else image.__getitem__
-    rows = [(pivot, {k: scalar(v) for k, v in row.items()}) for pivot, row in rows]
-    vectors = [{k: scalar(v) for k, v in vec.items()} for vec in vectors]
+    point = kronecker_point(*invariance_bound(ops, vectors, rows))
+    image = point.image
+    rows = [(pivot, {k: image[v] for k, v in row.items()}) for pivot, row in rows]
+    vectors = [{k: image[v] for k, v in vec.items()} for vec in vectors]
     for op in ops:
-        by_col = _columns(op, scalar)[1]
+        by_col = _columns(op, image.__getitem__)[1]
         for vec in vectors:
-            img = _flat_product(by_col, vec, op.dom.dim, p)
-            for pivot, row in rows:  # subtracting r_l leaves img unchanged at every other pivot
+            img = _flat_product(by_col, vec, op.dom.dim, None)
+            diff = {k: point.lam * v for k, v in img.items()}
+            for pivot, row in rows:
                 c = img.get(pivot)
                 if c:
                     for k, v in row.items():
-                        s = img.get(k)
-                        img[k] = -c * v if s is None else s - c * v
-            if any(v % p for v in img.values()) if p is not None else any(img.values()):
+                        diff[k] = diff.get(k, 0) - c * v
+            if any(diff.values()):
                 return False
     return True
 

@@ -11,8 +11,8 @@ with phi(i,j) = (-1)^{|j|} (delta_{i,j} + delta_{i,-j}) and xi = q - q^{-1}.
 A representation stores one sparse operator per generator; everything downstream
 (relation checking, duals, twists, weights, submodules) is exact operator
 arithmetic on a chosen module, never abstract normal-form rewriting.  Relation
-checking runs on residues at a point where a zero test is exact (see
-``check_defining_relations``).
+checking runs on integers at a point q = 2^B in Z where a zero test is exact
+(see ``check_defining_relations``).
 
 The ``param`` flag selects the q or q^{-1} form of the algebra: the q^{-1} form
 has every structure constant substituted q -> q^{-1}.
@@ -25,12 +25,12 @@ from dataclasses import dataclass
 
 from .report import VerifyReport
 from .scalars import (
-    ONE, P, QINV, Q, IdentityBound, PoleAtPoint, RatFunc, _pmonomial, identity_bound, sample_mod_p,
+    ONE, P, QINV, Q, EvalPoint, IdentityBound, PoleAtPoint, RatFunc, _pmonomial, identity_bound, kronecker_point,
+    sample_mod_p,
 )
 from .superlinalg import (
     SOp,
     SuperSpace,
-    at_kronecker_point,
     graded_tensor,
     index_parity,
     index_range,
@@ -249,30 +249,20 @@ def vector_action_table(n: int, param: str = PARAM_Q) -> dict:
 def _relation_terms(i, j, k, l, qpow, xi):
     """Both sides of quadratic instance (i, j, k, l), each a list of terms
     (word, c): the product G[a] @ G[b] for the word (a, b), scaled by c.
-    qpow[e] is q^e for e in (-1, 0, 1)."""
+    qpow[e] is (q^e, -q^e) for e in (-1, 0, 1) and xi is (xi, -xi): every
+    coefficient is one of these objects, with no product."""
     pi, pj, pk, pl = index_parity(i), index_parity(j), index_parity(k), index_parity(l)
-    sign = -1 if ((pi + pj) * (pk + pl)) & 1 else 1
-    lhs = [(((i, j), (k, l)), qpow[phi(j, l)] * sign)]
+    lhs = [(((i, j), (k, l)), qpow[phi(j, l)][((pi + pj) * (pk + pl)) & 1])]
     if k <= j < l:
-        lhs.append((((i, l), (k, j)), xi * theta(i, j, k)))
+        lhs.append((((i, l), (k, j)), xi[theta(i, j, k) < 0]))
     if i <= -l < j <= -k:
-        lhs.append((((i, -l), (k, -j)), xi * theta(-i, -j, k)))
-    rhs = [(((k, l), (i, j)), qpow[phi(i, k)])]
+        lhs.append((((i, -l), (k, -j)), xi[theta(-i, -j, k) < 0]))
+    rhs = [(((k, l), (i, j)), qpow[phi(i, k)][0])]
     if k < i <= l:
-        rhs.append((((i, l), (k, j)), xi * theta(i, j, k)))
+        rhs.append((((i, l), (k, j)), xi[theta(i, j, k) < 0]))
     if -j <= k < -i <= l:
-        rhs.append((((-i, l), (-k, j)), xi * theta(-i, -j, k)))
+        rhs.append((((-i, l), (-k, j)), xi[theta(-i, -j, k) < 0]))
     return lhs, rhs
-
-
-def _qpowers(qq) -> dict:
-    return {-1: qq.inverse(), 0: ONE, 1: qq}
-
-
-def _relation_sides(G, i, j, k, l, qq, xi, prod):
-    """The two side operators (lhs, rhs) of quadratic instance (i, j, k, l);
-    products are looked up in, and added to, prod."""
-    return tuple(word_sum(G, side, prod) for side in _relation_terms(i, j, k, l, _qpowers(qq), xi))
 
 
 def _witness(G, key: str, ctx, lhs, rhs) -> dict:
@@ -282,41 +272,39 @@ def _witness(G, key: str, ctx, lhs, rhs) -> dict:
     return {key: ctx, "basis_vector": repr(next(iter(diff.entries))[1])}
 
 
-def _unit_witness(G, n: int, image=None, p=None):
+def _unit_witness(G, n: int, point: EvalPoint):
     """The first unit relation L_ii L_{-i,-i} = 1 or L_{-i,-i} L_ii = 1 that fails
-    on the operators G, or None; with ``image`` the check runs on residues mod p."""
+    on the operators G at ``point``, or None."""
     instances = [
         (i, [((left, right), 1)], [((), 1)])
         for i in index_range(n) for left, right in (((i, i), (-i, -i)), ((-i, -i), (i, i)))
     ]
-    failures = relation_failures(G, instances, image, p)
+    failures = relation_failures(G, instances, point)
     return _witness(G, "i", *instances[failures[0]]) if failures else None
 
 
-def _quadratic_witness(G, pairs, qq, xi, prod: dict | None = None, image=None, p=None):
+def _quadratic_witness(G, pairs, qq, xi, prod: dict | None = None, point: EvalPoint | None = None):
     """The first quadratic relation instance that fails on the operators G, or None.
 
-    With ``image`` the check runs on residues mod p (see ``relation_failures``,
-    which keeps each product in ``prod`` until its last use); the witness is
-    rebuilt from G in Q(q)."""
-    qpow = _qpowers(qq)
-    at = (qpow, xi) if image is None else ({-1: pow(image[qq], -1, p), 0: 1, 1: image[qq]}, image[xi])
-    instances = [((i, j, k, l), *_relation_terms(i, j, k, l, *at)) for (i, j) in pairs for (k, l) in pairs]
-    failures = relation_failures(G, instances, image, p, prod)
-    if not failures:
-        return None
-    instance = instances[failures[0]][0]
-    return _witness(G, "instance", instance, *_relation_terms(*instance, qpow, xi))
+    The check runs at ``point``, by default the Kronecker point of
+    ``_relation_bound``; ``relation_failures`` keeps each product in ``prod``
+    until its last use."""
+    if point is None:
+        point = kronecker_point(*_relation_bound(G, qq, xi))
+    qpow, xis = {e: (s, -s) for e, s in ((-1, qq.inverse()), (0, ONE), (1, qq))}, (xi, -xi)
+    instances = [((i, j, k, l), *_relation_terms(i, j, k, l, qpow, xis)) for (i, j) in pairs for (k, l) in pairs]
+    failures = relation_failures(G, instances, point, prod)
+    return _witness(G, "instance", *instances[failures[0]]) if failures else None
 
 
-def _relation_bound(rep: QueerRep) -> tuple[set, IdentityBound]:
-    """The scalars a relation check starts from (every generator entry, q and
-    xi) and the identity bound that covers every entry the check builds."""
-    qq, xi = param_q(rep.param), param_xi(rep.param)
-    values = {v for op in rep.gen.values() for v in op.entries.values()} | {qq, xi}
+def _relation_bound(G: dict, qq, xi) -> tuple[set, IdentityBound]:
+    """The scalars a relation check on the operators G starts from (every
+    generator entry, q and xi) and the identity bound that covers every entry
+    the check builds."""
+    values = {v for op in G.values() for v in op.entries.values()} | {qq, xi}
     # each lhs - rhs entry: at most 6 * dim products of two entries, times q^{+-1}, 1 or xi
-    bound = identity_bound(values, (qq, qq.inverse(), ONE, xi), factors=2, terms=6 * rep.space.dim)
-    return values, bound
+    dim = next(iter(G.values())).dom.dim
+    return values, identity_bound(values, (qq, qq.inverse(), ONE, xi), factors=2, terms=6 * dim)
 
 
 def _prob_trials(report: VerifyReport, values, bound: IdentityBound, trials: int, seed: int):
@@ -340,34 +328,23 @@ def _prob_trials(report: VerifyReport, values, bound: IdentityBound, trials: int
     return draws
 
 
-def _kronecker_image(report: VerifyReport, values, bound: IdentityBound):
-    """(the residue of each value at the Kronecker point, its prime), or None to
-    compute in Q(q); the report records which as ``exact_point``."""
-    point = at_kronecker_point(values, bound)
-    report.derive("exact_point", "Q(q)" if point is None else point[2])
-    return None if point is None else point[:2]
-
-
 def check_defining_relations(
     rep: QueerRep, mode: str = "exact", trials: int = 5, seed: int = 0
 ) -> VerifyReport:
     """Verify every unit relation and every expanded quadratic relation instance.
 
-    Each instance accumulates lhs - rhs entry by entry on residues
+    Each instance accumulates lhs - rhs entry by entry on plain ints
     (``superlinalg.relation_failures``); the two sides are built as operators
     only for the witness of the first failing instance, from the generators in
-    Q(q).  Both modes map every generator entry and q, xi to a prime field at
-    a point and test there.  Bounds D on the degree and H on the height of
-    every entry the checks build come from the measured degrees and
-    coefficients of the generator entries (``scalars.identity_bound`` has the
-    proof).
+    Q(q).  Both modes map every generator entry to an int at a point and test
+    there.  Bounds D on the degree and H on the height of every entry the
+    checks build come from the measured degrees and coefficients of the
+    generator entries (``scalars.identity_bound`` has the proof).
 
-    Exact mode evaluates once, at the Kronecker point q = 2^B in GF(2^k - 1)
-    (``scalars.kronecker_point`` has the proof): there an entry is 0 exactly
-    when it is 0 in Q(q), so every verdict and witness is that of Q(q), with
-    no error probability.  The report records the point as ``exact_point``;
-    when no listed Mersenne prime exceeds H (2^B)^D, the checks run in Q(q)
-    and ``exact_point`` is "Q(q)".
+    Exact mode evaluates once, at the Kronecker point q = 2^B in Z, B the bit
+    length of H, where an entry is 0 exactly when it is 0 in Q(q)
+    (``scalars.kronecker_point``): every verdict and witness is that of Q(q),
+    with no error probability, and the report records the point as ``exact_point``.
 
     Probabilistic mode runs the checks in GF(p), p = 2^61 - 1, once per
     trial: it draws c uniformly from [2, p) with the seeded RNG (redrawing at
@@ -386,20 +363,21 @@ def check_defining_relations(
     if mode not in ("exact", "prob"):
         raise ValueError(f"unknown mode {mode!r}")
     qq, xi = param_q(rep.param), param_xi(rep.param)
-    values, bound = _relation_bound(rep)
+    values, bound = _relation_bound(rep.gen, qq, xi)
     points = None
     if mode == "prob":
         draws = _prob_trials(report, values, bound, trials, seed)
         if draws is not None:
-            points = [(f"@q={c}:", image, P) for c, image in draws]
+            points = [(f"@q={c}:", EvalPoint(c, image, P)) for c, image in draws]
     if points is None:
-        point = _kronecker_image(report, values, bound)
-        points = [("", *(point or (None, None)))]
+        point = kronecker_point(values, bound)
+        report.derive("exact_point", point.name)
+        points = [("", point)]
     pairs = generator_pairs(n)
-    for tag, image, p in points:
-        unit_wit = _unit_witness(rep.gen, n, image, p)
+    for tag, point in points:
+        unit_wit = _unit_witness(rep.gen, n, point)
         report.add(f"{tag}unit_relations", unit_wit is None, witness=unit_wit)
-        quad_wit = _quadratic_witness(rep.gen, pairs, qq, xi, image=image, p=p)
+        quad_wit = _quadratic_witness(rep.gen, pairs, qq, xi, point=point)
         report.add(f"{tag}quadratic_relations", quad_wit is None, witness=quad_wit)
     report.derive("n_quadratic_instances", len(pairs) ** 2)
     return report.finish()
@@ -567,7 +545,7 @@ def generate_submodule(rep: QueerRep, seeds: list[dict]) -> list[dict]:
     generator actions, exact.
 
     The closure's words are picked in GF(p) and rebuilt exactly; one check of
-    every generator on every basis row, on residues at a Kronecker point,
+    every generator on every basis row, on integers at a Kronecker point,
     certifies that their span is invariant, and the exact closure runs when it
     is not (``superlinalg.submodule_echelon`` has the argument)."""
     ech = submodule_echelon(list(rep.gen.values()), seeds)

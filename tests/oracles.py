@@ -1,13 +1,19 @@
 """Independent oracles for cross-checking the exact engine.
 
 Deliberately primitive: dense Fraction matrices with textbook Gaussian
-elimination, and dict-based Laurent polynomials.  Nothing here shares code
-with the package's elimination or scalar arithmetic.
+elimination, dict-based Laurent polynomials, and zero tests decided in Q(q)
+on operators built with ``SOp`` arithmetic.  Nothing here shares code with
+the package's elimination or its integer and residue zero tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from queerdual import duality, hecke_clifford, superlinalg, uq_queer
+from queerdual.scalars import ONE, RatFunc
+from queerdual.superlinalg import word_sum
+from queerdual.uq_queer import _relation_terms
 
 
 def frac_rank(rows: list[list[Fraction]]) -> int:
@@ -145,3 +151,52 @@ def schur_q_dim(lam: tuple, n: int) -> int:
         assert q % 2 == 0
         return q // 2
     raise NotImplementedError("Schur Q-function dimensions for at most two rows")
+
+
+# -- zero tests in Q(q) ------------------------------------------------------
+
+
+def relation_sides(G, i, j, k, l, qq, xi):
+    """The two side operators (lhs, rhs) of quadratic relation instance
+    (i, j, k, l), built in Q(q) from the operators G."""
+    qpow = {e: (s, -s) for e, s in ((-1, qq.inverse()), (0, ONE), (1, qq))}
+    return tuple(word_sum(G, side) for side in _relation_terms(i, j, k, l, qpow, (xi, -xi)))
+
+
+def relation_failures_in_qq(ops, instances, point=None, prod=None) -> list[int]:
+    """``superlinalg.relation_failures`` decided in Q(q): the instances whose
+    two sides, built as operators (``word_sum``), differ."""
+    return [t for t, (_, lhs, rhs) in enumerate(instances) if word_sum(ops, lhs) != word_sum(ops, rhs)]
+
+
+def invariance_differences(ops, vectors, rows) -> list:
+    """Every nonzero entry of op v - sum_l (op v)[p_l] r_l, computed in Q(q)."""
+    pos = ops[0].dom.pos
+    out = []
+    for op in ops:
+        for vec in vectors:
+            img = {}
+            for (r, c), v in op.entries.items():
+                if pos[c] in vec:
+                    img[pos[r]] = img.get(pos[r], RatFunc(0)) + v * vec[pos[c]]
+            diff = dict(img)
+            for pivot, row in rows:
+                for k, v in row.items():
+                    diff[k] = diff.get(k, RatFunc(0)) - img.get(pivot, RatFunc(0)) * v
+            out += [f for f in diff.values() if f]
+    return out
+
+
+def dot_products(rows, basis) -> list:
+    """Every dot product of a row with a basis vector, computed in Q(q)."""
+    return [sum((v * vec[k] for k, v in r.items() if k in vec), RatFunc(0)) for r in rows for vec in basis]
+
+
+def decide_in_qq(mp) -> None:
+    """Patch every exact zero test of the package (relations, supercommutation,
+    invariance certificates, dropped kernel rows) to run in Q(q) instead."""
+    for module in (superlinalg, uq_queer, hecke_clifford):
+        mp.setattr(module, "relation_failures", relation_failures_in_qq)
+    for module in (superlinalg, duality):
+        mp.setattr(module, "invariant_under", lambda ops, vectors, rows: not invariance_differences(ops, vectors, rows))
+    mp.setattr(superlinalg, "_annihilates", lambda rows, basis, ncols: not any(dot_products(rows, basis)))

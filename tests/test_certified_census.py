@@ -1,12 +1,12 @@
 """The certified census: submodules from GF(p) words with one invariance
 certificate, commutant dimensions from GF(p) bounds, and supercommutation on
-residues at a Kronecker point."""
+integers at a Kronecker point."""
 
 import random
 
 import pytest
 
-from queerdual import duality, scalars, superlinalg
+from queerdual import duality, superlinalg
 from queerdual.duality import (
     CensusEntry,
     FixtureModule,
@@ -22,7 +22,6 @@ from queerdual.superlinalg import (
     SOp,
     SuperSpace,
     _closure,
-    at_kronecker_point,
     flatten_vector,
     graded_commutant,
     intertwiners,
@@ -45,6 +44,7 @@ from queerdual.uq_queer import (
     weight_spaces,
 )
 
+from oracles import decide_in_qq, invariance_differences
 from test_duality import _perturbed_hc
 from test_superlinalg import V1, rand_op
 
@@ -114,24 +114,6 @@ def test_fixture_solves_only_the_even_intertwiner_system(monkeypatch):
 # -- the invariance certificate
 
 
-def exact_invariance_differences(ops, vectors, rows):
-    """Every entry of op v - sum_l (op v)[p_l] r_l, computed in Q(q)."""
-    pos = ops[0].dom.pos
-    out = []
-    for op in ops:
-        for vec in vectors:
-            img = {}
-            for (r, c), v in op.entries.items():
-                if pos[c] in vec:
-                    img[pos[r]] = img.get(pos[r], RatFunc(0)) + v * vec[pos[c]]
-            diff = dict(img)
-            for pivot, row in rows:
-                for k, v in row.items():
-                    diff[k] = diff.get(k, RatFunc(0)) - img.get(pivot, RatFunc(0)) * v
-            out += [f for f in diff.values() if f]
-    return out
-
-
 def assert_bound_covers(values, bound, diffs, factors):
     """P_f = q^-LO f M^factors has 1-norm at most H and degree at most D."""
     M = ONE
@@ -156,12 +138,11 @@ def test_invariance_bound_covers_a_worst_case_difference():
     op = SOp(space, space, 0, entries)
     vectors = [{d + 1: RatFunc(A)}]
     rows = [(l, {l: ONE, d: RatFunc(A)}) for l in range(d)]
-    diffs = exact_invariance_differences([op], vectors, rows)
+    diffs = invariance_differences([op], vectors, rows)
     assert diffs == [RatFunc(A**2 + d * A**3)]
     values, bound = invariance_bound([op], vectors, rows)
     assert bound.height == (1 + d) * A**3
     assert_bound_covers(values, bound, diffs, 3)
-    assert at_kronecker_point(values, bound) is not None
     assert not invariant_under([op], vectors, rows)
 
 
@@ -180,21 +161,17 @@ def test_invariance_bound_covers_the_exact_differences_of_non_invariant_bases():
         for vec in flat:
             ech.insert(vec)
         values, bound = invariance_bound(gens, flat, ech.rows)
-        assert_bound_covers(values, bound, exact_invariance_differences(gens, flat, ech.rows), 3)
-        assert at_kronecker_point(values, bound) is not None
+        assert_bound_covers(values, bound, invariance_differences(gens, flat, ech.rows), 3)
         assert not invariant_under(gens, flat, ech.rows)
 
 
-@pytest.mark.parametrize("exponents", [None, ()])
-def test_a_non_invariant_basis_leaves_the_submodule(exponents, monkeypatch):
-    # at the Kronecker point, and in Q(q) when no listed prime is large enough
-    if exponents is not None:
-        monkeypatch.setattr(scalars, "MERSENNE_EXPONENTS", exponents)
+@pytest.mark.parametrize("where", ["at_point", "in_qq"])
+def test_a_non_invariant_basis_leaves_the_submodule(where, monkeypatch):
+    # at the Kronecker point, and with the certificate decided in Q(q)
+    if where == "in_qq":
+        decide_in_qq(monkeypatch)
     rep, rows, bases = non_invariant_bases()
-    flat = [flatten_vector(rep.space, v) for v in rows]
     sub = SubmoduleRep(rep, rows)
-    point = at_kronecker_point(*invariance_bound(list(rep.gen.values()), flat, sub._ech.rows))
-    assert (point is None) == (exponents is not None)
     assert sub.as_queer_rep().space.dim == 8
     for basis in bases:
         with pytest.raises(ValueError, match="vector leaves the submodule"):
@@ -264,7 +241,7 @@ def test_supercommutation_bound_covers_a_worst_case_difference():
     assert bound.height == 2 * A**2
     assert_bound_covers(values, bound, diffs, 2)
     failures, point = supercommutation_failures([a], [a])
-    assert failures == [(0, 0)] and point.startswith("q = 2^")
+    assert failures == [(0, 0)] and point.endswith(" in Z")
 
 
 @pytest.mark.parametrize("n,m", [(1, 2), (2, 2)])
@@ -276,7 +253,7 @@ def test_supercommutation_bound_covers_the_exact_differences_of_a_planted_defect
     diffs = [f for x in chevalley for h in hc for f in supercommutator(x, h).entries.values()]
     assert_bound_covers(values, bound, diffs, 2)
     failures, point = supercommutation_failures(chevalley, hc)
-    assert point.startswith("q = 2^")
+    assert point.endswith(" in Z")
     assert failures == [(i, j) for i, x in enumerate(chevalley) for j, h in enumerate(hc) if supercommutator(x, h).entries]
 
 
@@ -292,7 +269,7 @@ def test_supercommutation_at_the_point_does_no_ratfunc_products(monkeypatch):
 
     monkeypatch.setattr(RatFunc, "__mul__", counting)
     monkeypatch.setattr(RatFunc, "__rmul__", counting)
-    assert supercommutation_failures(chevalley, hc) == ([], "q = 2^8 in GF(2^521 - 1)")
+    assert supercommutation_failures(chevalley, hc) == ([], "q = 2^8 in Z")
     assert calls == []
 
 
@@ -307,10 +284,9 @@ def test_planted_defect_gives_the_same_witness_at_the_point_and_in_qq(monkeypatc
     _perturbed_hc(monkeypatch)
     at_point = sergeev_verify(1, 2).to_dict()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scalars, "MERSENNE_EXPONENTS", ())
+        decide_in_qq(mp)
         in_qq = sergeev_verify(1, 2).to_dict()
-    assert at_point["derived_values"]["exact_point"].startswith("q = 2^")
-    assert in_qq["derived_values"]["exact_point"] == "Q(q)"
+    assert at_point["derived_values"]["exact_point"].endswith(" in Z")
     (fail,) = [c for c in at_point["checks"] if c["name"] == "supercommutation"]
     assert fail["status"] == "fail" and fail["witness"]
     assert strip(at_point) == strip(in_qq)
@@ -328,10 +304,9 @@ def test_census_sergeev_and_fixture_reports_are_equal_in_qq(fresh_census):
 
     at_point = run()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scalars, "MERSENNE_EXPONENTS", ())
+        decide_in_qq(mp)
         in_qq = run()
-    assert [r["derived_values"].get("exact_point") for r in in_qq[1:3]] == ["Q(q)", "Q(q)"]
-    assert all(r["derived_values"]["exact_point"].startswith("q = 2^") for r in at_point[1:3])
+    assert all(r["derived_values"]["exact_point"].endswith(" in Z") for r in at_point[1:3])
     assert [strip(r) for r in at_point] == [strip(r) for r in in_qq]
 
 
@@ -401,8 +376,8 @@ def test_census_2_3_solves_three_commutant_systems_and_reduces_no_generator_imag
     # (the identity meets the even bound); the paired block (2,1) solves both.
     # Generating a block reduces each kept word once, and restricting to it
     # reduces nothing: the exact closure and restriction reduced every image.
-    # Both invariance certificates of each block run at a Kronecker point.
-    solved, exact_reductions, steps, points = [], [], [], []
+    # Each block runs two invariance certificates.
+    solved, exact_reductions, steps, certificates = [], [], [], []
     real_intertwiners, real_reduce = duality.intertwiners, Echelon._reduce
     generate, restrict = duality.generate_submodule, SubmoduleRep.as_queer_rep
 
@@ -424,8 +399,8 @@ def test_census_2_3_solves_three_commutant_systems_and_reduces_no_generator_imag
     def forbidden(ops):
         raise AssertionError("the census solves no whole graded commutant")
 
-    at_point = superlinalg.at_kronecker_point
-    monkeypatch.setattr(superlinalg, "at_kronecker_point", lambda *args: points.append(at_point(*args)) or points[-1])
+    bound = superlinalg.invariance_bound
+    monkeypatch.setattr(superlinalg, "invariance_bound", lambda *args: certificates.append(1) or bound(*args))
     monkeypatch.setattr(duality, "intertwiners", solving)
     monkeypatch.setattr(duality, "graded_commutant", forbidden)
     monkeypatch.setattr(Echelon, "_reduce", reducing)
@@ -435,7 +410,7 @@ def test_census_2_3_solves_three_commutant_systems_and_reduces_no_generator_imag
     assert report.ok and list(census.entries) == [(3, 0), (2, 1)]
     assert solved == [1, 0, 1]
     assert steps == [("generate", 12), ("restrict", 0), ("generate", 8), ("restrict", 0)]
-    assert len(points) == 4 and None not in points
+    assert len(certificates) == 4
 
 
 def test_census_at_q_one_falls_back_and_keeps_its_entries(monkeypatch, fresh_census):

@@ -15,7 +15,6 @@ from queerdual.coord_alg import (
     functional_is_zero,
     gen_word,
     graded_component,
-    kbar_word,
     normalized_monomials,
     operator_image_basis,
     phi_component_rep,

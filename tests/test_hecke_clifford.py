@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from queerdual import scalars
 from queerdual.coord_alg import phi_component_rep, zero_weight_iso
 from queerdual.duality import fixture_module
 from queerdual.scalars import ONE, P, QINV, XI, Q, RatFunc, _pmonomial, _ptrailing, kronecker_point
@@ -18,6 +17,9 @@ from queerdual.hecke_clifford import (
     zero_weight_hc,
 )
 from queerdual.uq_queer import tensor_rep, vector_rep, weight_spaces
+
+from oracles import decide_in_qq
+from test_uq_queer import former_field
 
 
 def test_tensor_action_worked_entries():
@@ -138,12 +140,11 @@ def test_hc_check_at_a_given_q():
 # -- the Kronecker point of hc_check ------------------------------------------
 
 def hc_check_in_qq(action, qq=None):
-    """hc_check computed in Q(q), with no Mersenne prime to pick a point in."""
+    """hc_check with every instance decided in Q(q), on its two sides built as
+    operators (``oracles.decide_in_qq``)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scalars, "MERSENNE_EXPONENTS", ())
-        report = hc_check(action, qq)
-    assert report.derived_values["exact_point"] == "Q(q)"
-    return report
+        decide_in_qq(mp)
+        return hc_check(action, qq)
 
 
 def _verdicts(report):
@@ -154,7 +155,7 @@ def _verdicts(report):
 def test_hc_kronecker_verdicts_match_qq_on_passing_actions(n, m):
     action = hc_tensor_action(n, m)
     report = hc_check(action)
-    assert report.ok and report.derived_values["exact_point"].endswith("in GF(2^521 - 1)")
+    assert report.ok and report.derived_values["exact_point"].endswith(" in Z")
     assert _verdicts(report) == _verdicts(hc_check_in_qq(action))
 
 
@@ -165,10 +166,15 @@ def _hc_defective(n, m, kind, index, factor):
     return hc
 
 
+def _hc_ops(action):
+    m = action.spec.m
+    return {("T", a): action.t(a) for a in range(1, m)} | {("C", b): action.c(b) for b in range(1, m + 1)}
+
+
 def _hc_defects():
-    # (n, m, generator family, index, factor, the field of the point): a large
-    # constant needs the larger prime, a larger one (or 1 + p) reaches past
-    # every listed prime, so that check runs in Q(q)
+    # (n, m, generator family, index, factor, the field of the former point):
+    # a large constant needed the larger prime, a larger one (or 1 + p)
+    # reached past every prime, so that check ran in Q(q); each runs in Z now
     return [
         (2, 2, "C", 0, Q, "GF(2^521 - 1)"),
         (2, 2, "T", 0, Q, "GF(2^521 - 1)"),
@@ -184,8 +190,9 @@ def _hc_defects():
 @pytest.mark.parametrize("n,m,kind,index,factor,field", _hc_defects())
 def test_hc_kronecker_verdicts_match_qq_on_defects(n, m, kind, index, factor, field):
     bad = _hc_defective(n, m, kind, index, factor)
+    assert former_field(_hc_bound(_hc_ops(bad), Q)[1]) == field
     report = hc_check(bad)
-    assert not report.ok and report.derived_values["exact_point"].endswith(field)
+    assert not report.ok and report.derived_values["exact_point"].endswith(" in Z")
     assert _verdicts(report) == _verdicts(hc_check_in_qq(bad))
 
 
@@ -211,11 +218,10 @@ def test_hc_height_bound_covers_exact_differences(n, m, kind, index, factor):
     # P_f = q^-LO f M^3 has 1-norm at most H < X = 2^B and degree at most D
     action = _hc_defective(n, m, kind, index, factor)
     qq = Q
-    ops = {("T", a): action.t(a) for a in range(1, m)} | {("C", b): action.c(b) for b in range(1, m + 1)}
-    bound = _hc_bound(ops, qq)
-    bits, _ = kronecker_point(bound)
+    values, bound = _hc_bound(_hc_ops(action), qq)
+    X = kronecker_point(values, bound).q
     M = ONE
-    for b in {v.den[_ptrailing(v.den):] for op in ops.values() for v in op.entries.values()} - {(1,)}:
+    for b in {v.den[_ptrailing(v.den):] for v in values} - {(1,)}:
         M = M * RatFunc(b)
     diffs = [f for f in _hc_differences(action, qq) if f]
     assert diffs
@@ -223,7 +229,7 @@ def test_hc_height_bound_covers_exact_differences(n, m, kind, index, factor):
         pf = f * M * M * M
         _, c = _pmonomial(pf.den)
         assert c == 1  # f M^3 is a Laurent polynomial with integer coefficients
-        assert sum(abs(a) for a in pf.num) <= bound.height < 2**bits
+        assert sum(abs(a) for a in pf.num) <= bound.height < X
         assert len(pf.num) - 1 - _ptrailing(pf.num) <= bound.degree
 
 
@@ -270,7 +276,7 @@ def test_zero_weight_reports_keep_their_verdicts():
 
     at_point = run()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scalars, "MERSENNE_EXPONENTS", ())
+        decide_in_qq(mp)
         in_qq = run()
     assert [strip(r) for r in at_point] == [strip(r) for r in in_qq]
     assert at_point[0]["derived_values"]["zw_hc_q_param_passes"] is False

@@ -55,3 +55,27 @@ def test_imports_only_the_standard_library_and_the_package(name):
             continue
         outside += [f"{root}:{node.lineno}" for root in roots if root not in sys.stdlib_module_names | {"queerdual"}]
     assert not outside, f"imports outside the standard library in {name}: {outside}"
+
+
+def test_every_module_level_definition_is_used_or_exported():
+    # a function or class that no other code of the package refers to, and that
+    # __init__ does not export, is dead code: only tests could reach it
+    trees = {name: parse(name) for name in sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))}
+    used = set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and name != "__init__.py":
+                used.update(alias.name for alias in node.names)
+    init = trees["__init__.py"].body
+    exported = {alias.name for node in init if isinstance(node, ast.ImportFrom) for alias in node.names}
+    dead = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        if node.name not in used | exported
+    ]
+    assert not dead, f"module-level definitions nothing uses: {dead}"

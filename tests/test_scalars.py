@@ -7,12 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from queerdual import scalars
 from queerdual.scalars import (
+    ONE,
     P,
     QINV,
     RatFunc,
     XI,
     ZERO,
     Q,
+    EvalPoint,
     IdentityBound,
     PoleAtPoint,
     _padd,
@@ -111,7 +113,7 @@ def _ratfunc_at(draw, c):
     return RatFunc(num, den)
 
 
-MERSENNE_521 = (1 << 521) - 1  # the smallest prime a Kronecker point uses
+MERSENNE_521 = (1 << 521) - 1  # a second prime, far above P
 
 
 @st.composite
@@ -158,18 +160,47 @@ def test_mod_p_is_a_ring_homomorphism(sample):
             assert (a**-2).residue(c, p) == pow(ia, -2, p)
 
 
-def test_kronecker_point_is_the_smallest_listed_prime_above_its_reach():
-    # X = 2^3 > H = 5 and H X^D = 5 * 8^3
-    assert kronecker_point(IdentityBound(degree=3, excluded=2, height=5)) == (3, MERSENNE_521)
-    # H = 2^10 - 1, so X = 2^10 and H X^D = (2^10 - 1) 2^(10 D): below 2^521 - 1
-    # for D = 51, above it for D = 52; below 2^607 - 1 for D = 59, above it for D = 60
-    assert kronecker_point(IdentityBound(51, 2, 2**10 - 1)) == (10, MERSENNE_521)
-    assert kronecker_point(IdentityBound(52, 2, 2**10 - 1)) == (10, 2**607 - 1)
-    assert kronecker_point(IdentityBound(59, 2, 2**10 - 1)) == (10, 2**607 - 1)
-    assert kronecker_point(IdentityBound(60, 2, 2**10 - 1)) is None
-    with mock.patch.object(scalars, "MERSENNE_EXPONENTS", (61,)):
-        assert kronecker_point(IdentityBound(3, 2, 5)) == (3, P)
-        assert kronecker_point(IdentityBound(52, 2, 2**10 - 1)) is None
+def test_kronecker_point_is_the_smallest_power_of_two_above_the_height():
+    # X = 2^B with B = H.bit_length(), whatever the degree bound
+    for degree in (0, 3, 60, 10**4):
+        assert kronecker_point([Q], IdentityBound(degree, 2, 5)).q == 2**3
+        assert kronecker_point([Q], IdentityBound(degree, 2, 2**10 - 1)).q == 2**10
+        assert kronecker_point([Q], IdentityBound(degree, 2, 2**10)).q == 2**11
+    assert kronecker_point([Q], IdentityBound(3, 2, 5)).name == "q = 2^3 in Z"
+
+
+def test_kronecker_point_maps_each_value_times_lambda():
+    # s = 1 (from q^-1) and M = q + 2, so lam = q (q + 2)
+    values = [QINV, 1 / (Q + 2), 3 * Q, ZERO]
+    point = kronecker_point(values, identity_bound(values, factors=2, terms=2))
+    X = point.q
+    assert point.lam == X * (X + 2)
+    assert [point.image[v] for v in values] == [X + 2, X, 3 * X * X * (X + 2), 0]
+    # one shift σ = 1 for the coefficients of one zero test; none for ints alone
+    assert point.coefficients([QINV, ONE, Q, XI, -2]) == [1, X, X * X, X * X - 1, -2 * X]
+    assert point.coefficients([1, -1]) == [1, -1]
+    with pytest.raises(ValueError, match="Laurent"):
+        point.coefficients([1 / (Q + 2)])
+    # in GF(p) a coefficient maps to its residue
+    assert EvalPoint(5, {}, P).coefficients([QINV, 3]) == [pow(5, -1, P), 3]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_ratfunc_at(3), min_size=4, max_size=4), st.booleans())
+def test_kronecker_point_zero_tests_are_exact(gs, planted_zero):
+    # f = a b - c d + e, two factors per term, e = 1 padded with lam; with the
+    # flag, d is chosen so that f = 0 in Q(q)
+    a, b, c, d = gs
+    if planted_zero and c:
+        d = (a * b + 1) / c
+    values = {a, b, c, d, ONE}
+    point = kronecker_point(values, identity_bound(values, factors=2, terms=3))
+    img = point.image
+    at_x = img[a] * img[b] - img[c] * img[d] + point.lam**2
+    f = a * b - c * d + 1
+    assert (at_x == 0) == f.is_zero()
+    # the integer is (lam^2 f)(X), lam = q^s M as in the docstring
+    assert Fraction(at_x) == f.specialize(point.q) * Fraction(point.lam) ** 2
 
 
 def test_reduction_canonical():

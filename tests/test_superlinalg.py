@@ -7,7 +7,9 @@ from queerdual import coord_alg, scalars, superlinalg
 from queerdual.coord_alg import operator_image_basis
 from queerdual.duality import FixtureModule, SubmoduleRep
 from queerdual.hecke_clifford import hc_tensor_action
-from queerdual.scalars import ONE, P, RatFunc, Q, ZERO, sample_mod_p
+from queerdual.scalars import (
+    ONE, P, RatFunc, Q, ZERO, _pmonomial, _ptrailing, identity_bound, kronecker_point, sample_mod_p,
+)
 from queerdual.superlinalg import (
     Echelon,
     _algebra_seeds,
@@ -299,6 +301,49 @@ def test_kernel_basis_falls_back_when_the_point_merges_rows(monkeypatch):
     calls = counting_eliminations(monkeypatch)
     assert kernel_basis([dict(r) for r in rows], 3) == exact_kernel(rows, 3) == [{2: ONE}]
     assert calls == [(1, 1), (2, 2)]  # the kept row alone, then the fallback on all rows
+
+
+def test_kernel_basis_checks_the_dropped_rows_at_the_point_of_their_own_values(monkeypatch):
+    # the kernel of the kept row {0: 1, 1: q} holds {0: -q, 1: 1}; a dropped row
+    # {0: 1, 1: 2q - X0} meets it in q - X0, a nonzero polynomial that vanishes
+    # at X0, the Kronecker point of the entries without that row
+    unperturbed = {ONE, Q, -Q}
+    X0 = kronecker_point(unperturbed, identity_bound(unperturbed, factors=2, terms=2)).q
+    rows = [{0: ONE, 1: Q}, {0: ONE, 1: 2 * Q - X0}]
+    assert (2 * Q - X0 - Q).specialize(X0) == 0
+    # at q = X0 the two rows coincide mod p: the second is dropped
+    monkeypatch.setattr(superlinalg, "sample_mod_p", lambda rng, values: (X0, {v: v.residue(X0, P) for v in values}))
+    calls = counting_eliminations(monkeypatch)
+    assert kernel_basis([dict(r) for r in rows], 3) == exact_kernel(rows, 3) == [{2: ONE}]
+    assert calls == [(1, 1), (2, 2)]  # the kept row alone, then the fallback on all rows
+
+
+def test_dropped_row_bound_covers_the_census_dot_products(monkeypatch, fresh_census):
+    # every dot product of a dropped row r with a kernel vector, its terms
+    # cleared by M^2 (M the product of the distinct denominators), has 1-norm at
+    # most the height H of identity_bound(entries, factors=2, terms=len(r)) < X
+    calls = []
+    real = superlinalg._annihilates
+
+    def recording(rows, basis, ncols):
+        calls.append((rows, basis))
+        return real(rows, basis, ncols)
+
+    monkeypatch.setattr(superlinalg, "_annihilates", recording)
+    assert fresh_census(2, 3)[1].ok
+    assert calls
+    for rows, basis in calls:
+        values = {v for vec in (*rows, *basis) for v in vec.values()}
+        bound = identity_bound(values, factors=2, terms=max(map(len, rows)))
+        assert bound.height < kronecker_point(values, bound).q
+        M = ONE
+        for b in {v.den[_ptrailing(v.den):] for v in values} - {(1,)}:
+            M = M * RatFunc(b)
+        for r in rows:
+            for vec in basis:
+                cleared = [r[k] * vec[k] * M * M for k in r.keys() & vec.keys()]
+                assert all(_pmonomial(t.den)[1] == 1 for t in cleared)  # Laurent, integer coefficients
+                assert sum(abs(a) for t in cleared for a in t.num) <= bound.height
 
 
 class ScanningEchelon(Echelon):

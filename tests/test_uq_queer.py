@@ -5,12 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from queerdual import scalars
-from queerdual.scalars import ONE, QINV, RatFunc, XI, Q, ZERO, PoleAtPoint, kronecker_point
+from queerdual.scalars import ONE, P, QINV, RatFunc, XI, Q, ZERO, EvalPoint, PoleAtPoint, kronecker_point, sample_mod_p
 from queerdual.duality import _pick_seed, enumerate_strict_partitions
 from queerdual.superlinalg import (
     POINT,
     Echelon,
-    at_kronecker_point,
     SOp,
     SuperSpace,
     flatten_vector,
@@ -50,7 +49,7 @@ from queerdual.uq_queer import (
     weight_spaces,
 )
 
-from oracles import frac_rank, vectors_rows
+from oracles import decide_in_qq, frac_rank, relation_sides, vectors_rows
 
 
 # -- S-matrix ---------------------------------------------------------------
@@ -179,7 +178,7 @@ def test_relations_prob_bound_recorded():
 
 def _exact_differences(rep):
     """Every entry of prod - 1 (unit relations) and lhs - rhs (quadratic ones) in Q(q)."""
-    from queerdual.uq_queer import _relation_sides, param_q, param_xi
+    from queerdual.uq_queer import param_q, param_xi
 
     n = rep.spec.n
     qq, xi = param_q(rep.param), param_xi(rep.param)
@@ -187,7 +186,7 @@ def _exact_differences(rep):
     diffs = [rep.gen[(i, i)] @ rep.gen[(-i, -i)] - ident for i in index_range(n)]
     for (i, j) in generator_pairs(n):
         for (k, l) in generator_pairs(n):
-            lhs, rhs = _relation_sides(rep.gen, i, j, k, l, qq, xi, {})
+            lhs, rhs = relation_sides(rep.gen, i, j, k, l, qq, xi)
             diffs.append(lhs - rhs)
     return [v for d in diffs for v in d.entries.values()]
 
@@ -225,7 +224,7 @@ def test_quadratic_witness_drops_each_product_after_its_last_use():
 
 
 def test_quadratic_witness_is_the_first_failing_instance():
-    from queerdual.uq_queer import _quadratic_witness, _relation_sides, param_q, param_xi
+    from queerdual.uq_queer import _quadratic_witness, param_q, param_xi
 
     bad = _defective(2, 2, (1, 2), Q)
     qq, xi = param_q(bad.param), param_xi(bad.param)
@@ -233,7 +232,7 @@ def test_quadratic_witness_is_the_first_failing_instance():
     failing = []
     for (i, j) in pairs:
         for (k, l) in pairs:
-            lhs, rhs = _relation_sides(bad.gen, i, j, k, l, qq, xi, {})
+            lhs, rhs = relation_sides(bad.gen, i, j, k, l, qq, xi)
             if lhs != rhs:
                 failing.append((i, j, k, l))
     assert failing
@@ -298,12 +297,11 @@ def test_relation_witness_is_pinned():
 
 
 def check_in_qq(rep):
-    """The relation check computed in Q(q), with no Mersenne prime to pick a point in."""
+    """The relation check with every instance decided in Q(q), on its two sides
+    built as operators (``oracles.decide_in_qq``)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scalars, "MERSENNE_EXPONENTS", ())
-        report = check_defining_relations(rep)
-    assert report.derived_values["exact_point"] == "Q(q)"
-    return report
+        decide_in_qq(mp)
+        return check_defining_relations(rep)
 
 
 def _verdicts(report):
@@ -314,16 +312,22 @@ def _verdicts(report):
 def test_kronecker_verdicts_match_qq_on_passing_reps(n, m):
     rep = tensor_rep(vector_rep(n), m)
     report = check_defining_relations(rep)
-    assert report.ok and report.derived_values["exact_point"].endswith("in GF(2^521 - 1)")
+    assert report.ok and report.derived_values["exact_point"].endswith(" in Z")
     assert _verdicts(report) == _verdicts(check_in_qq(rep))
 
 
-def _kronecker_defects():
-    # (n, m, generator, factor, the field of the point): a factor with a large
-    # constant needs the larger prime, and one of 2^61 reaches past every
-    # listed prime, so that check runs in Q(q)
-    from queerdual.scalars import P
+def former_field(bound):
+    """Where the check of ``bound`` ran when exact points were q = 2^B in the
+    smallest Mersenne field GF(2^k - 1), k in (521, 607), with 2^k - 1 > H X^D,
+    and in Q(q) past both: the planted defects cover every such height."""
+    reach = bound.height << (bound.height.bit_length() * bound.degree)
+    return next((f"GF(2^{k} - 1)" for k in (521, 607) if (1 << k) - 1 > reach), "Q(q)")
 
+
+def _kronecker_defects():
+    # (n, m, generator, factor, the field of the former point): a factor with
+    # a large constant needed the larger prime, and one of 2^61 reached past
+    # every prime, so that check ran in Q(q); each runs in Z now
     return [
         (2, 2, (1, 2), Q, "GF(2^521 - 1)"),
         (2, 2, (1, 2), (Q + 2).inverse(), "GF(2^521 - 1)"),
@@ -338,9 +342,12 @@ def _kronecker_defects():
 
 @pytest.mark.parametrize("n,m,key,factor,field", _kronecker_defects())
 def test_kronecker_verdicts_match_qq_on_defects(n, m, key, factor, field):
+    from queerdual.uq_queer import _relation_bound
+
     bad = _defective(n, m, key, factor)
+    assert former_field(_relation_bound(bad.gen, Q, XI)[1]) == field
     report = check_defining_relations(bad)
-    assert not report.ok and report.derived_values["exact_point"].endswith(field)
+    assert not report.ok and report.derived_values["exact_point"].endswith(" in Z")
     assert _verdicts(report) == _verdicts(check_in_qq(bad))
 
 
@@ -348,13 +355,12 @@ def test_kronecker_point_is_taken_from_the_perturbed_values():
     # a defect that vanishes at the point the unperturbed values would pick
     from queerdual.uq_queer import _relation_bound
 
-    bits, p = kronecker_point(_relation_bound(tensor_rep(vector_rep(2), 2))[1])
-    factor = Q + (1 - 2**bits)
-    assert factor.residue(2**bits, p) == 1 and factor != ONE
+    X = kronecker_point(*_relation_bound(tensor_rep(vector_rep(2), 2).gen, Q, XI)).q
+    factor = Q + (1 - X)
+    assert factor.specialize(X) == 1 and factor != ONE
     bad = _defective(2, 2, (1, 1), factor)
     report = check_defining_relations(bad)
-    stale = f"q = 2^{bits} in GF(2^{p.bit_length()} - 1)"
-    assert report.derived_values["exact_point"] not in ("Q(q)", stale)
+    assert report.derived_values["exact_point"] != f"q = 2^{X.bit_length() - 1} in Z"
     assert not report.ok
     assert _verdicts(report) == _verdicts(check_in_qq(bad))
 
@@ -366,8 +372,8 @@ def test_kronecker_height_bound_covers_exact_differences(factor):
     from queerdual.uq_queer import _relation_bound
 
     bad = _defective(2, 2, (1, 2), factor)
-    values, bound = _relation_bound(bad)
-    bits, _ = kronecker_point(bound)
+    values, bound = _relation_bound(bad.gen, Q, XI)
+    X = kronecker_point(values, bound).q
     M = ONE
     for b in {v.den[_ptrailing(v.den):] for v in values} - {(1,)}:
         M = M * RatFunc(b)
@@ -377,7 +383,7 @@ def test_kronecker_height_bound_covers_exact_differences(factor):
         pf = f * M * M
         t, c = _pmonomial(pf.den)
         assert c == 1  # f M^2 is a Laurent polynomial with integer coefficients
-        assert sum(abs(a) for a in pf.num) <= bound.height < 2**bits
+        assert sum(abs(a) for a in pf.num) <= bound.height < X
         assert len(pf.num) - 1 - _ptrailing(pf.num) <= bound.degree
 
 
@@ -396,14 +402,21 @@ def test_relations_exact_does_no_ratfunc_products(monkeypatch):
     assert calls == []
 
 
-def test_relations_in_qq_when_no_listed_prime_is_large_enough(monkeypatch):
-    monkeypatch.setattr(scalars, "MERSENNE_EXPONENTS", (61,))
-    bad = _defective(2, 2, (1, 2), Q)
+def test_relations_past_every_mersenne_prime_keep_the_pinned_witness():
+    # a height past 2^607 - 1 once sent this check to Q(q); it runs in Z
+    bad = _defective(2, 2, (1, 2), Q * (1 + P))
     report = check_defining_relations(bad)
-    assert report.derived_values["exact_point"] == "Q(q)"
+    assert report.derived_values["exact_point"].endswith(" in Z")
     (fail,) = report.failures()
     assert fail.name == "quadratic_relations"
     assert fail.witness == {"instance": (-2, -1, 1, 2), "basis_vector": "(-1, 1)"}
+    assert _verdicts(report) == _verdicts(check_in_qq(bad))
+
+
+def test_relations_on_the_tenth_tensor_power_pass_at_an_integer_point():
+    # the frontier of the former prime list: (1, 10) ran in Q(q)
+    report = check_defining_relations(tensor_rep(vector_rep(1), 10))
+    assert report.ok and report.derived_values["exact_point"].endswith(" in Z")
 
 
 def test_comultiplication_sign_collapse():
@@ -762,9 +775,10 @@ def test_classical_limit_pole_detection():
 @example(key=(-2, -1), factor=(Q + 2).inverse(), extra=XI)
 def test_residue_loop_reports_the_sop_references_first_failing_instance(key, factor, extra):
     # generators with a defect planted in Q(q): a scaled generator with one
-    # entry shifted; the residue loop at the Kronecker point, the same loop in
-    # Q(q) and the SOp sides of _relation_sides agree on the first failing instance
-    from queerdual.uq_queer import _quadratic_witness, _relation_bound, _relation_sides
+    # entry shifted; the integer loop at the Kronecker point, the residue loop
+    # at a GF(p) point and the SOp sides of the oracle agree on the first
+    # failing instance
+    from queerdual.uq_queer import _quadratic_witness, _relation_bound
 
     rep = tensor_rep(vector_rep(2), 2)
     G = dict(rep.gen)
@@ -774,14 +788,15 @@ def test_residue_loop_reports_the_sop_references_first_failing_instance(key, fac
     reference = None
     for (i, j) in pairs:
         for (k, l) in pairs:
-            lhs, rhs = _relation_sides(G, i, j, k, l, Q, XI, {})
+            lhs, rhs = relation_sides(G, i, j, k, l, Q, XI)
             if lhs != rhs:
                 diff = lhs - rhs
                 reference = {"instance": (i, j, k, l), "basis_vector": repr(next(iter(diff.entries))[1])}
                 break
         if reference is not None:
             break
-    image, p, _ = at_kronecker_point(*_relation_bound(QueerRep(rep.spec, rep.space, G)))
-    assert p is not None
-    assert _quadratic_witness(G, pairs, Q, XI, image=image, p=p) == reference
+    values, bound = _relation_bound(G, Q, XI)
+    assert _quadratic_witness(G, pairs, Q, XI, point=kronecker_point(values, bound)) == reference
     assert _quadratic_witness(G, pairs, Q, XI) == reference
+    c, image = sample_mod_p(random.Random(0), values)
+    assert _quadratic_witness(G, pairs, Q, XI, point=EvalPoint(c, image, P)) == reference

@@ -1,10 +1,11 @@
 """Command-line entry point: one subcommand per verification suite.
 
-Exit status is 1 when any check fails and 2 for an invalid configuration or an
-output path that cannot be written.  Reports are emitted as JSON with
-the schema {suite, params, checks: [{name, status, witness?, value?}],
-derived_values, elapsed_ms}; the --all battery wraps the individual reports.
-Runs are deterministic for a fixed configuration (elapsed_ms aside).
+Exit status is 1 when any check fails and 2 for an invalid configuration, a
+corrupt expectations file or an output path that cannot be written.  Reports
+are emitted as JSON with the schema {suite, params, checks: [{name, status,
+witness?, value?}], derived_values, elapsed_ms}; the --all battery wraps the
+individual reports.  Runs are deterministic for a fixed configuration
+(elapsed_ms aside).
 """
 
 from __future__ import annotations
@@ -255,8 +256,11 @@ def main(argv: list[str] | None = None) -> int:
         validate(cfg)
         if not cfg.all and not cfg.suite:
             parser.error("a suite name or --all is required")
-        if cfg.all:
+        try:
             expected = None if cfg.write_expectations else load_expectations()
+        except ValueError as exc:
+            raise InvalidConfig(f"corrupt expectations file: {exc}") from None
+        if cfg.all:
             reports = run_battery(cfg, expected)
             ok = all(r.ok for r in reports)
             payload = {"ok": ok, "suites": [r.to_dict() for r in reports]}
@@ -264,7 +268,6 @@ def main(argv: list[str] | None = None) -> int:
                 expectations = collect_expectations(reports)
         else:
             report = SUITES[cfg.suite](cfg)
-            expected = load_expectations()
             if expected:
                 _apply_regressions(report, expected)
             ok = report.ok

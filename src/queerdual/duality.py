@@ -730,10 +730,16 @@ def classical_crosscheck(n: int, m: int) -> VerifyReport:
 # frozen expectations
 # ---------------------------------------------------------------------------
 
+EXPECTATIONS = resources.files("queerdual").joinpath("expected_values.json")
+
+
 def load_expectations() -> dict:
+    """The frozen values of ``EXPECTATIONS`` ({} without it); ValueError if it is corrupt."""
     try:
-        text = resources.files("queerdual").joinpath("expected_values.json").read_text()
+        data = json.loads(EXPECTATIONS.read_text())
     except FileNotFoundError:
         return {}
-    return json.loads(text)
+    if not isinstance(data, dict) or not all(isinstance(v, dict) for k, v in data.items() if not k.startswith("_")):
+        raise ValueError(f"{EXPECTATIONS} is not a JSON object of per-suite objects")
+    return data
 

@@ -23,8 +23,9 @@ T_a T_a + (q'^{-1} - q') T_a - 1 = 0.
 
 Each family instance is a relation between words of at most three generators,
 checked by ``superlinalg.relation_failures`` on integers at one Kronecker point
-q = 2^B in Z (``_hc_bound`` bounds every difference), so the verdicts and
-witnesses are those of Q(q); the report records the point as ``exact_point``.
+q = 2^B in Z, whose bound ``superlinalg.relation_bound`` derives from the
+instances themselves, so the verdicts and witnesses are those of Q(q); the
+report records the point as ``exact_point``.
 
 The tensor action is the direct transcription of the two closed formulas
 (graded swap with q-weight, two xi-corrections guarded by the order on the
@@ -39,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .report import VerifyReport
-from .scalars import ONE, IdentityBound, identity_bound, kronecker_point, q_number
-from .superlinalg import SOp, SuperSpace, index_parity, relation_failures, row_width, tensor_space, word_sum
+from .scalars import ONE, kronecker_point, q_number
+from .superlinalg import SOp, SuperSpace, index_parity, relation_bound, relation_failures, tensor_space, word_sum
 from .uq_queer import (
     PARAM_Q,
     QueerRep,
@@ -197,29 +198,6 @@ def zero_weight_hc(rep) -> HCAction:
     return HCAction(HCSpec(m, opposite_param(rep.param)), sub, t_ops, c_ops)
 
 
-def _hc_bound(ops: dict, qq) -> tuple[set, IdentityBound]:
-    """The values, every T and C entry and 1, and the identity bound that covers
-    every difference entry hc_check tests.
-
-    Let w be the largest number of nonzero entries in a row of a generator.
-    Entry (r, c) of a word g_1 ... g_k is the sum over the paths r = s_0,
-    s_1, ..., s_k = c of g_1[s_0, s_1] ... g_k[s_{k-1}, s_k]; s_1 .. s_{k-1}
-    each run over the nonzero entries of one row, so the sum has at most
-    w^(k-1) nonzero terms, each a product of k <= 3 entries, padded with 1 to
-    three factors.  A difference entry therefore has at most
-      hc1: w (T T) + 1 (q'^-1 T) + 1 (q' T) + 1 (the constant 1) = w + 3,
-      hc2: 2 w^2 (two words of length 3),
-      hc3, hc5, hc6, hc7: 2 w (two words of length 2),
-      hc4 and the Clifford square: w (C C) + 1 (eps 1) = w + 1
-    terms, each +-s * g_1 g_2 g_3 with s in {q', q'^-1, 1}; max(2 w^2, w + 3)
-    bounds them all.
-    """
-    values = {v for op in ops.values() for v in op.entries.values()} | {ONE}
-    width = row_width(ops.values())
-    terms = max(2 * width * width, width + 3)
-    return values, identity_bound(values, (qq, qq.inverse(), ONE), factors=3, terms=terms)
-
-
 def hc_check(action: HCAction, qq=None) -> VerifyReport:
     """Verify relation families hc1..hc7 exactly; failures carry a witness word.
 
@@ -231,10 +209,10 @@ def hc_check(action: HCAction, qq=None) -> VerifyReport:
     Each relation accumulates lhs - rhs entry by entry on integers
     (``superlinalg.relation_failures``); the two sides are built as operators
     in Q(q) only for the witness of a failing instance.  The action is
-    evaluated once, at the Kronecker point q = 2^B in Z of the bound in
-    ``_hc_bound`` (``scalars.kronecker_point`` has the proof), so every verdict
-    and witness is that of Q(q); the report records the point as
-    ``exact_point``.
+    evaluated once, at the Kronecker point q = 2^B in Z of
+    ``superlinalg.relation_bound`` over the Clifford squares and every family
+    instance (``scalars.kronecker_point`` has the proof), so every verdict and
+    witness is that of Q(q); the report records the point as ``exact_point``.
     """
     m = action.spec.m
     if qq is None:
@@ -244,8 +222,6 @@ def hc_check(action: HCAction, qq=None) -> VerifyReport:
     )
     ops = {**{("T", a): action.t(a) for a in range(1, m)}, **{("C", b): action.c(b) for b in range(1, m + 1)}}
     shift = qq.inverse() - qq  # the hc1 coefficient, one object for every a
-    point = kronecker_point(*_hc_bound(ops, qq))
-    report.derive("exact_point", point.name)
 
     def T(a):
         return ("T", a)
@@ -253,32 +229,38 @@ def hc_check(action: HCAction, qq=None) -> VerifyReport:
     def C(b):
         return ("C", b)
 
+    def families(eps) -> list:
+        """hc1..hc7 for the Clifford square eps, or one failing hc4 when eps is None."""
+        checks = [("hc1", {"a": a}, [((T(a), T(a)), 1), ((T(a),), shift), ((), -1)], []) for a in range(1, m)]
+        for a in range(1, m - 1):
+            checks.append(("hc2", {"a": a}, [((T(a), T(a + 1), T(a)), 1)], [((T(a + 1), T(a), T(a + 1)), 1)]))
+        for a in range(1, m):
+            for b in range(a + 2, m):
+                checks.append(("hc3", {"a": a, "b": b}, [((T(a), T(b)), 1)], [((T(b), T(a)), 1)]))
+        if eps is None:
+            checks.append(("hc4", {"b": 1}, [((C(1), C(1)), 1)], [((), 1)]))
+        else:
+            for b in range(1, m + 1):
+                checks.append(("hc4", {"b": b, "eps": eps}, [((C(b), C(b)), 1)], [((), eps)]))
+        for a in range(1, m + 1):
+            for b in range(a + 1, m + 1):
+                checks.append(("hc5", {"a": a, "b": b}, [((C(a), C(b)), 1)], [((C(b), C(a)), -1)]))
+        for a in range(1, m):
+            checks.append(("hc6", {"a": a}, [((T(a), C(a)), 1)], [((C(a + 1), T(a)), 1)]))
+        for a in range(1, m):
+            for b in range(1, m + 1):
+                if b not in (a, a + 1):
+                    checks.append(("hc7", {"a": a, "b": b}, [((T(a), C(b)), 1)], [((C(b), T(a)), 1)]))
+        return checks
+
     # the Clifford square: one uniform sign across all generators
     squares = [(e, [((C(1), C(1)), 1)], [((), e)]) for e in (1, -1)]
+    # the sign of eps leaves the bound unchanged, and families(1) holds every instance of families(None)
+    point = kronecker_point(*relation_bound(ops, squares + [check[1:] for check in families(1)]))
+    report.derive("exact_point", point.name)
     failing = relation_failures(ops, squares, point)
     eps = next((e for t, (e, _, _) in enumerate(squares) if t not in failing), None)
-
-    checks = [("hc1", {"a": a}, [((T(a), T(a)), 1), ((T(a),), shift), ((), -1)], []) for a in range(1, m)]
-    for a in range(1, m - 1):
-        checks.append(("hc2", {"a": a}, [((T(a), T(a + 1), T(a)), 1)], [((T(a + 1), T(a), T(a + 1)), 1)]))
-    for a in range(1, m):
-        for b in range(a + 2, m):
-            checks.append(("hc3", {"a": a, "b": b}, [((T(a), T(b)), 1)], [((T(b), T(a)), 1)]))
-    if eps is None:
-        checks.append(("hc4", {"b": 1}, [((C(1), C(1)), 1)], [((), 1)]))
-    else:
-        for b in range(1, m + 1):
-            checks.append(("hc4", {"b": b, "eps": eps}, [((C(b), C(b)), 1)], [((), eps)]))
-    for a in range(1, m + 1):
-        for b in range(a + 1, m + 1):
-            checks.append(("hc5", {"a": a, "b": b}, [((C(a), C(b)), 1)], [((C(b), C(a)), -1)]))
-    for a in range(1, m):
-        checks.append(("hc6", {"a": a}, [((T(a), C(a)), 1)], [((C(a + 1), T(a)), 1)]))
-    for a in range(1, m):
-        for b in range(1, m + 1):
-            if b not in (a, a + 1):
-                checks.append(("hc7", {"a": a, "b": b}, [((T(a), C(b)), 1)], [((C(b), T(a)), 1)]))
-
+    checks = families(eps)
     failing = set(relation_failures(ops, [check[1:] for check in checks], point))
     report.derive("clifford_square", eps)
     for t, (name, ctx, lhs, rhs) in enumerate(checks):

@@ -575,9 +575,9 @@ class IdentityBound(NamedTuple):
 def identity_bound(values, scalars=(ONE,), factors: int = 1, terms: int = 1) -> IdentityBound:
     """Schwartz-Zippel bound for testing f = 0 in GF(p) at a random point.
 
-    f is a sum of at most ``terms`` terms, each a constant +-1 or
-    +-s * g_1 * ... * g_k with s in ``scalars`` (Laurent polynomials), every
-    g_i in ``values`` and k = ``factors``.
+    f is a sum of terms +-s * g_1 * ... * g_k with s in ``scalars`` (Laurent
+    polynomials), every g_i in ``values`` and k = ``factors``, whose 1-norms
+    ||s||_1 add up to at most ``terms``.
 
     Proof.  Write each nonzero value g = a / (q^t B) with a, B in Z[q] and
     B(0) != 0.  Let M be the product of the distinct B != 1, m = deg M and
@@ -590,7 +590,7 @@ def identity_bound(values, scalars=(ONE,), factors: int = 1, terms: int = 1) -> 
         HI = max(k m, max_s hi(s) + k max_g hi(g)),
 
     and P_f = q^-LO F is in Z[q], of degree at most D = HI - LO and 1-norm at
-    most H = terms * max ||s||_1 * (max ||a||_1 * K)^k.
+    most H = terms * (max ||a||_1 * K)^k.
 
     The checkers draw c uniformly from [2, p), redrawing while some value has
     a pole mod p there.  ``RatFunc.residue`` at c is a ring homomorphism on the
@@ -621,8 +621,7 @@ def identity_bound(values, scalars=(ONE,), factors: int = 1, terms: int = 1) -> 
     lo = min(0, min(_ptrailing(s.num) - t for s, t in zip(scalars, t_s)) + factors * lo_g)
     hi = max(factors * m, max(len(s.num) - 1 - t for s, t in zip(scalars, t_s)) + factors * hi_g)
     a_norm = max((_pnorm1(g.num) for g in values), default=1)
-    s_norm = max(1, *(_pnorm1(s.num) for s in scalars))
-    height = terms * s_norm * (a_norm * math.prod(_pnorm1(b) for b in dens)) ** factors
+    height = terms * (a_norm * math.prod(_pnorm1(b) for b in dens)) ** factors
     return IdentityBound(hi - lo, m + 2, height)
 
 

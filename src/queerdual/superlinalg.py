@@ -31,7 +31,8 @@ differ; ``submodule_echelon`` picks the words of a submodule in GF(p) and
 certifies that their span is invariant (``invariant_under``), falling back to
 the exact closure when it is not.  Every exact zero test (``relation_failures``,
 ``invariant_under``, ``kernel_basis``'s dropped rows) runs on integers at a
-Kronecker point q = 2^B in Z, where it is exact.
+Kronecker point q = 2^B in Z, where it is exact; every relation check takes
+its point from ``relation_bound``, derived from the instances it tests.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .scalars import ONE, P, ZERO, EvalPoint, IdentityBound, RatFunc, identity_bound, kronecker_point, sample_mod_p
+from .scalars import (
+    ONE, P, ZERO, EvalPoint, IdentityBound, RatFunc, _coerce, _pnorm1, identity_bound, kronecker_point, sample_mod_p,
+)
 
 
 def index_parity(i: int) -> int:
@@ -350,7 +353,8 @@ def relation_failures(ops: dict, instances, point: EvalPoint, prod=None) -> list
     """
     N = next(iter(ops.values())).dom.dim
     p, lam = point.p, point.lam
-    mats = {key: _columns(op, point.image.__getitem__) for key, op in ops.items()}  # (flat, by columns)
+    used = {w for _, lhs, rhs in instances for word, _ in (*lhs, *rhs) for w in word}
+    mats = {key: _columns(ops[key], point.image.__getitem__) for key in used}  # (flat, by columns)
     # keyed by identity, so that no term hashes a RatFunc; callers share coefficient objects
     coefs = {id(c): c for _, lhs, rhs in instances for _, c in (*lhs, *rhs)}
     coef_image = dict(zip(coefs, point.coefficients(coefs.values())))
@@ -400,6 +404,37 @@ def relation_failures(ops: dict, instances, point: EvalPoint, prod=None) -> list
     return failures
 
 
+def relation_bound(ops: dict, instances) -> tuple[set, IdentityBound]:
+    """Every entry of ``ops`` and 1, and the identity bound that covers every
+    entry of lhs - rhs that ``relation_failures`` tests on ``instances``.
+
+    Proof.  Entry (r, c) of a word g_1 ... g_k is the sum over the paths
+    r = s_0, s_1, ..., s_k = c of g_1[s_0, s_1] ... g_k[s_{k-1}, s_k]; for
+    i < k, s_i runs over the nonzero entries of one row of g_i, so the sum has
+    at most w_1 ... w_{k-1} nonzero terms, w_i the row width of g_i (one for
+    the empty word).  Padded with the value 1 to K factors, K the longest
+    word, a term (word, s) contributes products s g_1 ... g_K whose
+    coefficients' 1-norms add up to at most ||s||_1 w_1 ... w_{k-1}.  The
+    largest sum of these over the terms of one instance is the ``terms`` of
+    ``scalars.identity_bound``, whose scalars are the coefficients.
+    """
+    widths = {key: row_width([op]) for key, op in ops.items()}
+    scalars = {id(c): _coerce(c) for _, lhs, rhs in instances for _, c in (*lhs, *rhs)}  # keyed as in relation_failures
+    norms = {key: _pnorm1(s.num) for key, s in scalars.items()}
+    factors = terms = 0
+    for _, lhs, rhs in instances:
+        count = 0
+        for word, c in (*lhs, *rhs):
+            norm = norms[id(c)]
+            for w in word[:-1]:
+                norm *= widths[w]
+            count += norm
+            factors = max(factors, len(word))  # as relation_failures pads
+        terms = max(terms, count)
+    values = {v for op in ops.values() for v in op.entries.values()} | {ONE}
+    return values, identity_bound(values, [s for s in scalars.values() if s.num] or [ONE], factors, terms)
+
+
 def _columns(op: SOp, scalar) -> tuple[dict, dict]:
     """op over basis positions, each entry v as scalar(v): flat, {c * N + r: value}
     with N = op.cod.dim, and by columns, {c: [(r, value), ...]}."""
@@ -431,28 +466,14 @@ def row_width(ops: Iterable[SOp]) -> int:
     return max((max(Counter(r for r, _ in op.entries).values(), default=0) for op in ops), default=0)
 
 
-def supercommutation_bound(A_ops: list[SOp], B_ops: list[SOp]) -> tuple[set, IdentityBound]:
-    """The entries of both families, and the identity bound that covers every
-    entry ``supercommutation_failures`` tests: identity_bound(entries,
-    factors=2, terms=2 w), w = ``row_width`` of both families.
-
-    Proof.  Entry (r, c) of a b is the sum over k of a[r, k] b[k, c], whose
-    nonzero terms are at most the w nonzero entries of row r of a; so an entry
-    of a b - (-1)^{|a||b|} b a is a sum of at most 2 w terms +-g_1 g_2, each
-    g_i an entry of one of the operators.
-    """
-    values = {v for op in (*A_ops, *B_ops) for v in op.entries.values()}
-    return values, identity_bound(values, factors=2, terms=2 * row_width([*A_ops, *B_ops]))
-
-
 def supercommutation_failures(A_ops: list[SOp], B_ops: list[SOp]) -> tuple[list[tuple[int, int]], str]:
     """The pairs (i, j), in order, with A_ops[i] B_ops[j] != (-1)^{|a||b|}
     B_ops[j] A_ops[i], and the point the check ran at, "q = 2^B in Z".
 
     Both families have entries in Q(q).  Each pair is one instance of
     ``relation_failures``, on integers at the Kronecker point of
-    ``supercommutation_bound``: there a difference entry is 0 exactly when it
-    is 0 in Q(q), so the pairs are those of Q(q).
+    ``relation_bound``: there a difference entry is 0 exactly when it is 0 in
+    Q(q), so the pairs are those of Q(q).
     """
     ops = {**{("a", i): a for i, a in enumerate(A_ops)}, **{("b", j): b for j, b in enumerate(B_ops)}}
     pairs = [(i, j) for i in range(len(A_ops)) for j in range(len(B_ops))]
@@ -460,7 +481,7 @@ def supercommutation_failures(A_ops: list[SOp], B_ops: list[SOp]) -> tuple[list[
         ((i, j), [((("a", i), ("b", j)), 1)], [((("b", j), ("a", i)), -1 if A_ops[i].par and B_ops[j].par else 1)])
         for i, j in pairs
     ]
-    point = kronecker_point(*supercommutation_bound(A_ops, B_ops))
+    point = kronecker_point(*relation_bound(ops, instances))
     return [pairs[t] for t in relation_failures(ops, instances, point)], point.name
 
 

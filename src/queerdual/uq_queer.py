@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 from .report import VerifyReport
 from .scalars import (
-    ONE, P, QINV, Q, EvalPoint, IdentityBound, PoleAtPoint, RatFunc, _pmonomial, identity_bound, kronecker_point,
-    sample_mod_p,
+    ONE, P, QINV, Q, EvalPoint, IdentityBound, PoleAtPoint, RatFunc, _pmonomial, kronecker_point, sample_mod_p,
 )
 from .superlinalg import (
     SOp,
@@ -35,6 +34,7 @@ from .superlinalg import (
     index_parity,
     index_range,
     joint_kernel,
+    relation_bound,
     relation_failures,
     span_dim,
     submodule_echelon,
@@ -265,46 +265,30 @@ def _relation_terms(i, j, k, l, qpow, xi):
     return lhs, rhs
 
 
-def _witness(G, key: str, ctx, lhs, rhs) -> dict:
-    """The witness of a failing instance: the basis vector of the first entry of
-    lhs - rhs, built from the operators G in Q(q)."""
+def _quadratic_instances(pairs, qq, xi) -> list:
+    """Every quadratic relation instance (i, j, k, l) over the generator pairs."""
+    qpow, xis = {e: (s, -s) for e, s in ((-1, qq.inverse()), (0, ONE), (1, qq))}, (xi, -xi)
+    return [((i, j, k, l), *_relation_terms(i, j, k, l, qpow, xis)) for (i, j) in pairs for (k, l) in pairs]
+
+
+def _first_failure(G, key: str, instances, point: EvalPoint, prod: dict | None = None):
+    """The witness of the first instance that fails on the operators G at
+    ``point``, or None: the first entry of its lhs - rhs, built from G in Q(q)."""
+    failures = relation_failures(G, instances, point, prod)
+    if not failures:
+        return None
+    ctx, lhs, rhs = instances[failures[0]]
     diff = word_sum(G, lhs) - word_sum(G, rhs)
     return {key: ctx, "basis_vector": repr(next(iter(diff.entries))[1])}
 
 
-def _unit_witness(G, n: int, point: EvalPoint):
-    """The first unit relation L_ii L_{-i,-i} = 1 or L_{-i,-i} L_ii = 1 that fails
-    on the operators G at ``point``, or None."""
-    instances = [
-        (i, [((left, right), 1)], [((), 1)])
-        for i in index_range(n) for left, right in (((i, i), (-i, -i)), ((-i, -i), (i, i)))
-    ]
-    failures = relation_failures(G, instances, point)
-    return _witness(G, "i", *instances[failures[0]]) if failures else None
-
-
 def _quadratic_witness(G, pairs, qq, xi, prod: dict | None = None, point: EvalPoint | None = None):
-    """The first quadratic relation instance that fails on the operators G, or None.
-
-    The check runs at ``point``, by default the Kronecker point of
-    ``_relation_bound``; ``relation_failures`` keeps each product in ``prod``
-    until its last use."""
+    """The first quadratic relation instance that fails on the operators G, or
+    None; by default at the Kronecker point of ``relation_bound`` on them."""
+    instances = _quadratic_instances(pairs, qq, xi)
     if point is None:
-        point = kronecker_point(*_relation_bound(G, qq, xi))
-    qpow, xis = {e: (s, -s) for e, s in ((-1, qq.inverse()), (0, ONE), (1, qq))}, (xi, -xi)
-    instances = [((i, j, k, l), *_relation_terms(i, j, k, l, qpow, xis)) for (i, j) in pairs for (k, l) in pairs]
-    failures = relation_failures(G, instances, point, prod)
-    return _witness(G, "instance", *instances[failures[0]]) if failures else None
-
-
-def _relation_bound(G: dict, qq, xi) -> tuple[set, IdentityBound]:
-    """The scalars a relation check on the operators G starts from (every
-    generator entry, q and xi) and the identity bound that covers every entry
-    the check builds."""
-    values = {v for op in G.values() for v in op.entries.values()} | {qq, xi}
-    # each lhs - rhs entry: at most 6 * dim products of two entries, times q^{+-1}, 1 or xi
-    dim = next(iter(G.values())).dom.dim
-    return values, identity_bound(values, (qq, qq.inverse(), ONE, xi), factors=2, terms=6 * dim)
+        point = kronecker_point(*relation_bound(G, instances))
+    return _first_failure(G, "instance", instances, point, prod)
 
 
 def _prob_trials(report: VerifyReport, values, bound: IdentityBound, trials: int, seed: int):
@@ -337,9 +321,10 @@ def check_defining_relations(
     (``superlinalg.relation_failures``); the two sides are built as operators
     only for the witness of the first failing instance, from the generators in
     Q(q).  Both modes map every generator entry to an int at a point and test
-    there.  Bounds D on the degree and H on the height of every entry the
-    checks build come from the measured degrees and coefficients of the
-    generator entries (``scalars.identity_bound`` has the proof).
+    there.  The unit and quadratic instances are built once, and bounds D on
+    the degree and H on the height of every entry they test come from those
+    instances, with the generator entries and the coefficients they use
+    (``superlinalg.relation_bound`` has the proof).
 
     Exact mode evaluates once, at the Kronecker point q = 2^B in Z, B the bit
     length of H, where an entry is 0 exactly when it is 0 in Q(q)
@@ -362,8 +347,13 @@ def check_defining_relations(
     )
     if mode not in ("exact", "prob"):
         raise ValueError(f"unknown mode {mode!r}")
-    qq, xi = param_q(rep.param), param_xi(rep.param)
-    values, bound = _relation_bound(rep.gen, qq, xi)
+    pairs = generator_pairs(n)
+    unit = [  # L_ii L_{-i,-i} = 1 and L_{-i,-i} L_ii = 1
+        (i, [((left, right), 1)], [((), 1)])
+        for i in index_range(n) for left, right in (((i, i), (-i, -i)), ((-i, -i), (i, i)))
+    ]
+    quadratic = _quadratic_instances(pairs, param_q(rep.param), param_xi(rep.param))
+    values, bound = relation_bound(rep.gen, unit + quadratic)
     points = None
     if mode == "prob":
         draws = _prob_trials(report, values, bound, trials, seed)
@@ -373,12 +363,10 @@ def check_defining_relations(
         point = kronecker_point(values, bound)
         report.derive("exact_point", point.name)
         points = [("", point)]
-    pairs = generator_pairs(n)
     for tag, point in points:
-        unit_wit = _unit_witness(rep.gen, n, point)
-        report.add(f"{tag}unit_relations", unit_wit is None, witness=unit_wit)
-        quad_wit = _quadratic_witness(rep.gen, pairs, qq, xi, point=point)
-        report.add(f"{tag}quadratic_relations", quad_wit is None, witness=quad_wit)
+        for name, key, instances in (("unit", "i", unit), ("quadratic", "instance", quadratic)):
+            witness = _first_failure(rep.gen, key, instances, point)
+            report.add(f"{tag}{name}_relations", witness is None, witness=witness)
     report.derive("n_quadratic_instances", len(pairs) ** 2)
     return report.finish()
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from queerdual import duality, hecke_clifford, superlinalg, uq_queer
-from queerdual.scalars import ONE, RatFunc
-from queerdual.superlinalg import word_sum
+from queerdual.scalars import ONE, RatFunc, _pmonomial, _ptrailing, kronecker_point
+from queerdual.superlinalg import relation_bound, word_sum
 from queerdual.uq_queer import _relation_terms
 
 
@@ -200,3 +200,39 @@ def decide_in_qq(mp) -> None:
     for module in (superlinalg, duality):
         mp.setattr(module, "invariant_under", lambda ops, vectors, rows: not invariance_differences(ops, vectors, rows))
     mp.setattr(superlinalg, "_annihilates", lambda rows, basis, ncols: not any(dot_products(rows, basis)))
+
+
+# -- the bounds behind the Kronecker points ----------------------------------
+
+
+def recording_relation_bounds(mp, module) -> list:
+    """Patch ``module.relation_bound`` to record the (values, bound) of every call."""
+    calls = []
+
+    def recording(ops, instances):
+        calls.append(relation_bound(ops, instances))
+        return calls[-1]
+
+    mp.setattr(module, "relation_bound", recording)
+    return calls
+
+
+def assert_bound_covers(values, bound, diffs, factors):
+    """For every f in diffs, P_f = q^-LO f M^factors is in Z[q] with 1-norm at
+    most H < X, the Kronecker point, and degree at most D."""
+    M = ONE
+    for b in {v.den[_ptrailing(v.den):] for v in values if v} - {(1,)}:
+        M = M * RatFunc(b)
+    assert diffs
+    assert bound.height < kronecker_point(values, bound).q
+    for f in diffs:
+        pf = f * M ** factors
+        _, c = _pmonomial(pf.den)
+        assert c == 1  # f M^factors is a Laurent polynomial with integer coefficients
+        assert sum(abs(a) for a in pf.num) <= bound.height
+        assert len(pf.num) - 1 - _ptrailing(pf.num) <= bound.degree
+
+
+def point_bits(report) -> int:
+    """B of the point q = 2^B in Z that a report records as ``exact_point``."""
+    return int(report.derived_values["exact_point"].removeprefix("q = 2^").removesuffix(" in Z"))

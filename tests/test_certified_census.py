@@ -16,7 +16,7 @@ from queerdual.duality import (
     sergeev_verify,
 )
 from queerdual.hecke_clifford import hc_tensor_action
-from queerdual.scalars import ONE, P, Q, RatFunc, _pmonomial, _ptrailing
+from queerdual.scalars import ONE, P, Q, RatFunc, kronecker_point
 from queerdual.superlinalg import (
     Echelon,
     SOp,
@@ -28,11 +28,13 @@ from queerdual.superlinalg import (
     invariance_bound,
     invariant_under,
     point_map,
-    supercommutation_bound,
+    relation_bound,
+    relation_failures,
     supercommutation_failures,
     supercommutator,
     tensor_space,
     unflatten_vector,
+    word_sum,
 )
 from queerdual.uq_queer import (
     QueerRep,
@@ -44,7 +46,9 @@ from queerdual.uq_queer import (
     weight_spaces,
 )
 
-from oracles import decide_in_qq, invariance_differences
+from oracles import (
+    assert_bound_covers, decide_in_qq, invariance_differences, recording_relation_bounds, relation_failures_in_qq,
+)
 from test_duality import _perturbed_hc
 from test_superlinalg import V1, rand_op
 
@@ -112,20 +116,6 @@ def test_fixture_solves_only_the_even_intertwiner_system(monkeypatch):
 
 
 # -- the invariance certificate
-
-
-def assert_bound_covers(values, bound, diffs, factors):
-    """P_f = q^-LO f M^factors has 1-norm at most H and degree at most D."""
-    M = ONE
-    for b in {v.den[_ptrailing(v.den):] for v in values if v} - {(1,)}:
-        M = M * RatFunc(b)
-    assert diffs
-    for f in diffs:
-        pf = f * M ** factors
-        _, c = _pmonomial(pf.den)
-        assert c == 1  # f M^factors is a Laurent polynomial with integer coefficients
-        assert sum(abs(a) for a in pf.num) <= bound.height
-        assert len(pf.num) - 1 - _ptrailing(pf.num) <= bound.degree
 
 
 def test_invariance_bound_covers_a_worst_case_difference():
@@ -228,20 +218,21 @@ def test_a_seed_dropped_in_gf_p_is_checked_exactly(monkeypatch):
     assert generate_submodule(rep, [{}]) == []
 
 
-# -- supercommutation on residues
+# -- supercommutation on residues, and the bound of every relation check
 
 
-def test_supercommutation_bound_covers_a_worst_case_difference():
+def test_supercommutation_bound_covers_a_worst_case_difference(monkeypatch):
     # two odd operators of width 1: a b + b a has the entry 2 A^2, the bound's height
     A = 2**20 + 1
     a = SOp(V1, V1, 1, {((-1,), (1,)): RatFunc(A), ((1,), (-1,)): RatFunc(A)})
     diffs = list(supercommutator(a, a).entries.values())
     assert diffs == [RatFunc(2 * A**2)] * 2
-    values, bound = supercommutation_bound([a], [a])
-    assert bound.height == 2 * A**2
-    assert_bound_covers(values, bound, diffs, 2)
+    bounds = recording_relation_bounds(monkeypatch, superlinalg)
     failures, point = supercommutation_failures([a], [a])
     assert failures == [(0, 0)] and point.endswith(" in Z")
+    ((values, bound),) = bounds
+    assert bound.height == 2 * A**2
+    assert_bound_covers(values, bound, diffs, 2)
 
 
 @pytest.mark.parametrize("n,m", [(1, 2), (2, 2)])
@@ -249,12 +240,55 @@ def test_supercommutation_bound_covers_the_exact_differences_of_a_planted_defect
     _perturbed_hc(monkeypatch)
     chevalley = list(tensor_rep(vector_rep(n), m).chevalley().values())
     hc = duality.hc_tensor_action(n, m, "q").generators()
-    values, bound = supercommutation_bound(chevalley, hc)
-    diffs = [f for x in chevalley for h in hc for f in supercommutator(x, h).entries.values()]
-    assert_bound_covers(values, bound, diffs, 2)
+    bounds = recording_relation_bounds(monkeypatch, superlinalg)
     failures, point = supercommutation_failures(chevalley, hc)
     assert point.endswith(" in Z")
     assert failures == [(i, j) for i, x in enumerate(chevalley) for j, h in enumerate(hc) if supercommutator(x, h).entries]
+    ((values, bound),) = bounds
+    diffs = [f for x in chevalley for h in hc for f in supercommutator(x, h).entries.values()]
+    assert_bound_covers(values, bound, diffs, 2)
+
+
+def hc6_family():
+    """The HC generators of V^{(x)3}, n = 1, and the hc6 instances T_a C_a = C_{a+1} T_a."""
+    hc = hc_tensor_action(1, 3)
+    ops = {("T", a): hc.t(a) for a in (1, 2)} | {("C", b): hc.c(b) for b in (1, 2, 3)}
+    return ops, [(a, [((("T", a), ("C", a)), 1)], [((("C", a + 1), ("T", a)), 1)]) for a in (1, 2)]
+
+
+def differences(ops, instances) -> list:
+    return [f for _, lhs, rhs in instances for f in (word_sum(ops, lhs) - word_sum(ops, rhs)).entries.values()]
+
+
+def test_a_planted_longer_word_raises_the_relation_bound():
+    # a false relation of three letters against one: the bound takes three
+    # factors and more terms, and still covers every difference
+    ops, family = hc6_family()
+    planted = ("planted", [((("T", 1), ("T", 2), ("T", 1)), 1)], [((("T", 1),), ONE - Q)])
+    values, two = relation_bound(ops, family)
+    _, three = relation_bound(ops, [*family, planted])
+    assert three.degree > two.degree and three.height > two.height
+    assert differences(ops, family) == [] and differences(ops, [planted])
+    assert_bound_covers(values, three, differences(ops, [planted]), 3)
+    point = kronecker_point(values, three)
+    assert relation_failures(ops, [*family, planted], point) == [2] == relation_failures_in_qq(ops, [*family, planted])
+
+
+def test_the_relation_bound_of_empty_and_one_letter_words():
+    # k = diag(q, 1): one factor, and terms counting each coefficient's
+    # 1-norm, 1 + 3 + ||q - 3||_1 = 8 for the failing instance
+    k = SOp(V1, V1, 0, {((1,), (1,)): Q, ((-1,), (-1,)): ONE})
+    ops = {"k": k}
+    instances = [
+        ("k = k", [(("k",), 1)], [(("k",), 1)]),
+        ("k + 3 = q - 3", [(("k",), 1), ((), 3)], [((), Q - 3)]),
+        ("1 = 1", [((), 1)], [((), 1)]),
+    ]
+    values, bound = relation_bound(ops, instances)
+    assert bound.height == 1 + 3 + 4 and values == {Q, ONE}
+    assert_bound_covers(values, bound, differences(ops, instances), 1)
+    failing = relation_failures(ops, instances, kronecker_point(values, bound))
+    assert failing == [1] == relation_failures_in_qq(ops, instances)
 
 
 def test_supercommutation_at_the_point_does_no_ratfunc_products(monkeypatch):

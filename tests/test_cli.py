@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from queerdual import cli
+from queerdual import cli, duality
 from queerdual.cli import main
 from queerdual.duality import load_expectations
 
@@ -125,6 +125,21 @@ def test_removed_option_exits_2(option, capsys):
         main(["relations", f"--{option}", "d"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: --{option} d" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"sergeev": {"1,1": {"hc_image_dim"', "[]"])
+def test_corrupt_expectations_exit_2_before_the_suite_runs(text, tmp_path, monkeypatch, capsys):
+    # a truncated file, and JSON that is not an object; the packaged file is never touched
+    corrupt = tmp_path / "expected_values.json"
+    corrupt.write_text(text)
+    monkeypatch.setattr(duality, "EXPECTATIONS", corrupt)
+    ran = []
+    monkeypatch.setitem(cli.SUITES, "sergeev", ran.append)
+    assert main(["sergeev", "--n", "1", "--m", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert ran == []
+    assert main(["--all"]) == 2
 
 
 def test_battery_reproduces_the_expectations_file_byte_for_byte(tmp_path):

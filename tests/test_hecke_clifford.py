@@ -4,13 +4,13 @@ import pytest
 
 from queerdual.coord_alg import phi_component_rep, zero_weight_iso
 from queerdual.duality import fixture_module
-from queerdual.scalars import ONE, P, QINV, XI, Q, RatFunc, _pmonomial, _ptrailing, kronecker_point
+from queerdual import hecke_clifford
+from queerdual.scalars import ONE, P, QINV, XI, Q, RatFunc
 from queerdual.superlinalg import SOp, index_parity, supercommutator
 from queerdual.hecke_clifford import (
     EmptyZeroWeight,
     HCAction,
     HCSpec,
-    _hc_bound,
     braid_operator,
     hc_check,
     hc_tensor_action,
@@ -18,8 +18,8 @@ from queerdual.hecke_clifford import (
 )
 from queerdual.uq_queer import tensor_rep, vector_rep, weight_spaces
 
-from oracles import decide_in_qq
-from test_uq_queer import former_field
+from oracles import assert_bound_covers, decide_in_qq, recording_relation_bounds
+from test_uq_queer import raises_the_point
 
 
 def test_tensor_action_worked_entries():
@@ -166,15 +166,9 @@ def _hc_defective(n, m, kind, index, factor):
     return hc
 
 
-def _hc_ops(action):
-    m = action.spec.m
-    return {("T", a): action.t(a) for a in range(1, m)} | {("C", b): action.c(b) for b in range(1, m + 1)}
-
-
 def _hc_defects():
-    # (n, m, generator family, index, factor, the field of the former point):
-    # a large constant needed the larger prime, a larger one (or 1 + p)
-    # reached past every prime, so that check ran in Q(q); each runs in Z now
+    # (n, m, generator family, index, factor, name): the name is the field the
+    # case once ran in, before exact points were integers
     return [
         (2, 2, "C", 0, Q, "GF(2^521 - 1)"),
         (2, 2, "T", 0, Q, "GF(2^521 - 1)"),
@@ -187,12 +181,12 @@ def _hc_defects():
     ]
 
 
-@pytest.mark.parametrize("n,m,kind,index,factor,field", _hc_defects())
-def test_hc_kronecker_verdicts_match_qq_on_defects(n, m, kind, index, factor, field):
+@pytest.mark.parametrize("n,m,kind,index,factor,name", _hc_defects())
+def test_hc_kronecker_verdicts_match_qq_on_defects(n, m, kind, index, factor, name):
     bad = _hc_defective(n, m, kind, index, factor)
-    assert former_field(_hc_bound(_hc_ops(bad), Q)[1]) == field
     report = hc_check(bad)
     assert not report.ok and report.derived_values["exact_point"].endswith(" in Z")
+    assert raises_the_point(report, hc_check(hc_tensor_action(n, m)), factor)
     assert _verdicts(report) == _verdicts(hc_check_in_qq(bad))
 
 
@@ -214,23 +208,14 @@ def _hc_differences(action, qq):
 @pytest.mark.parametrize("n,m,kind,index,factor", [
     (2, 3, "T", 0, ONE), (2, 3, "T", 1, Q), (2, 3, "C", 0, (Q + 2).inverse()), (1, 4, "T", 2, (Q + 2).inverse()),
 ])
-def test_hc_height_bound_covers_exact_differences(n, m, kind, index, factor):
-    # P_f = q^-LO f M^3 has 1-norm at most H < X = 2^B and degree at most D
+def test_hc_height_bound_covers_exact_differences(n, m, kind, index, factor, monkeypatch):
+    # P_f = q^-LO f M^3 has 1-norm at most H < X = 2^B and degree at most D,
+    # for the one bound hc_check takes from its instances
     action = _hc_defective(n, m, kind, index, factor)
-    qq = Q
-    values, bound = _hc_bound(_hc_ops(action), qq)
-    X = kronecker_point(values, bound).q
-    M = ONE
-    for b in {v.den[_ptrailing(v.den):] for v in values} - {(1,)}:
-        M = M * RatFunc(b)
-    diffs = [f for f in _hc_differences(action, qq) if f]
-    assert diffs
-    for f in diffs:
-        pf = f * M * M * M
-        _, c = _pmonomial(pf.den)
-        assert c == 1  # f M^3 is a Laurent polynomial with integer coefficients
-        assert sum(abs(a) for a in pf.num) <= bound.height < X
-        assert len(pf.num) - 1 - _ptrailing(pf.num) <= bound.degree
+    bounds = recording_relation_bounds(monkeypatch, hecke_clifford)
+    hc_check(action)
+    ((values, bound),) = bounds
+    assert_bound_covers(values, bound, [f for f in _hc_differences(action, Q) if f], 3)
 
 
 def test_hc_check_at_the_point_does_no_ratfunc_products(monkeypatch):

@@ -79,3 +79,15 @@ def test_every_module_level_definition_is_used_or_exported():
         if node.name not in used | exported
     ]
     assert not dead, f"module-level definitions nothing uses: {dead}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_scalars_and_superlinalg_call_identity_bound(name):
+    # a checker takes its bound from superlinalg.relation_bound, derived from
+    # its instances, and writes no bound of its own
+    calls = [
+        node.lineno
+        for node in ast.walk(parse(name)) if isinstance(node, ast.Call)
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) == "identity_bound"
+    ]
+    assert name in ("scalars.py", "superlinalg.py") or not calls, f"identity_bound called in {name}: {calls}"

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from queerdual import scalars
+from queerdual import scalars, uq_queer
 from queerdual.scalars import ONE, P, QINV, RatFunc, XI, Q, ZERO, EvalPoint, PoleAtPoint, kronecker_point, sample_mod_p
 from queerdual.duality import _pick_seed, enumerate_strict_partitions
 from queerdual.superlinalg import (
@@ -17,6 +17,7 @@ from queerdual.superlinalg import (
     index_range,
     joint_kernel,
     kernel_basis,
+    relation_bound,
     span_dim,
     supercommutator,
     tensor_space,
@@ -49,7 +50,9 @@ from queerdual.uq_queer import (
     weight_spaces,
 )
 
-from oracles import decide_in_qq, frac_rank, relation_sides, vectors_rows
+from oracles import (
+    assert_bound_covers, decide_in_qq, frac_rank, point_bits, recording_relation_bounds, relation_sides, vectors_rows,
+)
 
 
 # -- S-matrix ---------------------------------------------------------------
@@ -316,18 +319,10 @@ def test_kronecker_verdicts_match_qq_on_passing_reps(n, m):
     assert _verdicts(report) == _verdicts(check_in_qq(rep))
 
 
-def former_field(bound):
-    """Where the check of ``bound`` ran when exact points were q = 2^B in the
-    smallest Mersenne field GF(2^k - 1), k in (521, 607), with 2^k - 1 > H X^D,
-    and in Q(q) past both: the planted defects cover every such height."""
-    reach = bound.height << (bound.height.bit_length() * bound.degree)
-    return next((f"GF(2^{k} - 1)" for k in (521, 607) if (1 << k) - 1 > reach), "Q(q)")
-
-
 def _kronecker_defects():
-    # (n, m, generator, factor, the field of the former point): a factor with
-    # a large constant needed the larger prime, and one of 2^61 reached past
-    # every prime, so that check ran in Q(q); each runs in Z now
+    # (n, m, generator, factor, name): the name is the field the case once ran
+    # in, before exact points were integers; a large constant factor raises
+    # the height of every difference, and so the point
     return [
         (2, 2, (1, 2), Q, "GF(2^521 - 1)"),
         (2, 2, (1, 2), (Q + 2).inverse(), "GF(2^521 - 1)"),
@@ -340,22 +335,26 @@ def _kronecker_defects():
     ]
 
 
-@pytest.mark.parametrize("n,m,key,factor,field", _kronecker_defects())
-def test_kronecker_verdicts_match_qq_on_defects(n, m, key, factor, field):
-    from queerdual.uq_queer import _relation_bound
+def raises_the_point(bad_report, passing_report, factor) -> bool:
+    """Whether a defect's point lies above the passing representation's for a
+    large constant factor, and not below it for any other factor."""
+    bad, passing = point_bits(bad_report), point_bits(passing_report)
+    large = factor.den == (1,) and len(factor.num) == 1 and factor.num[0] > 2**16
+    return bad > passing if large else bad >= passing
 
+
+@pytest.mark.parametrize("n,m,key,factor,name", _kronecker_defects())
+def test_kronecker_verdicts_match_qq_on_defects(n, m, key, factor, name):
     bad = _defective(n, m, key, factor)
-    assert former_field(_relation_bound(bad.gen, Q, XI)[1]) == field
     report = check_defining_relations(bad)
     assert not report.ok and report.derived_values["exact_point"].endswith(" in Z")
+    assert raises_the_point(report, check_defining_relations(tensor_rep(vector_rep(n), m)), factor)
     assert _verdicts(report) == _verdicts(check_in_qq(bad))
 
 
 def test_kronecker_point_is_taken_from_the_perturbed_values():
     # a defect that vanishes at the point the unperturbed values would pick
-    from queerdual.uq_queer import _relation_bound
-
-    X = kronecker_point(*_relation_bound(tensor_rep(vector_rep(2), 2).gen, Q, XI)).q
+    X = 2 ** point_bits(check_defining_relations(tensor_rep(vector_rep(2), 2)))
     factor = Q + (1 - X)
     assert factor.specialize(X) == 1 and factor != ONE
     bad = _defective(2, 2, (1, 1), factor)
@@ -366,25 +365,14 @@ def test_kronecker_point_is_taken_from_the_perturbed_values():
 
 
 @pytest.mark.parametrize("factor", [Q, (Q + 2).inverse()])
-def test_kronecker_height_bound_covers_exact_differences(factor):
-    # P_f = q^-LO f M^2 has 1-norm at most H < X = 2^B: the Kronecker premise
-    from queerdual.scalars import _pmonomial, _ptrailing
-    from queerdual.uq_queer import _relation_bound
-
+def test_kronecker_height_bound_covers_exact_differences(factor, monkeypatch):
+    # P_f = q^-LO f M^2 has 1-norm at most H < X = 2^B: the Kronecker premise,
+    # for the one bound the check takes from its unit and quadratic instances
     bad = _defective(2, 2, (1, 2), factor)
-    values, bound = _relation_bound(bad.gen, Q, XI)
-    X = kronecker_point(values, bound).q
-    M = ONE
-    for b in {v.den[_ptrailing(v.den):] for v in values} - {(1,)}:
-        M = M * RatFunc(b)
-    diffs = [f for f in _exact_differences(bad) if f]
-    assert diffs
-    for f in diffs:
-        pf = f * M * M
-        t, c = _pmonomial(pf.den)
-        assert c == 1  # f M^2 is a Laurent polynomial with integer coefficients
-        assert sum(abs(a) for a in pf.num) <= bound.height < X
-        assert len(pf.num) - 1 - _ptrailing(pf.num) <= bound.degree
+    bounds = recording_relation_bounds(monkeypatch, uq_queer)
+    assert not check_defining_relations(bad).ok
+    ((values, bound),) = bounds
+    assert_bound_covers(values, bound, [f for f in _exact_differences(bad) if f], 2)
 
 
 def test_relations_exact_does_no_ratfunc_products(monkeypatch):
@@ -778,7 +766,7 @@ def test_residue_loop_reports_the_sop_references_first_failing_instance(key, fac
     # entry shifted; the integer loop at the Kronecker point, the residue loop
     # at a GF(p) point and the SOp sides of the oracle agree on the first
     # failing instance
-    from queerdual.uq_queer import _quadratic_witness, _relation_bound
+    from queerdual.uq_queer import _quadratic_instances, _quadratic_witness
 
     rep = tensor_rep(vector_rep(2), 2)
     G = dict(rep.gen)
@@ -795,7 +783,7 @@ def test_residue_loop_reports_the_sop_references_first_failing_instance(key, fac
                 break
         if reference is not None:
             break
-    values, bound = _relation_bound(G, Q, XI)
+    values, bound = relation_bound(G, _quadratic_instances(pairs, Q, XI))
     assert _quadratic_witness(G, pairs, Q, XI, point=kronecker_point(values, bound)) == reference
     assert _quadratic_witness(G, pairs, Q, XI) == reference
     c, image = sample_mod_p(random.Random(0), values)

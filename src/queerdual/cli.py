@@ -145,6 +145,14 @@ _FROZEN = {
 }
 
 
+def _check_frozen_shapes(expected: dict) -> None:
+    """ValueError unless every configuration's entry is an object, as ``_FROZEN`` reads it (graded_dims too)."""
+    for suite in _FROZEN:
+        for key, entry in expected.get(suite, {}).items():
+            if not isinstance(entry, dict) or not isinstance(entry.get("graded_dims", {}), dict):
+                raise ValueError(f"the {suite} entry {key!r} is not an object of frozen values")
+
+
 def _config_key(report: VerifyReport) -> str:
     return f"{report.params.get('n')},{report.params.get('m')}"
 
@@ -258,6 +266,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("a suite name or --all is required")
         try:
             expected = None if cfg.write_expectations else load_expectations()
+            _check_frozen_shapes(expected or {})
         except ValueError as exc:
             raise InvalidConfig(f"corrupt expectations file: {exc}") from None
         if cfg.all:

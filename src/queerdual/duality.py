@@ -29,20 +29,23 @@ from .superlinalg import (
     SOp,
     SuperSpace,
     _closure,
+    _columns,
     _flat_product,
     _op_key,
     certified_span,
-    commutant_dim_bounds,
     flatten_vector,
     graded_commutant,
     index_parity,
     intertwiners,
     invariant_under,
     joint_kernel,
+    kernel_basis,
     point_map,
     span_dim,
+    submodule_echelon,
     supercommutation_failures,
     supercommutator,
+    unflatten_vector,
 )
 from .uq_queer import (
     PARAM_Q,
@@ -206,24 +209,65 @@ class IsotypicCensus:
         }
 
 
-def _pick_seed(vectors: list[dict], space: SuperSpace) -> dict:
-    for v in vectors:
-        ps = {space.parity[x] for x in v}
-        if ps == {0}:
-            return v
-    return vectors[0]
+def _hw_in_block(space: SuperSpace, hw: list[dict], ech: Echelon) -> list[tuple[int, dict]]:
+    """S & HW_mu as (p, flat w), w of parity |hw[0]| + p: the combinations of hw
+    whose residuals modulo S (its echelon) cancel, per parity (S is graded)."""
+    cols = {i: list(flatten_vector(space, v).items()) for i, v in enumerate(hw)}  # hw by columns
+    residuals: dict = {}  # position -> {i: the residual of hw[i] there}
+    for i, col in cols.items():
+        for k, v in ech.reduce(dict(col))[0].items():
+            residuals.setdefault(k, {})[i] = v
+    shifts = [(space.parity[next(iter(v))] + space.parity[next(iter(hw[0]))]) % 2 for v in hw]
+    kernel = kernel_basis(list(residuals.values()), len(hw), shifts)
+    return [(shifts[next(iter(c))], _flat_product(cols, c, len(hw), None)) for c in kernel]
+
+
+def _candidates(gens: list[SOp], words: list[tuple], ech: Echelon, v0: dict, values: list, space: SuperSpace):
+    """Per (parity p, flat vector w) of values, the map X of parity p on the block
+    with X b_0 = X v0 = w and X b_k = (-1)^{p|g|} g X b_parent for the words b_k =
+    g b_parent, at the pivots of its basis r_l = sum_k combo_l[k] b_k."""
+    N, d, cols = gens[0].dom.dim, len(words), [_columns(g, lambda v: v)[1] for g in gens]
+    row_of, labels = {pivot: j for j, (pivot, _) in enumerate(ech.rows)}, space.labels
+    combos = {l * d + k: c for l, combo in enumerate(ech.combos) for k, c in combo.items()}  # flat, by columns l
+    at_pivots = lambda vec: [(row_of[k], v) for k, v in vec.items() if k in row_of]  # coordinates on the r_l
+    out = []
+    for par, w in values:
+        images = [w]  # X b_k; the first word is the seed
+        for g, parent in words[1:]:
+            img = _flat_product(cols[g], images[parent], N, None)
+            images.append({k: -v for k, v in img.items()} if par and gens[g].par else img)
+        flat = _flat_product(dict(enumerate(map(at_pivots, images))), combos, d, None)  # X r_l, flat
+        entries = {(labels[k % d], labels[k // d]): v for k, v in flat.items()}
+        out.append(SOp(space, space, par, entries, validate=False))
+        assert out[-1].apply({labels[j]: v for j, v in at_pivots(v0)}) == {labels[j]: v for j, v in at_pivots(w)}
+    return out
 
 
 def isotypic_census(n: int, m: int):
     """HWV extraction, submodule generation, and type detection for V^{(x)m}.
 
-    Per highest weight mu with highest weight vectors HW_mu (dimension h), one
-    even seed generates the block S (``generate_submodule``); the copies are
-    h / dim(S & HW_mu), where dim(S & HW_mu) is h minus the number of vectors
-    of HW_mu that enlarge S.  The block's commutant dimension per parity lies
-    between a lower bound (1 even, the identity; 0 odd) and its GF(p) nullity
-    (``commutant_dim_bounds``); only a parity whose two bounds differ is
-    solved exactly, which for type Q is the odd one the odd-square test needs.
+    Per highest weight mu, the first of the h highest weight vectors HW_mu
+    (even first) is the seed v0 of the block S = U v0 (``submodule_echelon``:
+    rows tracked over the kept words b_k = g b_parent, b_0 = v0, a basis of
+    S).  The copies are h / dim(S & HW_mu); the type comes from dim End_U(S)_p.
+
+    Upper bound.  An intertwiner X of parity p supercommutes with the
+    generators, so with k_i, e_j and ebar_j, their products; as v0 is a
+    highest weight vector, k_i X v0 = q^{mu_i} X v0 and e X v0 = +-X e v0 = 0
+    for each raising e: X v0 lies in (S & HW_mu)_{|v0|+p}.  And X -> X v0 is
+    injective, as X u v0 = +-u X v0 for each word u and the u v0 span S; so
+    dim End_U(S)_p <= dim (S & HW_mu)_{|v0|+p}.
+
+    Lower bound.  For each basis vector w of (S & HW_mu)_{|v0|+p}, the
+    candidate X_w of parity p has X_w b_0 = w and X_w b_k = (-1)^{p|g|} g X_w
+    b_parent (``_candidates``).  One exact ``supercommutation_failures`` check
+    tests them against the block's generators; one that passes is an
+    intertwiner, and they are independent, as their values w at v0 are.  When
+    all pass, the bounds meet and the candidates are a basis of End_U(S); a
+    type-Q odd one, with X^2 = c, gives ``odd_square_is_minus_square`` (the
+    scale of X multiplies c by a square).  When one fails, or the exact
+    closure ran (no words), a parity whose upper bound exceeds the identity's
+    (1 even, 0 odd) is solved exactly (``intertwiners``).
 
     The census is computed once per (n, m) and memoized in ``_census`` (cleared by
     its ``cache_clear()``); every call returns its own report and its own copy of
@@ -241,11 +285,7 @@ def _census(n: int, m: int) -> tuple[IsotypicCensus, VerifyReport]:
     rep = tensor_rep(vector_rep(n, PARAM_Q), m)
     census = IsotypicCensus(n, m)
     blocks = weight_spaces(rep)
-    nonempty = {}
-    for mu in sorted(blocks, reverse=True):
-        hw = highest_weight_vectors(rep, mu)
-        if hw:
-            nonempty[mu] = hw
+    nonempty = {mu: hw for mu in sorted(blocks, reverse=True) if (hw := highest_weight_vectors(rep, mu))}
     expected = {pad_weight(lam, n) for lam in enumerate_strict_partitions(m, n)}
     report.add(
         "hwv_weights_are_strict_partitions",
@@ -258,22 +298,22 @@ def _census(n: int, m: int) -> tuple[IsotypicCensus, VerifyReport]:
         all(is_dominant_weight(mu) for mu in nonempty),
     )
     total = 0
-    for mu, hw in sorted(nonempty.items(), reverse=True):
-        seed = _pick_seed(hw, rep.space)
-        sub_basis = generate_submodule(rep, [seed])
-        sub_rep = SubmoduleRep(rep, sub_basis).as_queer_rep()
-        h, d = len(hw), len(sub_basis)
-        # the highest weight vectors of weight mu in the submodule S are S & HW_mu,
-        # of dimension h minus the number of hw vectors that enlarge S
-        h_sub = h + d - span_dim([flatten_vector(rep.space, v) for v in (*sub_basis, *hw)])[0]
+    ambient = list(rep.gen.values())
+    for mu, hw in nonempty.items():  # by decreasing weight
+        ech, words = submodule_echelon(ambient, hw[:1])  # the seed v0 = hw[0], even first
+        sub_rep = SubmoduleRep(rep, [unflatten_vector(rep.space, dict(row)) for _, row in ech.rows]).as_queer_rep()
+        h, d = len(hw), ech.dim
+        meet = _hw_in_block(rep.space, hw, ech)  # (p, w): an intertwiner with X v0 = w has parity p
+        h_sub = len(meet)
         copies_ok = h_sub > 0 and h % h_sub == 0
         copies = h // h_sub if copies_ok else 0
-        # the commutant's dimension per parity lies between a lower bound (the
-        # identity is even) and its GF(p) nullity; a parity is solved exactly
-        # only when the two differ
         gens = list(sub_rep.gen.values())
-        lower, upper = (1, 0), commutant_dim_bounds(gens)
-        comm = {p: intertwiners(gens, gens, p) for p in (0, 1) if upper[p] > lower[p]}
+        lower, upper = (1, 0), [sum(1 for par, _ in meet if par == p) for p in (0, 1)]
+        cands = words and _candidates(ambient, words, ech, flatten_vector(rep.space, hw[0]), meet, sub_rep.space)
+        if cands and not supercommutation_failures(cands, gens)[0]:
+            comm = {p: [X for X in cands if X.par == p] for p in (0, 1)}
+        else:
+            comm = {p: intertwiners(gens, gens, p) for p in (0, 1) if upper[p] > lower[p]}
         even, odd = (len(comm[p]) if p in comm else lower[p] for p in (0, 1))
         odd_sq = None
         if odd == 1 and even == 1:
@@ -720,7 +760,7 @@ def classical_crosscheck(n: int, m: int) -> VerifyReport:
         if len(hw) != entry.hwv_dim:
             cls_ok = False
             continue
-        if _closure(generators, [point_map(W, _pick_seed(hw, W))])[0].dim != entry.submodule_dim:
+        if _closure(generators, [point_map(W, hw[0])])[0].dim != entry.submodule_dim:
             cls_ok = False
     report.add("classical_census_matches", cls_ok)
     return report.finish()

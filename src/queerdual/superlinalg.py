@@ -656,7 +656,7 @@ def kernel_basis(rows: list[dict], ncols: int, block_of: Sequence | None = None)
     basis = []
     for cols, block in _blocks(rows, block_of or [0] * ncols):
         kept, dropped = _independent_rows(block)
-        kernel = _exact_kernel(kept, len(cols))
+        kernel = _exact_kernel(kept, len(cols)) if len(kept) < len(cols) else []  # rank_p <= rank <= ncols
         if dropped and kernel and not _annihilates(dropped, kernel, len(cols)):
             kernel = _exact_kernel(block, len(cols))
         basis += ({cols[j]: v for j, v in vec.items()} for vec in kernel)
@@ -821,14 +821,6 @@ def _nullities(ops: list[SOp], image: dict) -> list[int]:
     ]
 
 
-def commutant_dim_bounds(ops: list[SOp]) -> list[int]:
-    """Upper bounds on the graded commutant's dimension per parity (even first):
-    the nullities of its systems in GF(p), at one point q = c where no entry of
-    ops has a pole.  Specializing the constraint rows can only lower their rank,
-    so each nullity is at least the exact dimension."""
-    return _nullities(ops, sample_mod_p(random.Random(0), {v for op in ops for v in op.entries.values()})[1])
-
-
 POINT = SuperSpace([()], {(): 0})  # V^{(x)0}: a vector of V is an operator POINT -> V
 
 
@@ -940,11 +932,11 @@ def invariant_under(ops: list[SOp], vectors: list[dict], rows: list[tuple[int, d
     return True
 
 
-def submodule_echelon(gens: list[SOp], seeds: list[dict]) -> Echelon:
+def submodule_echelon(gens: list[SOp], seeds: list[dict]) -> tuple[Echelon, list[tuple] | None]:
     """The exact ``Echelon`` of the smallest subspace that contains the seed
     vectors (dicts over the labels of the gens' space) and is invariant under
-    gens, all with entries in Q(q); its rows are that subspace's reduced row
-    echelon form.
+    gens, all with entries in Q(q), and its words (``_closure``): its rows are
+    that subspace's reduced row echelon form, tracked over the words' vectors.
 
     GF(p) picks the words, at one point q = c where no entry has a pole: the
     closure runs there, and the kept words, rebuilt exactly one product each,
@@ -954,18 +946,19 @@ def submodule_echelon(gens: list[SOp], seeds: list[dict]) -> Echelon:
     invariant.  A seed kept as a word lies in it; any other is checked
     exactly, and invariance is certified by ``invariant_under`` on the rows.
     When either fails (the point lowered some rank), the closure runs by exact
-    elimination.  The reduced row echelon form depends only on the subspace,
-    so both paths return the same rows.
+    elimination, with no words (None).  The reduced row echelon form depends
+    only on the subspace, so both paths return the same rows.
     """
     space = gens[0].dom
     seed_ops = [point_map(space, v) for v in seeds]
     _, image = sample_mod_p(random.Random(0), {v for op in (*gens, *seed_ops) for v in op.entries.values()})
     words = _closure(gens, seed_ops, image=image)[2]
-    ech = span_dim(_rebuild(gens, seed_ops, words))[1]
+    ech = span_dim(_rebuild(gens, seed_ops, words), track=True)[1]
     kept = {parent for g, parent in words if g is None}
     seeds_in = all(ech.contains(_op_key(op)) for s, op in enumerate(seed_ops) if s not in kept)
-    rows = [row for _, row in ech.rows]
-    return ech if seeds_in and invariant_under(gens, rows, ech.rows) else _closure(gens, seed_ops)[0]
+    if seeds_in and invariant_under(gens, [row for _, row in ech.rows], ech.rows):
+        return ech, words
+    return _closure(gens, seed_ops)[0], None
 
 
 def _rebuild(gens: list[SOp], seeds: list[SOp], words: list[tuple]) -> list[SOp]:

@@ -530,13 +530,9 @@ def highest_weight_vectors(rep: QueerRep, weight: tuple) -> list[dict]:
 
 def generate_submodule(rep: QueerRep, seeds: list[dict]) -> list[dict]:
     """The reduced row echelon basis of the closure of the seed span under all
-    generator actions, exact.
-
-    The closure's words are picked in GF(p) and rebuilt exactly; one check of
-    every generator on every basis row, on integers at a Kronecker point,
-    certifies that their span is invariant, and the exact closure runs when it
-    is not (``superlinalg.submodule_echelon`` has the argument)."""
-    ech = submodule_echelon(list(rep.gen.values()), seeds)
+    generator actions, exact: words picked in GF(p) and certified invariant,
+    or the exact closure (``superlinalg.submodule_echelon`` has the argument)."""
+    ech, _ = submodule_echelon(list(rep.gen.values()), seeds)
     return [unflatten_vector(rep.space, dict(row)) for _, row in ech.rows]
 
 

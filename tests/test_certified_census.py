@@ -1,6 +1,7 @@
 """The certified census: submodules from GF(p) words with one invariance
-certificate, commutant dimensions from GF(p) bounds, and supercommutation on
-integers at a Kronecker point."""
+certificate, commutant dimensions from the highest weight space with candidate
+intertwiners checked exactly, and supercommutation on integers at a Kronecker
+point."""
 
 import random
 
@@ -11,7 +12,6 @@ from queerdual.duality import (
     CensusEntry,
     FixtureModule,
     SubmoduleRep,
-    _pick_seed,
     fixture_module,
     sergeev_verify,
 )
@@ -59,7 +59,8 @@ def at_q_one(monkeypatch):
 
 
 def census_seeds(rep):
-    return [_pick_seed(hw, rep.space) for hw in (highest_weight_vectors(rep, mu) for mu in weight_spaces(rep)) if hw]
+    """The first highest weight vector of each weight, even first: the census's seeds."""
+    return [hw[0] for hw in (highest_weight_vectors(rep, mu) for mu in weight_spaces(rep)) if hw]
 
 
 def exact_closure_rows(rep, seeds):
@@ -374,7 +375,7 @@ def census_entries_the_old_way(n, m):
         hw = highest_weight_vectors(rep, mu)
         if not hw:
             continue
-        basis = exact_closure_rows(rep, [_pick_seed(hw, rep.space)])
+        basis = exact_closure_rows(rep, [hw[0]])
         sub_rep = restrict_by_reduction(rep, basis)
         assert SubmoduleRep(rep, basis).as_queer_rep().gen == sub_rep.gen
         h, d, h_sub = len(hw), len(basis), len(highest_weight_vectors(sub_rep, mu))
@@ -405,15 +406,16 @@ def test_census_entries_equal_the_old_way(n, m, fresh_census):
     assert census.entries == census_entries_the_old_way(n, m)
 
 
-def test_census_2_3_solves_three_commutant_systems_and_reduces_no_generator_image(monkeypatch, fresh_census):
-    # work guard: (3,0) is of type Q, so only its odd commutant system is solved
-    # (the identity meets the even bound); the paired block (2,1) solves both.
-    # Generating a block reduces each kept word once, and restricting to it
-    # reduces nothing: the exact closure and restriction reduced every image.
-    # Each block runs two invariance certificates.
-    solved, exact_reductions, steps, certificates = [], [], [], []
+def test_census_2_3_solves_no_commutant_and_reduces_no_generator_image(monkeypatch, fresh_census):
+    # work guard: every block's candidate intertwiners pass one supercommutation
+    # check, so no commutant system is solved.  Generating a block reduces each
+    # kept word once, and restricting to it reduces nothing: the exact closure
+    # and restriction reduced every image.  Each block runs two invariance
+    # certificates.
+    solved, exact_reductions, steps, certificates, checks = [], [], [], [], []
     real_intertwiners, real_reduce = duality.intertwiners, Echelon._reduce
-    generate, restrict = duality.generate_submodule, SubmoduleRep.as_queer_rep
+    generate, restrict = duality.submodule_echelon, SubmoduleRep.as_queer_rep
+    supercommutation = duality.supercommutation_failures
 
     def solving(A_ops, B_ops, parity=None):
         solved.extend([0, 1] if parity is None else [parity])
@@ -438,21 +440,98 @@ def test_census_2_3_solves_three_commutant_systems_and_reduces_no_generator_imag
     monkeypatch.setattr(duality, "intertwiners", solving)
     monkeypatch.setattr(duality, "graded_commutant", forbidden)
     monkeypatch.setattr(Echelon, "_reduce", reducing)
-    monkeypatch.setattr(duality, "generate_submodule", lambda *args: counted("generate", generate, *args))
+    monkeypatch.setattr(duality, "submodule_echelon", lambda *args: counted("generate", generate, *args))
     monkeypatch.setattr(SubmoduleRep, "as_queer_rep", lambda self: counted("restrict", restrict, self))
+    monkeypatch.setattr(
+        duality, "supercommutation_failures", lambda A, B: checks.append(len(A)) or supercommutation(A, B)
+    )
     census, report = fresh_census(2, 3)
     assert report.ok and list(census.entries) == [(3, 0), (2, 1)]
-    assert solved == [1, 0, 1]
+    assert solved == []
+    assert checks == [2, 4]  # the candidates: 1|1 for type Q, 2|2 for the pair
     assert steps == [("generate", 12), ("restrict", 0), ("generate", 8), ("restrict", 0)]
     assert len(certificates) == 4
 
 
+def recording_solves(monkeypatch):
+    """A list that grows by the parities of each exact commutant solve of the census."""
+    solved = []
+    real = duality.intertwiners
+    monkeypatch.setattr(duality, "intertwiners", lambda A, B, p=None: solved.append(p) or real(A, B, p))
+    return solved
+
+
 def test_census_at_q_one_falls_back_and_keeps_its_entries(monkeypatch, fresh_census):
-    # at q = 1 the words collapse and the GF(p) commutant bounds grow: every
-    # block takes the exact paths, with the same entries
+    # at q = 1 the words collapse: every block takes the exact closure, has no
+    # words to build candidates along, and solves its commutant exactly, with
+    # the same entries
     want = census_entries_the_old_way(2, 2)
     at_q_one(monkeypatch)
     verdicts = recording_certificates(monkeypatch)
+    solved = recording_solves(monkeypatch)
     census, report = fresh_census(2, 2)
     assert report.ok and census.entries == want
     assert False in verdicts
+    assert solved == [1]  # (2,0) is of type Q: the identity meets the even bound
+
+
+def test_a_failing_candidate_falls_back_to_the_exact_solve(monkeypatch, fresh_census):
+    # the first even candidate of each block gains an entry q at (s0, s0): it no
+    # longer supercommutes, and the parities above (1, 0) are solved exactly
+    want = census_entries_the_old_way(2, 3)
+    real = duality._candidates
+
+    def planted(*args):
+        cands = real(*args)
+        even = next(X for X in cands if X.par == 0)
+        space = even.dom
+        return [X + SOp.unit(space, space, space.labels[0], space.labels[0], Q) if X is even else X for X in cands]
+
+    monkeypatch.setattr(duality, "_candidates", planted)
+    solved = recording_solves(monkeypatch)
+    census, report = fresh_census(2, 3)
+    assert report.ok and census.entries == want
+    assert solved == [1, 0, 1]  # (3,0) of type Q solves its odd system, the pair (2,1) both
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)])
+def test_no_census_of_the_battery_solves_a_commutant_system(n, m, monkeypatch, fresh_census):
+    # work guard: the censuses the battery builds (sergeev, census, classical and
+    # howe) verify every candidate, so the exact solve never runs
+    solved = recording_solves(monkeypatch)
+    _, report = fresh_census(n, m)
+    assert report.ok and solved == []
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (2, 2), (2, 3), (3, 2)])
+def test_the_highest_weight_bound_covers_the_whole_commutant(n, m, monkeypatch, fresh_census):
+    # dim End_U(S)_p <= dim (S & HW_mu)_{|v0| + p}, against the whole graded
+    # commutant of each block; and dim (S & HW_mu) against the highest weight
+    # vectors of the restricted representation
+    meets = []
+    real = duality._hw_in_block
+    monkeypatch.setattr(duality, "_hw_in_block", lambda *args: meets.append(real(*args)) or meets[-1])
+    fresh_census(n, m)
+    old = census_entries_the_old_way(n, m)
+    assert len(meets) == len(old)
+    for (mu, entry), meet in zip(old.items(), meets):  # both by decreasing weight
+        upper = [sum(1 for par, _ in meet if par == p) for p in (0, 1)]
+        assert upper[0] >= entry.endo_even and upper[1] >= entry.endo_odd, mu
+        assert len(meet) == entry.hwv_in_submodule, mu
+
+
+def test_census_2_4_and_3_3_keep_their_entries(fresh_census):
+    # the entries of the exact commutant solves, pinned
+    want = {
+        (2, 4): {
+            (4, 0): CensusEntry(16, 16, 2, 8, 1, 1, False, "Q", "Q", False, 16),
+            (3, 1): CensusEntry(32, 16, 4, 8, 2, 2, None, "M", "M", True, 8),
+        },
+        (3, 3): {
+            (3, 0, 0): CensusEntry(8, 38, 2, 4, 1, 1, False, "Q", "Q", False, 38),
+            (2, 1, 0): CensusEntry(8, 32, 4, 2, 2, 2, None, "M", "M", True, 16),
+        },
+    }
+    for (n, m), entries in want.items():
+        census, report = fresh_census(n, m)
+        assert report.ok and census.entries == entries and census.closes

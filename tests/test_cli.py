@@ -127,9 +127,13 @@ def test_removed_option_exits_2(option, capsys):
     assert f"unrecognized arguments: --{option} d" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ['{"sergeev": {"1,1": {"hc_image_dim"', "[]"])
+@pytest.mark.parametrize("text", [
+    '{"sergeev": {"1,1": {"hc_image_dim"', "[]",
+    '{"sergeev": {"1,1": [1, 2]}}', '{"howe": {"1,1": [3]}}', '{"howe": {"1,1": {"graded_dims": [1]}}}',
+])
 def test_corrupt_expectations_exit_2_before_the_suite_runs(text, tmp_path, monkeypatch, capsys):
-    # a truncated file, and JSON that is not an object; the packaged file is never touched
+    # a truncated file, JSON that is not an object, and one configuration's
+    # entry in a shape its suite does not freeze; the packaged file is never touched
     corrupt = tmp_path / "expected_values.json"
     corrupt.write_text(text)
     monkeypatch.setattr(duality, "EXPECTATIONS", corrupt)

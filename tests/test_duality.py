@@ -66,20 +66,21 @@ def test_census_2_3_blocks():
     assert census.total_dim == 64 and census.closes
 
 
-def counting_generate_submodule(monkeypatch):
+def counting_submodules(monkeypatch):
+    """A list that grows by one entry per block the census generates."""
     calls = []
-    generate = duality.generate_submodule
+    generate = duality.submodule_echelon
 
     def counting(*args):
         calls.append(1)
         return generate(*args)
 
-    monkeypatch.setattr(duality, "generate_submodule", counting)
+    monkeypatch.setattr(duality, "submodule_echelon", counting)
     return calls
 
 
 def test_census_is_computed_once(monkeypatch, fresh_census):
-    calls = counting_generate_submodule(monkeypatch)
+    calls = counting_submodules(monkeypatch)
     first, first_report = fresh_census(2, 3)
     assert len(calls) == len(first.entries) == 2
     again, again_report = fresh_census(2, 3)
@@ -115,7 +116,7 @@ def test_census_cli_twice_in_one_process(tmp_path, fresh_census):
 
 
 def test_sergeev_classical_and_census_share_one_census(monkeypatch, tmp_path, fresh_census):
-    calls = counting_generate_submodule(monkeypatch)
+    calls = counting_submodules(monkeypatch)
     for suite in ("sergeev", "classical", "census"):
         path = tmp_path / f"{suite}.json"
         assert cli.main([suite, "--n", "2", "--m", "2", "--report", str(path)]) == 0

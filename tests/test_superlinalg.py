@@ -14,12 +14,12 @@ from queerdual.superlinalg import (
     Echelon,
     _algebra_seeds,
     _closure,
+    _nullities,
     _numbered,
     _sylvester_rows,
     SOp,
     SuperSpace,
     certified_span,
-    commutant_dim_bounds,
     graded_commutant,
     graded_tensor,
     index_parity,
@@ -318,6 +318,17 @@ def test_kernel_basis_checks_the_dropped_rows_at_the_point_of_their_own_values(m
     assert calls == [(1, 1), (2, 2)]  # the kept row alone, then the fallback on all rows
 
 
+def test_kernel_basis_eliminates_no_block_of_full_column_rank(monkeypatch):
+    # work guard: block {0, 1} keeps two rows in GF(p), as many as its columns,
+    # so its kernel is {0} (rank_p <= rank <= ncols); only block {2, 3} is eliminated
+    rows = [{0: ONE, 1: Q}, {0: Q, 1: ONE}, {0: ONE + Q, 1: ONE + Q}, {2: ONE, 3: Q + 1}]
+    expected = exact_kernel([dict(r) for r in rows], 4)
+    assert expected == [{3: ONE, 2: -(Q + 1)}]
+    calls = counting_eliminations(monkeypatch)
+    assert kernel_basis(rows, 4, [0, 0, 1, 1]) == expected
+    assert calls == [(1, 1)]
+
+
 def test_dropped_row_bound_covers_the_census_dot_products(monkeypatch, fresh_census):
     # every dot product of a dropped row r with a kernel vector, its terms
     # cleared by M^2 (M the product of the distinct denominators), has 1-norm at
@@ -487,9 +498,11 @@ def test_exact_elimination_sees_only_a_row_basis(monkeypatch):
 def test_commutant_and_span_over_gf_p():
     queer = list(tensor_rep(vector_rep(2), 2).gen.values())
     hc = hc_tensor_action(2, 2).generators()
-    # the GF(p) bounds reach the exact dimensions of the commutants, (even, odd)
+    # the GF(p) nullities, upper bounds on the commutants' dimensions, reach the
+    # exact dimensions, (even, odd)
     for ops, dims in ((queer, [4, 4]), (hc, [16, 16])):
-        assert commutant_dim_bounds(ops) == dims
+        _, image = sample_mod_p(random.Random(0), {v for op in ops for v in op.entries.values()})
+        assert _nullities(ops, image) == dims
         assert [sum(X.par == p for X in graded_commutant(ops)) for p in (0, 1)] == dims
     # and the residue closure the exact dimensions of the spans
     for ops, dim in ((queer, 32), (hc, 8)):

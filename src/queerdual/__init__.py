@@ -20,7 +20,7 @@ Layers:
 """
 
 from .scalars import (
-    ONE, QINV, RatFunc, XI, ZERO, Q, PoleAtPoint, identity_bound, probably_equal, q_number, specialize,
+    ONE, QINV, RatFunc, XI, ZERO, Q, PoleAtPoint, identity_bound, q_number, specialize,
 )
 from .superlinalg import SOp, SuperSpace, graded_commutant, graded_tensor, joint_kernel, span_dim, tensor_space
 from .uq_queer import (
@@ -32,18 +32,15 @@ from .uq_queer import (
     dual_rep,
     generate_submodule,
     highest_weight_vectors,
-    omega_map,
     s_matrix,
     sigma_twist,
     tensor_rep,
-    vector_action_table,
     vector_rep,
     weight_spaces,
 )
 from .hecke_clifford import HCAction, HCSpec, braid_operator, hc_check, hc_tensor_action, zero_weight_hc
 from .coord_alg import (
     CoordFunctional,
-    eval_functional,
     functional_equal,
     graded_component,
     operator_image_basis,

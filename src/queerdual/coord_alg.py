@@ -35,6 +35,7 @@ from .superlinalg import (
     index_parity,
     index_range,
     tensor_space,
+    word_sum,
 )
 from .uq_queer import (
     PARAM_Q,
@@ -182,26 +183,12 @@ def product(f: CoordFunctional, g: CoordFunctional) -> CoordFunctional:
 # evaluation
 # ---------------------------------------------------------------------------
 
-GenWord = list  # [(coeff: RatFunc, ((i1,j1), (i2,j2), ...)), ...]
-
-
-def word_operator(rep: QueerRep, word: GenWord) -> SOp:
-    """The operator of a formal linear combination of generator words."""
-    total = None
-    for coeff, letters in word:
-        op = SOp.identity(rep.space)
-        for (i, j) in letters:
-            op = op @ rep.act(i, j)
-        op = op.scale(coeff)
-        total = op if total is None else total + op
-    if total is None:
-        raise ValueError("empty generator word")
-    return total
+GenWord = list  # [(((i1,j1), (i2,j2), ...), coeff: RatFunc), ...]: the terms of superlinalg.word_sum
 
 
 def word_parity(word: GenWord) -> int:
     ps = set()
-    for _, letters in word:
+    for letters, _ in word:
         ps.add(sum((index_parity(i) + index_parity(j)) for i, j in letters) & 1)
     if len(ps) != 1:
         raise ValueError("generator word is not parity-homogeneous")
@@ -253,18 +240,10 @@ def eval_on_operator(f: CoordFunctional, op: SOp) -> RatFunc:
 def _counit_value(word: GenWord) -> RatFunc:
     # epsilon(L_ij) = delta_ij and epsilon(L_ii) = 1
     val = ZERO
-    for coeff, letters in word:
+    for letters, coeff in word:
         if all(i == j for (i, j) in letters):
             val = val + coeff
     return val
-
-
-def eval_functional(f: CoordFunctional, word: GenWord, n: int, param: str = PARAM_Q) -> RatFunc:
-    """Value of a degree-l functional on an algebra element given as a word."""
-    if f.degree == 0:
-        return f.terms.get(((), ()), ZERO) * _counit_value(word)
-    rep = tensor_rep(vector_rep(n, param), f.degree)
-    return eval_on_operator(f, word_operator(rep, word))
 
 
 def functional_is_zero(f: CoordFunctional, basis: ImageBasis) -> bool:
@@ -313,11 +292,11 @@ def act(label: str, x: GenWord, f: CoordFunctional, n: int, m: int) -> CoordFunc
         return f.scale(_counit_value(x)) if word_parity(x) == 0 else CoordFunctional(0)
     xp = word_parity(x)
     if label == "phi":
-        return _phi_translate(word_operator(_translation_rep("col", m, l), x), xp, f)
+        return _phi_translate(word_sum(_translation_rep("col", m, l).gen, x), xp, f)
     if label in ("psi", "psit"):
         out: dict = {}
         rep = _translation_rep("row_dual" if label == "psi" else "row_twist", n, l)
-        W = word_operator(rep, x)
+        W = word_sum(rep.gen, x)
         for (rows, cols), v in f.terms.items():
             k1 = kappa_sign(rows, cols)
             front = v
@@ -358,7 +337,7 @@ def _accumulate(out: dict, key, c) -> None:
 
 
 def gen_word(i: int, j: int, coeff: RatFunc = ONE) -> GenWord:
-    return [(coeff, ((i, j),))]
+    return [(((i, j),), coeff)]
 
 
 def phi_weight_exponents(cols: tuple, m: int) -> tuple:
@@ -505,7 +484,7 @@ def phi_component_rep(n: int, m: int, l: int, comp: GradedComponent | None = Non
     for (i, j) in generator_pairs(m):
         x = gen_word(i, j)
         xp = word_parity(x)
-        M = word_operator(_translation_rep("col", m, l), x) if l else None
+        M = word_sum(_translation_rep("col", m, l).gen, x) if l else None
         entries = {}
         for key in labels:
             f = CoordFunctional.monomial(*key)

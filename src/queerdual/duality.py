@@ -37,7 +37,6 @@ from .superlinalg import (
     graded_commutant,
     index_parity,
     intertwiners,
-    invariant_under,
     joint_kernel,
     kernel_basis,
     point_map,
@@ -45,7 +44,6 @@ from .superlinalg import (
     submodule_echelon,
     supercommutation_failures,
     supercommutator,
-    unflatten_vector,
 )
 from .uq_queer import (
     PARAM_Q,
@@ -54,7 +52,6 @@ from .uq_queer import (
     _quadratic_witness,
     chevalley_ops,
     classical_limit,
-    generate_submodule,
     generator_pairs,
     highest_weight_vectors,
     is_dominant_weight,
@@ -104,62 +101,35 @@ def pad_weight(lam: tuple, n: int) -> tuple:
 # submodule restriction
 # ---------------------------------------------------------------------------
 
-class SubmoduleRep:
-    """A representation restricted to an invariant subspace given by basis vectors.
+def restrict_to_rows(rep: QueerRep, rows: list[tuple[int, dict]]) -> QueerRep:
+    """rep on the span S of reduced echelon rows (p_l, r_l), flat over the
+    positions of rep's space, on the basis s_l = r_l.  S must be invariant and
+    graded; ``submodule_echelon`` certifies its rows so, and nothing here checks.
 
-    ``as_queer_rep`` reads each coordinate of a generator image off the pivots
-    of the basis's reduced echelon rows r_l: an image u in the span is
-    sum_l u[p_l] r_l, and r_l is a known combination of the basis vectors.
-    Only the entries of u at the pivots are computed exactly; that every image
-    lies in the span is certified at once by ``superlinalg.invariant_under``
-    (on integers at a Kronecker point q = 2^B in Z), which raises "vector
-    leaves the submodule" when one does not.
+    Entry (l, k) of a generator g is (g r_k)[p_l]: a vector u of S is
+    sum_l u[p_l] r_l, as r_l is 1 at p_l and 0 at every other pivot.  So no
+    elimination runs.  s_l has the parity of p_l: S is graded, so the part of
+    r_l on the other parity lies in S and is 0 at every pivot, hence 0.  A row
+    that is not of its pivot's parity is refused (ValueError).
     """
-
-    def __init__(self, rep: QueerRep, basis: list[dict], label_prefix: str = "s"):
-        self.parent = rep
-        self.basis = basis
-        labels = [f"{label_prefix}{k}" for k in range(len(basis))]
-        parities = {}
-        for lab, vec in zip(labels, basis):
-            ps = {rep.space.parity[x] for x in vec}
-            if len(ps) != 1:
-                raise ValueError("submodule basis vector is not parity-homogeneous")
-            parities[lab] = ps.pop()
-        self.space = SuperSpace(labels, parities)
-        self._ech = Echelon(track=True)
-        for vec in basis:
-            if not self._ech.insert(flatten_vector(rep.space, vec)):
-                raise ValueError("submodule basis is dependent")
-
-    def coordinates(self, vec: dict) -> dict:
-        res, combo = self._ech.reduce(flatten_vector(self.parent.space, vec))
-        if res:
-            raise ValueError("vector leaves the submodule")
-        return {self.space.labels[j]: c for j, c in combo.items()}
-
-    def as_queer_rep(self) -> QueerRep:
-        parent, labels = self.parent.space, self.space.labels
-        flat = [flatten_vector(parent, vec) for vec in self.basis]
-        rows = self._ech.rows
-        if not invariant_under(list(self.parent.gen.values()), flat, rows):
-            raise ValueError("vector leaves the submodule")
-        pivot_row = {pivot: l for l, (pivot, _) in enumerate(rows)}
-        gen = {}
-        for key, op in self.parent.gen.items():
-            at_pivots: dict = {}  # column -> [(l, op[p_l, column])]
-            for (r, c), v in op.entries.items():
-                l = pivot_row.get(parent.pos[r])
-                if l is not None:
-                    at_pivots.setdefault(parent.pos[c], []).append((l, v))
-            entries: dict = {}
-            for k, vec in enumerate(flat):
-                for l, u in _flat_product(at_pivots, vec, parent.dim, None).items():  # the entries at the pivots
-                    for j, w in self._ech.combos[l].items():
-                        s = entries.get((labels[j], labels[k]))
-                        entries[(labels[j], labels[k])] = u * w if s is None else s + u * w
-            gen[key] = SOp(self.space, self.space, op.par, entries, validate=False)
-        return QueerRep(self.parent.spec, self.space, gen)
+    space, N = rep.space, rep.space.dim
+    parity = [space.parity[lab] for lab in space.labels]
+    if any(parity[i] != parity[pivot] for pivot, row in rows for i in row):
+        raise ValueError("a reduced row is not of its pivot's parity")
+    labels = [f"s{l}" for l in range(len(rows))]
+    sub = SuperSpace(labels, {lab: parity[pivot] for lab, (pivot, _) in zip(labels, rows)})
+    row_of = {pivot: l for l, (pivot, _) in enumerate(rows)}
+    columns = {k * N + i: v for k, (_, row) in enumerate(rows) for i, v in row.items()}  # the r_k, flat
+    gen = {}
+    for key, op in rep.gen.items():
+        at_pivots: dict = {}  # column -> [(l, g[p_l, column])]
+        for (r, c), v in op.entries.items():
+            l = row_of.get(space.pos[r])
+            if l is not None:
+                at_pivots.setdefault(space.pos[c], []).append((l, v))
+        image = _flat_product(at_pivots, columns, N, None)  # {k N + l: (g r_k)[p_l]}
+        gen[key] = SOp(sub, sub, op.par, {(labels[i % N], labels[i // N]): u for i, u in image.items()}, validate=False)
+    return QueerRep(rep.spec, sub, gen)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +219,10 @@ def isotypic_census(n: int, m: int):
     Per highest weight mu, the first of the h highest weight vectors HW_mu
     (even first) is the seed v0 of the block S = U v0 (``submodule_echelon``:
     rows tracked over the kept words b_k = g b_parent, b_0 = v0, a basis of
-    S).  The copies are h / dim(S & HW_mu); the type comes from dim End_U(S)_p.
+    S, certified invariant once).  The generators on S are read off those
+    rows at their pivots (``restrict_to_rows``), with no second certificate
+    and no elimination.  The copies are h / dim(S & HW_mu); the type comes
+    from dim End_U(S)_p.
 
     Upper bound.  An intertwiner X of parity p supercommutes with the
     generators, so with k_i, e_j and ebar_j, their products; as v0 is a
@@ -301,7 +274,7 @@ def _census(n: int, m: int) -> tuple[IsotypicCensus, VerifyReport]:
     ambient = list(rep.gen.values())
     for mu, hw in nonempty.items():  # by decreasing weight
         ech, words = submodule_echelon(ambient, hw[:1])  # the seed v0 = hw[0], even first
-        sub_rep = SubmoduleRep(rep, [unflatten_vector(rep.space, dict(row)) for _, row in ech.rows]).as_queer_rep()
+        sub_rep = restrict_to_rows(rep, ech.rows)
         h, d = len(hw), ech.dim
         meet = _hw_in_block(rep.space, hw, ech)  # (p, w): an intertwiner with X v0 = w has parity p
         h_sub = len(meet)
@@ -631,7 +604,9 @@ def _fixture_table(space: SuperSpace) -> dict:
 def fixture_module():
     """Build the fixture and verify it embeds in V^{(x)2} (rank 2) via an exact
     even intertwiner; check the zero-weight braid eigenvalues and the
-    zero-weight Hecke-Clifford structure."""
+    zero-weight Hecke-Clifford structure.  The target U (v1 (x) v1) is restricted
+    straight from the rows ``submodule_echelon`` certified (``restrict_to_rows``),
+    where the seed's coordinates are its entries at their pivots."""
     report = VerifyReport("fixture", {})
     fix = FixtureModule()
     ch = fix.chevalley()
@@ -646,19 +621,21 @@ def fixture_module():
     report.add("weights_and_multiplicities", weight_ok, value={str(k): len(v) for k, v in blocks.items()})
 
     rep = tensor_rep(vector_rep(2, PARAM_Q), 2)
-    sub = SubmoduleRep(rep, generate_submodule(rep, [{(1, 1): ONE}]))
-    target_rep = sub.as_queer_rep()
+    seed = {(1, 1): ONE}
+    rows = submodule_echelon(list(rep.gen.values()), [seed])[0].rows
+    target_rep = restrict_to_rows(rep, rows)
+    target = target_rep.space
     target_ch = chevalley_ops(target_rep)
-    report.add("ambient_submodule_dim", sub.space.dim == 8, value=sub.space.dim)
+    report.add("ambient_submodule_dim", target.dim == 8, value=target.dim)
 
     solve_on = [("k", 1), ("k", 2), ("e", 1), ("f", 1), ("ebar", 1)]
     sols = intertwiners([target_ch[k] for k in solve_on], [ch[k] for k in solve_on], parity=0)
     report.derive("intertwiner_space_dim", len(sols))
 
     # normalize: Theta(u0) = the seed highest weight vector v1 (x) v1
-    target = target_rep.space
-    _, u0_cols, _ = span_dim([flatten_vector(target, dict(X.column("u0"))) for X in sols], track=True)
-    residual, combo = u0_cols.reduce(flatten_vector(target, sub.coordinates({(1, 1): ONE})))
+    flat_seed = flatten_vector(rep.space, seed)
+    _, u0_cols = span_dim([flatten_vector(target, dict(X.column("u0"))) for X in sols], track=True)
+    residual, combo = u0_cols.reduce({l: flat_seed[pivot] for l, (pivot, _) in enumerate(rows) if pivot in flat_seed})
     theta = SOp.zero(fix.space, target)
     if not residual:
         for a, c in combo.items():

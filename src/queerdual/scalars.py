@@ -699,22 +699,3 @@ def sample_mod_p(rng: random.Random, values) -> tuple[int, dict]:
             return c, {v: v.residue(c, P) for v in values}
         except PoleAtPoint:
             continue
-
-
-def probably_equal(f: RatFunc, g: RatFunc, trials: int = 5, seed: int = 0) -> bool:
-    """Seed-deterministic identity test in GF(p) at random points.
-
-    For f != g it answers True with probability at most
-    ``identity_bound((f, g), terms=2).false_match(trials)``; when that bound is
-    not sound it compares exactly.
-    """
-    if trials < 1:
-        raise ValueError("trials >= 1 required")
-    if not identity_bound((f, g), terms=2).sound:
-        return f == g
-    rng = random.Random(seed)
-    for _ in range(trials):
-        _, image = sample_mod_p(rng, (f, g))
-        if image[f] != image[g]:
-            return False
-    return True

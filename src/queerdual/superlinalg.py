@@ -276,9 +276,6 @@ class SOp:
         """Entrywise image under a scalar map; entries mapped to zero are dropped."""
         return SOp(self.dom, self.cod, self.par, {k: fn(v) for k, v in self.entries.items()}, validate=False)
 
-    def subs_qinv(self) -> "SOp":
-        return self.map(RatFunc.subs_qinv)
-
     def specialize(self, c) -> "SOp":
         """Entrywise specialization at q = c, embedded back as constant scalars."""
         c = Fraction(c)
@@ -308,12 +305,6 @@ def supercommutator(A: SOp, B: SOp) -> SOp:
     if A.par and B.par:
         return ab + ba
     return ab - ba
-
-
-def supercommutes(A: SOp, B: SOp) -> bool:
-    """Whether A B = (-1)^{|A||B|} B A, compared side by side (no sum is built)."""
-    ba = B @ A
-    return A @ B == (-ba if A.par and B.par else ba)
 
 
 # ---------------------------------------------------------------------------
@@ -697,12 +688,9 @@ def unflatten_vector(space: SuperSpace, flat: dict) -> dict:
 def span_dim(elems: Sequence, track: bool = False, p: int | None = None):
     """Rank and echelon basis of a family of operators or flat vectors: exact, or in GF(p) on residues."""
     ech = Echelon(track=track, p=p)
-    kept = []
     for e in elems:
-        flat = _op_key(e) if isinstance(e, SOp) else dict(e)
-        if ech.insert(flat):
-            kept.append(e)
-    return ech.dim, ech, kept
+        ech.insert(_op_key(e) if isinstance(e, SOp) else dict(e))
+    return ech.dim, ech
 
 
 def _numbered(pairs: list) -> tuple[dict, dict]:
@@ -883,17 +871,20 @@ def _closure(gens: list[SOp], seeds: list[SOp], limit: int | None = None, image:
 def invariance_bound(ops: list[SOp], vectors: list[dict], rows: list[tuple[int, dict]]) -> tuple[set, IdentityBound]:
     """The entries of ops, vectors and rows and 1, and the identity bound that
     covers every entry ``invariant_under`` tests: identity_bound(values,
-    factors=3, terms=w (1 + d)), w = ``row_width(ops)``, d = len(rows).
+    factors=3, terms=w (1 + c)), w = ``row_width(ops)`` and c the largest
+    number c_i of rows with r_l[i] != 0, over the positions i.
 
     Proof.  Entry i of op v is sum_k op[i, k] v[k], at most w terms of two
-    values; entry i of sum_l (op v)[p_l] r_l is sum_l sum_k op[p_l, k] v[k]
-    r_l[i], at most w d terms of three.  Padded with the value 1 to three
-    factors, an entry of op v - sum_l (op v)[p_l] r_l is a sum of at most
-    w (1 + d) terms +-g_1 g_2 g_3.
+    values; entry i of sum_l (op v)[p_l] r_l is the sum over the c_i rows
+    with r_l[i] != 0 of sum_k op[p_l, k] v[k] r_l[i], at most w c_i terms of
+    three.  Padded with the value 1 to three factors, an entry of
+    op v - sum_l (op v)[p_l] r_l is a sum of at most w (1 + c) terms
+    +-g_1 g_2 g_3.
     """
     values = {v for op in ops for v in op.entries.values()} | {ONE}
     values |= {v for vec in (*vectors, *(row for _, row in rows)) for v in vec.values()}
-    return values, identity_bound(values, factors=3, terms=row_width(ops) * (1 + len(rows)))
+    c = max(Counter(i for _, row in rows for i in row).values(), default=0)
+    return values, identity_bound(values, factors=3, terms=row_width(ops) * (1 + c))
 
 
 def invariant_under(ops: list[SOp], vectors: list[dict], rows: list[tuple[int, dict]]) -> bool:

@@ -212,36 +212,6 @@ def chevalley_ops(rep: QueerRep) -> dict:
     return ops
 
 
-def vector_action_table(n: int, param: str = PARAM_Q) -> dict:
-    """The expected Chevalley action on V, transcribed row by row:
-
-    k_i v_{+-j} = q^{d_ij} v_{+-j},  kbar_i: v_{+-i} <-> v_{-+i},
-    e_i: v_{i+1} -> v_i, v_{-i-1} -> v_{-i},   f_i: v_i -> v_{i+1}, v_{-i} -> v_{-i-1},
-    ebar_i: v_{i+1} -> v_{-i}, v_{-i-1} -> v_i, fbar_i: v_i -> v_{-i-1}, v_{-i} -> v_{i+1}.
-    """
-    V = SuperSpace.standard(n)
-    qq = param_q(param)
-    tab = {}
-    for i in range(1, n + 1):
-        tab[("k", i)] = SOp(
-            V, V, 0,
-            {((a,), (a,)): qq if abs(a) == i else ONE for a in index_range(n)},
-            validate=False,
-        )
-        tab[("kinv", i)] = SOp(
-            V, V, 0,
-            {((a,), (a,)): qq.inverse() if abs(a) == i else ONE for a in index_range(n)},
-            validate=False,
-        )
-        tab[("kbar", i)] = SOp.unit(V, V, (-i,), (i,)) + SOp.unit(V, V, (i,), (-i,))
-    for i in range(1, n):
-        tab[("e", i)] = SOp.unit(V, V, (i,), (i + 1,)) + SOp.unit(V, V, (-i,), (-i - 1,))
-        tab[("f", i)] = SOp.unit(V, V, (i + 1,), (i,)) + SOp.unit(V, V, (-i - 1,), (-i,))
-        tab[("ebar", i)] = SOp.unit(V, V, (-i,), (i + 1,)) + SOp.unit(V, V, (i,), (-i - 1,))
-        tab[("fbar", i)] = SOp.unit(V, V, (-i - 1,), (i,)) + SOp.unit(V, V, (i + 1,), (-i,))
-    return tab
-
-
 # ---------------------------------------------------------------------------
 # defining relations
 # ---------------------------------------------------------------------------
@@ -534,15 +504,6 @@ def generate_submodule(rep: QueerRep, seeds: list[dict]) -> list[dict]:
     or the exact closure (``superlinalg.submodule_echelon`` has the argument)."""
     ech, _ = submodule_echelon(list(rep.gen.values()), seeds)
     return [unflatten_vector(rep.space, dict(row)) for _, row in ech.rows]
-
-
-def omega_map(n: int) -> SOp:
-    """The odd map v_a -> (-1)^{|a|} v_{-a}; squares to -id."""
-    V = SuperSpace.standard(n)
-    entries = {}
-    for a in index_range(n):
-        entries[((-a,), (a,))] = -ONE if index_parity(a) else ONE
-    return SOp(V, V, 1, entries, validate=False)
 
 
 def classical_limit(rep: QueerRep) -> dict:

@@ -3,17 +3,24 @@
 Deliberately primitive: dense Fraction matrices with textbook Gaussian
 elimination, dict-based Laurent polynomials, and zero tests decided in Q(q)
 on operators built with ``SOp`` arithmetic.  Nothing here shares code with
-the package's elimination or its integer and residue zero tests.
+the package's elimination or its integer and residue zero tests, except the
+last section: references that only the tests use (the transcribed vector
+action table, the omega map, side-by-side supercommutation, direct
+evaluation of a coordinate functional and the seeded GF(p) identity test).
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
-from queerdual import duality, hecke_clifford, superlinalg, uq_queer
-from queerdual.scalars import ONE, RatFunc, _pmonomial, _ptrailing, kronecker_point
-from queerdual.superlinalg import relation_bound, word_sum
-from queerdual.uq_queer import _relation_terms
+from queerdual import hecke_clifford, superlinalg, uq_queer
+from queerdual.coord_alg import _counit_value, eval_on_operator
+from queerdual.scalars import (
+    ONE, ZERO, RatFunc, _pmonomial, _ptrailing, identity_bound, kronecker_point, sample_mod_p,
+)
+from queerdual.superlinalg import SOp, SuperSpace, index_parity, index_range, relation_bound, word_sum
+from queerdual.uq_queer import PARAM_Q, _relation_terms, param_q, tensor_rep, vector_rep
 
 
 def frac_rank(rows: list[list[Fraction]]) -> int:
@@ -197,8 +204,7 @@ def decide_in_qq(mp) -> None:
     invariance certificates, dropped kernel rows) to run in Q(q) instead."""
     for module in (superlinalg, uq_queer, hecke_clifford):
         mp.setattr(module, "relation_failures", relation_failures_in_qq)
-    for module in (superlinalg, duality):
-        mp.setattr(module, "invariant_under", lambda ops, vectors, rows: not invariance_differences(ops, vectors, rows))
+    mp.setattr(superlinalg, "invariant_under", lambda ops, vectors, rows: not invariance_differences(ops, vectors, rows))
     mp.setattr(superlinalg, "_annihilates", lambda rows, basis, ncols: not any(dot_products(rows, basis)))
 
 
@@ -236,3 +242,70 @@ def assert_bound_covers(values, bound, diffs, factors):
 def point_bits(report) -> int:
     """B of the point q = 2^B in Z that a report records as ``exact_point``."""
     return int(report.derived_values["exact_point"].removeprefix("q = 2^").removesuffix(" in Z"))
+
+
+# -- references: transcribed tables and direct evaluations -------------------
+
+
+def probably_equal(f: RatFunc, g: RatFunc, trials: int = 5, seed: int = 0) -> bool:
+    """Seed-deterministic identity test in GF(p) at random points.
+
+    For f != g it answers True with probability at most
+    ``identity_bound((f, g), terms=2).false_match(trials)``; when that bound is
+    not sound it compares exactly.
+    """
+    if trials < 1:
+        raise ValueError("trials >= 1 required")
+    if not identity_bound((f, g), terms=2).sound:
+        return f == g
+    rng = random.Random(seed)
+    for _ in range(trials):
+        _, image = sample_mod_p(rng, (f, g))
+        if image[f] != image[g]:
+            return False
+    return True
+
+
+def supercommutes(A: SOp, B: SOp) -> bool:
+    """Whether A B = (-1)^{|A||B|} B A, compared side by side (no sum is built)."""
+    ba = B @ A
+    return A @ B == (-ba if A.par and B.par else ba)
+
+
+def omega_map(n: int) -> SOp:
+    """The odd map v_a -> (-1)^{|a|} v_{-a}; squares to -id."""
+    V = SuperSpace.standard(n)
+    entries = {((-a,), (a,)): -ONE if index_parity(a) else ONE for a in index_range(n)}
+    return SOp(V, V, 1, entries, validate=False)
+
+
+def vector_action_table(n: int, param: str = PARAM_Q) -> dict:
+    """The expected Chevalley action on V, transcribed row by row:
+
+    k_i v_{+-j} = q^{d_ij} v_{+-j},  kbar_i: v_{+-i} <-> v_{-+i},
+    e_i: v_{i+1} -> v_i, v_{-i-1} -> v_{-i},   f_i: v_i -> v_{i+1}, v_{-i} -> v_{-i-1},
+    ebar_i: v_{i+1} -> v_{-i}, v_{-i-1} -> v_i, fbar_i: v_i -> v_{-i-1}, v_{-i} -> v_{i+1}.
+    """
+    V = SuperSpace.standard(n)
+    qq = param_q(param)
+    unit = lambda r, c: SOp.unit(V, V, (r,), (c,))
+    tab = {}
+    for i in range(1, n + 1):
+        for key, k in (("k", qq), ("kinv", qq.inverse())):
+            tab[(key, i)] = SOp(V, V, 0, {((a,), (a,)): k if abs(a) == i else ONE for a in index_range(n)})
+        tab[("kbar", i)] = unit(-i, i) + unit(i, -i)
+    for i in range(1, n):
+        tab[("e", i)] = unit(i, i + 1) + unit(-i, -i - 1)
+        tab[("f", i)] = unit(i + 1, i) + unit(-i - 1, -i)
+        tab[("ebar", i)] = unit(-i, i + 1) + unit(i, -i - 1)
+        tab[("fbar", i)] = unit(-i - 1, i) + unit(i + 1, -i)
+    return tab
+
+
+def eval_functional(f, word, n: int, param: str = PARAM_Q) -> RatFunc:
+    """Value of a degree-l coordinate functional on an algebra element given as
+    a word (``coord_alg.GenWord``): the counit at degree 0, else the signed
+    entries of the word's operator on V^{(x)l}."""
+    if f.degree == 0:
+        return f.terms.get(((), ()), ZERO) * _counit_value(word)
+    return eval_on_operator(f, word_sum(tensor_rep(vector_rep(n, param), f.degree).gen, word))

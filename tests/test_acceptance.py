@@ -15,7 +15,6 @@ from queerdual.uq_queer import (
     chevalley_ops,
     check_defining_relations,
     tensor_rep,
-    vector_action_table,
     vector_rep,
 )
 from queerdual.hecke_clifford import (
@@ -37,6 +36,8 @@ from queerdual.duality import (
     pad_weight,
     sergeev_verify,
 )
+
+from oracles import vector_action_table
 
 RELATION_CONFIGS = [(1, 4), (2, 3), (3, 2)]
 

@@ -11,8 +11,8 @@ from queerdual import duality, superlinalg
 from queerdual.duality import (
     CensusEntry,
     FixtureModule,
-    SubmoduleRep,
     fixture_module,
+    restrict_to_rows,
     sergeev_verify,
 )
 from queerdual.hecke_clifford import hc_tensor_action
@@ -37,7 +37,6 @@ from queerdual.superlinalg import (
     word_sum,
 )
 from queerdual.uq_queer import (
-    QueerRep,
     chevalley_ops,
     generate_submodule,
     highest_weight_vectors,
@@ -50,7 +49,7 @@ from oracles import (
     assert_bound_covers, decide_in_qq, invariance_differences, recording_relation_bounds, relation_failures_in_qq,
 )
 from test_duality import _perturbed_hc
-from test_superlinalg import V1, rand_op
+from test_superlinalg import V1, rand_op, restrict_by_reduction, restricted
 
 
 def at_q_one(monkeypatch):
@@ -63,10 +62,14 @@ def census_seeds(rep):
     return [hw[0] for hw in (highest_weight_vectors(rep, mu) for mu in weight_spaces(rep)) if hw]
 
 
+def exact_closure_echelon(rep, seeds) -> Echelon:
+    """The echelon of the exact closure of the seeds."""
+    return _closure(list(rep.gen.values()), [point_map(rep.space, v) for v in seeds])[0]
+
+
 def exact_closure_rows(rep, seeds):
     """The rows of the exact closure, as generate_submodule computed them before."""
-    ech = _closure(list(rep.gen.values()), [point_map(rep.space, v) for v in seeds])[0]
-    return [unflatten_vector(rep.space, dict(row)) for _, row in ech.rows]
+    return [unflatten_vector(rep.space, dict(row)) for _, row in exact_closure_echelon(rep, seeds).rows]
 
 
 # -- intertwiners of one parity
@@ -74,7 +77,7 @@ def exact_closure_rows(rep, seeds):
 
 def fixture_pair():
     rep = tensor_rep(vector_rep(2), 2)
-    target = chevalley_ops(SubmoduleRep(rep, generate_submodule(rep, [{(1, 1): ONE}])).as_queer_rep())
+    target = chevalley_ops(restricted(rep, [{(1, 1): ONE}]))
     fixture = FixtureModule().chevalley()
     solve_on = [("k", 1), ("k", 2), ("e", 1), ("f", 1), ("ebar", 1)]
     return [target[k] for k in solve_on], [fixture[k] for k in solve_on]
@@ -137,6 +140,34 @@ def test_invariance_bound_covers_a_worst_case_difference():
     assert not invariant_under([op], vectors, rows)
 
 
+def test_invariance_bound_counts_the_rows_at_one_position():
+    # d rows whose non-pivot entries sit at d distinct positions y_l: at most
+    # c = 1 row meets each position, so the bound has terms 1 + c = 2, not 1 + d,
+    # and it still covers f = A^2 + A^3 at y_0
+    A, d = 2**20 + 1, 3
+    labels = [f"x{l}" for l in range(d)] + [f"y{l}" for l in range(d)] + ["z"]
+    space = SuperSpace.named(labels, odd=[])
+    entries = {(f"x{l}", "z"): RatFunc(-A) for l in range(d)} | {("y0", "z"): RatFunc(A)}
+    op = SOp(space, space, 0, entries)
+    vectors = [{2 * d: RatFunc(A)}]
+    rows = [(l, {l: ONE, d + l: RatFunc(A)}) for l in range(d)]
+    diffs = invariance_differences([op], vectors, rows)
+    assert diffs == [RatFunc(A**2 + A**3)] + [RatFunc(A**3)] * (d - 1)  # at y0, y1, y2
+    values, bound = invariance_bound([op], vectors, rows)
+    assert bound.height == 2 * A**3
+    assert_bound_covers(values, bound, diffs, 3)
+    assert not invariant_under([op], vectors, rows)
+
+
+def echelon_of(space, basis) -> tuple[list, Echelon]:
+    """The basis flattened, and the echelon it spans."""
+    ech = Echelon()
+    flat = [flatten_vector(space, v) for v in basis]
+    for vec in flat:
+        ech.insert(vec)
+    return flat, ech
+
+
 def non_invariant_bases():
     rep = tensor_rep(vector_rep(2), 2)
     rows = generate_submodule(rep, [{(1, 1): ONE}])
@@ -147,10 +178,7 @@ def test_invariance_bound_covers_the_exact_differences_of_non_invariant_bases():
     rep, _, bases = non_invariant_bases()
     gens = list(rep.gen.values())
     for basis in bases:
-        ech = Echelon()
-        flat = [flatten_vector(rep.space, v) for v in basis]
-        for vec in flat:
-            ech.insert(vec)
+        flat, ech = echelon_of(rep.space, basis)
         values, bound = invariance_bound(gens, flat, ech.rows)
         assert_bound_covers(values, bound, invariance_differences(gens, flat, ech.rows), 3)
         assert not invariant_under(gens, flat, ech.rows)
@@ -158,15 +186,18 @@ def test_invariance_bound_covers_the_exact_differences_of_non_invariant_bases():
 
 @pytest.mark.parametrize("where", ["at_point", "in_qq"])
 def test_a_non_invariant_basis_leaves_the_submodule(where, monkeypatch):
-    # at the Kronecker point, and with the certificate decided in Q(q)
+    # the certificate accepts the submodule's rows and refuses each other basis,
+    # at the Kronecker point, and decided in Q(q)
     if where == "in_qq":
         decide_in_qq(monkeypatch)
     rep, rows, bases = non_invariant_bases()
-    sub = SubmoduleRep(rep, rows)
-    assert sub.as_queer_rep().space.dim == 8
+    gens = list(rep.gen.values())
+    flat, ech = echelon_of(rep.space, rows)
+    assert superlinalg.invariant_under(gens, flat, ech.rows)
+    assert restrict_to_rows(rep, ech.rows).space.dim == 8
     for basis in bases:
-        with pytest.raises(ValueError, match="vector leaves the submodule"):
-            SubmoduleRep(rep, basis).as_queer_rep()
+        flat, ech = echelon_of(rep.space, basis)
+        assert not superlinalg.invariant_under(gens, flat, ech.rows)
 
 
 def recording_certificates(monkeypatch):
@@ -348,24 +379,6 @@ def test_census_sergeev_and_fixture_reports_are_equal_in_qq(fresh_census):
 # -- the census against the way it was computed before
 
 
-def restrict_by_reduction(rep, basis):
-    """The submodule's generators, one exact reduction per generator image."""
-    labels = [f"s{k}" for k in range(len(basis))]
-    space = SuperSpace(labels, {lab: rep.space.parity[next(iter(v))] for lab, v in zip(labels, basis)})
-    ech = Echelon(track=True)
-    for vec in basis:
-        assert ech.insert(flatten_vector(rep.space, vec))
-    gen = {}
-    for key, op in rep.gen.items():
-        entries = {}
-        for k, vec in enumerate(basis):
-            res, combo = ech.reduce(flatten_vector(rep.space, op.apply(vec)))
-            assert not res
-            entries.update({(labels[j], labels[k]): c for j, c in combo.items()})
-        gen[key] = SOp(space, space, op.par, entries)
-    return QueerRep(rep.spec, space, gen)
-
-
 def census_entries_the_old_way(n, m):
     """Exact closure, restriction by reduction, the sub-representation's highest
     weight vectors and its whole graded commutant."""
@@ -375,9 +388,10 @@ def census_entries_the_old_way(n, m):
         hw = highest_weight_vectors(rep, mu)
         if not hw:
             continue
-        basis = exact_closure_rows(rep, [hw[0]])
+        rows = exact_closure_echelon(rep, [hw[0]]).rows
+        basis = [unflatten_vector(rep.space, dict(row)) for _, row in rows]
         sub_rep = restrict_by_reduction(rep, basis)
-        assert SubmoduleRep(rep, basis).as_queer_rep().gen == sub_rep.gen
+        assert restrict_to_rows(rep, rows).gen == sub_rep.gen
         h, d, h_sub = len(hw), len(basis), len(highest_weight_vectors(sub_rep, mu))
         copies = h // h_sub if h_sub > 0 and h % h_sub == 0 else 0
         comm = graded_commutant(list(sub_rep.gen.values()))
@@ -410,11 +424,11 @@ def test_census_2_3_solves_no_commutant_and_reduces_no_generator_image(monkeypat
     # work guard: every block's candidate intertwiners pass one supercommutation
     # check, so no commutant system is solved.  Generating a block reduces each
     # kept word once, and restricting to it reduces nothing: the exact closure
-    # and restriction reduced every image.  Each block runs two invariance
-    # certificates.
+    # and restriction reduced every image.  Each block runs one invariance
+    # certificate, the one of its generation.
     solved, exact_reductions, steps, certificates, checks = [], [], [], [], []
     real_intertwiners, real_reduce = duality.intertwiners, Echelon._reduce
-    generate, restrict = duality.submodule_echelon, SubmoduleRep.as_queer_rep
+    generate, restrict = duality.submodule_echelon, duality.restrict_to_rows
     supercommutation = duality.supercommutation_failures
 
     def solving(A_ops, B_ops, parity=None):
@@ -441,7 +455,7 @@ def test_census_2_3_solves_no_commutant_and_reduces_no_generator_image(monkeypat
     monkeypatch.setattr(duality, "graded_commutant", forbidden)
     monkeypatch.setattr(Echelon, "_reduce", reducing)
     monkeypatch.setattr(duality, "submodule_echelon", lambda *args: counted("generate", generate, *args))
-    monkeypatch.setattr(SubmoduleRep, "as_queer_rep", lambda self: counted("restrict", restrict, self))
+    monkeypatch.setattr(duality, "restrict_to_rows", lambda *args: counted("restrict", restrict, *args))
     monkeypatch.setattr(
         duality, "supercommutation_failures", lambda A, B: checks.append(len(A)) or supercommutation(A, B)
     )
@@ -450,7 +464,7 @@ def test_census_2_3_solves_no_commutant_and_reduces_no_generator_image(monkeypat
     assert solved == []
     assert checks == [2, 4]  # the candidates: 1|1 for type Q, 2|2 for the pair
     assert steps == [("generate", 12), ("restrict", 0), ("generate", 8), ("restrict", 0)]
-    assert len(certificates) == 4
+    assert len(certificates) == 2
 
 
 def recording_solves(monkeypatch):

@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 
 from queerdual.scalars import ONE, RatFunc, Q, ZERO
-from queerdual.superlinalg import index_parity, index_range
+from queerdual.superlinalg import index_parity, index_range, word_sum
 from queerdual.uq_queer import generator_pairs, phi, vector_rep
 from queerdual.coord_alg import (
     CoordFunctional,
     DegreeMismatch,
     act,
-    eval_functional,
     functional_equal,
     functional_is_zero,
     gen_word,
@@ -20,11 +19,10 @@ from queerdual.coord_alg import (
     phi_component_rep,
     product,
     qca_report,
-    word_operator,
     zero_weight_iso,
 )
 
-from oracles import frac_rank, flatten_ops_rows
+from oracles import eval_functional, frac_rank, flatten_ops_rows, omega_map
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +42,8 @@ def test_matrix_coefficient_expansion(ib1):
     pairs = generator_pairs(2)
     for _ in range(12):
         letters = tuple(rng.choice(pairs) for _ in range(rng.randint(1, 3)))
-        w = [(ONE, letters)]
-        op = word_operator(rep, w)
+        w = [(letters, ONE)]
+        op = word_sum(rep.gen, w)
         for b in index_range(2):
             img = op.apply({(b,): ONE})
             for a in index_range(2):
@@ -54,7 +52,7 @@ def test_matrix_coefficient_expansion(ib1):
 
 
 def test_counit_row():
-    one_word = [(ONE, ())]
+    one_word = [((), ONE)]
     for a in index_range(2):
         for b in index_range(2):
             tab = CoordFunctional.monomial((a,), (b,))
@@ -80,7 +78,7 @@ def test_coproduct_consistency():
     for _ in range(10):
         l1 = tuple(rng.choice(pairs) for _ in range(rng.randint(1, 2)))
         l2 = tuple(rng.choice(pairs) for _ in range(rng.randint(1, 2)))
-        w1, w2, w12 = [(ONE, l1)], [(ONE, l2)], [(ONE, l1 + l2)]
+        w1, w2, w12 = [(l1, ONE)], [(l2, ONE)], [(l1 + l2, ONE)]
         for a in index_range(2):
             for b in index_range(2):
                 lhs = eval_functional(CoordFunctional.monomial((a,), (b,)), w12, 2)
@@ -216,7 +214,6 @@ def test_phi_psit_commute_and_psi_supercommutes(ib1, ib2):
 def test_omega_twist_identity(ib1):
     # tau_{omega~(u~), omega(v)} = -(-1)^{|u~|} tau_{u~, v} at the vector weight
     from queerdual.coord_alg import kappa_sign
-    from queerdual.uq_queer import omega_map
 
     om = omega_map(2)
 

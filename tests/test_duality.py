@@ -6,12 +6,11 @@ import pytest
 from queerdual import cli, duality, superlinalg
 from queerdual.coord_alg import operator_image_basis
 from queerdual.scalars import ONE, P, QINV, Q
-from queerdual.superlinalg import certified_span, operator_algebra_span, supercommutes
+from queerdual.superlinalg import certified_span, operator_algebra_span
 from queerdual.uq_queer import PARAM_Q, tensor_rep, vector_rep
 from queerdual.hecke_clifford import braid_operator, hc_check, hc_tensor_action, zero_weight_hc
 from queerdual.duality import (
     FixtureModule,
-    SubmoduleRep,
     classical_crosscheck,
     enumerate_strict_partitions,
     fixture_module,
@@ -19,10 +18,11 @@ from queerdual.duality import (
     isotypic_census,
     load_expectations,
     pad_weight,
+    restrict_to_rows,
     sergeev_verify,
 )
 
-from oracles import frac_rank, schur_q_dim, vectors_rows
+from oracles import frac_rank, schur_q_dim, supercommutes, vectors_rows
 
 
 def test_enumerate_strict_partitions():
@@ -340,7 +340,8 @@ def test_classical_braid_checks_need_a_braid_generator(n, m):
     assert names & braid_checks == (braid_checks if m >= 2 else set())
 
 
-def test_submodule_rep_errors():
+def test_restrict_to_rows_errors():
     rep = tensor_rep(vector_rep(1), 2)
-    with pytest.raises(ValueError):
-        SubmoduleRep(rep, [{(1, 1): ONE, (1, -1): ONE}])  # mixed parity
+    pos = rep.space.pos
+    with pytest.raises(ValueError, match="pivot's parity"):
+        restrict_to_rows(rep, [(pos[(1, -1)], {pos[(1, -1)]: ONE, pos[(1, 1)]: ONE})])  # mixed parity

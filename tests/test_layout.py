@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import sys
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import queerdual
 
 PACKAGE = os.path.dirname(queerdual.__file__)
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "__init__.py")
 
 
@@ -59,7 +61,8 @@ def test_imports_only_the_standard_library_and_the_package(name):
 
 def test_every_module_level_definition_is_used_or_exported():
     # a function or class that no other code of the package refers to, and that
-    # __init__ does not export, is dead code: only tests could reach it
+    # __init__ does not export as API that README.md documents, is dead code:
+    # only tests could reach it
     trees = {name: parse(name) for name in sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))}
     used = set()
     for name, tree in trees.items():
@@ -71,7 +74,9 @@ def test_every_module_level_definition_is_used_or_exported():
             elif isinstance(node, ast.ImportFrom) and name != "__init__.py":
                 used.update(alias.name for alias in node.names)
     init = trees["__init__.py"].body
-    exported = {alias.name for node in init if isinstance(node, ast.ImportFrom) for alias in node.names}
+    with open(README) as fh:
+        documented = set(re.findall(r"\w+", fh.read()))
+    exported = {alias.name for node in init if isinstance(node, ast.ImportFrom) for alias in node.names} & documented
     dead = [
         f"{name}:{node.name}"
         for name, tree in trees.items()

@@ -22,12 +22,11 @@ from queerdual.scalars import (
     _pmul,
     identity_bound,
     kronecker_point,
-    probably_equal,
     q_number,
     specialize,
 )
 
-from oracles import Laurent, laurent_of
+from oracles import Laurent, laurent_of, probably_equal
 
 
 def rand_ratfunc(rng, max_deg=4):

@@ -5,7 +5,7 @@ import pytest
 
 from queerdual import coord_alg, scalars, superlinalg
 from queerdual.coord_alg import operator_image_basis
-from queerdual.duality import FixtureModule, SubmoduleRep
+from queerdual.duality import FixtureModule, restrict_to_rows
 from queerdual.hecke_clifford import hc_tensor_action
 from queerdual.scalars import (
     ONE, P, RatFunc, Q, ZERO, _pmonomial, _ptrailing, identity_bound, kronecker_point, sample_mod_p,
@@ -20,6 +20,7 @@ from queerdual.superlinalg import (
     SOp,
     SuperSpace,
     certified_span,
+    flatten_vector,
     graded_commutant,
     graded_tensor,
     index_parity,
@@ -29,10 +30,12 @@ from queerdual.superlinalg import (
     kernel_basis,
     operator_algebra_span,
     span_dim,
+    submodule_echelon,
     supercommutator,
     tensor_space,
+    unflatten_vector,
 )
-from queerdual.uq_queer import chevalley_ops, generate_submodule, highest_weight_vectors, tensor_rep, vector_rep
+from queerdual.uq_queer import QueerRep, chevalley_ops, highest_weight_vectors, tensor_rep, vector_rep
 
 from oracles import flatten_ops_rows, frac_rank, specialize_op_rows, vectors_rows
 
@@ -133,7 +136,7 @@ def test_joint_kernel_against_rank_oracle():
 
 def test_span_dim():
     v = {0: ONE, 3: Q}
-    d, ech, _ = span_dim([v, {k: 2 * x for k, x in v.items()}])
+    d, ech = span_dim([v, {k: 2 * x for k, x in v.items()}])
     assert d == 1
     assert span_dim([])[0] == 0
     assert ech.contains({0: 2 * ONE, 3: 2 * Q})
@@ -451,7 +454,7 @@ def test_weight_block_commutant_matches_the_full_system():
         assert graded_commutant(ops) == reference_intertwiners(ops, ops)
     # two different families: the rank-2 fixture against the ambient submodule of V^{(x)2}
     rep = tensor_rep(vector_rep(2), 2)
-    target = chevalley_ops(SubmoduleRep(rep, generate_submodule(rep, [{(1, 1): ONE}])).as_queer_rep())
+    target = chevalley_ops(restricted(rep, [{(1, 1): ONE}]))
     fixture = FixtureModule().chevalley()
     solve_on = [("k", 1), ("k", 2), ("e", 1), ("f", 1), ("ebar", 1)]
     A_ops, B_ops = [target[k] for k in solve_on], [fixture[k] for k in solve_on]
@@ -461,13 +464,40 @@ def test_weight_block_commutant_matches_the_full_system():
     assert all(X.dom == fixture[("k", 1)].dom and X.cod == target[("k", 1)].dom for X in got)
 
 
+def restrict_by_reduction(rep, basis):
+    """The submodule's generators, one exact reduction per generator image."""
+    labels = [f"s{k}" for k in range(len(basis))]
+    space = SuperSpace(labels, {lab: rep.space.parity[next(iter(v))] for lab, v in zip(labels, basis)})
+    ech = Echelon(track=True)
+    for vec in basis:
+        assert ech.insert(flatten_vector(rep.space, vec))
+    gen = {}
+    for key, op in rep.gen.items():
+        entries = {}
+        for k, vec in enumerate(basis):
+            res, combo = ech.reduce(flatten_vector(rep.space, op.apply(vec)))
+            assert not res
+            entries.update({(labels[j], labels[k]): c for j, c in combo.items()})
+        gen[key] = SOp(space, space, op.par, entries)
+    return QueerRep(rep.spec, space, gen)
+
+
+def restricted(rep, seeds):
+    """The representation on the submodule the seeds generate, read off its
+    certified rows by ``restrict_to_rows``, and equal to the restriction by reduction."""
+    rows = submodule_echelon(list(rep.gen.values()), seeds)[0].rows
+    sub = restrict_to_rows(rep, rows)
+    assert sub.gen == restrict_by_reduction(rep, [unflatten_vector(rep.space, dict(row)) for _, row in rows]).gen
+    return sub
+
+
 def census_top_block():
     """The generators on the dim-12 submodule of V^{(x)3}, rank 2, at weight (3, 0)."""
     rep = tensor_rep(vector_rep(2), 3)
     seed = next(v for v in highest_weight_vectors(rep, (3, 0)) if all(rep.space.parity[x] == 0 for x in v))
-    sub = SubmoduleRep(rep, generate_submodule(rep, [seed]))
+    sub = restricted(rep, [seed])
     assert sub.space.dim == 12
-    return list(sub.as_queer_rep().gen.values())
+    return list(sub.gen.values())
 
 
 def test_exact_elimination_sees_only_a_row_basis(monkeypatch):

@@ -38,20 +38,26 @@ from queerdual.uq_queer import (
     generator_pairs,
     highest_weight_vectors,
     is_dominant_weight,
-    omega_map,
     phi,
     raising_operators,
     s_matrix,
     sigma_twist,
     tensor_product_rep,
     tensor_rep,
-    vector_action_table,
     vector_rep,
     weight_spaces,
 )
 
 from oracles import (
-    assert_bound_covers, decide_in_qq, frac_rank, point_bits, recording_relation_bounds, relation_sides, vectors_rows,
+    assert_bound_covers,
+    decide_in_qq,
+    frac_rank,
+    omega_map,
+    point_bits,
+    recording_relation_bounds,
+    relation_sides,
+    vector_action_table,
+    vectors_rows,
 )
 
 
@@ -579,7 +585,7 @@ def test_raising_weight_shift():
 def test_hwv_tensor_square():
     rep = tensor_rep(vector_rep(2), 2)
     hw = highest_weight_vectors(rep, (2, 0))
-    d, ech, _ = span_dim([flatten_vector(rep.space, v) for v in hw])
+    d, ech = span_dim([flatten_vector(rep.space, v) for v in hw])
     assert ech.contains({rep.space.pos[(1, 1)]: ONE})  # v_1 (x) v_1 is a HWV
     assert highest_weight_vectors(rep, (1, 1)) == []  # (1,1) is not strict
 

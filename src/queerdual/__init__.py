@@ -20,7 +20,7 @@ Layers:
 """
 
 from .scalars import (
-    ONE, QINV, RatFunc, XI, ZERO, Q, PoleAtPoint, identity_bound, q_number, specialize,
+    ONE, QINV, RatFunc, XI, ZERO, Q, PoleAtPoint, identity_bound, q_number,
 )
 from .superlinalg import SOp, SuperSpace, graded_commutant, graded_tensor, joint_kernel, span_dim, tensor_space
 from .uq_queer import (

@@ -157,17 +157,18 @@ def braid_operator(rep, a: int) -> SOp:
     def k_pow(op_pos, op_neg, t):
         return op_pos.power(t) if t >= 0 else op_neg.power(-t)
 
+    # the Cartan factor k_a^d k_{a+1}^{-d} once per d = k - i, and e^(i) f^(j) once per (i, j)
+    cartan = {d: k_pow(ka, ka_inv, d) @ k_pow(kb, kb_inv, -d) for d in range(1 - len(e_div), len(e_div))}
     total = None
-    for i in range(len(e_div)):
-        for j in range(len(f_div)):
-            for k in range(len(e_div)):
+    for i, e_i in enumerate(e_div):
+        for j, f_j in enumerate(f_div):
+            ef = e_i @ f_j
+            for k, e_k in enumerate(e_div):
                 exp = k * (k - j) - i * (i - j + k) + j - 1
                 coeff = qq**exp
                 if j & 1:
                     coeff = -coeff
-                term = (
-                    e_div[i] @ f_div[j] @ e_div[k] @ k_pow(ka, ka_inv, k - i) @ k_pow(kb, kb_inv, i - k)
-                ).scale(coeff)
+                term = (ef @ e_k @ cartan[k - i]).scale(coeff)
                 total = term if total is None else total + term
     return total
 

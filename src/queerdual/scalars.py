@@ -549,10 +549,6 @@ def q_number(j: int, factorial: bool = False) -> RatFunc:
     return out
 
 
-def specialize(f: RatFunc, c) -> Fraction:
-    return f.specialize(c)
-
-
 # ---------------------------------------------------------------------------
 # identity tests: the Schwartz-Zippel bound and the Kronecker point
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ on operators built with ``SOp`` arithmetic.  Nothing here shares code with
 the package's elimination or its integer and residue zero tests, except the
 last section: references that only the tests use (the transcribed vector
 action table, the omega map, side-by-side supercommutation, direct
-evaluation of a coordinate functional and the seeded GF(p) identity test).
+evaluation of a coordinate functional, the seeded GF(p) identity test, the
+exchange relation as operator-valued functionals and the braid operator as
+the plain triple product).
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ import random
 from fractions import Fraction
 
 from queerdual import hecke_clifford, superlinalg, uq_queer
-from queerdual.coord_alg import _counit_value, eval_on_operator
+from queerdual.coord_alg import CoordFunctional, _counit_value, eval_on_operator, product
 from queerdual.scalars import (
     ONE, ZERO, RatFunc, _pmonomial, _ptrailing, identity_bound, kronecker_point, sample_mod_p,
 )
-from queerdual.superlinalg import SOp, SuperSpace, index_parity, index_range, relation_bound, word_sum
-from queerdual.uq_queer import PARAM_Q, _relation_terms, param_q, tensor_rep, vector_rep
+from queerdual.superlinalg import SOp, SuperSpace, graded_tensor, index_parity, index_range, relation_bound, word_sum
+from queerdual.uq_queer import PARAM_Q, _relation_terms, param_q, s_matrix, tensor_rep, vector_rep
 
 
 def frac_rank(rows: list[list[Fraction]]) -> int:
@@ -309,3 +311,71 @@ def eval_functional(f, word, n: int, param: str = PARAM_Q) -> RatFunc:
     if f.degree == 0:
         return f.terms.get(((), ()), ZERO) * _counit_value(word)
     return eval_on_operator(f, word_sum(tensor_rep(vector_rep(n, param), f.degree).gen, word))
+
+
+def _op_valued_product(lhs: list, rhs: list) -> list:
+    """Multiply sums of (operator (x) functional) pairs with the Koszul sign
+    (X (x) f)(Y (x) g) = (-1)^{|f||Y|} XY (x) fg."""
+    out = []
+    for X, f in lhs:
+        for Y, g in rhs:
+            sign = -1 if (f.parity() and Y.par) else 1
+            out.append(((X @ Y).scale(sign), product(f, g)))
+    return out
+
+
+def _collect_entries(terms: list) -> dict:
+    acc: dict = {}
+    for X, f in terms:
+        for key, v in X.entries.items():
+            cur = acc.get(key)
+            scaled = f.scale(v)
+            acc[key] = scaled if cur is None else cur + scaled
+    return {k: f for k, f in acc.items() if not f.is_zero()}
+
+
+def qca2_sides(n: int, S: SOp | None = None) -> tuple[dict, dict]:
+    """The entries of S12 T13 T23 and T23 T13 S12 as degree-2 functionals,
+    {(row, column): functional} without the zero entries, built as sums of
+    operator-valued functionals with the Koszul sign of each product; S is
+    ``s_matrix(n)`` unless given."""
+    V = SuperSpace.standard(n)
+    ident = SOp.identity(V)
+    t13, t23 = [], []
+    for a in index_range(n):
+        for b in index_range(n):
+            e_ab = SOp.unit(V, V, (a,), (b,))
+            f_ab = CoordFunctional.monomial((a,), (b,))
+            t13.append((graded_tensor(e_ab, ident), f_ab))
+            t23.append((graded_tensor(ident, e_ab), f_ab))
+    s12 = [(s_matrix(n) if S is None else S, CoordFunctional.unit())]
+    lhs = _collect_entries(_op_valued_product(s12, _op_valued_product(t13, t23)))
+    rhs = _collect_entries(_op_valued_product(_op_valued_product(t23, t13), s12))
+    return lhs, rhs
+
+
+def braid_triple_product(rep, a: int) -> SOp:
+    """T_a as the divided-power sum with every term the plain product
+    e_a^(i) f_a^(j) e_a^(k) k_a^{k-i} k_{a+1}^{i-k}, built from scratch."""
+    ch = rep.chevalley()
+    qq = param_q(rep.param)
+    e_div = hecke_clifford._divided_powers(ch[("e", a)])
+    f_div = hecke_clifford._divided_powers(ch[("f", a)])
+    ka, ka_inv = ch[("k", a)], ch[("kinv", a)]
+    kb, kb_inv = ch[("k", a + 1)], ch[("kinv", a + 1)]
+
+    def k_pow(op_pos, op_neg, t):
+        return op_pos.power(t) if t >= 0 else op_neg.power(-t)
+
+    total = None
+    for i in range(len(e_div)):
+        for j in range(len(f_div)):
+            for k in range(len(e_div)):
+                coeff = qq ** (k * (k - j) - i * (i - j + k) + j - 1)
+                if j & 1:
+                    coeff = -coeff
+                term = (
+                    e_div[i] @ f_div[j] @ e_div[k] @ k_pow(ka, ka_inv, k - i) @ k_pow(kb, kb_inv, i - k)
+                ).scale(coeff)
+                total = term if total is None else total + term
+    return total

@@ -22,7 +22,12 @@ from queerdual.coord_alg import (
     zero_weight_iso,
 )
 
-from oracles import eval_functional, frac_rank, flatten_ops_rows, omega_map
+from queerdual import coord_alg
+from queerdual.coord_alg import eval_on_operator
+from queerdual.superlinalg import SOp
+from queerdual.uq_queer import s_matrix
+
+from oracles import eval_functional, frac_rank, flatten_ops_rows, omega_map, qca2_sides
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +148,60 @@ def test_qca_rank_one():
     report = qca_report(1)
     assert report.ok
     assert report.derived_values["qca2_entries_checked"] == 16
+
+
+def super_flip(W):
+    """P(v_a (x) v_c) = (-1)^{|a||c|} v_c (x) v_a on W = V (x) V."""
+    return SOp(W, W, 0, {((c, a), (a, c)): -ONE if index_parity(a) and index_parity(c) else ONE for a, c in W.labels})
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_qca2_sides_evaluate_to_s_x_and_p_x_p_s(n):
+    # the proof in qca_report: on an image operator X, entry (r, c) of
+    # S12 T13 T23 evaluates to (S X)[r, c] and of T23 T13 S12 to (P X P S)[r, c]
+    lhs, rhs = qca2_sides(n)
+    S = s_matrix(n)
+    W = S.dom
+    P = super_flip(W)
+    zero = CoordFunctional(2)
+    keys = [(r, c) for r in W.labels for c in W.labels]
+    assert set(lhs) | set(rhs) == set(keys)
+    for X in operator_image_basis(n, 2).ops:
+        SX, PXPS = S @ X, P @ X @ P @ S
+        for key in keys:
+            assert eval_on_operator(lhs.get(key, zero), X) == SX.entry(*key)
+            assert eval_on_operator(rhs.get(key, zero), X) == PXPS.entry(*key)
+
+
+def oracle_qca2_witness(n, S):
+    """The failing entries of the exchange relation with S, first four, as
+    operator-valued functionals compared on the degree-2 image basis."""
+    lhs, rhs = qca2_sides(n, S)
+    ib2 = operator_image_basis(n, 2)
+    zero = CoordFunctional(2)
+    bad = [key for key in sorted(set(lhs) | set(rhs)) if not functional_equal(lhs.get(key, zero), rhs.get(key, zero), ib2)]
+    return bad[:4] or None
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_qca2_planted_defect_fails_with_the_oracle_witness(n, monkeypatch):
+    # add q to one even entry of S at a time: qca2 must fail, with the witness
+    # of the functional route
+    S = s_matrix(n)
+    W = S.dom
+    even = [(r, c) for r in W.labels for c in W.labels if W.parity[r] == W.parity[c]]
+    stored = sorted(set(S.entries) & set(even))[:2]
+    picks = stored + random.Random(n).sample([key for key in even if key not in stored], 4)
+    for key in picks:
+        entries = dict(S.entries)
+        entries[key] = entries.get(key, ZERO) + Q
+        planted = SOp(W, W, 0, entries)
+        monkeypatch.setattr(coord_alg, "s_matrix", lambda _n, planted=planted: planted)
+        report = qca_report(n)
+        qca2 = next(c for c in report.checks if c.name == "qca2")
+        assert qca2.status == "fail", key
+        assert qca2.witness == oracle_qca2_witness(n, planted), key
+        assert report.derived_values["qca2_entries_checked"] == len(W.labels) ** 2
 
 
 def test_phi_eigenvalues():

@@ -18,7 +18,7 @@ from queerdual.hecke_clifford import (
 )
 from queerdual.uq_queer import tensor_rep, vector_rep, weight_spaces
 
-from oracles import assert_bound_covers, decide_in_qq, recording_relation_bounds
+from oracles import assert_bound_covers, braid_triple_product, decide_in_qq, recording_relation_bounds
 from test_uq_queer import raises_the_point
 
 
@@ -91,6 +91,21 @@ def test_braid_weight_support():
         lhs = ch[("k", 1)].apply(T.apply({lab: ONE}))
         rhs = T.apply(ch[("k", 1)].apply({lab: ONE}))
         assert lhs == rhs
+
+
+def test_braid_operator_matches_the_triple_product():
+    # the hoisted Cartan factors and e^(i) f^(j) products give the same T_a
+    # as every term built from scratch, on the (2,2,2) phi-component module,
+    # the fixture and V (x) V
+    reps = {
+        "phi(2,2,2)": phi_component_rep(2, 2, 2)[0],
+        "fixture": fixture_module()[0],
+        "V(2)^2": tensor_rep(vector_rep(2), 2),
+    }
+    for name, rep in reps.items():
+        T = braid_operator(rep, 1)
+        assert not T.is_zero(), name
+        assert T == braid_triple_product(rep, 1), name
 
 
 def test_zero_weight_hc_v22():

@@ -63,13 +63,26 @@ def test_every_module_level_definition_is_used_or_exported():
     # a function or class that no other code of the package refers to, and that
     # __init__ does not export as API that README.md documents, is dead code:
     # only tests could reach it
+    # An attribute counts only as module.name, module a name bound to a package
+    # module: a method or field that shares a function's spelling does not.
     trees = {name: parse(name) for name in sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))}
+    modules = {name.removesuffix(".py") for name in trees}
     used = set()
     for name, tree in trees.items():
+        bound = set()  # names in this file bound to a package module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update(
+                    alias.asname for alias in node.names
+                    if alias.asname and alias.name.startswith("queerdual.") and alias.name.split(".")[1] in modules
+                )
+            elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "queerdual"):
+                if node.module in (None, "queerdual"):
+                    bound.update(alias.asname or alias.name for alias in node.names if alias.name in modules)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom) and name != "__init__.py":
                 used.update(alias.name for alias in node.names)

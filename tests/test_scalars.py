@@ -23,7 +23,6 @@ from queerdual.scalars import (
     identity_bound,
     kronecker_point,
     q_number,
-    specialize,
 )
 
 from oracles import Laurent, laurent_of, probably_equal
@@ -58,12 +57,12 @@ def test_q_factorial_example():
 
 
 def test_specialize():
-    assert specialize(XI, 1) == 0
-    assert specialize(q_number(2), 1) == 2
-    assert specialize(q_number(3, factorial=True), 1) == 6
+    assert XI.specialize(1) == 0
+    assert q_number(2).specialize(1) == 2
+    assert q_number(3, factorial=True).specialize(1) == 6
     with pytest.raises(PoleAtPoint):
-        specialize(1 / (Q - 1), 1)
-    assert specialize(RatFunc((1, 2, 1), (2,)), Fraction(1, 3)) == Fraction(8, 9)
+        (1 / (Q - 1)).specialize(1)
+    assert RatFunc((1, 2, 1), (2,)).specialize(Fraction(1, 3)) == Fraction(8, 9)
 
 
 def test_probably_equal():

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from queerdual.scalars import ONE, RatFunc, Q, ZERO
-from queerdual.superlinalg import index_parity, index_range, word_sum
-from queerdual.uq_queer import generator_pairs, phi, vector_rep
+from queerdual import coord_alg
+from queerdual.superlinalg import SOp, index_parity, index_range, word_sum
+from queerdual.uq_queer import generator_pairs, phi, s_matrix, vector_rep
 from queerdual.coord_alg import (
     CoordFunctional,
     DegreeMismatch,
     act,
+    eval_on_operator,
     functional_equal,
     functional_is_zero,
     gen_word,
@@ -21,11 +23,6 @@ from queerdual.coord_alg import (
     qca_report,
     zero_weight_iso,
 )
-
-from queerdual import coord_alg
-from queerdual.coord_alg import eval_on_operator
-from queerdual.superlinalg import SOp
-from queerdual.uq_queer import s_matrix
 
 from oracles import eval_functional, frac_rank, flatten_ops_rows, omega_map, qca2_sides
 

@@ -62,25 +62,20 @@ def test_imports_only_the_standard_library_and_the_package(name):
 def test_every_module_level_definition_is_used_or_exported():
     # a function or class that no other code of the package refers to, and that
     # __init__ does not export as API that README.md documents, is dead code:
-    # only tests could reach it
-    # An attribute counts only as module.name, module a name bound to a package
-    # module: a method or field that shares a function's spelling does not.
+    # only tests could reach it.  A use is a name that is read, or an attribute
+    # read as module.name, module a name bound to a package module: a method, a
+    # field or an assignment that shares a function's spelling keeps nothing alive
     trees = {name: parse(name) for name in sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))}
     modules = {name.removesuffix(".py") for name in trees}
     used = set()
     for name, tree in trees.items():
-        bound = set()  # names in this file bound to a package module
+        bound = {
+            alias.asname or alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module in (None, "queerdual")
+            for alias in node.names if alias.name in modules
+        }
         for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                bound.update(
-                    alias.asname for alias in node.names
-                    if alias.asname and alias.name.startswith("queerdual.") and alias.name.split(".")[1] in modules
-                )
-            elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "queerdual"):
-                if node.module in (None, "queerdual"):
-                    bound.update(alias.asname or alias.name for alias in node.names if alias.name in modules)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
                 used.add(node.attr)

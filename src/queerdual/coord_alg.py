@@ -107,12 +107,6 @@ class CoordFunctional:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def parity(self) -> int | None:
-        ps = {monomial_parity(r, c) for (r, c) in self.terms}
-        if len(ps) == 1:
-            return ps.pop()
-        return None if ps else 0
-
     def __add__(self, other: "CoordFunctional") -> "CoordFunctional":
         if self.degree != other.degree:
             raise DegreeMismatch(f"{self.degree} vs {other.degree}")
@@ -155,13 +149,6 @@ class CoordFunctional:
             bits.append(f"({v}) {mono}")
         return " + ".join(bits)
 
-    def serialize(self) -> str:
-        bits = []
-        for (rows, cols), v in sorted(self.terms.items()):
-            mono = "".join(f"t[{a},{b}]" for a, b in zip(rows, cols)) or "1"
-            bits.append(f"({v.to_string()})*{mono}")
-        return " + ".join(bits) if bits else "0"
-
 
 def product(f: CoordFunctional, g: CoordFunctional) -> CoordFunctional:
     """Degree-additive convolution product: plain concatenation of monomials.
@@ -198,11 +185,8 @@ def word_parity(word: GenWord) -> int:
 class ImageBasis:
     """Echelonized basis of the span of all generator-word operators on V^{(x)l}."""
 
-    def __init__(self, n: int, l: int, param: str, space: SuperSpace, ops: list[SOp], certified_by: str):
-        self.n = n
+    def __init__(self, l: int, ops: list[SOp], certified_by: str):
         self.l = l
-        self.param = param
-        self.space = space
         self.ops = ops
         self.certified_by = certified_by  # how the dimension was found: "gf_p" or "exact"
 
@@ -211,20 +195,20 @@ class ImageBasis:
         return len(self.ops)
 
 
-def operator_image_basis(n: int, l: int, param: str = PARAM_Q) -> ImageBasis:
+def operator_image_basis(n: int, l: int) -> ImageBasis:
     """Stabilized image of the rank-n algebra inside End(V^{(x)l}), its dimension
     certified against the commutant of the Hecke-Clifford action.  Memoized in
     ``_image_basis`` (the operators are never mutated), cleared by its ``cache_clear()``."""
     if l < 1:
         raise ValueError("l >= 1 required")
-    return _image_basis(n, l, param)
+    return _image_basis(n, l)
 
 
 @functools.cache
-def _image_basis(n: int, l: int, param: str) -> ImageBasis:
-    rep = tensor_rep(vector_rep(n, param), l)
-    span = certified_span(list(rep.gen.values()), hc_tensor_action(n, l, param).generators())
-    return ImageBasis(n, l, param, rep.space, span.basis, span.certified_by)
+def _image_basis(n: int, l: int) -> ImageBasis:
+    rep = tensor_rep(vector_rep(n, PARAM_Q), l)
+    span = certified_span(list(rep.gen.values()), hc_tensor_action(n, l, PARAM_Q).generators())
+    return ImageBasis(l, span.basis, span.certified_by)
 
 
 def eval_on_operator(f: CoordFunctional, op: SOp) -> RatFunc:
@@ -448,7 +432,7 @@ def graded_component(n: int, m: int, l: int, preferred: list | None = None) -> G
     sub-family selected deterministically (preferred monomials seeded first)."""
     if l == 0:
         return GradedComponent(n, m, 0, None, [((), ())], [((), ())], None, {})
-    image = operator_image_basis(max(n, m), l, PARAM_Q)
+    image = operator_image_basis(max(n, m), l)
     monos = normalized_monomials(n, m, l)
     order = list(preferred or [])
     seen = set(order)
@@ -466,18 +450,17 @@ def graded_component(n: int, m: int, l: int, preferred: list | None = None) -> G
     return GradedComponent(n, m, l, image, monos, basis, ech, positions)
 
 
-def phi_component_rep(n: int, m: int, l: int, comp: GradedComponent | None = None):
+def phi_component_rep(n: int, m: int, l: int):
     """The column-translation action as a rank-m representation on the degree-l
     component basis (zero-weight monomials seeded into the basis first).
 
     Each generator's column-module operator is built once and applied to every
     basis monomial; the images' coordinates come from ``comp.coordinates``."""
-    if comp is None:
-        preferred = None
-        if l == m:
-            rows_pool = tensor_space(SuperSpace.standard(n), l).labels
-            preferred = [(rows, tuple(range(1, m + 1))) for rows in rows_pool]
-        comp = graded_component(n, m, l, preferred=preferred)
+    preferred = None
+    if l == m:
+        rows_pool = tensor_space(SuperSpace.standard(n), l).labels
+        preferred = [(rows, tuple(range(1, m + 1))) for rows in rows_pool]
+    comp = graded_component(n, m, l, preferred=preferred)
     labels = comp.basis
     space = SuperSpace(labels, {k: monomial_parity(*k) for k in labels})
     gen = {}

@@ -25,20 +25,14 @@ from .report import VerifyReport
 from .scalars import ONE, QINV, RatFunc, Q, ZERO
 from .superlinalg import (
     CertifiedSpan,
-    Echelon,
     SOp,
     SuperSpace,
-    _closure,
-    _columns,
-    _flat_product,
-    _op_key,
     certified_span,
     flatten_vector,
     graded_commutant,
     index_parity,
     intertwiners,
     joint_kernel,
-    kernel_basis,
     point_map,
     span_dim,
     submodule_echelon,
@@ -101,35 +95,31 @@ def pad_weight(lam: tuple, n: int) -> tuple:
 # submodule restriction
 # ---------------------------------------------------------------------------
 
+def _block_maps(space: SuperSpace, rows: list[tuple[int, dict]]) -> tuple[SOp, SOp]:
+    """(embed, pick) for the span S of reduced echelon rows (p_l, r_l), flat over
+    the positions of space, on the basis s_l = r_l: embed sends s_l to r_l, and
+    pick reads a vector u of S at the pivots, pick u = sum_l u[p_l] s_l, which
+    is u in that basis, as r_l is 1 at p_l and 0 at every other pivot.  s_l has
+    the parity of p_l: S is graded, so the part of r_l on the other parity lies
+    in S and is 0 at every pivot, hence 0.  A row that is not of its pivot's
+    parity is refused (ValueError)."""
+    if any(space.parity[space.labels[i]] != space.parity[space.labels[pivot]] for pivot, row in rows for i in row):
+        raise ValueError("a reduced row is not of its pivot's parity")
+    pivots = [space.labels[pivot] for pivot, _ in rows]
+    sub = SuperSpace([f"s{l}" for l in range(len(rows))], {f"s{l}": space.parity[lab] for l, lab in enumerate(pivots)})
+    embed = {(space.labels[i], s): v for s, (_, row) in zip(sub.labels, rows) for i, v in row.items()}
+    pick = {(s, lab): ONE for s, lab in zip(sub.labels, pivots)}
+    return SOp(sub, space, 0, embed, validate=False), SOp(space, sub, 0, pick, validate=False)
+
+
 def restrict_to_rows(rep: QueerRep, rows: list[tuple[int, dict]]) -> QueerRep:
     """rep on the span S of reduced echelon rows (p_l, r_l), flat over the
-    positions of rep's space, on the basis s_l = r_l.  S must be invariant and
-    graded; ``submodule_echelon`` certifies its rows so, and nothing here checks.
-
-    Entry (l, k) of a generator g is (g r_k)[p_l]: a vector u of S is
-    sum_l u[p_l] r_l, as r_l is 1 at p_l and 0 at every other pivot.  So no
-    elimination runs.  s_l has the parity of p_l: S is graded, so the part of
-    r_l on the other parity lies in S and is 0 at every pivot, hence 0.  A row
-    that is not of its pivot's parity is refused (ValueError).
-    """
-    space, N = rep.space, rep.space.dim
-    parity = [space.parity[lab] for lab in space.labels]
-    if any(parity[i] != parity[pivot] for pivot, row in rows for i in row):
-        raise ValueError("a reduced row is not of its pivot's parity")
-    labels = [f"s{l}" for l in range(len(rows))]
-    sub = SuperSpace(labels, {lab: parity[pivot] for lab, (pivot, _) in zip(labels, rows)})
-    row_of = {pivot: l for l, (pivot, _) in enumerate(rows)}
-    columns = {k * N + i: v for k, (_, row) in enumerate(rows) for i, v in row.items()}  # the r_k, flat
-    gen = {}
-    for key, op in rep.gen.items():
-        at_pivots: dict = {}  # column -> [(l, g[p_l, column])]
-        for (r, c), v in op.entries.items():
-            l = row_of.get(space.pos[r])
-            if l is not None:
-                at_pivots.setdefault(space.pos[c], []).append((l, v))
-        image = _flat_product(at_pivots, columns, N, None)  # {k N + l: (g r_k)[p_l]}
-        gen[key] = SOp(sub, sub, op.par, {(labels[i % N], labels[i // N]): u for i, u in image.items()}, validate=False)
-    return QueerRep(rep.spec, sub, gen)
+    positions of rep's space, on the basis s_l = r_l (``_block_maps``): each
+    generator g becomes pick @ g @ embed, so no elimination runs.  S must be
+    invariant and graded; ``submodule_echelon`` certifies its rows so, and
+    nothing here checks."""
+    embed, pick = _block_maps(rep.space, rows)
+    return QueerRep(rep.spec, embed.dom, {key: pick @ g @ embed for key, g in rep.gen.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -179,37 +169,23 @@ class IsotypicCensus:
         }
 
 
-def _hw_in_block(space: SuperSpace, hw: list[dict], ech: Echelon) -> list[tuple[int, dict]]:
-    """S & HW_mu as (p, flat w), w of parity |hw[0]| + p: the combinations of hw
-    whose residuals modulo S (its echelon) cancel, per parity (S is graded)."""
-    cols = {i: list(flatten_vector(space, v).items()) for i, v in enumerate(hw)}  # hw by columns
-    residuals: dict = {}  # position -> {i: the residual of hw[i] there}
-    for i, col in cols.items():
-        for k, v in ech.reduce(dict(col))[0].items():
-            residuals.setdefault(k, {})[i] = v
-    shifts = [(space.parity[next(iter(v))] + space.parity[next(iter(hw[0]))]) % 2 for v in hw]
-    kernel = kernel_basis(list(residuals.values()), len(hw), shifts)
-    return [(shifts[next(iter(c))], _flat_product(cols, c, len(hw), None)) for c in kernel]
-
-
-def _candidates(gens: list[SOp], words: list[tuple], ech: Echelon, v0: dict, values: list, space: SuperSpace):
-    """Per (parity p, flat vector w) of values, the map X of parity p on the block
-    with X b_0 = X v0 = w and X b_k = (-1)^{p|g|} g X b_parent for the words b_k =
-    g b_parent, at the pivots of its basis r_l = sum_k combo_l[k] b_k."""
-    N, d, cols = gens[0].dom.dim, len(words), [_columns(g, lambda v: v)[1] for g in gens]
-    row_of, labels = {pivot: j for j, (pivot, _) in enumerate(ech.rows)}, space.labels
-    combos = {l * d + k: c for l, combo in enumerate(ech.combos) for k, c in combo.items()}  # flat, by columns l
-    at_pivots = lambda vec: [(row_of[k], v) for k, v in vec.items() if k in row_of]  # coordinates on the r_l
+def _candidates(gens: list[SOp], words: list[tuple], combos: list[dict], values: list[tuple[int, dict]]) -> list[SOp]:
+    """Per (parity p, vector w) of values, the map X of parity p on the block
+    with X b_0 = w and X b_k = (-1)^{p|g|} g X b_parent for the words b_k =
+    g b_parent, all in the block's basis r_l = sum_k combo_l[k] b_k: X = B C,
+    with the X b_k as the columns of B and the combos as those of C (the
+    labels s_k number the words, in B's domain and C's codomain)."""
+    space = gens[0].dom
+    labels = space.labels
+    C = SOp(space, space, 0, {(labels[k], s): c for s, combo in zip(labels, combos) for k, c in combo.items()}, validate=False)
     out = []
     for par, w in values:
-        images = [w]  # X b_k; the first word is the seed
+        images = [point_map(space, w)]  # X b_k; the first word is the seed
         for g, parent in words[1:]:
-            img = _flat_product(cols[g], images[parent], N, None)
-            images.append({k: -v for k, v in img.items()} if par and gens[g].par else img)
-        flat = _flat_product(dict(enumerate(map(at_pivots, images))), combos, d, None)  # X r_l, flat
-        entries = {(labels[k % d], labels[k // d]): v for k, v in flat.items()}
-        out.append(SOp(space, space, par, entries, validate=False))
-        assert out[-1].apply({labels[j]: v for j, v in at_pivots(v0)}) == {labels[j]: v for j, v in at_pivots(w)}
+            img = gens[g] @ images[parent]
+            images.append(-img if par and gens[g].par else img)
+        B = {(r, s): v for s, img in zip(labels, images) for (r, _), v in img.entries.items()}
+        out.append(SOp(space, space, par, B, validate=False) @ C)
     return out
 
 
@@ -219,10 +195,13 @@ def isotypic_census(n: int, m: int):
     Per highest weight mu, the first of the h highest weight vectors HW_mu
     (even first) is the seed v0 of the block S = U v0 (``submodule_echelon``:
     rows tracked over the kept words b_k = g b_parent, b_0 = v0, a basis of
-    S, certified invariant once).  The generators on S are read off those
-    rows at their pivots (``restrict_to_rows``), with no second certificate
-    and no elimination.  The copies are h / dim(S & HW_mu); the type comes
-    from dim End_U(S)_p.
+    S, certified invariant once).  The generators on S are pick @ g @ embed
+    on those rows (``restrict_to_rows``), with no second certificate and no
+    elimination, and every later question is asked of the block in its own
+    basis.  S & HW_mu is HW_mu(S), the highest weight vectors of the
+    restricted representation: S is a submodule, so a vector of S is killed
+    by a raising operator, or has weight mu, in S exactly when it is in V.
+    The copies are h / dim(S & HW_mu); the type comes from dim End_U(S)_p.
 
     Upper bound.  An intertwiner X of parity p supercommutes with the
     generators, so with k_i, e_j and ebar_j, their products; as v0 is a
@@ -233,14 +212,15 @@ def isotypic_census(n: int, m: int):
 
     Lower bound.  For each basis vector w of (S & HW_mu)_{|v0|+p}, the
     candidate X_w of parity p has X_w b_0 = w and X_w b_k = (-1)^{p|g|} g X_w
-    b_parent (``_candidates``).  One exact ``supercommutation_failures`` check
-    tests them against the block's generators; one that passes is an
-    intertwiner, and they are independent, as their values w at v0 are.  When
-    all pass, the bounds meet and the candidates are a basis of End_U(S); a
-    type-Q odd one, with X^2 = c, gives ``odd_square_is_minus_square`` (the
-    scale of X multiplies c by a square).  When one fails, or the exact
-    closure ran (no words), a parity whose upper bound exceeds the identity's
-    (1 even, 0 odd) is solved exactly (``intertwiners``).
+    b_parent, built in the block's basis on its generators (``_candidates``).
+    One exact ``supercommutation_failures`` check tests them against those
+    generators; one that passes is an intertwiner, and they are independent,
+    as their values w at v0 are.  When all pass, the bounds meet and the
+    candidates are a basis of End_U(S); a type-Q odd one, with X^2 = c, gives
+    ``odd_square_is_minus_square`` (the scale of X multiplies c by a square).
+    When one fails, or the exact closure ran (no words), a parity whose upper
+    bound exceeds the identity's (1 even, 0 odd) is solved exactly
+    (``intertwiners``).
 
     The census is computed once per (n, m) and memoized in ``_census`` (cleared by
     its ``cache_clear()``); every call returns its own report and its own copy of
@@ -271,18 +251,19 @@ def _census(n: int, m: int) -> tuple[IsotypicCensus, VerifyReport]:
         all(is_dominant_weight(mu) for mu in nonempty),
     )
     total = 0
-    ambient = list(rep.gen.values())
     for mu, hw in nonempty.items():  # by decreasing weight
-        ech, words = submodule_echelon(ambient, hw[:1])  # the seed v0 = hw[0], even first
+        ech, words = submodule_echelon(list(rep.gen.values()), hw[:1])  # the seed v0 = hw[0], even first
         sub_rep = restrict_to_rows(rep, ech.rows)
-        h, d = len(hw), ech.dim
-        meet = _hw_in_block(rep.space, hw, ech)  # (p, w): an intertwiner with X v0 = w has parity p
+        h, d, sub = len(hw), ech.dim, sub_rep.space
+        v0_par = rep.space.parity[next(iter(hw[0]))]
+        # S & HW_mu is HW_mu(S), as (p, w): an intertwiner with X v0 = w has parity p
+        meet = [((sub.parity[next(iter(w))] + v0_par) % 2, w) for w in highest_weight_vectors(sub_rep, mu)]
         h_sub = len(meet)
         copies_ok = h_sub > 0 and h % h_sub == 0
         copies = h // h_sub if copies_ok else 0
         gens = list(sub_rep.gen.values())
         lower, upper = (1, 0), [sum(1 for par, _ in meet if par == p) for p in (0, 1)]
-        cands = words and _candidates(ambient, words, ech, flatten_vector(rep.space, hw[0]), meet, sub_rep.space)
+        cands = words and _candidates(gens, words, ech.combos, meet)
         if cands and not supercommutation_failures(cands, gens)[0]:
             comm = {p: [X for X in cands if X.par == p] for p in (0, 1)}
         else:
@@ -295,8 +276,8 @@ def _census(n: int, m: int) -> tuple[IsotypicCensus, VerifyReport]:
             # involution lives over a quadratic extension), so record it
             (X,) = comm[1]
             sq = X @ X
-            diag = sq.entry(sub_rep.space.labels[0], sub_rep.space.labels[0])
-            scalar_ok = sq == SOp.identity(sub_rep.space).scale(diag)
+            diag = sq.entry(sub.labels[0], sub.labels[0])
+            scalar_ok = sq == SOp.identity(sub).scale(diag)
             odd_sq = bool(scalar_ok and (-diag).sqrt() is not None) if scalar_ok else None
         if even == 1 and odd == 0:
             detected, paired, irr = "M", False, d
@@ -404,7 +385,7 @@ def _centralizer_pair(
         comm_dim, comm_inside = span.dim, True
     else:
         comm = graded_commutant(partners)
-        comm_dim, comm_inside = len(comm), all(span.echelon.contains(_op_key(X)) for X in comm)
+        comm_dim, comm_inside = len(comm), all(span.contains(X) for X in comm)
     path = {"certified_by": span.certified_by}
     report.derive(f"{image}_dim", span.dim)
     report.derive(f"{commutant}_dim", comm_dim)
@@ -606,7 +587,7 @@ def fixture_module():
     even intertwiner; check the zero-weight braid eigenvalues and the
     zero-weight Hecke-Clifford structure.  The target U (v1 (x) v1) is restricted
     straight from the rows ``submodule_echelon`` certified (``restrict_to_rows``),
-    where the seed's coordinates are its entries at their pivots."""
+    and the pick of ``_block_maps`` reads the seed in the target's basis."""
     report = VerifyReport("fixture", {})
     fix = FixtureModule()
     ch = fix.chevalley()
@@ -632,10 +613,9 @@ def fixture_module():
     sols = intertwiners([target_ch[k] for k in solve_on], [ch[k] for k in solve_on], parity=0)
     report.derive("intertwiner_space_dim", len(sols))
 
-    # normalize: Theta(u0) = the seed highest weight vector v1 (x) v1
-    flat_seed = flatten_vector(rep.space, seed)
+    # normalize: Theta(u0) = the seed highest weight vector v1 (x) v1, read in the target's basis
     _, u0_cols = span_dim([flatten_vector(target, dict(X.column("u0"))) for X in sols], track=True)
-    residual, combo = u0_cols.reduce({l: flat_seed[pivot] for l, (pivot, _) in enumerate(rows) if pivot in flat_seed})
+    residual, combo = u0_cols.reduce(flatten_vector(target, _block_maps(rep.space, rows)[1].apply(seed)))
     theta = SOp.zero(fix.space, target)
     if not residual:
         for a, c in combo.items():
@@ -737,7 +717,7 @@ def classical_crosscheck(n: int, m: int) -> VerifyReport:
         if len(hw) != entry.hwv_dim:
             cls_ok = False
             continue
-        if _closure(generators, [point_map(W, hw[0])])[0].dim != entry.submodule_dim:
+        if submodule_echelon(generators, hw[:1])[0].dim != entry.submodule_dim:
             cls_ok = False
     report.add("classical_census_matches", cls_ok)
     return report.finish()

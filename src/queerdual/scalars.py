@@ -266,9 +266,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_one(self) -> bool:
-        return self.num == (1,) and self.den == (1,)
-
     def __bool__(self) -> bool:
         return bool(self.num)
 
@@ -387,17 +384,6 @@ class RatFunc:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def subs_qinv(self) -> "RatFunc":
-        """Substitute q -> q^{-1} (a field automorphism of Q(q))."""
-        dn, dd = max(len(self.num) - 1, 0), max(len(self.den) - 1, 0)
-        num = tuple(reversed(self.num))
-        den = tuple(reversed(self.den))
-        if dd >= dn:
-            num = _pshift(num, dd - dn)
-        else:
-            den = _pshift(den, dn - dd)
-        return RatFunc(num, den)
 
     def specialize(self, c) -> Fraction:
         """Exact value at q = c; raises PoleAtPoint when the denominator vanishes."""

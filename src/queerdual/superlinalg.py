@@ -17,19 +17,21 @@ reduced mod p once per update.  There is one intertwiner system:
 (a, b), numbering X[r, c] only where every even diagonal pair has a_r = b_c,
 and eliminating each connected block of unknowns on its own;
 ``graded_commutant`` is the case A_ops = B_ops, and ``joint_kernel`` the case
-of maps from ``POINT``, the even line V^{(x)0}.  There is one closure,
+of maps from ``POINT``, the even line V^{(x)0}.  There is one flat layout of
+an operator, ``_columns`` ({c N + r: entry}), and one closure,
 ``_closure(gens, seeds)``: an operator algebra seeds it with the identity and
-the generators, a submodule with its vectors as maps from ``POINT``; on
-residues it multiplies flat int operators.  GF(p) only chooses, at one point,
-and an exact argument or check proves each choice: ``kernel_basis`` eliminates
-exactly over a row basis picked in GF(p) and checks every dropped row exactly
-against the kernel it found, falling back to all rows when one does not
-vanish; ``certified_span`` picks the words of an operator span in GF(p) and
-certifies their number against the GF(p) nullity of a commutant that must
-contain the span, falling back to exact elimination when the two bounds
-differ; ``submodule_echelon`` picks the words of a submodule in GF(p) and
-certifies that their span is invariant (``invariant_under``), falling back to
-the exact closure when it is not.  Every exact zero test (``relation_failures``,
+the generators, a submodule with its vectors as maps from ``POINT``, and one
+body multiplies the flat operators, exactly or on residues.  GF(p) only
+chooses, at one point, and an exact argument or check proves each choice:
+``kernel_basis`` eliminates exactly over a row basis picked in GF(p) and
+checks every dropped row exactly against the kernel it found, falling back to
+all rows when one does not vanish; ``certified_span`` picks the words of an
+operator span in GF(p) and certifies their number against the GF(p) nullity
+of a commutant that must contain the span, falling back to exact elimination
+when the two bounds differ; ``submodule_echelon`` picks the words of a
+submodule in GF(p) and certifies that their span is invariant
+(``invariant_under``), falling back to the exact closure when it is not.
+Every exact zero test (``relation_failures``,
 ``invariant_under``, ``kernel_basis``'s dropped rows) runs on integers at a
 Kronecker point q = 2^B in Z, where it is exact; every relation check takes
 its point from ``relation_bound``, derived from the instances it tests.
@@ -86,10 +88,6 @@ class SuperSpace:
     @property
     def dim(self) -> int:
         return len(self.labels)
-
-    def even_odd_dims(self) -> tuple[int, int]:
-        odd = sum(self.parity.values())
-        return len(self.labels) - odd, odd
 
     def __eq__(self, other):
         return (
@@ -426,9 +424,10 @@ def relation_bound(ops: dict, instances) -> tuple[set, IdentityBound]:
     return values, identity_bound(values, [s for s in scalars.values() if s.num] or [ONE], factors, terms)
 
 
-def _columns(op: SOp, scalar) -> tuple[dict, dict]:
+def _columns(op: SOp, scalar=lambda v: v) -> tuple[dict, dict]:
     """op over basis positions, each entry v as scalar(v): flat, {c * N + r: value}
-    with N = op.cod.dim, and by columns, {c: [(r, value), ...]}."""
+    with N = op.cod.dim, and by columns, {c: [(r, value), ...]}.  This is the one
+    flat layout of an operator; a vector is the operator from ``POINT`` (c = 0)."""
     pos_r, pos_c, N = op.cod.pos, op.dom.pos, op.cod.dim
     flat, by_col = {}, {}
     for (r, c), v in op.entries.items():
@@ -671,12 +670,6 @@ def _blocks(rows: list[dict], block_of: Sequence) -> list[tuple[list[int], list[
 # spec operations
 # ---------------------------------------------------------------------------
 
-def _op_key(op: SOp):
-    nd = op.dom.dim
-    pos_d, pos_c = op.dom.pos, op.cod.pos
-    return {pos_c[r] * nd + pos_d[c]: v for (r, c), v in op.entries.items()}
-
-
 def flatten_vector(space: SuperSpace, vec: dict) -> dict:
     return {space.pos[lab]: v for lab, v in vec.items() if not v.is_zero()}
 
@@ -689,7 +682,7 @@ def span_dim(elems: Sequence, track: bool = False, p: int | None = None):
     """Rank and echelon basis of a family of operators or flat vectors: exact, or in GF(p) on residues."""
     ech = Echelon(track=track, p=p)
     for e in elems:
-        ech.insert(_op_key(e) if isinstance(e, SOp) else dict(e))
+        ech.insert(_columns(e)[0] if isinstance(e, SOp) else dict(e))
     return ech.dim, ech
 
 
@@ -835,32 +828,28 @@ def _closure(gens: list[SOp], seeds: list[SOp], limit: int | None = None, image:
     words), where words[k] = (g, parent) records basis[k] = gens[g] @
     basis[parent]; g None is seeds[parent].
 
-    With ``image`` (residues mod P) it runs in GF(P) on flat operators
-    (``_columns``) of residues, multiplied by ``_flat_product``; a word is kept
-    when it leaves the span of the earlier ones, whatever the order of the keys."""
-    if image is None:
-        ech, flat, times = Echelon(), _op_key, (lambda g, op: gens[g] @ op)
-    else:
-        N = gens[0].dom.dim
-        cols = [_columns(g, image.__getitem__)[1] for g in gens]
-        seeds = [{k: x for k, x in _columns(op, image.__getitem__)[0].items() if x} for op in seeds]
-        ech, flat, times = Echelon(p=P), (lambda op: op), (lambda g, op: _flat_product(cols[g], op, N, P))
+    Every operator is flat (``_columns``) and multiplied by ``_flat_product``:
+    exactly, or with ``image`` in GF(P) on residues.  A word is kept when it
+    leaves the span of the earlier ones, whatever the order of the keys."""
+    scalar, p = (lambda v: v, None) if image is None else (image.__getitem__, P)
+    N = gens[0].dom.dim
+    cols = [_columns(g, scalar)[1] for g in gens]
+    ech = Echelon(p=p)
     basis: list = []
     words: list[tuple] = []
 
     def candidates():
         for s, op in enumerate(seeds):
-            yield op, (None, s)
+            yield {k: x for k, x in _columns(op, scalar)[0].items() if x}, (None, s)
         done = 0
         while done < len(basis):  # multiply the words kept in the last round
             layer, done = range(done, len(basis)), len(basis)
             for g in range(len(gens)):
                 for b in layer:
-                    yield times(g, basis[b]), (g, b)
+                    yield _flat_product(cols[g], basis[b], N, p), (g, b)
 
     for op, word in candidates():
-        key = flat(op)
-        if key and ech.insert(key):
+        if op and ech.insert(op):
             basis.append(op)
             words.append(word)
             if len(basis) == limit:
@@ -946,7 +935,7 @@ def submodule_echelon(gens: list[SOp], seeds: list[dict]) -> tuple[Echelon, list
     words = _closure(gens, seed_ops, image=image)[2]
     ech = span_dim(_rebuild(gens, seed_ops, words), track=True)[1]
     kept = {parent for g, parent in words if g is None}
-    seeds_in = all(ech.contains(_op_key(op)) for s, op in enumerate(seed_ops) if s not in kept)
+    seeds_in = all(ech.contains(flatten_vector(space, v)) for s, v in enumerate(seeds) if s not in kept)
     if seeds_in and invariant_under(gens, [row for _, row in ech.rows], ech.rows):
         return ech, words
     return _closure(gens, seed_ops)[0], None
@@ -969,9 +958,11 @@ def _algebra_seeds(gens: list[SOp]) -> list[SOp]:
 
 def operator_algebra_span(gens: list[SOp]):
     """Echelon basis of the span of all words in the generators (left-multiplication
-    closure, iterated to dimension stabilization), by exact elimination."""
-    ech, basis, _ = _closure(gens, _algebra_seeds(gens))
-    return ech, basis
+    closure, iterated to dimension stabilization), by exact elimination; the
+    kept words are rebuilt as operators, one product each."""
+    seeds = _algebra_seeds(gens)
+    ech, _, words = _closure(gens, seeds)
+    return ech, _rebuild(gens, seeds, words)
 
 
 class CertifiedSpan(NamedTuple):
@@ -995,6 +986,10 @@ class CertifiedSpan(NamedTuple):
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    def contains(self, op: SOp) -> bool:
+        """Whether op lies in the span, by the exact echelon ("exact" path only)."""
+        return self.echelon.contains(_columns(op)[0])
 
 
 def certified_span(gens: list[SOp], partners: list[SOp]) -> CertifiedSpan:

@@ -17,11 +17,14 @@ import random
 from fractions import Fraction
 
 from queerdual import hecke_clifford, superlinalg, uq_queer
-from queerdual.coord_alg import CoordFunctional, _counit_value, eval_on_operator, product
+from queerdual.coord_alg import CoordFunctional, _counit_value, eval_on_operator, monomial_parity, product
 from queerdual.scalars import (
     ONE, ZERO, RatFunc, _pmonomial, _ptrailing, identity_bound, kronecker_point, sample_mod_p,
 )
-from queerdual.superlinalg import SOp, SuperSpace, graded_tensor, index_parity, index_range, relation_bound, word_sum
+from queerdual.superlinalg import (
+    SOp, SuperSpace, _flat_product, flatten_vector, graded_tensor, index_parity, index_range, kernel_basis, relation_bound,
+    word_sum,
+)
 from queerdual.uq_queer import PARAM_Q, _relation_terms, param_q, s_matrix, tensor_rep, vector_rep
 
 
@@ -319,7 +322,7 @@ def _op_valued_product(lhs: list, rhs: list) -> list:
     out = []
     for X, f in lhs:
         for Y, g in rhs:
-            sign = -1 if (f.parity() and Y.par) else 1
+            sign = -1 if ({monomial_parity(*key) for key in f.terms} == {1} and Y.par) else 1
             out.append(((X @ Y).scale(sign), product(f, g)))
     return out
 
@@ -379,3 +382,17 @@ def braid_triple_product(rep, a: int) -> SOp:
                 ).scale(coeff)
                 total = term if total is None else total + term
     return total
+
+
+def hw_in_block(space, hw: list[dict], ech) -> list[tuple[int, dict]]:
+    """S & HW_mu computed in V, as the census did before it asked the block:
+    (p, flat w), w of parity |hw[0]| + p, the combinations of hw whose residuals
+    modulo S (its echelon) cancel, per parity (S is graded)."""
+    cols = {i: list(flatten_vector(space, v).items()) for i, v in enumerate(hw)}  # hw by columns
+    residuals: dict = {}  # position -> {i: the residual of hw[i] there}
+    for i, col in cols.items():
+        for k, v in ech.reduce(dict(col))[0].items():
+            residuals.setdefault(k, {})[i] = v
+    shifts = [(space.parity[next(iter(v))] + space.parity[next(iter(hw[0]))]) % 2 for v in hw]
+    kernel = kernel_basis(list(residuals.values()), len(hw), shifts)
+    return [(shifts[next(iter(c))], _flat_product(cols, c, len(hw), None)) for c in kernel]

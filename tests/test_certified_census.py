@@ -29,6 +29,7 @@ from queerdual.superlinalg import (
     invariant_under,
     point_map,
     relation_bound,
+    span_dim,
     relation_failures,
     supercommutation_failures,
     supercommutator,
@@ -46,7 +47,8 @@ from queerdual.uq_queer import (
 )
 
 from oracles import (
-    assert_bound_covers, decide_in_qq, invariance_differences, recording_relation_bounds, relation_failures_in_qq,
+    assert_bound_covers, decide_in_qq, hw_in_block, invariance_differences, recording_relation_bounds,
+    relation_failures_in_qq,
 )
 from test_duality import _perturbed_hc
 from test_superlinalg import V1, rand_op, restrict_by_reduction, restricted
@@ -520,18 +522,28 @@ def test_no_census_of_the_battery_solves_a_commutant_system(n, m, monkeypatch, f
 @pytest.mark.parametrize("n,m", [(1, 3), (2, 2), (2, 3), (3, 2)])
 def test_the_highest_weight_bound_covers_the_whole_commutant(n, m, monkeypatch, fresh_census):
     # dim End_U(S)_p <= dim (S & HW_mu)_{|v0| + p}, against the whole graded
-    # commutant of each block; and dim (S & HW_mu) against the highest weight
-    # vectors of the restricted representation
+    # commutant of each block; dim (S & HW_mu) against the highest weight
+    # vectors of the restricted representation; and the meet the census reads
+    # off the block, embedded in V, against the meet computed in V
     meets = []
-    real = duality._hw_in_block
-    monkeypatch.setattr(duality, "_hw_in_block", lambda *args: meets.append(real(*args)) or meets[-1])
+    real = duality._candidates
+    monkeypatch.setattr(duality, "_candidates", lambda *args: meets.append(args[3]) or real(*args))
     fresh_census(n, m)
     old = census_entries_the_old_way(n, m)
     assert len(meets) == len(old)
+    rep = tensor_rep(vector_rep(n), m)
     for (mu, entry), meet in zip(old.items(), meets):  # both by decreasing weight
         upper = [sum(1 for par, _ in meet if par == p) for p in (0, 1)]
         assert upper[0] >= entry.endo_even and upper[1] >= entry.endo_odd, mu
         assert len(meet) == entry.hwv_in_submodule, mu
+        hw = highest_weight_vectors(rep, mu)
+        ech = exact_closure_echelon(rep, [hw[0]])
+        ambient = hw_in_block(rep.space, hw, ech)
+        embed = duality._block_maps(rep.space, ech.rows)[0]
+        embedded = [(par, flatten_vector(rep.space, embed.apply(w))) for par, w in meet]
+        for p in (0, 1):
+            ours, theirs = ([w for par, w in pairs if par == p] for pairs in (embedded, ambient))
+            assert span_dim(ours)[0] == span_dim(theirs)[0] == span_dim(ours + theirs)[0] == len(ours), (mu, p)
 
 
 def test_census_2_4_and_3_3_keep_their_entries(fresh_census):

@@ -116,11 +116,20 @@ def test_census_cli_twice_in_one_process(tmp_path, fresh_census):
 
 
 def test_sergeev_classical_and_census_share_one_census(monkeypatch, tmp_path, fresh_census):
-    calls = counting_submodules(monkeypatch)
+    # each call records whether its generators are those at q = 1 (constants)
+    at_q_one = []
+    generate = duality.submodule_echelon
+
+    def recording(gens, seeds):
+        at_q_one.append(all(not v.den[1:] and not v.num[1:] for g in gens for v in g.entries.values()))
+        return generate(gens, seeds)
+
+    monkeypatch.setattr(duality, "submodule_echelon", recording)
     for suite in ("sergeev", "classical", "census"):
         path = tmp_path / f"{suite}.json"
         assert cli.main([suite, "--n", "2", "--m", "2", "--report", str(path)]) == 0
-    assert len(calls) == 1  # the single (2,0) block, generated once
+    # the single (2,0) block, generated once at q, then the classical one at q = 1
+    assert at_q_one == [False, True]
     assert duality._census.cache_info().misses == 1
 
 

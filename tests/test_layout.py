@@ -10,13 +10,20 @@ import pytest
 import queerdual
 
 PACKAGE = os.path.dirname(queerdual.__file__)
-README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+README = os.path.join(ROOT, "README.md")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "__init__.py")
 
 
-def parse(name: str) -> ast.Module:
-    with open(os.path.join(PACKAGE, name)) as fh:
+def parse(name: str, directory: str = PACKAGE) -> ast.Module:
+    with open(os.path.join(directory, name)) as fh:
         return ast.parse(fh.read(), filename=name)
+
+
+def readme_words() -> set:
+    with open(README) as fh:
+        return set(re.findall(r"\w+", fh.read()))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -82,9 +89,7 @@ def test_every_module_level_definition_is_used_or_exported():
             elif isinstance(node, ast.ImportFrom) and name != "__init__.py":
                 used.update(alias.name for alias in node.names)
     init = trees["__init__.py"].body
-    with open(README) as fh:
-        documented = set(re.findall(r"\w+", fh.read()))
-    exported = {alias.name for node in init if isinstance(node, ast.ImportFrom) for alias in node.names} & documented
+    exported = {alias.name for node in init if isinstance(node, ast.ImportFrom) for alias in node.names} & readme_words()
     dead = [
         f"{name}:{node.name}"
         for name, tree in trees.items()
@@ -92,6 +97,44 @@ def test_every_module_level_definition_is_used_or_exported():
         if node.name not in used | exported
     ]
     assert not dead, f"module-level definitions nothing uses: {dead}"
+
+
+def test_every_method_is_read_or_documented():
+    # a method that no code of the package or of perfbench/ reads as an
+    # attribute, and that README.md does not name as Class.method, is dead
+    # code: only tests could call it.  A property is read as x.name; any other
+    # method is read as a call x.name(...), so a field of the same spelling
+    # (SuperSpace.parity) keeps no method alive.  Dunder methods are called by
+    # the language
+    trees = {name: parse(name) for name in sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))}
+    bench = [parse(name, PERFBENCH) for name in sorted(f for f in os.listdir(PERFBENCH) if f.endswith(".py"))]
+    nodes = [node for tree in (*trees.values(), *bench) for node in ast.walk(tree)]
+    read = {node.attr for node in nodes if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    called = {node.func.attr for node in nodes if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    with open(README) as fh:
+        readme = fh.read()
+    dead = [
+        f"{name}:{cls.name}.{fn.name}"
+        for name, tree in trees.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, ast.FunctionDef) and not re.fullmatch(r"__\w+__", fn.name)
+        if f"{cls.name}.{fn.name}" not in readme
+        and fn.name not in (read if any(getattr(d, "id", None) == "property" for d in fn.decorator_list) else called)
+    ]
+    assert not dead, f"methods nothing reads: {dead}"
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")))
+def test_only_superlinalg_imports_its_private_names(name):
+    # its flat operator layout and closure stay behind superlinalg's public
+    # functions: another module that imported them would share its internals
+    private = [
+        f"{alias.name}:{node.lineno}"
+        for node in ast.walk(parse(name)) if isinstance(node, ast.ImportFrom)
+        if node.module in ("superlinalg", "queerdual.superlinalg")
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert name == "superlinalg.py" or not private, f"private names of superlinalg imported in {name}: {private}"
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -221,19 +221,8 @@ def test_field_axioms_randomized():
         assert f + g == g + f
         assert (f - g) + g == f
         if not f.is_zero():
-            assert (f * f.inverse()).is_one()
+            assert f * f.inverse() == ONE
             assert (g / f) * f == g
-
-
-def test_subs_qinv_is_automorphism():
-    rng = random.Random(9)
-    for _ in range(100):
-        f, g = rand_ratfunc(rng), rand_ratfunc(rng)
-        assert (f * g).subs_qinv() == f.subs_qinv() * g.subs_qinv()
-        assert (f + g).subs_qinv() == f.subs_qinv() + g.subs_qinv()
-        assert f.subs_qinv().subs_qinv() == f
-    assert XI.subs_qinv() == -XI
-    assert q_number(5) == q_number(5).subs_qinv()
 
 
 def test_sqrt():
@@ -250,7 +239,7 @@ def test_sqrt():
 
 
 def test_pow():
-    assert (XI**0).is_one()
+    assert XI**0 == ONE
     assert XI**3 == XI * XI * XI
     assert XI**-2 == 1 / (XI * XI)
     assert Q**-5 == QINV**5
@@ -358,10 +347,9 @@ def test_unit_factor_shortcut_matches_general_path(s, a):
 
 def test_laurent_examples():
     half_q = RatFunc(1, (0, 2))
-    assert (half_q * (2 * Q)).is_one()
+    assert half_q * (2 * Q) == ONE
     assert (half_q - half_q).is_zero() and (half_q - half_q).den == (1,)
     assert half_q + RatFunc(1, (0, 0, 3)) == RatFunc((2, 3), (0, 0, 6))
     assert (half_q * Q**3).num == (0, 0, 1) and (half_q * Q**3).den == (2,)
-    # RatFunc(num, c q^k) and subs_qinv normalize the same way
+    # a denominator c q^k reduces to the same value as the general form
     assert RatFunc((0, 4, 6), (0, 0, -2)) == RatFunc((-2, -3), (0, 1))
-    assert RatFunc((0, 2), (4,)).subs_qinv() == RatFunc(1, (0, 2))

@@ -5,7 +5,7 @@ import pytest
 
 from queerdual import coord_alg, scalars, superlinalg
 from queerdual.coord_alg import operator_image_basis
-from queerdual.duality import FixtureModule, restrict_to_rows
+from queerdual.duality import FixtureModule, fixture_module, restrict_to_rows
 from queerdual.hecke_clifford import hc_tensor_action
 from queerdual.scalars import (
     ONE, P, RatFunc, Q, ZERO, _pmonomial, _ptrailing, identity_bound, kronecker_point, sample_mod_p,
@@ -60,8 +60,7 @@ def test_space_basics():
     assert index_parity(3) == 0 and index_parity(-3) == 1
     with pytest.raises(ValueError):
         index_parity(0)
-    even, odd = V2.even_odd_dims()
-    assert (even, odd) == (2, 2)
+    assert sorted(V2.parity.values()) == [0, 0, 1, 1]
 
 
 def test_tensor_space_dims_and_parity():
@@ -332,10 +331,11 @@ def test_kernel_basis_eliminates_no_block_of_full_column_rank(monkeypatch):
     assert calls == [(1, 1)]
 
 
-def test_dropped_row_bound_covers_the_census_dot_products(monkeypatch, fresh_census):
+def test_dropped_row_bound_covers_the_fixture_dot_products(monkeypatch):
     # every dot product of a dropped row r with a kernel vector, its terms
     # cleared by M^2 (M the product of the distinct denominators), has 1-norm at
-    # most the height H of identity_bound(entries, factors=2, terms=len(r)) < X
+    # most the height H of identity_bound(entries, factors=2, terms=len(r)) < X;
+    # the rows are those the fixture's intertwiner solve drops
     calls = []
     real = superlinalg._annihilates
 
@@ -344,7 +344,7 @@ def test_dropped_row_bound_covers_the_census_dot_products(monkeypatch, fresh_cen
         return real(rows, basis, ncols)
 
     monkeypatch.setattr(superlinalg, "_annihilates", recording)
-    assert fresh_census(2, 3)[1].ok
+    assert fixture_module()[1].ok
     assert calls
     for rows, basis in calls:
         values = {v for vec in (*rows, *basis) for v in vec.values()}

@@ -25,7 +25,7 @@ import functools
 
 from .hecke_clifford import HCAction, HCSpec, hc_check, hc_tensor_action, zero_weight_hc
 from .report import VerifyReport
-from .scalars import ONE, Q, RatFunc, ZERO
+from .scalars import ONE, Q, RatFunc, ZERO, kronecker_point
 from .superlinalg import (
     Echelon,
     SOp,
@@ -33,6 +33,8 @@ from .superlinalg import (
     certified_span,
     index_parity,
     index_range,
+    relation_bound,
+    relation_failures,
     supercommutation_failures,
     tensor_space,
     word_sum,
@@ -589,18 +591,14 @@ def zero_weight_iso(n: int, m: int) -> VerifyReport:
             for (ar, _ac), c in img.terms.items():
                 entries[(ar, a)] = c
         Wm = twist.act(i, j)
-        if all(
-            entries.get((a2, a), ZERO) == Wm.entries.get((a2, a), ZERO) * (kap[a] * kap[a2])
+        # kappa(a) kappa(a2) is +-1: each entry is compared with +-w by negation
+        pairs = [
+            (entries.get((a2, a), ZERO), Wm.entries.get((a2, a), ZERO), kap[a] == kap[a2])
             for a in rows_pool
             for a2 in rows_pool
-        ):
-            exact += 1
-        if all(
-            entries.get((a2, a), ZERO) == Wm.entries.get((a2, a), ZERO)
-            for a in rows_pool
-            for a2 in rows_pool
-        ):
-            plain += 1
+        ]
+        exact += all(e == (w if same else -w) for e, w, same in pairs)
+        plain += all(e == w for e, w, _ in pairs)
     n_gens = len(generator_pairs(n))
     report.add("row_equivariance_kappa", exact == n_gens, value={"matched": exact, "of": n_gens})
     report.derive("row_equivariance_plain_matches", plain)
@@ -650,11 +648,10 @@ def zero_weight_iso(n: int, m: int) -> VerifyReport:
         [suffix_flip(b) for b in range(1, m + 1)],
     )
     report.add("transported_hc_qinv", hc_check(cand).ok)
-    comm_ok = True
-    for (i, j) in generator_pairs(n):
-        x = twist.act(i, j)
-        for h in cand.generators():
-            if x @ h != h @ x:
-                comm_ok = False
-    report.add("row_hc_commutation", comm_ok)
+    # plain commutation x h = h x, not the graded one: odd generators commute on the nose
+    hs = dict(enumerate(cand.generators()))
+    ops = {**{("x", g): twist.act(*g) for g in generator_pairs(n)}, **hs}
+    instances = [((g, t), [((("x", g), t), 1)], [((t, ("x", g)), 1)]) for g in generator_pairs(n) for t in hs]
+    point = kronecker_point(*relation_bound(ops, instances))
+    report.add("row_hc_commutation", not relation_failures(ops, instances, point))
     return report.finish()

@@ -335,12 +335,14 @@ def sergeev_verify(n: int, m: int, centralizer: bool = True) -> VerifyReport:
     skipped.  Otherwise both run exactly.  The report names the path of each
     pair.  ``centralizer=False`` skips the span and commutant stage (it scales
     with dim^4 and is reserved for the small configurations).
+
+    V^{(x)m} is taken first and held to the end, so the supercommutation, both
+    spans and the census (when not yet memoized) share one module and one set
+    of Chevalley operators (``tensor_rep``).
     """
     # the dimensions are exact on either path; "mode" stays for the report schema
     report = VerifyReport("sergeev", {"n": n, "m": m, "mode": "exact", "centralizer": centralizer})
-    # first, so that the census's own V^{(x)m} is freed before this one is built
-    census, census_rep = isotypic_census(n, m)
-    rep = tensor_rep(vector_rep(n, PARAM_Q), m)
+    rep = tensor_rep(vector_rep(n, PARAM_Q), m)  # held, so the census below builds on this V^{(x)m}
     hc = hc_tensor_action(n, m, PARAM_Q)
     ch = rep.chevalley()
 
@@ -369,6 +371,8 @@ def sergeev_verify(n: int, m: int, centralizer: bool = True) -> VerifyReport:
             "queer_image_dim_equals_hc_commutant", "queer_image_inside_bicommutant",
         )
 
+    # last, when the temporaries of the supercommutation and the spans are freed
+    census, census_rep = isotypic_census(n, m)
     report.extend(census_rep, prefix="census:")
     mults = [e.copies for e in census.entries.values()]
     report.derive("block_copies", mults)

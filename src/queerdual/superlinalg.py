@@ -40,10 +40,11 @@ its point from ``relation_bound``, derived from the instances it tests.
 from __future__ import annotations
 
 import bisect
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .scalars import (
     ONE, P, ZERO, EvalPoint, IdentityBound, RatFunc, _coerce, _pnorm1, identity_bound, kronecker_point, sample_mod_p,
@@ -956,20 +957,14 @@ def _algebra_seeds(gens: list[SOp]) -> list[SOp]:
     return [SOp.identity(gens[0].dom), *gens]
 
 
-def operator_algebra_span(gens: list[SOp]):
-    """Echelon basis of the span of all words in the generators (left-multiplication
-    closure, iterated to dimension stabilization), by exact elimination; the
-    kept words are rebuilt as operators, one product each."""
-    seeds = _algebra_seeds(gens)
-    ech, _, words = _closure(gens, seeds)
-    return ech, _rebuild(gens, seeds, words)
-
-
-class CertifiedSpan(NamedTuple):
-    """A basis of the algebra generated by some operators and the path that found its
-    dimension: "gf_p" (matching GF(p) bounds, see ``certified_span``: the span is
-    then the whole graded commutant of the partners) or "exact" (exact
-    elimination, whose echelon form is kept for membership tests).
+class CertifiedSpan:
+    """The span of the algebra generated by some operators, as the closure's kept
+    words, and the path that found its dimension: "gf_p" (matching GF(p)
+    bounds, see ``certified_span``: the span is then the whole graded
+    commutant of the partners) or "exact" (exact elimination, whose echelon
+    form is kept for membership tests).  ``dim`` is the number of words; the
+    words are rebuilt exactly as operators, one product each, only when
+    ``basis`` is first read.
 
     ``supercommutes`` is the premise, checked exactly: every generator
     supercommutes with every partner.  It holds exactly when every basis word
@@ -978,14 +973,19 @@ class CertifiedSpan(NamedTuple):
     conversely a generator lies in the span, so it is a sum of same-parity basis
     words, one of which fails with the partner it fails with."""
 
-    basis: list
-    certified_by: str
-    echelon: Echelon | None
-    supercommutes: bool
+    def __init__(
+        self, gens: list[SOp], words: list[tuple], certified_by: str, echelon: Echelon | None, supercommutes: bool,
+    ):
+        self.gens, self.words, self.certified_by = gens, words, certified_by
+        self.echelon, self.supercommutes = echelon, supercommutes
+
+    @functools.cached_property
+    def basis(self) -> list[SOp]:
+        return _rebuild(self.gens, _algebra_seeds(self.gens), self.words)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.words)
 
     def contains(self, op: SOp) -> bool:
         """Whether op lies in the span, by the exact echelon ("exact" path only)."""
@@ -1007,18 +1007,18 @@ def certified_span(gens: list[SOp], partners: list[SOp]) -> CertifiedSpan:
     GF(p) and stops once its rank reaches the nullity: no later word could
     enlarge it, so the kept words are those of the full closure.  When its rank
     equals the nullity, all four numbers are equal, and the kept words, rebuilt
-    exactly one product each, are a basis of the span.  They
-    are the words the exact closure keeps unless the point lowers the rank of
-    some intermediate family of words.  When the bounds differ (or the premise
-    fails) the closure runs by exact elimination.
+    exactly one product each (when ``basis`` is read), are a basis of the
+    span.  They are the words the exact closure keeps unless the point lowers
+    the rank of some intermediate family of words.  When the bounds differ (or
+    the premise fails) the closure runs by exact elimination.
     """
     premise = not supercommutation_failures(gens, partners)[0]
+    seeds = _algebra_seeds(gens)
     if premise:
-        seeds = _algebra_seeds(gens)
         _, image = sample_mod_p(random.Random(0), {v for op in (*seeds, *partners) for v in op.entries.values()})
         nullity = sum(_nullities(partners, image))
         words = _closure(gens, seeds, limit=nullity, image=image)[2]
         if len(words) == nullity:
-            return CertifiedSpan(_rebuild(gens, seeds, words), "gf_p", None, premise)
-    ech, basis = operator_algebra_span(gens)
-    return CertifiedSpan(basis, "exact", ech, premise)
+            return CertifiedSpan(gens, words, "gf_p", None, premise)
+    ech, _, words = _closure(gens, seeds)
+    return CertifiedSpan(gens, words, "exact", ech, premise)

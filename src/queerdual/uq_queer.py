@@ -21,6 +21,7 @@ has every structure constant substituted q -> q^{-1}.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 
 from .report import VerifyReport
@@ -98,13 +99,15 @@ class AlgebraSpec:
 
 
 class QueerRep:
-    """A representation: one operator per generator L_ij, plus the parameter flag."""
+    """A representation: one operator per generator L_ij, plus the parameter flag; its
+    Chevalley operators are built on first use, its tensor powers kept weakly (``tensor_rep``)."""
 
     def __init__(self, spec: AlgebraSpec, space: SuperSpace, gen: dict):
         self.spec = spec
         self.space = space
         self.gen = dict(gen)
         self._chev = None
+        self._powers = weakref.WeakValueDictionary()
 
     @property
     def param(self) -> str:
@@ -144,8 +147,17 @@ def s_matrix(n: int, param: str = PARAM_Q) -> SOp:
     return out
 
 
+_VECTOR_REPS: dict = {}
+
+
 def vector_rep(n: int, param: str = PARAM_Q) -> QueerRep:
-    """The vector representation: generator actions read off the S-matrix slots."""
+    """The vector representation: generator actions read off the S-matrix slots.
+
+    One representation per (n, param) for the life of the process, so that the
+    powers ``tensor_rep`` keeps on it are found again by every caller."""
+    spec = AlgebraSpec(n, param)
+    if spec in _VECTOR_REPS:
+        return _VECTOR_REPS[spec]
     V = SuperSpace.standard(n)
     xi = param_xi(param)
     qq = param_q(param)
@@ -159,7 +171,8 @@ def vector_rep(n: int, param: str = PARAM_Q) -> QueerRep:
             s = xi if index_parity(i) == 0 else -xi
             op = SOp.unit(V, V, (j,), (i,), s) + SOp.unit(V, V, (-j,), (-i,), s)
             gen[(i, j)] = op
-    return QueerRep(AlgebraSpec(n, param), V, gen)
+    rep = _VECTOR_REPS[spec] = QueerRep(spec, V, gen)
+    return rep
 
 
 def tensor_product_rep(A: QueerRep, B: QueerRep) -> QueerRep:
@@ -181,12 +194,20 @@ def tensor_product_rep(A: QueerRep, B: QueerRep) -> QueerRep:
 
 
 def tensor_rep(rep: QueerRep, m: int) -> QueerRep:
-    """The m-th tensor power of a representation (m = 1 returns the input)."""
+    """The m-th tensor power of a representation (m = 1 returns the input), the
+    left fold tensor_product_rep(tensor_rep(rep, m - 1), rep).
+
+    Each power is kept in a weak-valued memo on rep: while some caller holds
+    it, every call returns that one object, with its Chevalley operators, and
+    once no caller does it is freed.  So callers that work on one V^{(x)m} at a
+    time share it without keeping any power alive for the whole process."""
     if m < 1:
         raise ValueError("m >= 1 required")
-    out = rep
-    for _ in range(m - 1):
-        out = tensor_product_rep(out, rep)
+    if m == 1:
+        return rep
+    out = rep._powers.get(m)
+    if out is None:
+        out = rep._powers[m] = tensor_product_rep(tensor_rep(rep, m - 1), rep)
     return out
 
 

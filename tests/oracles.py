@@ -8,7 +8,8 @@ last section: references that only the tests use (the transcribed vector
 action table, the omega map, side-by-side supercommutation, direct
 evaluation of a coordinate functional, the seeded GF(p) identity test, the
 exchange relation as operator-valued functionals and the braid operator as
-the plain triple product).
+the plain triple product, the eager operator algebra span and the
+unmemoized tensor power).
 """
 
 from __future__ import annotations
@@ -396,3 +397,19 @@ def hw_in_block(space, hw: list[dict], ech) -> list[tuple[int, dict]]:
     shifts = [(space.parity[next(iter(v))] + space.parity[next(iter(hw[0]))]) % 2 for v in hw]
     kernel = kernel_basis(list(residuals.values()), len(hw), shifts)
     return [(shifts[next(iter(c))], _flat_product(cols, c, len(hw), None)) for c in kernel]
+
+
+def operator_algebra_span(gens: list[SOp]):
+    """(echelon, basis) of the span of all words in the generators, by the exact
+    closure, with the kept words rebuilt eagerly as operators, one product each."""
+    seeds = superlinalg._algebra_seeds(gens)
+    ech, _, words = superlinalg._closure(gens, seeds)
+    return ech, superlinalg._rebuild(gens, seeds, words)
+
+
+def tensor_power_fold(rep, m: int):
+    """The m-th tensor power of rep as the plain left fold, with no memo."""
+    out = rep
+    for _ in range(m - 1):
+        out = uq_queer.tensor_product_rep(out, rep)
+    return out

@@ -309,6 +309,35 @@ def test_zero_weight_iso_report():
     assert report.derived_values["displayed_clifford_matches"] is False
 
 
+@pytest.mark.parametrize("plant", [False, True])
+def test_row_hc_commutation_is_plain_commutation_decided_as_in_qq(plant, monkeypatch):
+    # 4 of the 10 twisted row generators and 2 of the 3 HC generators are odd,
+    # and they commute on the nose: the check is x h = h x, not the graded one
+    if plant:
+        twist = coord_alg.sigma_twist
+
+        def planted(rep):
+            out = twist(rep)
+            w = out.space.labels[0]
+            out.gen[(1, 1)] = out.gen[(1, 1)] + SOp.unit(out.space, out.space, w, w, Q)
+            return out
+
+        monkeypatch.setattr(coord_alg, "sigma_twist", planted)
+    calls = []
+    failures = coord_alg.relation_failures
+
+    def recording(ops, instances, point):
+        calls.append((ops, instances, failures(ops, instances, point)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(coord_alg, "relation_failures", recording)
+    report = zero_weight_iso(2, 2)
+    ((ops, instances, failing),) = calls
+    in_qq = [t for t, ((g, h), _, _) in enumerate(instances) if ops[("x", g)] @ ops[h] != ops[h] @ ops[("x", g)]]
+    assert failing == in_qq and bool(failing) == plant
+    assert [c.status for c in report.checks if c.name == "row_hc_commutation"] == ["fail" if plant else "pass"]
+
+
 def test_zero_weight_iso_asymmetric():
     report = zero_weight_iso(1, 2)
     assert report.ok, [c.to_dict() for c in report.failures()]

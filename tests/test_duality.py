@@ -1,12 +1,13 @@
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from queerdual import cli, duality, superlinalg
+from queerdual import cli, duality, superlinalg, uq_queer
 from queerdual.coord_alg import operator_image_basis
 from queerdual.scalars import ONE, P, QINV, Q
-from queerdual.superlinalg import certified_span, operator_algebra_span
+from queerdual.superlinalg import certified_span
 from queerdual.uq_queer import PARAM_Q, tensor_rep, vector_rep
 from queerdual.hecke_clifford import braid_operator, hc_check, hc_tensor_action, zero_weight_hc
 from queerdual.duality import (
@@ -22,7 +23,7 @@ from queerdual.duality import (
     sergeev_verify,
 )
 
-from oracles import frac_rank, schur_q_dim, supercommutes, vectors_rows
+from oracles import frac_rank, operator_algebra_span, schur_q_dim, supercommutes, vectors_rows
 
 
 def test_enumerate_strict_partitions():
@@ -188,6 +189,31 @@ def test_certified_sergeev_spans_equal_the_exact_closures(n, m):
     assert report.derived_values["hc_image_certified_by"] == "gf_p"
     assert report.derived_values["queer_image_certified_by"] == "gf_p"
     assert [c.value for c in report.checks if c.name == "commutant_inside_hc_span"] == [{"certified_by": "gf_p"}]
+
+
+def test_sergeev_builds_its_tensor_power_and_chevalley_operators_once(monkeypatch, fresh_census):
+    # the census runs on the V^{(x)2} that sergeev_verify holds; a power is
+    # recorded weakly, so one that is freed and built again counts twice
+    monkeypatch.setattr(vector_rep(2), "_powers", weakref.WeakValueDictionary())
+    built, chevalley = [], []
+    product, chevalley_ops = uq_queer.tensor_product_rep, uq_queer.chevalley_ops
+
+    def counting_product(A, B):
+        out = product(A, B)
+        built.append(weakref.ref(out))
+        return out
+
+    def counting_chevalley(rep):
+        chevalley.extend(1 for ref in built if ref() is rep)
+        return chevalley_ops(rep)
+
+    monkeypatch.setattr(uq_queer, "tensor_product_rep", counting_product)
+    monkeypatch.setattr(uq_queer, "chevalley_ops", counting_chevalley)
+    # the gf_p path needs only the span's dimension, never its operators
+    monkeypatch.setattr(superlinalg.CertifiedSpan, "basis", property(lambda span: pytest.fail("basis read")))
+    report = sergeev_verify(2, 2)
+    assert report.ok and report.derived_values["queer_image_certified_by"] == "gf_p"
+    assert len(built) == 1 and chevalley == [1]
 
 
 def test_sergeev_falls_back_to_exact_commutants(monkeypatch, fresh_census):

@@ -28,7 +28,6 @@ from queerdual.superlinalg import (
     intertwiners,
     joint_kernel,
     kernel_basis,
-    operator_algebra_span,
     span_dim,
     submodule_echelon,
     supercommutator,
@@ -37,7 +36,7 @@ from queerdual.superlinalg import (
 )
 from queerdual.uq_queer import QueerRep, chevalley_ops, highest_weight_vectors, tensor_rep, vector_rep
 
-from oracles import flatten_ops_rows, frac_rank, specialize_op_rows, vectors_rows
+from oracles import flatten_ops_rows, frac_rank, operator_algebra_span, specialize_op_rows, vectors_rows
 
 V2 = SuperSpace.standard(2)
 V1 = SuperSpace.standard(1)
@@ -567,6 +566,25 @@ def test_bounds_that_disagree_fall_back_to_exact_elimination(monkeypatch, fresh_
     _, exact = operator_algebra_span(list(tensor_rep(vector_rep(2), 2).gen.values()))
     assert ib.certified_by == "exact" and ib.dim == 32
     assert [(op.par, op.entries) for op in ib.ops] == [(op.par, op.entries) for op in exact]
+
+
+def test_a_certified_span_rebuilds_its_words_only_when_its_basis_is_read(monkeypatch):
+    calls = []
+    rebuild = superlinalg._rebuild
+
+    def counting(gens, seeds, words):
+        calls.append(len(words))
+        return rebuild(gens, seeds, words)
+
+    monkeypatch.setattr(superlinalg, "_rebuild", counting)
+    queer = list(tensor_rep(vector_rep(2), 2).gen.values())
+    span = certified_span(queer, hc_tensor_action(2, 2).generators())
+    assert span.certified_by == "gf_p" and span.dim == 32 and calls == []
+    basis = span.basis
+    assert calls == [32] and span.basis is basis
+    # the operators the eager rebuild of the same words gave, in the same order
+    eager = rebuild(queer, _algebra_seeds(queer), span.words)
+    assert [(op.par, op.entries) for op in basis] == [(op.par, op.entries) for op in eager]
 
 
 def test_failed_premise_never_certifies():

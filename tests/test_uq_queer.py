@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,8 @@ from queerdual.superlinalg import (
 )
 from queerdual.hecke_clifford import hc_tensor_action
 from queerdual.uq_queer import (
+    PARAM_Q,
+    PARAM_QINV,
     AlgebraSpec,
     _op_inverse,
     NonInvertibleDiagonal,
@@ -56,6 +60,7 @@ from oracles import (
     point_bits,
     recording_relation_bounds,
     relation_sides,
+    tensor_power_fold,
     vector_action_table,
     vectors_rows,
 )
@@ -431,6 +436,30 @@ def test_tensor_coassociativity():
     right = tensor_product_rep(rep, tensor_product_rep(rep, rep))
     for key in left.gen:
         assert left.gen[key] == right.gen[key]
+
+
+@pytest.mark.parametrize("param", [PARAM_Q, PARAM_QINV])
+@pytest.mark.parametrize("n", [1, 2])
+def test_memoized_tensor_power_equals_the_left_fold(n, param):
+    # the memo is keyed on the base representation: a dual base has its own powers
+    assert vector_rep(n, param) is vector_rep(n, param)
+    for base in (vector_rep(n, param), dual_rep(vector_rep(n, param))):
+        held = [tensor_rep(base, m) for m in (1, 2, 3)]
+        for m, power in enumerate(held, 1):
+            fold = tensor_power_fold(base, m)
+            assert tensor_rep(base, m) is power
+            assert (power.spec, power.space, power.gen) == (fold.spec, fold.space, fold.gen)
+    assert tensor_rep(dual_rep(vector_rep(n, param)), 2) is not tensor_rep(vector_rep(n, param), 2)
+
+
+def test_a_tensor_power_is_freed_once_no_caller_holds_it():
+    # the memo holds its powers weakly, so it raises no peak memory
+    rep = tensor_rep(vector_rep(1), 3)
+    rep.chevalley()
+    ref = weakref.ref(rep)
+    del rep
+    gc.collect()
+    assert ref() is None
 
 
 # -- antipode, dual, twist ------------------------------------------------------

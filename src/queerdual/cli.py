@@ -47,9 +47,8 @@ def suite_relations(cfg) -> VerifyReport:
     report = VerifyReport("relations", {"n": cfg.n, "m": cfg.m, "param": cfg.param, "mode": cfg.mode})
     base = vector_rep(cfg.n, cfg.param)
     for power in range(1, cfg.m + 1):
-        local = check_defining_relations(
-            tensor_rep(base, power), mode=cfg.mode, trials=cfg.trials, seed=cfg.seed
-        )
+        rep = tensor_rep(base, power)  # built on the previous power, held until here
+        local = check_defining_relations(rep, mode=cfg.mode, trials=cfg.trials, seed=cfg.seed)
         report.extend(local, prefix=f"m={power}:")
     report.derive(
         "e_scalar_note",

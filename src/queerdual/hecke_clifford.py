@@ -27,9 +27,10 @@ q = 2^B in Z, whose bound ``superlinalg.relation_bound`` derives from the
 instances themselves, so the verdicts and witnesses are those of Q(q); the
 report records the point as ``exact_point``.
 
-The tensor action is the direct transcription of the two closed formulas
-(graded swap with q-weight, two xi-corrections guarded by the order on the
-index set; Clifford sign counts the odd letters left of the flipped slot).
+The tensor action transcribes the two closed formulas (graded swap with
+q-weight, two xi-corrections guarded by the order on the index set, tabled
+once on two adjacent letters; Clifford sign counts the odd letters up to and
+including the flipped slot).
 Braid operators on an arbitrary weight module come from the divided-power
 triple sum; on zero weight spaces they pair with C_b = kbar_b to give the
 HC-module structure for the opposite parameter.
@@ -37,11 +38,14 @@ HC-module structure for the opposite parameter.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .report import VerifyReport
 from .scalars import ONE, kronecker_point, q_number
-from .superlinalg import SOp, SuperSpace, index_parity, relation_bound, relation_failures, tensor_space, word_sum
+from .superlinalg import (
+    SOp, SuperSpace, index_parity, index_range, relation_bound, relation_failures, tensor_space, word_sum,
+)
 from .uq_queer import (
     PARAM_Q,
     QueerRep,
@@ -90,35 +94,42 @@ class HCAction:
 
 
 def hc_tensor_action(n: int, m: int, param: str = PARAM_Q) -> HCAction:
-    """The T_a/C_b action on V^{(x)m} for the rank-n vector superspace."""
+    """The T_a/C_b action on V^{(x)m} for the rank-n vector superspace.
+
+    T_a is read from one table of T on two adjacent letters (i, j): the new
+    pairs with their coefficients, placed at letters a, a + 1 of each word.
+    The entries of each operator come in the order of the words and, within a
+    word, of the closed formula's terms, which failure witnesses read."""
     V = SuperSpace.standard(n)
     W = tensor_space(V, m)
     qq = param_q(param)
     xi = param_xi(param)
+    # (i, j) -> [((i', j'), coefficient of v_i' (x) v_j')]; the pairs differ, since
+    # (j, i) = (i, j) only when i = j and (j, i) = (-i, -j) only when j = -i,
+    # where the guards fail, and (i, j) != (-i, -j); no coefficient is zero
+    table = {}
+    for i, j in itertools.product(index_range(n), repeat=2):
+        coeff = qq ** phi(i, j)
+        row = table[(i, j)] = [((j, i), -coeff if index_parity(i) and index_parity(j) else coeff)]
+        if i < j:
+            row.append(((i, j), xi))
+        if -i < j:
+            row.append(((-i, -j), -xi if index_parity(j) else xi))
     t_ops = []
     for a in range(1, m):
         entries: dict = {}
         for w in W.labels:
-            i, j = w[a - 1], w[a]
-            swapped = w[: a - 1] + (j, i) + w[a + 1 :]
-            coeff = qq ** phi(i, j)
-            if index_parity(i) and index_parity(j):
-                coeff = -coeff
-            entries[(swapped, w)] = entries.get((swapped, w), 0) + coeff
-            if i < j:
-                entries[(w, w)] = entries.get((w, w), 0) + xi
-            if -i < j:
-                flipped = w[: a - 1] + (-i, -j) + w[a + 1 :]
-                add = -xi if index_parity(j) else xi
-                entries[(flipped, w)] = entries.get((flipped, w), 0) + add
-        t_ops.append(SOp(W, W, 0, {k: v for k, v in entries.items() if v}, validate=False))
+            head, tail = w[: a - 1], w[a + 1 :]
+            for pair, v in table[w[a - 1 : a + 1]]:
+                entries[(head + pair + tail, w)] = v
+        t_ops.append(SOp(W, W, 0, entries, validate=False))
     c_ops = []
+    signs = (ONE, -ONE)
     for b in range(1, m + 1):
         entries = {}
-        for w in W.labels:
-            exp = sum(index_parity(x) for x in w[: b - 1]) + index_parity(w[b - 1])
+        for w in W.labels:  # the sign counts the odd letters up to and including slot b
             flipped = w[: b - 1] + (-w[b - 1],) + w[b:]
-            entries[(flipped, w)] = -ONE if exp & 1 else ONE
+            entries[(flipped, w)] = signs[sum(map(index_parity, w[:b])) & 1]
         c_ops.append(SOp(W, W, 1, entries, validate=False))
     return HCAction(HCSpec(m, param), W, t_ops, c_ops)
 

@@ -281,19 +281,33 @@ class SOp:
         return self.map(lambda v: RatFunc.from_fraction(v.specialize(c)))
 
 
-def graded_tensor(A: SOp, B: SOp) -> SOp:
-    """Koszul-signed tensor product of operators on word-labeled spaces."""
-    dom = tensor_pair(A.dom, B.dom)
-    cod = tensor_pair(A.cod, B.cod)
+def graded_tensor(A: SOp, B: SOp, space: SuperSpace | None = None) -> SOp:
+    """Koszul-signed tensor product of operators on word-labeled spaces.
+
+    ``space``, when given, must be ``tensor_pair`` of the domains of two
+    endomorphisms A and B; the product then lives on that one object, so the
+    terms of a sum share it (``tensor_product_rep``).  Each distinct pair of
+    values (va, vb) is multiplied once, as ``SOp.scale`` does for one value.
+    The entries come in the order of the plain double loop over A's and B's
+    entries, which failure witnesses read."""
+    dom = space or tensor_pair(A.dom, B.dom)
+    cod = space or tensor_pair(A.cod, B.cod)
     sign_flip = B.par == 1
     dparity = A.dom.parity
+    values: dict = {}  # B's distinct values, numbered
+    b_entries = [(rb, cb, values.setdefault(vb, len(values))) for (rb, cb), vb in B.entries.items()]
+    products: dict = {}  # va -> [va * vb for B's values]
+    rows: dict = {}  # (va, flip) -> the products of va, negated when flip
     out = {}
     for (ra, ca), va in A.entries.items():
-        for (rb, cb), vb in B.entries.items():
-            v = va * vb
-            if sign_flip and dparity[ca]:
-                v = -v
-            out[(ra + rb, ca + cb)] = v
+        flip = sign_flip and dparity[ca] == 1
+        signed = rows.get((va, flip))
+        if signed is None:
+            if va not in products:
+                products[va] = [va * vb for vb in values]
+            signed = rows[(va, flip)] = [-v for v in products[va]] if flip else products[va]
+        for rb, cb, k in b_entries:
+            out[(ra + rb, ca + cb)] = signed[k]
     return SOp(dom, cod, A.par + B.par, out, validate=False)
 
 

@@ -39,6 +39,7 @@ from .superlinalg import (
     relation_failures,
     span_dim,
     submodule_echelon,
+    tensor_pair,
     tensor_space,
     unflatten_vector,
     word_sum,
@@ -176,20 +177,24 @@ def vector_rep(n: int, param: str = PARAM_Q) -> QueerRep:
 
 
 def tensor_product_rep(A: QueerRep, B: QueerRep) -> QueerRep:
-    """Tensor product module via the comultiplication Delta(L_ij) = sum_k L_ik (x) L_kj."""
+    """Tensor product module via the comultiplication Delta(L_ij) = sum_k L_ik (x) L_kj.
+
+    Every term and generator lives on one space, ``tensor_pair(A.space,
+    B.space)``, and each term multiplies each distinct pair of values once
+    (``graded_tensor``).  The entries come in the order of the terms joined
+    with ``+`` in increasing k, which failure witnesses read."""
     if A.spec != B.spec:
         raise ValueError("factor representations must share the algebra spec")
     n = A.spec.n
-    space = None
+    space = tensor_pair(A.space, B.space)
     gen = {}
     for (i, j) in generator_pairs(n):
         acc = None
         for k in index_range(n):
             if i <= k <= j:
-                term = graded_tensor(A.act(i, k), B.act(k, j))
+                term = graded_tensor(A.act(i, k), B.act(k, j), space)
                 acc = term if acc is None else acc + term
         gen[(i, j)] = acc
-        space = acc.dom
     return QueerRep(A.spec, space, gen)
 
 

@@ -8,12 +8,15 @@ last section: references that only the tests use (the transcribed vector
 action table, the omega map, side-by-side supercommutation, direct
 evaluation of a coordinate functional, the seeded GF(p) identity test, the
 exchange relation as operator-valued functionals and the braid operator as
-the plain triple product, the eager operator algebra span and the
-unmemoized tensor power).
+the plain triple product, the eager operator algebra span, the
+unmemoized tensor power, and the term-by-term tensor product and
+Hecke-Clifford action).
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -413,3 +416,58 @@ def tensor_power_fold(rep, m: int):
     for _ in range(m - 1):
         out = uq_queer.tensor_product_rep(out, rep)
     return out
+
+
+def graded_tensor_reference(A: SOp, B: SOp) -> SOp:
+    """The Koszul-signed tensor product by the plain double loop: one product
+    per pair of entries, on fresh spaces."""
+    out = {}
+    for (ra, ca), va in A.entries.items():
+        for (rb, cb), vb in B.entries.items():
+            v = va * vb
+            out[(ra + rb, ca + cb)] = -v if B.par and A.dom.parity[ca] else v
+    dom, cod = superlinalg.tensor_pair(A.dom, B.dom), superlinalg.tensor_pair(A.cod, B.cod)
+    return SOp(dom, cod, A.par + B.par, out, validate=False)
+
+
+def tensor_product_reference(A, B) -> dict:
+    """The generators of A (x) B term by term: Delta(L_ij) = sum_k L_ik (x) L_kj,
+    one plain tensor product per k, joined with + in increasing k."""
+    gen = {}
+    for (i, j) in uq_queer.generator_pairs(A.spec.n):
+        terms = [graded_tensor_reference(A.act(i, k), B.act(k, j)) for k in index_range(A.spec.n) if i <= k <= j]
+        gen[(i, j)] = functools.reduce(operator.add, terms)
+    return gen
+
+
+def hc_tensor_action_reference(n: int, m: int, param: str = PARAM_Q):
+    """(T_1..T_{m-1}, C_1..C_m) on V^{(x)m}, each entry from the closed formulas
+    at its own word."""
+    W = superlinalg.tensor_space(SuperSpace.standard(n), m)
+    qq, xi = param_q(param), uq_queer.param_xi(param)
+    t_ops = []
+    for a in range(1, m):
+        entries: dict = {}
+        for w in W.labels:
+            i, j = w[a - 1], w[a]
+            swapped = w[: a - 1] + (j, i) + w[a + 1 :]
+            coeff = qq ** uq_queer.phi(i, j)
+            if index_parity(i) and index_parity(j):
+                coeff = -coeff
+            entries[(swapped, w)] = entries.get((swapped, w), 0) + coeff
+            if i < j:
+                entries[(w, w)] = entries.get((w, w), 0) + xi
+            if -i < j:
+                flipped = w[: a - 1] + (-i, -j) + w[a + 1 :]
+                add = -xi if index_parity(j) else xi
+                entries[(flipped, w)] = entries.get((flipped, w), 0) + add
+        t_ops.append(SOp(W, W, 0, {k: v for k, v in entries.items() if v}, validate=False))
+    c_ops = []
+    for b in range(1, m + 1):
+        entries = {}
+        for w in W.labels:
+            exp = sum(index_parity(x) for x in w[: b - 1]) + index_parity(w[b - 1])
+            flipped = w[: b - 1] + (-w[b - 1],) + w[b:]
+            entries[(flipped, w)] = -ONE if exp & 1 else ONE
+        c_ops.append(SOp(W, W, 1, entries, validate=False))
+    return t_ops, c_ops

@@ -1,12 +1,14 @@
 import argparse
 import json
+import weakref
 from importlib import resources
 
 import pytest
 
-from queerdual import cli, duality
+from queerdual import cli, duality, uq_queer
 from queerdual.cli import main
 from queerdual.duality import load_expectations
+from queerdual.uq_queer import vector_rep
 
 
 def run(args, tmp_path, name="report.json"):
@@ -20,6 +22,17 @@ def test_relations_suite(tmp_path):
     assert code == 0
     assert payload["suite"] == "relations"
     assert all(c["status"] == "pass" for c in payload["checks"])
+
+
+@pytest.mark.parametrize("n,m,products", [(1, 4, 3), (2, 3, 2)])
+def test_relations_suite_builds_each_power_by_one_product(monkeypatch, tmp_path, n, m, products):
+    # the suite holds each power while it asks for the next, which is built on it
+    monkeypatch.setattr(vector_rep(n), "_powers", weakref.WeakValueDictionary())
+    calls = []
+    product = uq_queer.tensor_product_rep
+    monkeypatch.setattr(uq_queer, "tensor_product_rep", lambda A, B: calls.append(1) or product(A, B))
+    code, _ = run(["relations", "--n", str(n), "--m", str(m)], tmp_path)
+    assert code == 0 and len(calls) == products
 
 
 def test_sergeev_suite_with_regressions(tmp_path):

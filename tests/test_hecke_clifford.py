@@ -16,9 +16,11 @@ from queerdual.hecke_clifford import (
     hc_tensor_action,
     zero_weight_hc,
 )
-from queerdual.uq_queer import tensor_rep, vector_rep, weight_spaces
+from queerdual.uq_queer import PARAM_Q, PARAM_QINV, tensor_rep, vector_rep, weight_spaces
 
-from oracles import assert_bound_covers, braid_triple_product, decide_in_qq, recording_relation_bounds
+from oracles import (
+    assert_bound_covers, braid_triple_product, decide_in_qq, hc_tensor_action_reference, recording_relation_bounds,
+)
 from test_uq_queer import raises_the_point
 
 
@@ -30,6 +32,17 @@ def test_tensor_action_worked_entries():
     assert hc.t(1).apply({(1, 1): ONE}) == {(1, 1): Q, (-1, -1): XI}
     # T_1(v_{-1} (x) v_{-1}) = -q^{-1} v_{-1} v_{-1}
     assert hc.t(1).apply({(-1, -1): ONE}) == {(-1, -1): -QINV}
+
+
+@pytest.mark.parametrize("param", [PARAM_Q, PARAM_QINV])
+@pytest.mark.parametrize("n,m", [(n, m) for n in (1, 2, 3) for m in (1, 2, 3, 4)])
+def test_tensor_action_matches_the_per_word_reference(n, m, param):
+    # entries in the same order too: a failure witness reads the first entry
+    hc = hc_tensor_action(n, m, param)
+    t_ref, c_ref = hc_tensor_action_reference(n, m, param)
+    for op, ref in zip(hc.generators(), t_ref + c_ref, strict=True):
+        assert list(op.entries.items()) == list(ref.entries.items())
+        assert op.par == ref.par and op.dom == ref.dom
 
 
 @pytest.mark.parametrize("n,m", [(1, 2), (1, 3), (2, 2), (2, 3)])

@@ -99,13 +99,19 @@ def test_every_module_level_definition_is_used_or_exported():
     assert not dead, f"module-level definitions nothing uses: {dead}"
 
 
+def is_property(fn: ast.FunctionDef) -> bool:
+    """Decorated with property or cached_property, written as a name or as an attribute (functools.cached_property)."""
+    return any(getattr(d, "id", getattr(d, "attr", None)) in ("property", "cached_property") for d in fn.decorator_list)
+
+
 def test_every_method_is_read_or_documented():
     # a method that no code of the package or of perfbench/ reads as an
     # attribute, and that README.md does not name as Class.method, is dead
-    # code: only tests could call it.  A property is read as x.name; any other
-    # method is read as a call x.name(...), so a field of the same spelling
-    # (SuperSpace.parity) keeps no method alive.  Dunder methods are called by
-    # the language
+    # code: only tests could call it.  A property (property or
+    # functools.cached_property, written as a name or as an attribute) is read
+    # as x.name; any other method is read as a call x.name(...), so a field of
+    # the same spelling (SuperSpace.parity) keeps no method alive.  Dunder
+    # methods are called by the language
     trees = {name: parse(name) for name in sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))}
     bench = [parse(name, PERFBENCH) for name in sorted(f for f in os.listdir(PERFBENCH) if f.endswith(".py"))]
     nodes = [node for tree in (*trees.values(), *bench) for node in ast.walk(tree)]
@@ -119,7 +125,7 @@ def test_every_method_is_read_or_documented():
         for cls in tree.body if isinstance(cls, ast.ClassDef)
         for fn in cls.body if isinstance(fn, ast.FunctionDef) and not re.fullmatch(r"__\w+__", fn.name)
         if f"{cls.name}.{fn.name}" not in readme
-        and fn.name not in (read if any(getattr(d, "id", None) == "property" for d in fn.decorator_list) else called)
+        and fn.name not in (read if is_property(fn) else called)
     ]
     assert not dead, f"methods nothing reads: {dead}"
 

@@ -61,6 +61,7 @@ from oracles import (
     recording_relation_bounds,
     relation_sides,
     tensor_power_fold,
+    tensor_product_reference,
     vector_action_table,
     vectors_rows,
 )
@@ -436,6 +437,33 @@ def test_tensor_coassociativity():
     right = tensor_product_rep(rep, tensor_product_rep(rep, rep))
     for key in left.gen:
         assert left.gen[key] == right.gen[key]
+
+
+@pytest.mark.parametrize("param", [PARAM_Q, PARAM_QINV])
+@pytest.mark.parametrize("n,m", [(n, m) for n in (1, 2, 3) for m in (2, 3)])
+def test_tensor_product_matches_the_term_by_term_reference(n, m, param):
+    # entries in the same order too: a failure witness reads the first entry
+    base = vector_rep(n, param)
+    A = tensor_rep(base, m - 1)
+    rep = tensor_product_rep(A, base)
+    reference = tensor_product_reference(A, base)
+    assert list(rep.gen) == list(reference)
+    for key, op in rep.gen.items():
+        assert list(op.entries.items()) == list(reference[key].entries.items()), key
+        assert op.par == reference[key].par and op.dom == reference[key].dom, key
+        assert op.dom is op.cod is rep.space, key
+
+
+def test_tensor_product_multiplies_each_distinct_pair_of_values_once(monkeypatch):
+    A, B = tensor_rep(vector_rep(2), 2), vector_rep(2)
+    terms = [(A.act(i, k), B.act(k, j)) for (i, j) in generator_pairs(2) for k in index_range(2) if i <= k <= j]
+    distinct = sum(len(set(a.entries.values())) * len(set(b.entries.values())) for a, b in terms)
+    assert distinct < sum(len(a.entries) * len(b.entries) for a, b in terms)
+    calls = []
+    mul = RatFunc.__mul__
+    monkeypatch.setattr(RatFunc, "__mul__", lambda self, other: calls.append(1) or mul(self, other))
+    tensor_product_rep(A, B)
+    assert len(calls) == distinct
 
 
 @pytest.mark.parametrize("param", [PARAM_Q, PARAM_QINV])

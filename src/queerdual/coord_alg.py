@@ -261,6 +261,11 @@ def _translation_rep(kind: str, rank: int, l: int) -> QueerRep:
     raise ValueError(kind)
 
 
+# label -> (translation module kind, the word it acts on: 0 rows / 1 columns,
+# whether an odd x picks up the parity of the other word)
+_ACTIONS = {"phi": ("col", 1, True), "psi": ("row_dual", 0, False), "psit": ("row_twist", 0, True)}
+
+
 def act(label: str, x: GenWord, f: CoordFunctional, n: int, m: int) -> CoordFunctional:
     """The three translation actions on coordinate functionals.
 
@@ -270,51 +275,33 @@ def act(label: str, x: GenWord, f: CoordFunctional, n: int, m: int) -> CoordFunc
 
     On monomials each action is the corresponding module action on the column
     word (phi) or the row word (psi / psit), with the kappa signs translating
-    between t-monomials and plain matrix-coefficient pairs.
+    between t-monomials and plain matrix-coefficient pairs; one loop serves all
+    three, read from ``_ACTIONS``.  An odd x picks up the parity of the other
+    word under phi (the row word) and psit (the column word: the sigma-twisted
+    left translation is pre-composition with pi(sigma(x)), and transporting it
+    through tau gives (-1)^{|x||v|}), not under psi.  On degree 0 every label
+    acts through the counit on the unit functional; an unknown label raises
+    ValueError at every degree.
     """
+    if label not in _ACTIONS:
+        raise ValueError(f"unknown action label {label!r}")
+    kind, side, signed = _ACTIONS[label]
     l = f.degree
-    if l == 0:
-        # scalars act through the counit on the unit functional
-        return f.scale(_counit_value(x)) if word_parity(x) == 0 else CoordFunctional(0)
     xp = word_parity(x)
-    if label == "phi":
-        return _phi_translate(word_sum(_translation_rep("col", m, l).gen, x), xp, f)
-    if label in ("psi", "psit"):
-        out: dict = {}
-        rep = _translation_rep("row_dual" if label == "psi" else "row_twist", n, l)
-        W = word_sum(rep.gen, x)
-        for (rows, cols), v in f.terms.items():
-            k1 = kappa_sign(rows, cols)
-            front = v
-            if label == "psit" and xp:
-                # the sigma-twisted left translation is pre-composition with
-                # pi(sigma(x)); transporting it through tau picks up (-1)^{|x||v|}
-                pb = sum(index_parity(b) for b in cols) & 1
-                if pb:
-                    front = -front
-            for ar, w in W.column(rows):
-                c = front * w
-                if k1 * kappa_sign(ar, cols) < 0:
-                    c = -c
-                _accumulate(out, (ar, cols), c)
-        return CoordFunctional(l, out)
-    raise ValueError(f"unknown action label {label!r}")
-
-
-def _phi_translate(M: SOp, xp: int, f: CoordFunctional) -> CoordFunctional:
-    """phi(x) on f of degree l >= 1, given the operator M of x (parity xp) on the
-    degree-l column module."""
+    if l == 0:
+        return f.scale(_counit_value(x)) if xp == 0 else CoordFunctional(0)
+    W = word_sum(_translation_rep(kind, m if side else n, l).gen, x)
     out: dict = {}
-    for (rows, cols), v in f.terms.items():
-        k1 = kappa_sign(rows, cols)
-        pa = sum(index_parity(a) for a in rows) & 1
-        front = -v if (xp and pa) else v
-        for bc, w in M.column(cols):
+    for key, v in f.terms.items():
+        k1 = kappa_sign(*key)
+        front = -v if signed and xp and sum(index_parity(a) for a in key[1 - side]) & 1 else v
+        for word, w in W.column(key[side]):
+            new = (key[0], word) if side else (word, key[1])
             c = front * w
-            if k1 * kappa_sign(rows, bc) < 0:
+            if k1 * kappa_sign(*new) < 0:
                 c = -c
-            _accumulate(out, (rows, bc), c)
-    return CoordFunctional(f.degree, out)
+            _accumulate(out, new, c)
+    return CoordFunctional(l, out)
 
 
 def _accumulate(out: dict, key, c) -> None:
@@ -429,22 +416,37 @@ def _eval_vector(image: ImageBasis, f: CoordFunctional) -> dict:
     return vec
 
 
-def graded_component(n: int, m: int, l: int, preferred: list | None = None) -> GradedComponent:
+def graded_component(n: int, m: int, l: int) -> GradedComponent:
     """Exact rank of the normalized degree-l monomials, with an independent
-    sub-family selected deterministically (preferred monomials seeded first)."""
+    sub-family selected greedily in ``normalized_monomials`` order.  Memoized in
+    ``_graded_component`` (one object per (n, m, l), its coordinate memo
+    shared), cleared by its ``cache_clear()``; the public name stays a plain
+    function, as ``operator_image_basis`` does, so a tracer that wraps
+    functions still times it.
+
+    The selected set does not depend on the order of the column words.  A
+    monomial's phi-weight is the content of its column word, and a normalized
+    column word is weakly increasing, so each column word is one weight.  The
+    k_j lie in the image, so functionals of distinct weights are independent
+    on it: the evaluation vectors of different column words span independent
+    subspaces, and greedy selection picks, within each column word, the same
+    monomials in the same rows order, whatever the order of the words.  So at
+    l = m the zero-weight monomials t_{(a),(1..m)} are selected exactly as if
+    they were seeded first; ``zero_weight_iso`` reads them off the basis.
+    """
+    return _graded_component(n, m, l)
+
+
+@functools.cache
+def _graded_component(n: int, m: int, l: int) -> GradedComponent:
     if l == 0:
         return GradedComponent(n, m, 0, None, [((), ())], [((), ())], None, {})
     image = operator_image_basis(max(n, m), l)
     monos = normalized_monomials(n, m, l)
-    order = list(preferred or [])
-    seen = set(order)
-    for key in monos:
-        if key not in seen:
-            order.append(key)
     ech = Echelon(track=True)
     basis = []
     positions = {}
-    for key in order:
+    for key in monos:
         idx = ech.n_inserted
         if ech.insert(_eval_vector(image, CoordFunctional.monomial(*key))):
             basis.append(key)
@@ -454,29 +456,23 @@ def graded_component(n: int, m: int, l: int, preferred: list | None = None) -> G
 
 def phi_component_rep(n: int, m: int, l: int):
     """The column-translation action as a rank-m representation on the degree-l
-    component basis (zero-weight monomials seeded into the basis first).
+    component basis (``graded_component``'s memoized object, whose basis order
+    it keeps; degree 0 included, where phi acts through the counit).
 
-    Each generator's column-module operator is built once and applied to every
-    basis monomial; the images' coordinates come from ``comp.coordinates``."""
-    preferred = None
-    if l == m:
-        rows_pool = tensor_space(SuperSpace.standard(n), l).labels
-        preferred = [(rows, tuple(range(1, m + 1))) for rows in rows_pool]
-    comp = graded_component(n, m, l, preferred=preferred)
+    Each generator acts on every basis monomial through ``act``; the images'
+    coordinates come from ``comp.coordinates``."""
+    comp = graded_component(n, m, l)
     labels = comp.basis
     space = SuperSpace(labels, {k: monomial_parity(*k) for k in labels})
     gen = {}
     for (i, j) in generator_pairs(m):
         x = gen_word(i, j)
-        xp = word_parity(x)
-        M = word_sum(_translation_rep("col", m, l).gen, x) if l else None
         entries = {}
         for key in labels:
-            f = CoordFunctional.monomial(*key)
-            img = _phi_translate(M, xp, f) if l else act("phi", x, f, n, m)
+            img = act("phi", x, CoordFunctional.monomial(*key), n, m)
             for mono, c in comp.coordinates(img.normalized()).items():
                 entries[(mono, key)] = c
-        gen[(i, j)] = SOp(space, space, xp, entries, validate=False)
+        gen[(i, j)] = SOp(space, space, word_parity(x), entries, validate=False)
     rep = QueerRep(AlgebraSpec(m, PARAM_Q), space, gen)
     return rep, comp
 

@@ -44,7 +44,6 @@ from .uq_queer import (
     AlgebraSpec,
     QueerRep,
     _quadratic_witness,
-    chevalley_ops,
     classical_limit,
     generator_pairs,
     highest_weight_vectors,
@@ -417,15 +416,8 @@ def howe_verify(n: int, m: int, l_max: int) -> VerifyReport:
     r = min(n, m)
     dims_by_degree = {}
     for l in range(0, l_max + 1):
-        if l:
-            comp = graded_component(n, m, l)
-            comp_dim = comp.dim
-            independent = [
-                "".join(f"t[{a},{b}]" for a, b in zip(rows, cols)) for (rows, cols) in comp.basis
-            ]
-        else:
-            comp_dim = 1
-            independent = ["1"]
+        comp = graded_component(n, m, l)
+        independent = ["".join(f"t[{a},{b}]" for a, b in zip(rows, cols)) or "1" for (rows, cols) in comp.basis]
         if l == 0:
             predicted = 1
             parts = [()]
@@ -448,12 +440,12 @@ def howe_verify(n: int, m: int, l_max: int) -> VerifyReport:
             "n": n,
             "m": m,
             "l": l,
-            "dim": comp_dim,
+            "dim": comp.dim,
             "predicted": predicted,
             "partitions": list(map(list, parts)),
             "independent_monomials": independent,
         }
-        report.add(f"graded_dim[l={l}]", comp_dim == predicted, value={"dim": comp_dim, "predicted": predicted})
+        report.add(f"graded_dim[l={l}]", comp.dim == predicted, value={"dim": comp.dim, "predicted": predicted})
     report.derive("dims_by_degree", dims_by_degree)
 
     s = max(n, m)
@@ -610,7 +602,7 @@ def fixture_module():
     rows = submodule_echelon(list(rep.gen.values()), [seed])[0].rows
     target_rep = restrict_to_rows(rep, rows)
     target = target_rep.space
-    target_ch = chevalley_ops(target_rep)
+    target_ch = target_rep.chevalley()
     report.add("ambient_submodule_dim", target.dim == 8, value=target.dim)
 
     solve_on = [("k", 1), ("k", 2), ("e", 1), ("f", 1), ("ebar", 1)]

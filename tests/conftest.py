@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from queerdual import duality
+from queerdual import coord_alg, duality
 from queerdual.superlinalg import SOp
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -30,3 +30,12 @@ def fresh_census():
     duality._census.cache_clear()
     yield duality.isotypic_census
     duality._census.cache_clear()
+
+
+@pytest.fixture
+def fresh_components():
+    """graded_component with an empty memo, emptied again afterwards: a component
+    left by an earlier test neither hides this test's work nor outlives a patch."""
+    coord_alg._graded_component.cache_clear()
+    yield coord_alg.graded_component
+    coord_alg._graded_component.cache_clear()

@@ -9,8 +9,9 @@ action table, the omega map, side-by-side supercommutation, direct
 evaluation of a coordinate functional, the seeded GF(p) identity test, the
 exchange relation as operator-valued functionals and the braid operator as
 the plain triple product, the eager operator algebra span, the
-unmemoized tensor power, and the term-by-term tensor product and
-Hecke-Clifford action).
+unmemoized tensor power, the term-by-term tensor product and
+Hecke-Clifford action, the translation actions by one loop per side, and
+the graded-component basis selected zero-weight first).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import operator
 import random
 from fractions import Fraction
 
-from queerdual import hecke_clifford, superlinalg, uq_queer
-from queerdual.coord_alg import CoordFunctional, _counit_value, eval_on_operator, monomial_parity, product
+from queerdual import coord_alg, hecke_clifford, superlinalg, uq_queer
+from queerdual.coord_alg import CoordFunctional, _counit_value, eval_on_operator, kappa_sign, monomial_parity, product
 from queerdual.scalars import (
     ONE, ZERO, RatFunc, _pmonomial, _ptrailing, identity_bound, kronecker_point, sample_mod_p,
 )
@@ -471,3 +472,59 @@ def hc_tensor_action_reference(n: int, m: int, param: str = PARAM_Q):
             entries[(flipped, w)] = -ONE if exp & 1 else ONE
         c_ops.append(SOp(W, W, 1, entries, validate=False))
     return t_ops, c_ops
+
+
+def act_reference(label: str, x, f: CoordFunctional, n: int, m: int) -> CoordFunctional:
+    """The translation actions with one loop for the column side (phi) and one
+    for the row side (psi, psit), each sign written out at its own side."""
+    l = f.degree
+    if l == 0:
+        return f.scale(_counit_value(x)) if coord_alg.word_parity(x) == 0 else CoordFunctional(0)
+    xp = coord_alg.word_parity(x)
+    out: dict = {}
+    if label == "phi":
+        M = word_sum(coord_alg._translation_rep("col", m, l).gen, x)
+        for (rows, cols), v in f.terms.items():
+            k1 = kappa_sign(rows, cols)
+            pa = sum(index_parity(a) for a in rows) & 1
+            front = -v if (xp and pa) else v
+            for bc, w in M.column(cols):
+                c = front * w
+                if k1 * kappa_sign(rows, bc) < 0:
+                    c = -c
+                coord_alg._accumulate(out, (rows, bc), c)
+        return CoordFunctional(l, out)
+    if label in ("psi", "psit"):
+        W = word_sum(coord_alg._translation_rep("row_dual" if label == "psi" else "row_twist", n, l).gen, x)
+        for (rows, cols), v in f.terms.items():
+            k1 = kappa_sign(rows, cols)
+            front = v
+            if label == "psit" and xp:
+                pb = sum(index_parity(b) for b in cols) & 1
+                if pb:
+                    front = -front
+            for ar, w in W.column(rows):
+                c = front * w
+                if k1 * kappa_sign(ar, cols) < 0:
+                    c = -c
+                coord_alg._accumulate(out, (ar, cols), c)
+        return CoordFunctional(l, out)
+    raise ValueError(f"unknown action label {label!r}")
+
+
+def greedy_basis(n: int, m: int, l: int, order: list) -> list:
+    """The normalized degree-l monomials kept by greedy selection in ``order``:
+    each one whose evaluation vector on the image is independent of those kept
+    before it."""
+    image = coord_alg.operator_image_basis(max(n, m), l)
+    ech = superlinalg.Echelon()
+    return [key for key in order if ech.insert(coord_alg._eval_vector(image, CoordFunctional.monomial(*key)))]
+
+
+def zero_weight_first_basis(n: int, m: int, l: int) -> list:
+    """The degree-l component basis selected greedily with, at l = m, the
+    zero-weight monomials t_{(a),(1..m)} seeded first and the other normalized
+    monomials after them in their own order."""
+    rows_pool = superlinalg.tensor_space(SuperSpace.standard(n), l).labels
+    first = [(rows, tuple(range(1, m + 1))) for rows in rows_pool] if l == m else []
+    return greedy_basis(n, m, l, first + [key for key in coord_alg.normalized_monomials(n, m, l) if key not in first])

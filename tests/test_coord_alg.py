@@ -25,7 +25,12 @@ from queerdual.coord_alg import (
     zero_weight_iso,
 )
 
-from oracles import eval_functional, frac_rank, flatten_ops_rows, omega_map, qca2_sides
+from queerdual.duality import howe_verify
+
+from oracles import (
+    act_reference, eval_functional, frac_rank, flatten_ops_rows, greedy_basis, omega_map, qca2_sides,
+    zero_weight_first_basis,
+)
 
 
 @pytest.fixture(scope="module")
@@ -310,10 +315,14 @@ def test_zero_weight_iso_report():
 
 
 @pytest.mark.parametrize("plant", [False, True])
-def test_row_hc_commutation_is_plain_commutation_decided_as_in_qq(plant, monkeypatch):
+def test_row_hc_commutation_is_plain_commutation_decided_as_in_qq(plant, monkeypatch, request):
     # 4 of the 10 twisted row generators and 2 of the 3 HC generators are odd,
     # and they commute on the nose: the check is x h = h x, not the graded one
     if plant:
+        # the memoized row modules are built from sigma_twist: none may be
+        # built under the plant and outlive it
+        coord_alg._translation_rep.cache_clear()
+        request.addfinalizer(coord_alg._translation_rep.cache_clear)
         twist = coord_alg.sigma_twist
 
         def planted(rep):
@@ -393,7 +402,7 @@ def test_coordinates_when_non_member_residuals_cancel():
     assert comp.coordinates(g) == {((1,), (1,)): Q}
 
 
-def test_phi_component_rep_reduces_each_monomial_once(monkeypatch):
+def test_phi_component_rep_reduces_each_monomial_once(monkeypatch, fresh_components):
     from queerdual.superlinalg import Echelon
 
     calls = []
@@ -424,3 +433,75 @@ def test_degree_zero_phi_action_is_the_counit(n, m):
     assert comp.coordinates(CoordFunctional.unit().scale(Q)) == {unit: Q}
     for (i, j), op in rep.gen.items():
         assert op.entries == ({(unit, unit): ONE} if i == j else {})
+
+
+@pytest.mark.parametrize("l", [0, 1])
+def test_act_rejects_an_unknown_label_at_every_degree(l):
+    f = CoordFunctional.unit() if l == 0 else CoordFunctional.monomial((1,), (1,))
+    with pytest.raises(ValueError, match="unknown action label"):
+        act("bogus", gen_word(1, 1), f, 1, 1)
+
+
+def _words(rank: int, rng) -> list:
+    """Every one-letter word, and two-letter words of both parities with a
+    coefficient other than 1, some with a second term of the same parity."""
+    pairs = generator_pairs(rank)
+    words = [gen_word(i, j) for (i, j) in pairs]
+    for t in range(6):
+        letters = (rng.choice(pairs), rng.choice(pairs))
+        parity = sum(index_parity(i) + index_parity(j) for i, j in letters) & 1
+        word = [(letters, Q ** rng.randint(-1, 1) * rng.randint(1, 2))]
+        if t % 2:
+            same = [g for g in pairs if (index_parity(g[0]) + index_parity(g[1])) & 1 == parity]
+            word.append(((rng.choice(same),), RatFunc(-1)))
+        words.append(word)
+    return words
+
+
+def _functionals(n: int, m: int, l: int, rng) -> list:
+    """Random degree-l monomials, with negative column letters (unnormalized
+    terms), and one combination of them."""
+    if l == 0:
+        return [CoordFunctional.unit(), CoordFunctional.unit().scale(Q)]
+    keys = [tuple(tuple(rng.choice(index_range(r)) for _ in range(l)) for r in (n, m)) for _ in range(6)]
+    out = [CoordFunctional.monomial(*key) for key in keys]
+    out.append(CoordFunctional(l, {key: Q ** rng.randint(-1, 1) * rng.choice([1, 2, -1]) for key in keys}))
+    return out
+
+
+@pytest.mark.parametrize("label", ["phi", "psi", "psit"])
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("l", [0, 1, 2])
+def test_act_matches_the_one_loop_per_side_reference(label, n, m, l):
+    rng = random.Random(100 * n + 10 * m + l)
+    funcs = _functionals(n, m, l, rng)
+    assert l == 0 or any(c < 0 for f in funcs for _, cols in f.terms for c in cols)
+    for x in _words(m if label == "phi" else n, rng):
+        for f in funcs:
+            assert list(act(label, x, f, n, m).terms.items()) == list(act_reference(label, x, f, n, m).terms.items())
+
+
+@pytest.mark.parametrize("n,m,l", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (1, 2, 2), (2, 2, 2)])
+def test_component_basis_does_not_depend_on_the_order_of_the_column_words(n, m, l):
+    basis = set(graded_component(n, m, l).basis)
+    assert set(zero_weight_first_basis(n, m, l)) == basis
+    # the column words taken last to first, each keeping its rows order
+    monos = normalized_monomials(n, m, l)
+    words = list(dict.fromkeys(cols for _, cols in monos))
+    assert set(greedy_basis(n, m, l, [key for cols in reversed(words) for key in monos if key[1] == cols])) == basis
+    if l == m:  # zero_weight_iso's image_rank reads them off the basis
+        assert {(rows, tuple(range(1, m + 1))) for rows, _ in monos} <= basis
+
+
+def test_zero_weight_iso_and_howe_share_one_component(monkeypatch, fresh_components):
+    built = []
+    component = coord_alg.GradedComponent
+
+    def counting(n, m, l, *args):
+        built.append((n, m, l))
+        return component(n, m, l, *args)
+
+    monkeypatch.setattr(coord_alg, "GradedComponent", counting)
+    assert zero_weight_iso(2, 2).ok and howe_verify(2, 2, 2).ok
+    assert built.count((2, 2, 2)) == 1
+    assert phi_component_rep(2, 2, 2)[1] is graded_component(2, 2, 2)

@@ -268,6 +268,8 @@ def main(argv: list[str] | None = None) -> int:
             _check_frozen_shapes(expected or {})
         except ValueError as exc:
             raise InvalidConfig(f"corrupt expectations file: {exc}") from None
+        except OSError as exc:
+            raise InvalidConfig(f"cannot read the expectations file: {exc}") from None
         if cfg.all:
             reports = run_battery(cfg, expected)
             ok = all(r.ok for r in reports)

@@ -18,8 +18,7 @@ from __future__ import annotations
 import copy
 import functools
 import json
-from dataclasses import dataclass, field
-from importlib import resources
+import os
 
 from .report import VerifyReport
 from .scalars import ONE, QINV, RatFunc, Q, ZERO
@@ -125,28 +124,34 @@ def restrict_to_rows(rep: QueerRep, rows: list[tuple[int, dict]]) -> QueerRep:
 # isotypic census
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CensusEntry:
-    hwv_dim: int
-    submodule_dim: int
-    hwv_in_submodule: int
-    copies: int
-    endo_even: int
-    endo_odd: int
-    odd_square_is_minus_square: bool | None
-    predicted_type: str
-    detected_type: str
-    paired: bool = False  # generated block is an irreducible pair over the base field
-    irreducible_dim: int = 0  # dimension of one irreducible over the closed-field theory
+    def __init__(self, hwv_dim: int, submodule_dim: int, hwv_in_submodule: int, copies: int, endo_even: int,
+                 endo_odd: int, odd_square_is_minus_square: bool | None, predicted_type: str, detected_type: str,
+                 paired: bool = False, irreducible_dim: int = 0):
+        self.hwv_dim = hwv_dim
+        self.submodule_dim = submodule_dim
+        self.hwv_in_submodule = hwv_in_submodule
+        self.copies = copies
+        self.endo_even = endo_even
+        self.endo_odd = endo_odd
+        self.odd_square_is_minus_square = odd_square_is_minus_square
+        self.predicted_type = predicted_type
+        self.detected_type = detected_type
+        self.paired = paired  # generated block is an irreducible pair over the base field
+        self.irreducible_dim = irreducible_dim  # dimension of one irreducible over the closed-field theory
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
 
 
-@dataclass
 class IsotypicCensus:
-    n: int
-    m: int
-    entries: dict = field(default_factory=dict)  # padded weight -> CensusEntry
-    total_dim: int = 0
-    closes: bool = False
+    def __init__(self, n: int, m: int, entries: dict | None = None, total_dim: int = 0, closes: bool = False):
+        self.n, self.m = n, m
+        self.entries = {} if entries is None else entries  # padded weight -> CensusEntry
+        self.total_dim = total_dim
+        self.closes = closes
+
+    __eq__ = CensusEntry.__eq__
 
     def summary(self) -> dict:
         return {
@@ -723,13 +728,16 @@ def classical_crosscheck(n: int, m: int) -> VerifyReport:
 # frozen expectations
 # ---------------------------------------------------------------------------
 
-EXPECTATIONS = resources.files("queerdual").joinpath("expected_values.json")
+EXPECTATIONS = os.path.join(os.path.dirname(__file__), "expected_values.json")
 
 
 def load_expectations() -> dict:
-    """The frozen values of ``EXPECTATIONS`` ({} without it); ValueError if it is corrupt."""
+    """The frozen values of ``EXPECTATIONS``, the plain path of expected_values.json
+    next to this module ({} without it); ValueError if it is corrupt, OSError if it
+    exists but cannot be read."""
     try:
-        data = json.loads(EXPECTATIONS.read_text())
+        with open(EXPECTATIONS, encoding="utf-8") as fh:
+            data = json.load(fh)
     except FileNotFoundError:
         return {}
     if not isinstance(data, dict) or not all(isinstance(v, dict) for k, v in data.items() if not k.startswith("_")):

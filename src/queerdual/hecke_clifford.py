@@ -39,7 +39,6 @@ HC-module structure for the opposite parameter.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .report import VerifyReport
 from .scalars import ONE, kronecker_point, q_number
@@ -61,14 +60,22 @@ class EmptyZeroWeight(Exception):
     """The zero weight block is zero (rank vs. tensor degree mismatch)."""
 
 
-@dataclass(frozen=True)
 class HCSpec:
-    m: int
-    param: str = PARAM_Q
+    """The number m of tensor factors and the parameter flag of HC_m."""
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int, param: str = PARAM_Q):
+        if m < 1:
             raise ValueError("m >= 1 required")
+        self.m, self.param = m, param
+
+    def __eq__(self, other):
+        return type(other) is HCSpec and (self.m, self.param) == (other.m, other.param)
+
+    def __hash__(self):
+        return hash((self.m, self.param))
+
+    def __repr__(self):
+        return f"HCSpec(m={self.m!r}, param={self.param!r})"
 
 
 class HCAction:

@@ -4,15 +4,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 
 
-@dataclass
 class Check:
-    name: str
-    status: str  # "pass" | "fail"
-    witness: object = None
-    value: object = None
+    def __init__(self, name: str, status: str, witness=None, value=None):
+        self.name, self.status = name, status  # status "pass" | "fail"
+        self.witness, self.value = witness, value
 
     def to_dict(self) -> dict:
         d = {"name": self.name, "status": self.status}
@@ -23,14 +20,15 @@ class Check:
         return d
 
 
-@dataclass
 class VerifyReport:
-    suite: str
-    params: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-    derived_values: dict = field(default_factory=dict)
-    elapsed_ms: float = 0.0
-    _t0: float = field(default_factory=time.monotonic, repr=False)
+    def __init__(self, suite: str, params: dict | None = None, checks: list | None = None,
+                 derived_values: dict | None = None, elapsed_ms: float = 0.0):
+        self.suite = suite
+        self.params = {} if params is None else params
+        self.checks = [] if checks is None else checks
+        self.derived_values = {} if derived_values is None else derived_values
+        self.elapsed_ms = elapsed_ms
+        self._t0 = time.monotonic()
 
     def add(self, name: str, ok: bool, witness=None, value=None) -> bool:
         self.checks.append(Check(name, "pass" if ok else "fail", witness, value))

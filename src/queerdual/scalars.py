@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 
 class PoleAtPoint(Exception):
@@ -539,12 +539,10 @@ def q_number(j: int, factorial: bool = False) -> RatFunc:
 # identity tests: the Schwartz-Zippel bound and the Kronecker point
 # ---------------------------------------------------------------------------
 
-class IdentityBound(NamedTuple):
+class IdentityBound(namedtuple("IdentityBound", "degree excluded height")):
     """The bounds D, E and H of a GF(p) identity test; see ``identity_bound``."""
 
-    degree: int
-    excluded: int
-    height: int
+    __slots__ = ()
 
     @property
     def sound(self) -> bool:
@@ -607,16 +605,13 @@ def identity_bound(values, scalars=(ONE,), factors: int = 1, terms: int = 1) -> 
     return IdentityBound(hi - lo, m + 2, height)
 
 
-class EvalPoint(NamedTuple):
+class EvalPoint(namedtuple("EvalPoint", "q image p lam", defaults=(None, 1))):
     """Where a zero test runs: q = ``q``, each value g an int ``image[g]``.  In Z
     (``p`` None, ``kronecker_point``) a product of fewer than k values is padded
     to k factors with ``lam``, the image of 1; in GF(p) the images are residues
     (``sample_mod_p``) and ``lam`` is 1."""
 
-    q: int
-    image: dict
-    p: int | None = None
-    lam: int = 1
+    __slots__ = ()
 
     @property
     def name(self) -> str:

@@ -43,8 +43,8 @@ import bisect
 import functools
 import random
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .scalars import (
     ONE, P, ZERO, EvalPoint, IdentityBound, RatFunc, _coerce, _pnorm1, identity_bound, kronecker_point, sample_mod_p,

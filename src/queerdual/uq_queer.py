@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 import weakref
-from dataclasses import dataclass
 
 from .report import VerifyReport
 from .scalars import (
@@ -87,16 +86,24 @@ def generator_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in idx for j in idx if i <= j]
 
 
-@dataclass(frozen=True)
 class AlgebraSpec:
-    n: int
-    param: str = PARAM_Q
+    """The rank n and the parameter flag; equal specs share one vector representation."""
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, param: str = PARAM_Q):
+        if n < 1:
             raise ValueError("rank n >= 1 required")
-        if self.param not in (PARAM_Q, PARAM_QINV):
-            raise ValueError(f"param must be 'q' or 'qinv', got {self.param!r}")
+        if param not in (PARAM_Q, PARAM_QINV):
+            raise ValueError(f"param must be 'q' or 'qinv', got {param!r}")
+        self.n, self.param = n, param
+
+    def __eq__(self, other):
+        return type(other) is AlgebraSpec and (self.n, self.param) == (other.n, other.param)
+
+    def __hash__(self):
+        return hash((self.n, self.param))
+
+    def __repr__(self):
+        return f"AlgebraSpec(n={self.n!r}, param={self.param!r})"
 
 
 class QueerRep:

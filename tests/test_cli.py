@@ -159,6 +159,20 @@ def test_corrupt_expectations_exit_2_before_the_suite_runs(text, tmp_path, monke
     assert main(["--all"]) == 2
 
 
+def test_unreadable_expectations_exit_2_before_the_suite_runs(tmp_path, monkeypatch, capsys):
+    # a path that exists but cannot be read as a file; a missing file is no error
+    monkeypatch.setattr(duality, "EXPECTATIONS", tmp_path)
+    ran = []
+    monkeypatch.setitem(cli.SUITES, "sergeev", ran.append)
+    assert main(["sergeev", "--n", "1", "--m", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read the expectations file: ") and len(err.strip().splitlines()) == 1
+    assert ran == []
+    assert main(["--all"]) == 2
+    monkeypatch.setattr(duality, "EXPECTATIONS", tmp_path / "absent.json")
+    assert load_expectations() == {}
+
+
 def test_battery_reproduces_the_expectations_file_byte_for_byte(tmp_path):
     written = tmp_path / "expected_values.json"
     assert main(["--all", "--write-expectations", str(written), "--report", str(tmp_path / "all.json")]) == 0

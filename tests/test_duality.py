@@ -1,3 +1,4 @@
+import copy
 import json
 import weakref
 from fractions import Fraction
@@ -102,6 +103,18 @@ def test_census_results_are_private_copies(fresh_census):
     assert again_report.checks[0].value is None
     assert again.entries[(2, 0)].copies == 2 and again.closes
     assert again_report.derived_values["census"] == again.summary()
+
+
+def test_a_deep_copy_of_the_memoized_census_is_equal_and_separate(fresh_census):
+    census, _ = fresh_census(2, 2)
+    memo = duality._census(2, 2)[0]
+    twin = copy.deepcopy(memo)
+    assert twin == memo == census and twin.entries[(2, 0)] == memo.entries[(2, 0)]
+    twin.entries[(2, 0)].copies = 99
+    assert twin != memo and twin.entries[(2, 0)] != memo.entries[(2, 0)]
+    twin.entries.clear()
+    twin.closes = False
+    assert memo == census and memo.entries[(2, 0)].copies == 2 and memo.closes
 
 
 def test_census_cli_twice_in_one_process(tmp_path, fresh_census):

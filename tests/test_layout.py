@@ -3,6 +3,7 @@
 import ast
 import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -153,3 +154,22 @@ def test_only_scalars_and_superlinalg_call_identity_bound(name):
         if getattr(node.func, "id", getattr(node.func, "attr", None)) == "identity_bound"
     ]
     assert name in ("scalars.py", "superlinalg.py") or not calls, f"identity_bound called in {name}: {calls}"
+
+
+def test_start_up_loads_no_standard_library_module_the_package_does_not_use():
+    # every run compiles the package from source when bytecode is not written,
+    # and each module it loads adds to that start-up; -S stops a site hook,
+    # which may import some of these itself, from hiding one the package pulls in
+    script = (
+        "import sys, queerdual, queerdual.cli\n"
+        "queerdual.duality.load_expectations()\n"
+        "print(' '.join(sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE))
+    run = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True)
+    unused = {
+        "dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "importlib.resources", "zipfile", "tempfile", "pathlib",
+    }
+    loaded = set(run.stdout.split())
+    assert "queerdual.cli" in loaded
+    assert not loaded & unused, sorted(loaded & unused)

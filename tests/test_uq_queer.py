@@ -25,7 +25,7 @@ from queerdual.superlinalg import (
     tensor_space,
     unflatten_vector,
 )
-from queerdual.hecke_clifford import hc_tensor_action
+from queerdual.hecke_clifford import HCSpec, hc_tensor_action
 from queerdual.uq_queer import (
     PARAM_Q,
     PARAM_QINV,
@@ -130,6 +130,27 @@ def test_e_scalar_discrepancy_is_real():
     good = vector_action_table(2)[("e", 1)]
     assert bad_e != good
     assert bad_e == good.scale(XI * XI)
+
+
+@pytest.mark.parametrize("cls,args", [(AlgebraSpec, (0,)), (AlgebraSpec, (1, "x")), (HCSpec, (0,))])
+def test_specs_reject_a_bad_rank_or_param(cls, args):
+    with pytest.raises(ValueError):
+        cls(*args)
+
+
+@pytest.mark.parametrize("cls,rank", [(AlgebraSpec, "n"), (HCSpec, "m")])
+def test_specs_compare_and_hash_by_rank_and_param(cls, rank):
+    spec = cls(2, PARAM_QINV)
+    assert spec == cls(2, PARAM_QINV) and hash(spec) == hash(cls(2, PARAM_QINV))
+    assert cls(2) == cls(2, PARAM_Q) and hash(cls(2)) == hash(cls(2, PARAM_Q))
+    assert spec != cls(3, PARAM_QINV) and spec != cls(2, PARAM_Q)
+    assert AlgebraSpec(2) != HCSpec(2)
+    assert repr(spec) == f"{cls.__name__}({rank}=2, param='qinv')"
+
+
+def test_vector_rep_is_one_representation_per_spec():
+    assert vector_rep(2) is vector_rep(2, "q")
+    assert vector_rep(2, PARAM_QINV) is not vector_rep(2)
 
 
 def test_vector_rep_qinv_table():

@@ -22,10 +22,11 @@ other family is checked verbatim, hc1 in the expanded form
 T_a T_a + (q'^{-1} - q') T_a - 1 = 0.
 
 Each family instance is a relation between words of at most three generators,
-checked by ``superlinalg.relation_failures`` on integers at one Kronecker point
-q = 2^B in Z, whose bound ``superlinalg.relation_bound`` derives from the
-instances themselves, so the verdicts and witnesses are those of Q(q); the
-report records the point as ``exact_point``.
+checked in one pass by ``superlinalg.relation_failures`` (only hc2's words
+build an inner product) on integers at one Kronecker point q = 2^B in Z,
+whose bound ``superlinalg.relation_bound`` derives from the instances
+themselves, so the verdicts and witnesses are those of Q(q); the report
+records the point as ``exact_point``.
 
 The tensor action transcribes the two closed formulas (graded swap with
 q-weight, two xi-corrections guarded by the order on the index set, tabled
@@ -225,8 +226,9 @@ def hc_check(action: HCAction, qq=None) -> VerifyReport:
     action specialized at q = 1.  hc1 is checked as
     T T + (q'^{-1} - q') T - 1 = 0.
 
-    Each relation accumulates lhs - rhs entry by entry on integers
-    (``superlinalg.relation_failures``); the two sides are built as operators
+    Each relation is one pass on integers (``superlinalg.relation_failures``)
+    that adds its words straight into lhs - rhs; only hc2's words of three
+    letters build their inner product.  The two sides are built as operators
     in Q(q) only for the witness of a failing instance.  The action is
     evaluated once, at the Kronecker point q = 2^B in Z of
     ``superlinalg.relation_bound`` over the Clifford squares and every family

@@ -338,7 +338,7 @@ def word_sum(ops: dict, terms) -> SOp:
     return total if total is not None else SOp.zero(space)
 
 
-def relation_failures(ops: dict, instances, point: EvalPoint, prod=None) -> list[int]:
+def relation_failures(ops: dict, instances, point: EvalPoint) -> list[int]:
     """The indices, in order, of the instances whose two sides differ at ``point``.
 
     ``ops`` maps generator keys to endomorphisms of one space.  An instance is
@@ -347,13 +347,13 @@ def relation_failures(ops: dict, instances, point: EvalPoint, prod=None) -> list
     word is the identity.  Every entry v of ops, and every coefficient object
     (``EvalPoint.coefficients``, one X^σ for all), becomes a plain int once; a
     word of j letters is padded with lam^(K - j), K the longest word of all
-    the instances.  Each instance sums lhs - rhs on ints into one dict and
-    tests its entries for 0: in Z at a Kronecker point, where that is exact
-    (``scalars.kronecker_point``), or mod p, once per entry.
-
-    Each product of two or more letters is built once, kept in ``prod`` while
-    a later instance still uses it, and dropped after the instance that uses it
-    last.
+    the instances.  Each instance is one pass: its terms are merged by word
+    into one int (lhs adds, rhs subtracts), and each word a b ... z whose int
+    c is not 0 (mod p) adds c a @ (b ... z) into one dict of lhs - rhs,
+    scaling each entry of b ... z once; only a word of three or more letters
+    builds that inner product, and none outlives its instance.  The
+    dict's entries are tested for 0: in Z at a Kronecker point, where that is
+    exact (``scalars.kronecker_point``), or mod p, once per entry.
     """
     N = next(iter(ops.values())).dom.dim
     p, lam = point.p, point.lam
@@ -363,46 +363,36 @@ def relation_failures(ops: dict, instances, point: EvalPoint, prod=None) -> list
     coefs = {id(c): c for _, lhs, rhs in instances for _, c in (*lhs, *rhs)}
     coef_image = dict(zip(coefs, point.coefficients(coefs.values())))
     longest = max((len(word) for _, lhs, rhs in instances for word, _ in (*lhs, *rhs)), default=0)
-    pads = [lam ** (longest - j) for j in range(longest + 1)]  # by word length; negated for rhs
-    side_pads = (pads, [-x for x in pads])
+    pads = [lam ** (longest - j) for j in range(longest + 1)]  # by word length
     ident = {i * N + i: 1 for i in range(N)}
-
-    def product(word: tuple) -> dict:
-        if not word:
-            return ident
-        out = mats[word[-1]][0]
-        for w in reversed(word[:-1]):
-            out = _flat_product(mats[w][1], out, N, p)
-        return out
-
-    last_use = {}
-    for t, (_, lhs, rhs) in enumerate(instances):
-        for word, _ in (*lhs, *rhs):
-            if len(word) > 1:
-                last_use[word] = t
-    expiring: list[list] = [[] for _ in instances]
-    for word, t in last_use.items():
-        expiring[t].append(word)
-    prod = {} if prod is None else prod
+    ident_cols = {i: [(i, 1)] for i in range(N)}
 
     failures = []
     for t, (_, lhs, rhs) in enumerate(instances):
-        diff: dict = {}
-        for side, pad in zip((lhs, rhs), side_pads):
+        merged: dict = {}
+        for side, sign in ((lhs, 1), (rhs, -1)):
             for word, c in side:
-                c = coef_image[id(c)] * pad[len(word)]
-                if not c:
-                    continue
-                op = prod.get(word)
-                if op is None:
-                    op = product(word)
-                    if len(word) > 1:
-                        prod[word] = op
-                for k, v in op.items():
-                    s = diff.get(k)
-                    diff[k] = c * v if s is None else s + c * v
-        for word in expiring[t]:
-            prod.pop(word, None)
+                merged[word] = merged.get(word, 0) + sign * coef_image[id(c)] * pads[len(word)]
+        diff: dict = {}
+        for word, c in merged.items():
+            if p is not None:
+                c %= p
+            if not c:
+                continue
+            # a b ... z as a @ (b ... z), a one-letter word z as 1 @ z, the empty word as 1 @ 1
+            a_cols = mats[word[0]][1] if len(word) > 1 else ident_cols
+            b = mats[word[-1]][0] if word else ident
+            for w in reversed(word[1:-1]):  # the inner product, for three or more letters
+                b = _flat_product(mats[w][1], b, N, p)
+            for key, bv in b.items():  # as _flat_product, each entry of b scaled once
+                k = key % N
+                if k in a_cols:
+                    base = key - k
+                    cb = c * bv
+                    for r, av in a_cols[k]:
+                        r += base
+                        s = diff.get(r)
+                        diff[r] = av * cb if s is None else s + av * cb
         if any(diff.values()) if p is None else any(v % p for v in diff.values()):
             failures.append(t)
     return failures
@@ -421,6 +411,8 @@ def relation_bound(ops: dict, instances) -> tuple[set, IdentityBound]:
     coefficients' 1-norms add up to at most ||s||_1 w_1 ... w_{k-1}.  The
     largest sum of these over the terms of one instance is the ``terms`` of
     ``scalars.identity_bound``, whose scalars are the coefficients.
+    Merging the terms of equal words (``relation_failures``) is distributivity:
+    it changes neither lhs - rhs nor the integer tested, which the bound covers.
     """
     widths = {key: row_width([op]) for key, op in ops.items()}
     scalars = {id(c): _coerce(c) for _, lhs, rhs in instances for _, c in (*lhs, *rhs)}  # keyed as in relation_failures

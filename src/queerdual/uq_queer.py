@@ -274,10 +274,10 @@ def _quadratic_instances(pairs, qq, xi) -> list:
     return [((i, j, k, l), *_relation_terms(i, j, k, l, qpow, xis)) for (i, j) in pairs for (k, l) in pairs]
 
 
-def _first_failure(G, key: str, instances, point: EvalPoint, prod: dict | None = None):
+def _first_failure(G, key: str, instances, point: EvalPoint):
     """The witness of the first instance that fails on the operators G at
     ``point``, or None: the first entry of its lhs - rhs, built from G in Q(q)."""
-    failures = relation_failures(G, instances, point, prod)
+    failures = relation_failures(G, instances, point)
     if not failures:
         return None
     ctx, lhs, rhs = instances[failures[0]]
@@ -285,13 +285,13 @@ def _first_failure(G, key: str, instances, point: EvalPoint, prod: dict | None =
     return {key: ctx, "basis_vector": repr(next(iter(diff.entries))[1])}
 
 
-def _quadratic_witness(G, pairs, qq, xi, prod: dict | None = None, point: EvalPoint | None = None):
+def _quadratic_witness(G, pairs, qq, xi, point: EvalPoint | None = None):
     """The first quadratic relation instance that fails on the operators G, or
     None; by default at the Kronecker point of ``relation_bound`` on them."""
     instances = _quadratic_instances(pairs, qq, xi)
     if point is None:
         point = kronecker_point(*relation_bound(G, instances))
-    return _first_failure(G, "instance", instances, point, prod)
+    return _first_failure(G, "instance", instances, point)
 
 
 def _prob_trials(report: VerifyReport, values, bound: IdentityBound, trials: int, seed: int):
@@ -320,11 +320,13 @@ def check_defining_relations(
 ) -> VerifyReport:
     """Verify every unit relation and every expanded quadratic relation instance.
 
-    Each instance accumulates lhs - rhs entry by entry on plain ints
-    (``superlinalg.relation_failures``); the two sides are built as operators
-    only for the witness of the first failing instance, from the generators in
-    Q(q).  Both modes map every generator entry to an int at a point and test
-    there.  The unit and quadratic instances are built once, and bounds D on
+    Each instance is one pass on plain ints (``superlinalg.relation_failures``):
+    its terms are merged by word and each word, of at most two letters, is
+    added straight into lhs - rhs, so no product of generators is built; the
+    two sides are built as operators only for the witness of the first failing
+    instance, from the generators in Q(q).  Both modes map every generator
+    entry to an int at a point and test there.  The unit and quadratic
+    instances are built once, and bounds D on
     the degree and H on the height of every entry they test come from those
     instances, with the generator entries and the coefficients they use
     (``superlinalg.relation_bound`` has the proof).

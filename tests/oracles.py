@@ -180,7 +180,7 @@ def relation_sides(G, i, j, k, l, qq, xi):
     return tuple(word_sum(G, side) for side in _relation_terms(i, j, k, l, qpow, (xi, -xi)))
 
 
-def relation_failures_in_qq(ops, instances, point=None, prod=None) -> list[int]:
+def relation_failures_in_qq(ops, instances, point=None) -> list[int]:
     """``superlinalg.relation_failures`` decided in Q(q): the instances whose
     two sides, built as operators (``word_sum``), differ."""
     return [t for t, (_, lhs, rhs) in enumerate(instances) if word_sum(ops, lhs) != word_sum(ops, rhs)]

@@ -6,6 +6,7 @@ point."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from queerdual import duality, superlinalg
 from queerdual.duality import (
@@ -16,7 +17,7 @@ from queerdual.duality import (
     sergeev_verify,
 )
 from queerdual.hecke_clifford import hc_tensor_action
-from queerdual.scalars import ONE, P, Q, RatFunc, kronecker_point
+from queerdual.scalars import ONE, P, Q, EvalPoint, RatFunc, kronecker_point, sample_mod_p
 from queerdual.superlinalg import (
     Echelon,
     SOp,
@@ -51,7 +52,7 @@ from oracles import (
     relation_failures_in_qq,
 )
 from test_duality import _perturbed_hc
-from test_superlinalg import V1, rand_op, restrict_by_reduction, restricted
+from test_superlinalg import V1, V2, rand_op, restrict_by_reduction, restricted
 
 
 def at_q_one(monkeypatch):
@@ -323,6 +324,64 @@ def test_the_relation_bound_of_empty_and_one_letter_words():
     assert_bound_covers(values, bound, differences(ops, instances), 1)
     failing = relation_failures(ops, instances, kronecker_point(values, bound))
     assert failing == [1] == relation_failures_in_qq(ops, instances)
+
+
+LAURENT = st.builds(
+    lambda coeffs, shift: RatFunc(tuple(coeffs), (0,) * shift + (1,)),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any),
+    st.integers(0, 2),
+)
+
+
+@st.composite
+def sparse_op(draw):
+    """An operator on the 2|2 space with a few Laurent entries."""
+    par = draw(st.integers(0, 1))
+    labels = V2.labels
+    slots = [(r, c) for r in labels for c in labels if (V2.parity[r] + V2.parity[c]) & 1 == par]
+    keys = draw(st.lists(st.sampled_from(slots), max_size=5, unique=True))
+    return SOp(V2, V2, par, {k: draw(LAURENT) for k in keys})
+
+
+WORDS = st.lists(st.sampled_from("abc"), max_size=3).map(tuple)
+COEFFS = st.one_of(st.integers(-2, 2).filter(bool), LAURENT)
+SIDES = st.lists(st.tuples(WORDS, COEFFS), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    ops=st.fixed_dictionaries({key: sparse_op() for key in "abc"}),
+    drawn=st.lists(st.tuples(SIDES, SIDES), max_size=4),
+    word=WORDS,
+    coeffs=st.lists(COEFFS, min_size=2, max_size=2, unique=True),
+    seed=st.integers(0, 2**16),
+)
+def test_relation_failures_agree_with_q_of_q(ops, drawn, word, coeffs, seed):
+    # random families of empty, one-, two- and three-letter words, with a word
+    # on both sides at equal coefficients (holds) and at different ones (fails
+    # unless the word is the zero operator): the failing instances at the
+    # Kronecker point are those of Q(q), and a GF(p) point fails none that holds
+    def parity(word):
+        return sum(ops[w].par for w in word) & 1
+
+    c1, c2 = coeffs
+    instances = []
+    for t, (lhs, rhs) in enumerate(drawn):  # one parity per instance, that of its first word
+        par = parity(lhs[0][0])
+        instances.append((t, *([term for term in side if parity(term[0]) == par] for side in (lhs, rhs))))
+    instances += [
+        ("equal", [(word, c1)], [(word, c1)]),
+        ("different", [(word, c1)], [(word, c2)]),
+        ("identity", [((), c1)], [((), c2)]),
+    ]
+    expected = relation_failures_in_qq(ops, instances)
+    tail = len(instances) - 3
+    assert tail not in expected and tail + 2 in expected
+    assert (tail + 1 in expected) == (not word_sum(ops, [(word, 1)]).is_zero())
+    values, bound = relation_bound(ops, instances)
+    assert relation_failures(ops, instances, kronecker_point(values, bound)) == expected
+    c, image = sample_mod_p(random.Random(seed), values)
+    assert set(relation_failures(ops, instances, EvalPoint(c, image, P))) <= set(expected)
 
 
 def test_supercommutation_at_the_point_does_no_ratfunc_products(monkeypatch):

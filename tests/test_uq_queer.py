@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -235,28 +236,44 @@ def test_relations_prob_degree_bound_covers_exact_differences(factor):
     assert true_degrees and max(true_degrees) <= degree
 
 
-class _SizeLog(dict):
-    """A product cache that records how often it is filled and its largest size."""
-
-    def __init__(self):
-        super().__init__()
-        self.filled = 0
-        self.peak = 0
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.filled += 1
-        self.peak = max(self.peak, len(self))
-
-
-def test_quadratic_witness_drops_each_product_after_its_last_use():
-    from queerdual.uq_queer import _quadratic_witness, param_q, param_xi
+def test_the_relation_kernel_builds_an_inner_product_only_for_words_of_three_letters(monkeypatch):
+    # one pass per instance: a word of two letters is added straight into
+    # lhs - rhs, so the FRT relations and the supercommutation pairs build no
+    # product; hc2's words T_a T_{a+1} T_a and T_{a+1} T_a T_{a+1} build one
+    # inner product each
+    from queerdual import superlinalg
+    from queerdual.hecke_clifford import hc_check
 
     rep = tensor_rep(vector_rep(2), 2)
-    prod = _SizeLog()
-    assert _quadratic_witness(rep.gen, generator_pairs(2), param_q(rep.param), param_xi(rep.param), prod) is None
-    assert prod == {}
-    assert 0 < prod.peak < prod.filled  # products are dropped along the way, not held to the end
+    chevalley = list(tensor_rep(vector_rep(2), 3).chevalley().values())
+    action = hc_tensor_action(2, 3)
+    calls = []
+    product = superlinalg._flat_product
+    monkeypatch.setattr(superlinalg, "_flat_product", lambda *args: calls.append(1) or product(*args))
+    assert check_defining_relations(rep).ok and calls == []
+    assert superlinalg.supercommutation_failures(chevalley, action.generators())[0] == [] and calls == []
+    report = hc_check(action)
+    hc2 = [c for c in report.checks if c.name == "hc2"]
+    assert report.ok and len(hc2) == 1 and len(calls) == 2 * len(hc2)
+
+
+def test_the_relation_kernel_keeps_no_product_between_instances():
+    # the quadratic instances of V^{(x)3}, n = 2, at their Kronecker point:
+    # one pass per instance peaks near 0.25 MiB, and products held from one
+    # instance to the next would take it to about 1.1 MiB
+    from queerdual.superlinalg import relation_failures
+    from queerdual.uq_queer import _quadratic_instances, param_q, param_xi
+
+    rep = tensor_rep(vector_rep(2), 3)
+    instances = _quadratic_instances(generator_pairs(2), param_q(rep.param), param_xi(rep.param))
+    point = kronecker_point(*relation_bound(rep.gen, instances))
+    tracemalloc.start()
+    try:
+        assert relation_failures(rep.gen, instances, point) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 def test_quadratic_witness_is_the_first_failing_instance():

@@ -27,7 +27,8 @@ chooses, at one point, and an exact argument or check proves each choice:
 checks every dropped row exactly against the kernel it found, falling back to
 all rows when one does not vanish; ``certified_span`` picks the words of an
 operator span in GF(p) and certifies their number against the GF(p) nullity
-of a commutant that must contain the span, falling back to exact elimination
+of a commutant that must contain the span (twice its even part's when an odd
+combination of the generators is a unit), falling back to exact elimination
 when the two bounds differ; ``submodule_echelon`` picks the words of a
 submodule in GF(p) and certifies that their span is invariant
 (``invariant_under``), falling back to the exact closure when it is not.
@@ -799,14 +800,26 @@ def graded_commutant(ops: list[SOp]) -> list[SOp]:
     return intertwiners(ops, ops)
 
 
-def _nullities(ops: list[SOp], image: dict) -> list[int]:
+def _nullities(ops: list[SOp], image: dict, parities: Sequence[int] = (0, 1)) -> list[int]:
     """The nullity in GF(P) of the graded commutant system of ops at the point of
-    ``image`` (residues mod P), per parity (even first), block by block, the rows
+    ``image`` (residues mod P), per parity of ``parities``, block by block, the rows
     by decreasing first column: the rank is the same, and the rows stay sparse."""
     return [
         len(pairs) - sum(span_dim(sorted(b, key=min, reverse=True), p=P)[0] for _, b in _blocks(rows, block_of))
-        for _, pairs, rows, block_of in _intertwiner_systems(ops, ops, image=image)
+        for _, pairs, rows, block_of in _intertwiner_systems(ops, ops, parities, image)
     ]
+
+
+def _odd_unit(gens: list[SOp], image: dict, rng: random.Random) -> list[int] | None:
+    """The integer coefficients c_i, drawn from rng, of J = sum_i c_i g_i over the
+    odd generators when J has rank N in GF(P) at the point of ``image``, else None."""
+    odd, N = [g for g in gens if g.par], gens[0].dom.dim
+    coeffs, cols = [rng.randrange(1, P) for _ in odd], {}
+    for c, g in zip(coeffs, odd):
+        for k, v in _columns(g, image.__getitem__)[0].items():
+            col = cols.setdefault(k // N, {})
+            col[k % N] = (col.get(k % N, 0) + c * v) % P
+    return coeffs if span_dim(list(cols.values()), p=P)[0] == N else None
 
 
 POINT = SuperSpace([()], {(): 0})  # V^{(x)0}: a vector of V is an operator POINT -> V
@@ -998,31 +1011,39 @@ class CertifiedSpan:
         return self.echelon.contains(_columns(op)[0])
 
 
-def certified_span(gens: list[SOp], partners: list[SOp]) -> CertifiedSpan:
+def certified_span(gens: list[SOp], partners: list[SOp], supercommutes: bool | None = None) -> CertifiedSpan:
     """The span of all words in gens (the identity included), certified against the
     graded commutant of partners; both families have entries in Q(q).
 
     When every generator supercommutes with every partner (checked exactly, by
-    ``supercommutation_failures``), the words lie in that commutant, and at
-    one point q = c of GF(p) with no poles
+    ``supercommutation_failures``, unless the caller passes that verdict as
+    ``supercommutes``), the words lie in that commutant C, and at one point
+    q = c of GF(p) with no poles
 
-        rank_p(words) <= dim span <= dim commutant <= nullity_p(commutant system):
+        rank_p(words) <= dim span <= dim C <= nullity_p(commutant system):
 
     words independent in GF(p) are independent over Q(q), and specializing the
-    commutant's constraint rows can only lower their rank.  The closure runs in
-    GF(p) and stops once its rank reaches the nullity: no later word could
-    enlarge it, so the kept words are those of the full closure.  When its rank
-    equals the nullity, all four numbers are equal, and the kept words, rebuilt
-    exactly one product each (when ``basis`` is read), are a basis of the
-    span.  They are the words the exact closure keeps unless the point lowers
-    the rank of some intermediate family of words.  When the bounds differ (or
-    the premise fails) the closure runs by exact elimination.
+    commutant's constraint rows can only lower their rank.  When J = sum c_i g_i
+    over the odd generators (``_odd_unit``) has rank N at c, det J is not 0 at
+    c, so not in Q(q), and the bound is 2 nullity_p(even system): J lies in
+    C_1, so X -> J X maps C_0 into C_1 (J X b = J b X = (-1)^{|b|} b J X for X
+    in C_0) and C_1 into C_0, injectively, and dim C = 2 dim C_0.  The closure
+    runs in GF(p) and stops once its rank reaches the bound: no later word
+    could enlarge it, so the kept words are those of the full closure.  When
+    its rank equals the bound, all four numbers are equal, and the kept words,
+    rebuilt exactly one product each (when ``basis`` is read), are a basis of
+    the span.  They are the words the exact closure keeps unless the point
+    lowers the rank of some intermediate family of words.  When the bounds
+    differ (or the premise fails) the closure runs by exact elimination.
     """
-    premise = not supercommutation_failures(gens, partners)[0]
+    premise = not supercommutation_failures(gens, partners)[0] if supercommutes is None else supercommutes
     seeds = _algebra_seeds(gens)
     if premise:
-        _, image = sample_mod_p(random.Random(0), {v for op in (*seeds, *partners) for v in op.entries.values()})
-        nullity = sum(_nullities(partners, image))
+        rng = random.Random(0)
+        _, image = sample_mod_p(rng, {v for op in (*seeds, *partners) for v in op.entries.values()})
+        unit = _odd_unit(gens, image, rng)  # then dim C = 2 dim C_0: the even system is enough
+        nullities = _nullities(partners, image, (0,) if unit else (0, 1))
+        nullity = 2 * nullities[0] if unit else sum(nullities)
         words = _closure(gens, seeds, limit=nullity, image=image)[2]
         if len(words) == nullity:
             return CertifiedSpan(gens, words, "gf_p", None, premise)

@@ -43,11 +43,11 @@ def residues(*families):
     return sample_mod_p(random.Random(0), {v for ops in families for op in ops for v in op.entries.values()})[1]
 
 
-def full_system_nullities(ops, image):
+def full_system_nullities(ops, image, parities=(0, 1)):
     """The nullity per parity of the whole commutant system, every row in one
     int echelon in the order the systems list them: no blocks, no row order."""
     out = []
-    for _, pairs, rows, _ in _intertwiner_systems(ops, ops, image=image):
+    for _, pairs, rows, _ in _intertwiner_systems(ops, ops, parities, image):
         ech = Echelon(p=P)
         for row in rows:
             ech.insert(row)
@@ -71,7 +71,26 @@ def plant_join(ops):
 def test_block_nullities_equal_the_full_system_nullities(n, m):
     for name, ops in families(n, m).items():
         image = residues(ops)
-        assert _nullities(ops, image) == full_system_nullities(ops, image), name
+        full = [full_system_nullities(ops, image, (p,)) for p in (0, 1)]  # the whole system, one parity at a time
+        assert [_nullities(ops, image, (p,)) for p in (0, 1)] == full, name
+        assert _nullities(ops, image) == full[0] + full[1], name
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 2), (1, 3)])
+def test_one_parity_nullity_is_that_entry_of_both(n, m):
+    for name, ops in families(n, m).items():
+        image = residues(ops)
+        both = _nullities(ops, image)
+        assert [_nullities(ops, image, (p,)) for p in (0, 1)] == [[both[0]], [both[1]]], name
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 2), (1, 3)])
+def test_twice_the_even_nullity_is_the_whole_nullity(n, m):
+    # at the point certified_span samples for each span against these partners
+    fam = families(n, m)
+    for gens, partners in ((fam["hc"], fam["queer"]), (fam["queer"], fam["hc"])):
+        image = residues(gens, partners)
+        assert 2 * _nullities(partners, image, (0,))[0] == sum(_nullities(partners, image))
 
 
 def test_the_split_separates_the_content_classes():

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from queerdual import coord_alg, scalars, superlinalg
 from queerdual.coord_alg import operator_image_basis
-from queerdual.duality import FixtureModule, fixture_module, restrict_to_rows
+from queerdual.duality import FixtureModule, fixture_module, restrict_to_rows, sergeev_verify
 from queerdual.hecke_clifford import hc_tensor_action
 from queerdual.scalars import (
     ONE, P, RatFunc, Q, ZERO, _pmonomial, _ptrailing, identity_bound, kronecker_point, sample_mod_p,
@@ -16,6 +17,7 @@ from queerdual.superlinalg import (
     _closure,
     _nullities,
     _numbered,
+    _odd_unit,
     _sylvester_rows,
     SOp,
     SuperSpace,
@@ -660,3 +662,105 @@ def test_gf_p_closure_runs_to_the_end_when_the_bounds_differ(monkeypatch):
     _, exact = operator_algebra_span(queer)
     assert span.certified_by == "exact"
     assert [(op.par, op.entries) for op in span.basis] == [(op.par, op.entries) for op in exact]
+
+
+# -- the odd unit: one parity of the commutant system
+
+
+def sampled(gens, partners):
+    """The rng and the residues certified_span draws for gens against partners:
+    the point, then the odd unit's coefficients from the same rng."""
+    rng = random.Random(0)
+    _, image = sample_mod_p(rng, {v for op in (*_algebra_seeds(gens), *partners) for v in op.entries.values()})
+    return rng, image
+
+
+def exact_combination(gens, coeffs):
+    """sum_i c_i g_i over the odd generators, exactly in Q(q)."""
+    odd = [g for g in gens if g.par]
+    return sum((g.scale(RatFunc((c,))) for c, g in zip(coeffs, odd)), SOp.zero(odd[0].dom, par=1))
+
+
+def exact_rank(op):
+    """The rank of op over Q(q), by exact elimination of its columns."""
+    cols: dict = {}
+    for (r, c), v in op.entries.items():
+        cols.setdefault(c, {})[op.cod.pos[r]] = v
+    return span_dim(list(cols.values()))[0]
+
+
+def recorded_systems(monkeypatch):
+    """The parities of every commutant system built on residues."""
+    calls = []
+    systems = superlinalg._intertwiner_systems
+
+    def recording(A_ops, B_ops, parities=(0, 1), image=None):
+        if image is not None:
+            calls.append(tuple(parities))
+        return systems(A_ops, B_ops, parities, image)
+
+    monkeypatch.setattr(superlinalg, "_intertwiner_systems", recording)
+    return calls
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)])
+def test_the_battery_families_have_an_odd_unit(n, m):
+    queer = list(tensor_rep(vector_rep(n), m).gen.values())
+    hc = hc_tensor_action(n, m).generators()
+    for gens, partners in ((queer, hc), (hc, queer)):
+        rng, image = sampled(gens, partners)
+        coeffs = _odd_unit(gens, image, rng)
+        assert coeffs is not None
+        # a rank at a rational point is at most the rank over Q(q)
+        J = exact_combination(gens, coeffs)
+        assert frac_rank(specialize_op_rows(J, Fraction(3))) == J.dom.dim
+
+
+V21 = SuperSpace.named(["a", "b", "x"], ["x"])
+
+
+@pytest.mark.parametrize(
+    "gens,partners",
+    [
+        # no odd generator: the Hecke generators against the queer image
+        (hc_tensor_action(1, 2).t_ops, list(tensor_rep(vector_rep(1), 2).gen.values())),
+        # one nilpotent odd matrix unit, against itself and against the identity
+        ([SOp.unit(V1, V1, (1,), (-1,))], [SOp.unit(V1, V1, (1,), (-1,))]),
+        ([SOp.unit(V21, V21, "a", "x")], [SOp.identity(V21)]),
+    ],
+)
+def test_with_no_odd_unit_both_parities_are_solved(gens, partners, monkeypatch):
+    calls = recorded_systems(monkeypatch)
+    rng, image = sampled(gens, partners)
+    assert _odd_unit(gens, image, rng) is None
+    span = certified_span(gens, partners)
+    assert span.supercommutes and calls == [(0, 1)]
+    _, exact = operator_algebra_span(gens)
+    assert [(op.par, op.entries) for op in span.basis] == [(op.par, op.entries) for op in exact]
+
+
+def test_a_singular_odd_element_can_leave_the_parities_unequal():
+    # End(V21) is the commutant of the identity: 5 even and 4 odd dimensions, so
+    # twice the even nullity is no bound without an odd unit
+    image = sampled([SOp.identity(V21)], [SOp.identity(V21)])[1]
+    assert _nullities([SOp.identity(V21)], image) == [5, 4]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), count=st.integers(1, 3), space=st.sampled_from([V1, V2, V21]))
+def test_an_odd_unit_at_the_point_has_full_rank_over_qq(seed, count, space):
+    rng = random.Random(seed)
+    gens = [rand_op(rng, space, 1) for _ in range(count)]
+    rng, image = sampled(gens, [])
+    coeffs = _odd_unit(gens, image, rng)
+    if coeffs is not None:
+        assert exact_rank(exact_combination(gens, coeffs)) == space.dim
+
+
+def test_certified_spans_build_only_even_commutant_systems(monkeypatch, fresh_image_basis):
+    calls = recorded_systems(monkeypatch)
+    report = sergeev_verify(2, 2)
+    assert report.ok and report.derived_values["queer_image_certified_by"] == "gf_p"
+    assert calls == [(0,), (0,)]
+    calls.clear()
+    assert fresh_image_basis(2, 2).certified_by == "gf_p" and calls == [(0,)]

@@ -338,11 +338,9 @@ def sergeev_verify(n: int, m: int, centralizer: bool = True) -> VerifyReport:
     the certificate, and the exact commutant solve and membership scan are
     skipped.  Otherwise both run exactly.  The report names the path of each
     pair.  A certificate solves only the even commutant system when an odd
-    combination of its generators is a unit at its point.  The premise is checked once, by
-    the first span: B_j A_i != (-1)^{|a||b|} A_i B_j exactly where the reverse
-    fails, so the second span takes the first one's ``supercommutes``.
-    ``centralizer=False`` skips the span and commutant stage (it scales with
-    dim^4 and is reserved for the small configurations).
+    combination of its generators is a unit at its point.  ``centralizer=False``
+    skips the span and commutant stage (it scales with dim^4 and is reserved for
+    the small configurations).
 
     V^{(x)m} is taken first and held to the end, so the supercommutation, both
     spans and the census (when not yet memoized) share one module and one set
@@ -375,7 +373,7 @@ def sergeev_verify(n: int, m: int, centralizer: bool = True) -> VerifyReport:
         # every span word supercommutes with the queer image iff the premise held
         report.add("hc_span_supercommutes", hc_span.supercommutes)
         _centralizer_pair(
-            report, certified_span(queer_gens, hc_gens, hc_span.supercommutes), hc_gens, "queer_image", "hc_commutant",
+            report, certified_span(queer_gens, hc_gens), hc_gens, "queer_image", "hc_commutant",
             "queer_image_dim_equals_hc_commutant", "queer_image_inside_bicommutant",
         )
 

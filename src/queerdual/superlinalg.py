@@ -1011,14 +1011,13 @@ class CertifiedSpan:
         return self.echelon.contains(_columns(op)[0])
 
 
-def certified_span(gens: list[SOp], partners: list[SOp], supercommutes: bool | None = None) -> CertifiedSpan:
+def certified_span(gens: list[SOp], partners: list[SOp]) -> CertifiedSpan:
     """The span of all words in gens (the identity included), certified against the
     graded commutant of partners; both families have entries in Q(q).
 
     When every generator supercommutes with every partner (checked exactly, by
-    ``supercommutation_failures``, unless the caller passes that verdict as
-    ``supercommutes``), the words lie in that commutant C, and at one point
-    q = c of GF(p) with no poles
+    ``supercommutation_failures``), the words lie in that commutant C, and at
+    one point q = c of GF(p) with no poles
 
         rank_p(words) <= dim span <= dim C <= nullity_p(commutant system):
 
@@ -1036,7 +1035,7 @@ def certified_span(gens: list[SOp], partners: list[SOp], supercommutes: bool | N
     lowers the rank of some intermediate family of words.  When the bounds
     differ (or the premise fails) the closure runs by exact elimination.
     """
-    premise = not supercommutation_failures(gens, partners)[0] if supercommutes is None else supercommutes
+    premise = not supercommutation_failures(gens, partners)[0]
     seeds = _algebra_seeds(gens)
     if premise:
         rng = random.Random(0)

@@ -248,26 +248,6 @@ def test_sergeev_planted_defect_never_certifies(monkeypatch):
     assert report.derived_values["queer_image_certified_by"] == "exact"
 
 
-def test_sergeev_checks_the_span_premise_once(monkeypatch):
-    # supercommutation_failures(B, A) fails on the transposed pairs of (A, B), so
-    # the second span takes the first one's verdict
-    queer = list(tensor_rep(vector_rep(2), 2).gen.values())
-    hc = hc_tensor_action(2, 2).generators()
-    calls = []
-    check = superlinalg.supercommutation_failures
-    for module in (duality, superlinalg):
-        monkeypatch.setattr(module, "supercommutation_failures", lambda A, B: calls.append((A, B)) or check(A, B))
-    report = sergeev_verify(2, 2)
-    assert report.ok and report.derived_values["queer_image_certified_by"] == "gf_p"
-
-    def name(ops):
-        return "queer" if ops == queer else "hc" if ops == hc else "other"
-
-    pairs = [(name(A), name(B)) for A, B in calls]
-    assert pairs.count(("hc", "queer")) == 1 and ("queer", "hc") not in pairs
-    assert pairs.count(("other", "hc")) == 1  # the Chevalley operators
-
-
 def span_scan(span, partners):
     """The exhaustive check the certified premise replaces: every span word
     supercommutes with every partner."""

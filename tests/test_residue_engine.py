@@ -77,14 +77,6 @@ def test_block_nullities_equal_the_full_system_nullities(n, m):
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 2), (1, 3)])
-def test_one_parity_nullity_is_that_entry_of_both(n, m):
-    for name, ops in families(n, m).items():
-        image = residues(ops)
-        both = _nullities(ops, image)
-        assert [_nullities(ops, image, (p,)) for p in (0, 1)] == [[both[0]], [both[1]]], name
-
-
-@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 2), (1, 3)])
 def test_twice_the_even_nullity_is_the_whole_nullity(n, m):
     # at the point certified_span samples for each span against these partners
     fam = families(n, m)

@@ -739,13 +739,6 @@ def test_with_no_odd_unit_both_parities_are_solved(gens, partners, monkeypatch):
     assert [(op.par, op.entries) for op in span.basis] == [(op.par, op.entries) for op in exact]
 
 
-def test_a_singular_odd_element_can_leave_the_parities_unequal():
-    # End(V21) is the commutant of the identity: 5 even and 4 odd dimensions, so
-    # twice the even nullity is no bound without an odd unit
-    image = sampled([SOp.identity(V21)], [SOp.identity(V21)])[1]
-    assert _nullities([SOp.identity(V21)], image) == [5, 4]
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), count=st.integers(1, 3), space=st.sampled_from([V1, V2, V21]))
 def test_an_odd_unit_at_the_point_has_full_rank_over_qq(seed, count, space):

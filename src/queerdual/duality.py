@@ -51,7 +51,7 @@ from .uq_queer import (
     vector_rep,
     weight_spaces,
 )
-from .hecke_clifford import HCAction, braid_operator, hc_check, hc_tensor_action, zero_weight_hc
+from .hecke_clifford import HCAction, hc_check, hc_tensor_action, zero_weight_hc
 from .coord_alg import (
     CoordFunctional,
     act,
@@ -587,8 +587,10 @@ def _fixture_table(space: SuperSpace) -> dict:
 
 def fixture_module():
     """Build the fixture and verify it embeds in V^{(x)2} (rank 2) via an exact
-    even intertwiner; check the zero-weight braid eigenvalues and the
-    zero-weight Hecke-Clifford structure.  The target U (v1 (x) v1) is restricted
+    even intertwiner; check the zero-weight Hecke-Clifford structure and the
+    braid eigenvalues on u1, bu1, w, bw, which span the zero weight space (1,1):
+    they are read off that structure's T_1, so the braid operator is built on
+    that block alone, and once.  The target U (v1 (x) v1) is restricted
     straight from the rows ``submodule_echelon`` certified (``restrict_to_rows``),
     and the pick of ``_block_maps`` reads the seed in the target's basis."""
     report = VerifyReport("fixture", {})
@@ -636,13 +638,12 @@ def fixture_module():
             "fbar.u0 carries +1 on bw (a printed -q^2 variant does not transport)",
         )
 
-    braid = braid_operator(fix, 1)
+    zw = zero_weight_hc(fix)
     for lab, val in (("u1", -Q), ("bu1", -Q), ("w", QINV), ("bw", QINV)):
-        col = braid.apply({lab: ONE})
+        col = zw.t(1).apply({lab: ONE})
         ok = col == {lab: val}
         report.add(f"braid_eigenvalue[{lab}]", ok, value=str(val))
 
-    zw = zero_weight_hc(fix)
     zw_res = hc_check(zw)
     report.add("zero_weight_hc_qinv", zw_res.ok)
     report.derive("zw_clifford_square", zw_res.derived_values.get("clifford_square"))

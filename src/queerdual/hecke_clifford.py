@@ -32,9 +32,11 @@ The tensor action transcribes the two closed formulas (graded swap with
 q-weight, two xi-corrections guarded by the order on the index set, tabled
 once on two adjacent letters; Clifford sign counts the odd letters up to and
 including the flipped slot).
-Braid operators on an arbitrary weight module come from the divided-power
-triple sum; on zero weight spaces they pair with C_b = kbar_b to give the
-HC-module structure for the opposite parameter.
+Braid operators on a weight module are built one weight space V_mu at a
+time: T_a maps V_mu onto V_{s_a mu}, so of the divided-power triple sum only
+the terms that land there are kept, each computed on the block's columns
+alone.  On the zero weight space they pair with C_b = kbar_b to give the
+HC-module structure for the opposite parameter, and only that block is built.
 """
 
 from __future__ import annotations
@@ -142,78 +144,107 @@ def hc_tensor_action(n: int, m: int, param: str = PARAM_Q) -> HCAction:
     return HCAction(HCSpec(m, param), W, t_ops, c_ops)
 
 
-def _divided_powers(op: SOp) -> list[SOp]:
-    """[op^(0), op^(1), ...] with op^(j) = op^j / [j]!, up to the first zero."""
-    out = [SOp.identity(op.dom)]
-    power = SOp.identity(op.dom)
-    j = 0
+def _weight_blocks(rep) -> dict:
+    """{mu: labels}: ``weight_spaces`` of a QueerRep, or the module's own table."""
+    return weight_spaces(rep) if isinstance(rep, QueerRep) else rep.weight_blocks()
+
+
+def _divided_chain(op: SOp, start: SOp, weights: int) -> list[SOp]:
+    """[op^(0) start, op^(1) start, ...] up to the first zero, op^(j) = op^j / [j]!.
+    An op that moves every weight by one root vanishes within ``weights``
+    steps, the number of weights; a chain longer than that raises ValueError."""
+    out = [start]
     while True:
-        j += 1
-        power = op @ power
-        if power.is_zero():
+        nxt = (op @ out[-1]).scale(q_number(len(out)).inverse())
+        if nxt.is_zero():
             return out
-        out.append(power.scale(q_number(j, factorial=True).inverse()))
+        if len(out) == weights:
+            raise ValueError(f"divided powers of {op!r} do not vanish within {weights} steps: not a root vector")
+        out.append(nxt)
 
 
-def braid_operator(rep, a: int) -> SOp:
-    """The braid operator T_a on a weight module, from the divided-power sum
-
-        T_a = sum_{i,j,k >= 0} (-1)^j q^{k(k-j) - i(i-j+k) + j - 1}
-              e_a^(i) f_a^(j) e_a^(k) k_a^{k-i} k_{a+1}^{i-k},
-
-    truncated where the divided powers vanish.  ``rep`` needs a Chevalley
-    family of rank > a and a parameter flag (QueerRep or fixture module).
-    """
+def _braid_block(rep, a: int, blocks: dict, mu: tuple) -> dict:
+    """The entries of T_a on the columns of the weight space V_mu; ``blocks``
+    maps each weight to its labels.  Every product has the columns of V_mu as
+    its right factor.  A row outside V_{s_a mu} raises ValueError naming it
+    (``braid_operator`` has the proof)."""
     ch = rep.chevalley()
     if ("e", a) not in ch:
         raise ValueError(f"braid index {a} needs rank > {a}")
     qq = param_q(rep.param)
-    e_div = _divided_powers(ch[("e", a)])
-    f_div = _divided_powers(ch[("f", a)])
-    ka, ka_inv = ch[("k", a)], ch[("kinv", a)]
-    kb, kb_inv = ch[("k", a + 1)], ch[("kinv", a + 1)]
+    e = ch[("e", a)]
+    h = mu[a - 1] - mu[a]
+    labels = blocks[mu]
+    dom = SuperSpace(labels, {lab: rep.space.parity[lab] for lab in labels})
+    lam = ch[("k", a)].entry(labels[0], labels[0]) * ch[("kinv", a + 1)].entry(labels[0], labels[0])
+    grouped: dict = {}  # i -> G_i, the sum over k of the scaled f^(i+k+h) e^(k) on V_mu
+    inclusion = SOp(dom, rep.space, 0, {(c, c): ONE for c in labels}, validate=False)
+    for k, e_k in enumerate(_divided_chain(e, inclusion, len(blocks))):
+        for j, fe in enumerate(_divided_chain(ch[("f", a)], e_k, len(blocks))):
+            i = j - k - h
+            if i < 0:
+                continue
+            coeff = qq ** (k * (k - j) - i * (i - j + k) + j - 1) * lam ** (k - i)
+            term = fe.scale(-coeff if j & 1 else coeff)
+            grouped[i] = grouped[i] + term if i in grouped else term
+    # sum_i e^(i) G_i by Horner: G_0 + e/[1] (G_1 + e/[2] (G_2 + ...))
+    total = SOp.zero(dom, rep.space)
+    for i in range(max(grouped, default=-1), -1, -1):
+        total = (e @ total).scale(q_number(i + 1).inverse())
+        if i in grouped:
+            total = total + grouped[i]
+    target = set(blocks.get(mu[: a - 1] + (mu[a], mu[a - 1]) + mu[a + 1 :], ()))
+    leaks = list(dict.fromkeys(r for r, _ in total.entries if r not in target))
+    if leaks:
+        raise ValueError(f"braid operator T_{a} leaks from weight {mu} to {leaks}")
+    return total.entries
 
-    def k_pow(op_pos, op_neg, t):
-        return op_pos.power(t) if t >= 0 else op_neg.power(-t)
 
-    # the Cartan factor k_a^d k_{a+1}^{-d} once per d = k - i, and e^(i) f^(j) once per (i, j)
-    cartan = {d: k_pow(ka, ka_inv, d) @ k_pow(kb, kb_inv, -d) for d in range(1 - len(e_div), len(e_div))}
-    total = None
-    for i, e_i in enumerate(e_div):
-        for j, f_j in enumerate(f_div):
-            ef = e_i @ f_j
-            for k, e_k in enumerate(e_div):
-                exp = k * (k - j) - i * (i - j + k) + j - 1
-                coeff = qq**exp
-                if j & 1:
-                    coeff = -coeff
-                term = (ef @ e_k @ cartan[k - i]).scale(coeff)
-                total = term if total is None else total + term
-    return total
+def braid_operator(rep, a: int) -> SOp:
+    """The braid operator T_a on a weight module, the divided-power sum
 
+        T_a = sum_{i,j,k >= 0} (-1)^j q^{k(k-j) - i(i-j+k) + j - 1}
+              e_a^(i) f_a^(j) e_a^(k) k_a^{k-i} k_{a+1}^{i-k},
 
-def zero_weight_space(rep) -> list:
-    """Labels of the block where every k_i has eigenvalue q (weight (1,...,1))."""
-    if isinstance(rep, QueerRep):
-        blocks = weight_spaces(rep)
-        m = rep.spec.n
-    else:
-        blocks = rep.weight_blocks()
-        m = rep.rank
-    return blocks.get((1,) * m, [])
+    truncated where the divided powers vanish, as the sum of its blocks on
+    the weight spaces V_mu (``_braid_block``).  ``rep`` needs a Chevalley
+    family of rank > a and a parameter flag (QueerRep or fixture module).
+
+    Proof that the blocks give T_a.  Let h = mu_a - mu_{a+1} and alpha the
+    weight e_a adds.  On V_mu, k_a^{k-i} k_{a+1}^{i-k} is the scalar lam^{k-i},
+    lam = k_a k_{a+1}^{-1} read off the diagonals at one label of V_mu, and the
+    term (i, j, k) maps V_mu into V_{mu + (i-j+k) alpha}.  T_a maps V_mu onto
+    V_{s_a mu} = V_{mu - h alpha} (Lusztig, Introduction to Quantum Groups,
+    5.2; Jantzen, Lectures on Quantum Groups, ch. 8) and distinct weight
+    spaces are independent, so on V_mu the terms of every other target weight
+    sum to zero and T_a is the sum over j = i + k + h alone.  With
+    G_i = sum_k (-1)^j q^{...} lam^{k-i} f^(j) e^(k) on V_mu, that sum is
+    sum_i e^(i) G_i = G_0 + e/[1] (G_1 + e/[2] (G_2 + ...)), since
+    e^(i) = e^i / ([1]...[i]).  A row outside V_{s_a mu} means that e_a or f_a
+    does not move weights by alpha or that the weight table is wrong: it
+    raises ValueError instead of being dropped.
+    """
+    blocks = _weight_blocks(rep)
+    entries: dict = {}
+    for mu in blocks:
+        entries.update(_braid_block(rep, a, blocks, mu))
+    return SOp(rep.space, rep.space, 0, entries, validate=False)
 
 
 def zero_weight_hc(rep) -> HCAction:
-    """The HC-action on the zero weight space: braid operators and C_b = kbar_b,
-    tagged with the opposite parameter (the convention hc_check confirms)."""
-    labels = zero_weight_space(rep)
+    """The HC-action on the zero weight space (weight (1,...,1)): braid
+    operators and C_b = kbar_b, tagged with the opposite parameter (the
+    convention hc_check confirms).  Each T_a is built on that block alone
+    (``_braid_block``), never on the whole module."""
+    m = rep.spec.n
+    blocks = _weight_blocks(rep)
+    zero = (1,) * m
+    labels = blocks.get(zero)
     if not labels:
         raise EmptyZeroWeight("zero weight space is zero")
-    m = rep.spec.n if isinstance(rep, QueerRep) else rep.rank
-    space = rep.space
-    sub = SuperSpace(labels, {lab: space.parity[lab] for lab in labels})
+    sub = SuperSpace(labels, {lab: rep.space.parity[lab] for lab in labels})
     ch = rep.chevalley()
-    t_ops = [braid_operator(rep, a).restrict(labels, sub) for a in range(1, m)]
+    t_ops = [SOp(sub, sub, 0, _braid_block(rep, a, blocks, zero), validate=False) for a in range(1, m)]
     c_ops = [ch[("kbar", b)].restrict(labels, sub) for b in range(1, m + 1)]
     return HCAction(HCSpec(m, opposite_param(rep.param)), sub, t_ops, c_ops)
 

@@ -229,14 +229,6 @@ class SOp:
                 acc[key] = w
         return SOp(other.dom, self.cod, self.par + other.par, acc, validate=False)
 
-    def power(self, k: int) -> "SOp":
-        if self.dom != self.cod:
-            raise ValueError("power of a non-endomorphism")
-        out = SOp.identity(self.dom)
-        for _ in range(k):
-            out = self @ out
-        return out
-
     def apply(self, vec: dict) -> dict:
         """Matrix-vector application; vec maps domain labels to scalars."""
         return {r: v for (r, _), v in (self @ point_map(self.dom, vec)).entries.items()}

@@ -24,7 +24,7 @@ from fractions import Fraction
 from queerdual import coord_alg, hecke_clifford, superlinalg, uq_queer
 from queerdual.coord_alg import CoordFunctional, _counit_value, eval_on_operator, kappa_sign, monomial_parity, product
 from queerdual.scalars import (
-    ONE, ZERO, RatFunc, _pmonomial, _ptrailing, identity_bound, kronecker_point, sample_mod_p,
+    ONE, ZERO, RatFunc, _pmonomial, _ptrailing, identity_bound, kronecker_point, q_number, sample_mod_p,
 )
 from queerdual.superlinalg import (
     SOp, SuperSpace, _flat_product, flatten_vector, graded_tensor, index_parity, index_range, kernel_basis, relation_bound,
@@ -362,18 +362,35 @@ def qca2_sides(n: int, S: SOp | None = None) -> tuple[dict, dict]:
     return lhs, rhs
 
 
+def _op_power(op: SOp, t: int) -> SOp:
+    """op^t as t plain products, starting from the identity."""
+    out = SOp.identity(op.dom)
+    for _ in range(t):
+        out = op @ out
+    return out
+
+
+def _divided_powers(op: SOp) -> list[SOp]:
+    """[op^(0), op^(1), ...] with op^(j) = op^j / [j]!, on the whole space, up to the first zero."""
+    out = []
+    while not (power := _op_power(op, len(out))).is_zero():
+        out.append(power.scale(q_number(len(out), factorial=True).inverse()))
+    return out
+
+
 def braid_triple_product(rep, a: int) -> SOp:
-    """T_a as the divided-power sum with every term the plain product
-    e_a^(i) f_a^(j) e_a^(k) k_a^{k-i} k_{a+1}^{i-k}, built from scratch."""
+    """T_a as the divided-power sum over every (i, j, k), with every term the
+    plain product e_a^(i) f_a^(j) e_a^(k) k_a^{k-i} k_{a+1}^{i-k} on the whole
+    module, built from scratch."""
     ch = rep.chevalley()
     qq = param_q(rep.param)
-    e_div = hecke_clifford._divided_powers(ch[("e", a)])
-    f_div = hecke_clifford._divided_powers(ch[("f", a)])
+    e_div = _divided_powers(ch[("e", a)])
+    f_div = _divided_powers(ch[("f", a)])
     ka, ka_inv = ch[("k", a)], ch[("kinv", a)]
     kb, kb_inv = ch[("k", a + 1)], ch[("kinv", a + 1)]
 
     def k_pow(op_pos, op_neg, t):
-        return op_pos.power(t) if t >= 0 else op_neg.power(-t)
+        return _op_power(op_pos, t) if t >= 0 else _op_power(op_neg, -t)
 
     total = None
     for i in range(len(e_div)):

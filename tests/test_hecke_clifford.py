@@ -1,9 +1,10 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from queerdual.coord_alg import phi_component_rep, zero_weight_iso
-from queerdual.duality import fixture_module
+from queerdual.duality import FixtureModule, fixture_module
 from queerdual import hecke_clifford
 from queerdual.scalars import ONE, P, QINV, XI, Q, RatFunc
 from queerdual.superlinalg import SOp, index_parity, supercommutator
@@ -16,7 +17,7 @@ from queerdual.hecke_clifford import (
     hc_tensor_action,
     zero_weight_hc,
 )
-from queerdual.uq_queer import PARAM_Q, PARAM_QINV, tensor_rep, vector_rep, weight_spaces
+from queerdual.uq_queer import PARAM_Q, PARAM_QINV, sigma_twist, tensor_rep, vector_rep, weight_spaces
 
 from oracles import (
     assert_bound_covers, braid_triple_product, decide_in_qq, hc_tensor_action_reference, recording_relation_bounds,
@@ -106,19 +107,116 @@ def test_braid_weight_support():
         assert lhs == rhs
 
 
+def _braid_modules():
+    """(name, module, braid indices): blocks with h = mu_a - mu_{a+1} from -3 to 3,
+    both parameter conventions, the twist, phi-modules of rank 2 and 3 and the
+    fixture.  The rank-3 phi-modules are taken in degree 2: phi(1,3,3) agrees
+    too, but its component alone takes seconds to build."""
+    return [
+        ("V(2)^2", tensor_rep(vector_rep(2), 2), (1,)),
+        ("V(2, q^-1)^2", tensor_rep(vector_rep(2, PARAM_QINV), 2), (1,)),
+        ("V(3, q^-1)^2", tensor_rep(vector_rep(3, PARAM_QINV), 2), (1, 2)),
+        ("V(3)^3", tensor_rep(vector_rep(3), 3), (1, 2)),
+        ("sigma V(2)^2", sigma_twist(tensor_rep(vector_rep(2), 2)), (1,)),
+        ("phi(2,2,2)", phi_component_rep(2, 2, 2)[0], (1,)),
+        ("phi(1,3,2)", phi_component_rep(1, 3, 2)[0], (1, 2)),
+        ("phi(2,3,2)", phi_component_rep(2, 3, 2)[0], (1, 2)),
+        ("fixture", FixtureModule(), (1,)),
+    ]
+
+
 def test_braid_operator_matches_the_triple_product():
-    # the hoisted Cartan factors and e^(i) f^(j) products give the same T_a
-    # as every term built from scratch, on the (2,2,2) phi-component module,
-    # the fixture and V (x) V
-    reps = {
-        "phi(2,2,2)": phi_component_rep(2, 2, 2)[0],
-        "fixture": fixture_module()[0],
-        "V(2)^2": tensor_rep(vector_rep(2), 2),
-    }
-    for name, rep in reps.items():
-        T = braid_operator(rep, 1)
-        assert not T.is_zero(), name
-        assert T == braid_triple_product(rep, 1), name
+    # T_a built one weight space at a time, on the j = i + k + h terms alone,
+    # equals the divided-power sum over every (i, j, k) on the whole module,
+    # as a whole and block by block
+    hs = set()
+    for name, rep, indices in _braid_modules():
+        blocks = hecke_clifford._weight_blocks(rep)
+        for a in indices:
+            T = braid_operator(rep, a)
+            oracle = braid_triple_product(rep, a)
+            assert not T.is_zero() and T == oracle, (name, a)
+            for mu, labels in blocks.items():
+                block = hecke_clifford._braid_block(rep, a, blocks, mu)
+                keep = set(labels)
+                assert block == {rc: v for rc, v in oracle.entries.items() if rc[1] in keep}, (name, a, mu)
+                hs.add(mu[a - 1] - mu[a])
+    assert hs == set(range(-3, 4))
+
+
+def _planted_leak():
+    """V(2)^2 with the entry of e_1 from (-1,-2), of weight (1,1), to (-1,-1),
+    of weight (2,0), moved to (1,2), of weight (1,1).  Returns the module, as
+    a table of Chevalley operators over the weight spaces of V(2)^2, and the
+    labels outside V_(1,1) that T_1 then reaches from the zero weight block:
+    the image of (1,2) under f_1, through the term f^(1) e^(1)."""
+    rep = tensor_rep(vector_rep(2), 2)
+    blocks = weight_spaces(rep)
+    ch = dict(rep.chevalley())
+    e = ch[("e", 1)]
+    entries = dict(e.entries)
+    entries[((1, 2), (-1, -2))] = entries.pop(((-1, -1), (-1, -2)))
+    ch[("e", 1)] = SOp(rep.space, rep.space, e.par, entries)
+
+    class Planted:
+        space, param, spec = rep.space, rep.param, rep.spec
+
+        def chevalley(self):
+            return ch
+
+        def weight_blocks(self):
+            return blocks
+
+    return Planted(), [r for r, _ in ch[("f", 1)].column((1, 2))]
+
+
+def test_a_braid_block_raises_on_a_row_of_another_weight():
+    rep, leaked = _planted_leak()
+    assert leaked and not set(leaked) & set(rep.weight_blocks()[(1, 1)])
+    with pytest.raises(ValueError, match="leaks from weight") as raised:
+        zero_weight_hc(rep)
+    assert all(repr(r) in str(raised.value) for r in leaked)
+    # on the block of weight (0,2), e_1 now also maps (1,1) into (1,1), so
+    # its chain outlasts the three weights: that raises too, and does not loop
+    with pytest.raises(ValueError, match="do not vanish"):
+        braid_operator(rep, 1)
+
+
+def test_a_braid_index_beyond_the_rank_raises():
+    for rep in (tensor_rep(vector_rep(1), 2), tensor_rep(vector_rep(2), 2)):
+        with pytest.raises(ValueError, match="braid index .* needs rank"):
+            braid_operator(rep, rep.spec.n)
+
+
+def test_zero_weight_hc_builds_no_product_on_the_whole_component(monkeypatch):
+    # each braid chain starts from the columns of the zero weight block, so no
+    # product has the whole component's columns as its right factor
+    rep = phi_component_rep(2, 2, 2)[0]
+    rep.chevalley()
+    doms = []
+    matmul = SOp.__matmul__
+
+    def recording(self, other):
+        doms.append(other.dom)
+        return matmul(self, other)
+
+    monkeypatch.setattr(SOp, "__matmul__", recording)
+    zw = zero_weight_hc(rep)
+    assert doms and all(dom == zw.space for dom in doms)
+    assert rep.space.dim > zw.space.dim
+
+
+def test_fixture_module_builds_its_braid_block_once(monkeypatch):
+    calls = []
+    block = hecke_clifford._braid_block
+
+    def recording(rep, a, blocks, mu):
+        calls.append((type(rep).__name__, a, mu))
+        return block(rep, a, blocks, mu)
+
+    monkeypatch.setattr(hecke_clifford, "_braid_block", recording)
+    assert fixture_module()[1].ok
+    assert calls == [("FixtureModule", 1, (1, 1))]
 
 
 def test_zero_weight_hc_v22():
